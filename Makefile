@@ -60,14 +60,17 @@ bench:
 # iteration count, and converts the output to BENCH_wirepath.json via
 # cmd/benchjson. The file is committed so reviewers can diff allocs/op
 # across PRs, and CI uploads it as an artifact. Absolute ns/op varies by
-# machine; allocs/op and B/op are the stable regression signal.
-BENCH_WIREPATH = BenchmarkUpdateBatch|BenchmarkWriteMessage|BenchmarkAppendFrame|BenchmarkReadMessage|BenchmarkFrameReader|BenchmarkTickFanout|BenchmarkFrameStream|BenchmarkEncode|BenchmarkDecode|BenchmarkRender|BenchmarkSelectorSelect|BenchmarkCandidateLadder|BenchmarkRank|BenchmarkCheckpoint
+# machine; allocs/op and B/op are the stable regression signal. Every
+# benchmark runs five times (five rows per name), so the file carries its
+# own run-to-run spread. The three *20k rows are the world costs that must
+# follow what changed or is visible, not the 20 000 entities present.
+BENCH_WIREPATH = BenchmarkUpdateBatch|BenchmarkWriteMessage|BenchmarkAppendFrame|BenchmarkReadMessage|BenchmarkFrameReader|BenchmarkTickFanout|BenchmarkFrameStream|BenchmarkEncode|BenchmarkDecode|BenchmarkRender|BenchmarkSelectorSelect|BenchmarkCandidateLadder|BenchmarkRank|BenchmarkCheckpoint|BenchmarkStep20k|BenchmarkReplicaView20k|BenchmarkCellKeyframe20k
 
 bench-json:
-	$(GO) test -bench='$(BENCH_WIREPATH)' -benchmem -benchtime=2000x -run='^$$' \
+	$(GO) test -bench='$(BENCH_WIREPATH)' -benchmem -benchtime=2000x -count=5 -run='^$$' \
 		./internal/protocol ./internal/fognet ./internal/videocodec \
 		./internal/render ./internal/fog ./internal/selection \
-		./internal/checkpoint \
+		./internal/checkpoint ./internal/virtualworld \
 		| $(GO) run ./cmd/benchjson -o BENCH_wirepath.json
 
 # Datagram-transport benchmark regression file, same scheme as bench-json:

@@ -322,7 +322,7 @@ type fogInterest struct {
 }
 
 // resetInterestLocked (re)arms the AoI tracker against a freshly seeded
-// replica: geometry from the replica's world dimensions, empty current
+// replica: geometry from the replica's own grid, empty current
 // subscription (a new cloud connection starts unsubscribed), and a forced
 // recompute. Caller holds f.mu; the next refreshInterest sends.
 func (f *FogNode) resetInterestLocked() {
@@ -330,8 +330,7 @@ func (f *FogNode) resetInterestLocked() {
 	if ai == nil {
 		return
 	}
-	w, h := f.replica.Size()
-	ai.geo = virtualworld.Geometry(w, h, virtualworld.DefaultCellSize)
+	ai.geo = f.replica.Grid().Geom()
 	ai.ready = true
 	ai.cells = ai.cells[:0]
 	for i := range ai.words {

@@ -100,15 +100,7 @@ func TestAoIReplicaTracksAvatar(t *testing.T) {
 	defer player.Close()
 
 	waitFor(t, 5*time.Second, "replica tracks the avatar", func() bool {
-		ax, ay, ok := func() (float64, float64, bool) {
-			snap := cloud.currentSnapshot()
-			for _, e := range snap.Entities {
-				if e.Kind == virtualworld.KindAvatar && e.Owner == 9 {
-					return e.X, e.Y, true
-				}
-			}
-			return 0, 0, false
-		}()
+		ax, ay, ok := cloudAvatarPos(cloud, 9)
 		if !ok {
 			return false
 		}
@@ -120,16 +112,26 @@ func TestAoIReplicaTracksAvatar(t *testing.T) {
 	})
 }
 
+// cloudAvatarPos reads a player's authoritative avatar position.
+func cloudAvatarPos(c *CloudServer, player int) (x, y float64, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if a := c.world.Avatar(player); a != nil {
+		return a.X, a.Y, true
+	}
+	return 0, 0, false
+}
+
 // decodeCellBatchInto round-trips a cell batch through the wire encoding
 // before applying it, so parity covers the codec as well as the bucketing.
-func applyCellBatchWire(t testing.TB, r *virtualworld.Replica, geo virtualworld.GridGeom, cb protocol.CellBatch) {
+func applyCellBatchWire(t testing.TB, r *virtualworld.Replica, cb protocol.CellBatch) {
 	t.Helper()
 	var got protocol.CellBatch
 	if err := protocol.DecodeCellBatch(cb.Marshal(), &got); err != nil {
 		t.Fatalf("cell batch round trip: %v", err)
 	}
 	if got.Keyframe {
-		r.ApplyCellKeyframe(got.Tick, geo, got.Cell, got.Deltas)
+		r.ApplyCellKeyframe(got.Tick, got.Cell, got.Deltas)
 	} else {
 		r.Apply(got.Tick, got.Deltas)
 	}
@@ -211,11 +213,11 @@ func FuzzAoIPartitionParity(f *testing.F) {
 		// AoI replica applies the partition: global bucket first (session
 		// events and removals), then each dirty cell, as a fully-subscribed
 		// supernode would receive them.
-		applyCellBatchWire(t, base, geo, protocol.CellBatch{
+		applyCellBatchWire(t, base, protocol.CellBatch{
 			Tick: 2, Cell: virtualworld.CellNone, Deltas: plan.global})
 		for i := 0; i < plan.numDirty(); i++ {
 			cell, cd := plan.cellDeltas(i)
-			applyCellBatchWire(t, base, geo, protocol.CellBatch{Tick: 2, Cell: cell, Deltas: cd})
+			applyCellBatchWire(t, base, protocol.CellBatch{Tick: 2, Cell: cell, Deltas: cd})
 		}
 
 		if got, want := base.Snapshot(), full.Snapshot(); !got.Equal(want) {
@@ -284,15 +286,7 @@ func TestAoIInterestSurvivesBlackhole(t *testing.T) {
 	// No stale-cell state reaches the player: the replica's avatar view
 	// reconverges to the authoritative position.
 	waitFor(t, 5*time.Second, "replica reconverged", func() bool {
-		snap := cloud.currentSnapshot()
-		var ax, ay float64
-		found := false
-		for _, e := range snap.Entities {
-			if e.Kind == virtualworld.KindAvatar && e.Owner == 41 {
-				ax, ay, found = e.X, e.Y, true
-				break
-			}
-		}
+		ax, ay, found := cloudAvatarPos(cloud, 41)
 		if !found {
 			return false
 		}

@@ -35,6 +35,7 @@ import (
 	"cloudfog/internal/checkpoint"
 	"cloudfog/internal/game"
 	"cloudfog/internal/protocol"
+	"cloudfog/internal/render"
 	"cloudfog/internal/reputation"
 	"cloudfog/internal/rng"
 	"cloudfog/internal/selection"
@@ -166,6 +167,9 @@ type CloudServer struct {
 	// and delta-log entry so replicas and the standby track joins and
 	// departures exactly. Guarded by mu.
 	sessionDeltas []virtualworld.Delta
+	// tickDeltas is where tickOnce merges sessionDeltas with Step's
+	// output; only the tick loop touches it.
+	tickDeltas []virtualworld.Delta
 	// resumable holds player IDs recovered from a checkpoint that have
 	// not reconnected yet: their avatars live in the restored world and
 	// MsgResume re-admits them without a rejoin. Guarded by mu.
@@ -645,7 +649,11 @@ func (s *CloudServer) tickOnce() {
 		// Fold membership changes (avatar spawns, departures) into the
 		// tick's delta stream so replicas and the standby's log both see
 		// them; Step's own deltas follow and overwrite where they overlap.
-		deltas = append(s.sessionDeltas, deltas...)
+		// Copied into the tick loop's own buffer while the lock is held:
+		// the fan-out reads it after the unlock, when joins and departures
+		// are already appending to sessionDeltas again.
+		s.tickDeltas = append(append(s.tickDeltas[:0], s.sessionDeltas...), deltas...)
+		deltas = s.tickDeltas
 		s.sessionDeltas = s.sessionDeltas[:0]
 	}
 	s.ticks++
@@ -1316,11 +1324,11 @@ func (s *CloudServer) submitAction(a virtualworld.Action) bool {
 	return true
 }
 
-// currentSnapshot implements snapshotSource over the authoritative world.
-func (s *CloudServer) currentSnapshot() virtualworld.Snapshot {
+// viewInto implements viewSource over the authoritative world.
+func (s *CloudServer) viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.world.Snapshot()
+	return s.world.ViewInto(dst, player, render.ViewHalfWidth, render.ViewHalfHeight)
 }
 
 // cloudFallbackCounters routes fallback-session egress into the cloud's

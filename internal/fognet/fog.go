@@ -9,6 +9,7 @@ import (
 
 	"cloudfog/internal/game"
 	"cloudfog/internal/protocol"
+	"cloudfog/internal/render"
 	"cloudfog/internal/rng"
 	"cloudfog/internal/transport"
 	"cloudfog/internal/virtualworld"
@@ -468,7 +469,7 @@ func (f *FogNode) updateLoop() {
 				if cellBatch.Keyframe && f.aoi != nil && f.aoi.ready {
 					// Cell-enter seed: prune in-cell entities the batch does
 					// not mention, then apply its full population.
-					f.replica.ApplyCellKeyframe(cellBatch.Tick, f.aoi.geo, cellBatch.Cell, cellBatch.Deltas)
+					f.replica.ApplyCellKeyframe(cellBatch.Tick, cellBatch.Cell, cellBatch.Deltas)
 					f.keyframesApplied++
 				} else {
 					// Ordinary cell deltas — including the CellNone global
@@ -812,11 +813,11 @@ func (f *FogNode) servePlayer(conn net.Conn) {
 		f, f, f, f, f.stop, &f.wg)
 }
 
-// currentSnapshot implements snapshotSource over the replica.
-func (f *FogNode) currentSnapshot() virtualworld.Snapshot {
+// viewInto implements viewSource over the replica.
+func (f *FogNode) viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.replica.Snapshot()
+	return f.replica.ViewInto(dst, player, render.ViewHalfWidth, render.ViewHalfHeight)
 }
 
 // addFrame implements streamCounters.

@@ -584,8 +584,14 @@ func TestPlayerMigratesOnSilentStream(t *testing.T) {
 	waitFor(t, 5*time.Second, "frames resume", func() bool {
 		return player.Stats().Frames > framesAtMigration+5
 	})
-	if got := player.Stats(); got.FallbackTransitions != 0 {
+	got := player.Stats()
+	if got.FallbackTransitions != 0 {
 		t.Errorf("player fell back to cloud despite live backup: %+v", got)
+	}
+	// The stall began at the last frame the primary delivered, so it
+	// contains the whole detection window, not just the re-attach.
+	if got.StallMs < 100 {
+		t.Errorf("stall = %d ms, shorter than the 100 ms read timeout that detected it", got.StallMs)
 	}
 }
 

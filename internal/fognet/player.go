@@ -113,8 +113,15 @@ type PlayerClient struct {
 	switches   int
 	migrations int
 	fallbacks  int
-	stallMs    int64
 	candUpd    int64
+	// Stall accounting, in monotonic time: lastFrameAt is when the last
+	// frame was delivered (stream attach before the first), stalled marks
+	// a detected outage that no frame has ended yet, and stallNs sums the
+	// outages that did end — each from its last delivered frame to the
+	// first frame decoded on the new stream.
+	lastFrameAt time.Time
+	stalled     bool
+	stallNs     int64
 
 	// The datagram video path. videoDgram is the live UDP socket (nil
 	// while streaming over TCP) so Close can unblock its reader; the dg*
@@ -462,7 +469,9 @@ type PlayerStats struct {
 	// stream — the expensive last rung of the ladder.
 	FallbackTransitions int
 	// StallMs is the cumulative time the video stream was down across
-	// failures, from detection to resumption.
+	// failures: each stall runs from the last frame delivered before the
+	// failure to the first frame decoded on the new stream (to now, for a
+	// stall still open), measured in monotonic nanoseconds and rounded up.
 	StallMs int64
 	// CandidateUpdates counts failover-ladder refreshes received from
 	// the cloud.
@@ -511,6 +520,10 @@ type PlayerStats struct {
 func (p *PlayerClient) Stats() PlayerStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	stallNs := p.stallNs
+	if p.stalled {
+		stallNs += int64(time.Since(p.lastFrameAt))
+	}
 	return PlayerStats{
 		Frames:              p.frames,
 		VideoBits:           p.videoBits,
@@ -520,7 +533,7 @@ func (p *PlayerClient) Stats() PlayerStats {
 		RateSwitches:        p.switches,
 		Migrations:          p.migrations,
 		FallbackTransitions: p.fallbacks,
-		StallMs:             p.stallMs,
+		StallMs:             (stallNs + int64(time.Millisecond) - 1) / int64(time.Millisecond),
 		CandidateUpdates:    p.candUpd,
 		QoEReports:          p.qoeReports,
 		Epoch:               p.epoch,
@@ -867,6 +880,12 @@ func (p *PlayerClient) decodeFrame(st *videoRecvState, payload []byte, viaDgram 
 	if derr != nil {
 		p.decodeErrs++
 	} else {
+		now := time.Now()
+		if p.stalled {
+			p.stallNs += int64(now.Sub(p.lastFrameAt))
+			p.stalled = false
+		}
+		p.lastFrameAt = now
 		p.frames++
 		p.videoBits += int64(st.ef.SizeBits())
 		if viaDgram {
@@ -952,6 +971,7 @@ func (p *PlayerClient) videoLoop() {
 	st.windowStart = st.start
 	p.mu.Lock()
 	conn := p.video
+	p.lastFrameAt = st.start
 	p.mu.Unlock()
 	fr := protocol.NewFrameReader(conn)
 	for {
@@ -1006,15 +1026,15 @@ func (p *PlayerClient) videoLoop() {
 
 // migrate walks the failover ladder after the serving connection failed,
 // retrying with jittered backoff, and returns the new connection. It
-// reports false when the client is closing or the ladder stays dry. The
-// downtime from detection to resumption is accounted as stall time. The
+// reports false when the client is closing or the ladder stays dry. It
+// opens a stall, which the first frame decoded afterwards closes. The
 // failed supernode is reported to the cloud's reputation book (rating 0,
 // stalled), and again with the fallback flag if the migration ends on the
 // cloud's own stream — every escape to the expensive rung demotes whoever
 // caused it.
 func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, bool) {
-	stallStart := time.Now()
 	p.mu.Lock()
+	p.stalled = true
 	failed := p.servingAddr
 	if failed == p.cloudAddr {
 		failed = "" // the cloud rates supernodes, not itself
@@ -1036,7 +1056,6 @@ func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, bool) {
 			old := p.video
 			p.video = conn
 			p.migrations++
-			p.stallMs += time.Since(stallStart).Milliseconds()
 			landedOnCloud := p.servingAddr == p.cloudAddr
 			p.mu.Unlock()
 			if landedOnCloud && failed != "" {

@@ -12,11 +12,13 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// snapshotSource yields the world state a video session renders from: a
-// fog node serves its replica, the cloud serves the authoritative world
-// (the fallback path for players without a nearby supernode).
-type snapshotSource interface {
-	currentSnapshot() virtualworld.Snapshot
+// viewSource fills a session-owned snapshot with what one player can see
+// and returns the viewport it was cut to: a fog node reads its replica,
+// the cloud reads the authoritative world (the fallback path for players
+// without a nearby supernode). Either holds its lock only for the view
+// query — time proportional to the visible entities, not to the world.
+type viewSource interface {
+	viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport
 }
 
 // streamCounters receives the session's egress accounting.
@@ -45,21 +47,15 @@ type actionSink interface {
 // caller owns conn and the attach handshake; wg tracks the internal
 // reader goroutine.
 //
-// The 30 fps loop is the fog tier's hot path, so it is allocation-free in
-// steady state: the renderer rasterizes into one reused framebuffer, the
-// encoder compresses into reused scratch (EncodeInto), and the encoded
-// frame plus its header — the 5-byte stream header or the 33-byte
-// datagram header — are appended into one pooled buffer flushed with a
-// single Write. The pooled buffer is returned only after the session
-// ends — per-frame it is simply truncated and refilled, never handed to
-// another goroutine.
+// The 30 fps loop is the fog tier's hot path; frameStream.sendFrame is
+// one iteration of it.
 func runVideoSession(
 	conn net.Conn,
 	playerID int32,
 	level game.QualityLevel,
 	frameInterval time.Duration,
 	writeTimeout time.Duration,
-	source snapshotSource,
+	source viewSource,
 	counters streamCounters,
 	actions actionSink,
 	offer dgramOffer,
@@ -117,20 +113,12 @@ func runVideoSession(
 		}
 	}()
 
-	renderer := render.NewRenderer(render.ResolutionForLevel(int(level)))
-	encoder := videocodec.NewEncoder(game.MustQuality(level).BitrateKbps)
-	frame := render.NewFrame(renderer.Resolution())
-	var ef videocodec.EncodedFrame
 	out := protocol.GetBuffer()
 	defer protocol.PutBuffer(out)
-	// sess is the live datagram upgrade, nil until a request is granted;
-	// dgramLive flips when the player's hello lands and frames actually
-	// switch to UDP.
-	var sess *dgramSession
-	dgramLive := false
+	fs := newFrameStream(conn, playerID, level, writeTimeout, source, counters, out)
 	defer func() {
-		if sess != nil {
-			offer.endDatagram(sess)
+		if fs.sess != nil {
+			offer.endDatagram(fs.sess)
 		}
 	}()
 	ticker := time.NewTicker(frameInterval)
@@ -144,14 +132,13 @@ func runVideoSession(
 		case newLevel := <-rateCh:
 			if newLevel != level {
 				level = newLevel
-				renderer = render.NewRenderer(render.ResolutionForLevel(int(level)))
-				encoder = videocodec.NewEncoder(game.MustQuality(level).BitrateKbps)
+				fs.setLevel(level)
 			}
 		case <-dgramCh:
 			//lint:ignore epochstamp refusal default: overwritten by the stamped offer when the datagram path is up
 			reply := protocol.DatagramReply{Reason: "datagram video unavailable"}
-			if offer != nil && sess == nil {
-				reply, sess = offer.offerDatagram()
+			if offer != nil && fs.sess == nil {
+				reply, fs.sess = offer.offerDatagram()
 			}
 			var err error
 			out.B, err = protocol.AppendFrame(out.B[:0], protocol.MsgDatagramReply, reply.Marshal())
@@ -165,41 +152,95 @@ func runVideoSession(
 				return
 			}
 		case <-ticker.C:
-			snap := source.currentSnapshot()
-			if sess != nil && !dgramLive {
-				if _, ok := sess.remote(); ok {
-					// The hello landed: this frame is the first to ride
-					// UDP. Restart the GOP so the receiver — which read
-					// none of the TCP frames in flight during the
-					// handshake — decodes from the very first datagram.
-					dgramLive = true
-					encoder.ForceKeyframe()
-				}
-			}
-			renderer.RenderInto(snap, render.ViewportFor(snap, int(playerID)), frame)
-			encoder.EncodeInto(frame, &ef)
-			if sess != nil {
-				var sent bool
-				out.B, sent = sess.sendFrame(out.B, &ef, snap.Tick)
-				if sent {
-					counters.addFrame(ef.SizeBits())
-					continue
-				}
-				// No hello yet, oversized frame, or a socket error:
-				// this frame rides the reliable stream instead.
-			}
-			var err error
-			out.B, err = protocol.AppendMessage(out.B[:0], protocol.MsgVideoFrame, &ef)
-			if err != nil {
+			if !fs.sendFrame() {
 				return
 			}
-			if writeTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			}
-			if _, err := conn.Write(out.B); err != nil {
-				return
-			}
-			counters.addFrame(ef.SizeBits())
 		}
 	}
+}
+
+// frameStream is one video session's per-frame state, all of it reused
+// from frame to frame so the steady-state loop allocates nothing: the
+// view snapshot the source refills, the renderer's framebuffer, the
+// encoder's scratch (EncodeInto), and the pooled buffer the encoded
+// frame plus its header — the 5-byte stream header or the 33-byte
+// datagram header — are appended into and flushed from with a single
+// Write. The pooled buffer belongs to the session until it ends —
+// per-frame it is simply truncated and refilled, never handed to another
+// goroutine.
+type frameStream struct {
+	conn         net.Conn
+	playerID     int
+	writeTimeout time.Duration
+	source       viewSource
+	counters     streamCounters
+
+	renderer *render.Renderer
+	encoder  *videocodec.Encoder
+	frame    *render.Frame
+	view     virtualworld.Snapshot
+	ef       videocodec.EncodedFrame
+	out      *protocol.Buffer
+	// sess is the live datagram upgrade, nil until a request is granted;
+	// dgramLive flips when the player's hello lands and frames actually
+	// switch to UDP.
+	sess      *dgramSession
+	dgramLive bool
+}
+
+func newFrameStream(conn net.Conn, playerID int32, level game.QualityLevel, writeTimeout time.Duration,
+	source viewSource, counters streamCounters, out *protocol.Buffer) *frameStream {
+	fs := &frameStream{conn: conn, playerID: int(playerID), writeTimeout: writeTimeout,
+		source: source, counters: counters, out: out}
+	fs.setLevel(level)
+	fs.frame = render.NewFrame(fs.renderer.Resolution())
+	return fs
+}
+
+// setLevel switches the session to a quality level's resolution and
+// bitrate; the next frame restarts the GOP at the new size.
+func (fs *frameStream) setLevel(level game.QualityLevel) {
+	fs.renderer = render.NewRenderer(render.ResolutionForLevel(int(level)))
+	fs.encoder = videocodec.NewEncoder(game.MustQuality(level).BitrateKbps)
+}
+
+// sendFrame renders, encodes and sends one frame of the player's current
+// view. It reports false when the session connection broke.
+func (fs *frameStream) sendFrame() bool {
+	vp := fs.source.viewInto(&fs.view, fs.playerID)
+	if fs.sess != nil && !fs.dgramLive {
+		if _, ok := fs.sess.remote(); ok {
+			// The hello landed: this frame is the first to ride
+			// UDP. Restart the GOP so the receiver — which read
+			// none of the TCP frames in flight during the
+			// handshake — decodes from the very first datagram.
+			fs.dgramLive = true
+			fs.encoder.ForceKeyframe()
+		}
+	}
+	fs.renderer.RenderInto(fs.view, vp, fs.frame)
+	fs.encoder.EncodeInto(fs.frame, &fs.ef)
+	if fs.sess != nil {
+		var sent bool
+		fs.out.B, sent = fs.sess.sendFrame(fs.out.B, &fs.ef, fs.view.Tick)
+		if sent {
+			fs.counters.addFrame(fs.ef.SizeBits())
+			return true
+		}
+		// No hello yet, oversized frame, or a socket error:
+		// this frame rides the reliable stream instead.
+	}
+	var err error
+	fs.out.B, err = protocol.AppendMessage(fs.out.B[:0], protocol.MsgVideoFrame, &fs.ef)
+	if err != nil {
+		return false
+	}
+	if fs.writeTimeout > 0 {
+		fs.conn.SetWriteDeadline(time.Now().Add(fs.writeTimeout))
+	}
+	if _, err := fs.conn.Write(fs.out.B); err != nil {
+		return false
+	}
+	fs.counters.addFrame(fs.ef.SizeBits())
+	return true
 }

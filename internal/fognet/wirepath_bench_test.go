@@ -2,12 +2,13 @@ package fognet
 
 import (
 	"io"
+	"net"
 	"testing"
+	"time"
 
 	"cloudfog/internal/game"
 	"cloudfog/internal/protocol"
-	"cloudfog/internal/render"
-	"cloudfog/internal/videocodec"
+	"cloudfog/internal/rng"
 	"cloudfog/internal/virtualworld"
 )
 
@@ -101,38 +102,84 @@ func BenchmarkTickFanoutLegacy(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameStream measures one iteration of the fog tier's 30 fps
-// streaming loop as runVideoSession runs it: rasterize the snapshot into a
-// reused framebuffer, compress into reused encoder scratch, frame the
-// result into a pooled buffer, flush with a single write. Steady state:
-// 0 allocs/op.
-func BenchmarkFrameStream(b *testing.B) {
-	w := virtualworld.New(400, 400)
-	w.SpawnAvatar(1, 100, 100)
-	for i := 0; i < 5; i++ {
-		w.Step([]virtualworld.Action{{Player: 1, Kind: virtualworld.ActMove, TargetX: 300, TargetY: 300}})
+// discardNetConn is a session connection that accepts every write.
+type discardNetConn struct{ net.Conn }
+
+func (discardNetConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (discardNetConn) SetWriteDeadline(time.Time) error { return nil }
+
+// streamFixture is a fog node's per-frame path without the network: a
+// 2 000-entity replica behind the node's lock, one session's frameStream
+// over a discarding connection, and a step that moves the avatar between
+// frames so every frame has something to encode.
+type streamFixture struct {
+	fog    *FogNode
+	fs     *frameStream
+	avatar virtualworld.Entity
+}
+
+func newStreamFixture(level game.QualityLevel, sess *dgramSession) *streamFixture {
+	w := virtualworld.New(1024, 1024)
+	avatar := *w.SpawnAvatar(1, 500, 500)
+	r := rng.New(5)
+	for i := 0; i < 2000; i++ {
+		w.SpawnNPC(r.Uniform(0, 1024), r.Uniform(0, 1024))
 	}
-	snap := w.Snapshot()
-	level := 3
-	renderer := render.NewRenderer(render.ResolutionForLevel(level))
-	encoder := videocodec.NewEncoder(game.MustQuality(game.QualityLevel(level)).BitrateKbps)
-	frame := render.NewFrame(renderer.Resolution())
-	var ef videocodec.EncodedFrame
-	out := protocol.GetBuffer()
-	defer protocol.PutBuffer(out)
+	fog := &FogNode{replica: virtualworld.NewReplica(1024, 1024)}
+	fog.replica.Seed(w.Snapshot())
+	fs := newFrameStream(discardNetConn{}, 1, level, time.Second, fog, fog, protocol.GetBuffer())
+	fs.sess = sess
+	return &streamFixture{fog: fog, fs: fs, avatar: avatar}
+}
+
+// frame applies one avatar move to the replica, as a tick's update batch
+// would, and sends the next frame.
+func (sf *streamFixture) frame(tb testing.TB) {
+	sf.avatar.Version++
+	sf.avatar.X = 500 + float64(sf.avatar.Version%8) // stays inside one grid cell
+	sf.fog.mu.Lock()
+	sf.fog.replica.Apply(uint64(sf.avatar.Version), []virtualworld.Delta{{ID: sf.avatar.ID, Entity: sf.avatar}})
+	sf.fog.mu.Unlock()
+	if !sf.fs.sendFrame() {
+		tb.Fatal("frame not sent")
+	}
+}
+
+// BenchmarkFrameStream measures one iteration of the fog tier's 30 fps
+// streaming loop, frameStream.sendFrame as runVideoSession calls it: take
+// the player's view of the replica under the node's lock, rasterize it
+// into a reused framebuffer, compress into reused encoder scratch, frame
+// the result into a pooled buffer, flush with a single write. Steady
+// state: 0 allocs/op.
+func BenchmarkFrameStream(b *testing.B) {
+	sf := newStreamFixture(3, nil)
+	defer protocol.PutBuffer(sf.fs.out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		renderer.RenderInto(snap, render.ViewportFor(snap, 1), frame)
-		encoder.EncodeInto(frame, &ef)
-		var err error
-		out.B, err = protocol.AppendMessage(out.B[:0], protocol.MsgVideoFrame, &ef)
-		if err != nil {
-			b.Fatal(err)
+		sf.frame(b)
+	}
+}
+
+// TestFrameStreamSteadyStateAllocs pins that property for both ways a
+// frame leaves the fog: the session's TCP connection and a live datagram
+// session.
+func TestFrameStreamSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool randomizes caching under -race; allocation counts only hold without it")
+	}
+	for name, sess := range map[string]*dgramSession{"tcp": nil, "dgram": benchDgramSession()} {
+		sf := newStreamFixture(1, sess)
+		for i := 0; i < 8; i++ { // warm-up: grow the view, encoder scratch and out buffer
+			sf.frame(t)
 		}
-		if _, err := io.Discard.Write(out.B); err != nil {
-			b.Fatal(err)
+		if got := len(sf.fs.view.Entities); got < 10 || got > 500 {
+			t.Fatalf("%s: view holds %d of 2001 entities; expected only the visible ones", name, got)
 		}
+		if n := testing.AllocsPerRun(64, func() { sf.frame(t) }); n != 0 {
+			t.Errorf("%s: a steady-state frame allocates %.1f/op, want 0", name, n)
+		}
+		protocol.PutBuffer(sf.fs.out)
 	}
 }
 

@@ -218,7 +218,7 @@ func TestReplicaApplyCellKeyframe(t *testing.T) {
 	// Keyframe for the cell: entity 1 moved (newer version), entity 2 is
 	// gone, entity 4 appeared. Entity 3 is out-of-cell and must survive.
 	c := geo.CellOf(10, 10)
-	r.ApplyCellKeyframe(9, geo, c, []Delta{
+	r.ApplyCellKeyframe(9, c, []Delta{
 		{ID: 1, Entity: Entity{ID: 1, Kind: KindNPC, Owner: -1, X: 12, Y: 10, Version: 6}},
 		{ID: 4, Entity: Entity{ID: 4, Kind: KindItem, Owner: -1, X: 30, Y: 30, Version: 2}},
 	})
@@ -239,7 +239,7 @@ func TestReplicaApplyCellKeyframe(t *testing.T) {
 	}
 	// A keyframe never resurrects staleness: an older version in the
 	// keyframe loses to a newer replica copy.
-	r.ApplyCellKeyframe(10, geo, c, []Delta{
+	r.ApplyCellKeyframe(10, c, []Delta{
 		{ID: 1, Entity: Entity{ID: 1, Kind: KindNPC, Owner: -1, X: 0, Y: 0, Version: 3}},
 		{ID: 4, Entity: Entity{ID: 4, Kind: KindItem, Owner: -1, X: 30, Y: 30, Version: 2}},
 	})

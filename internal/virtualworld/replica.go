@@ -1,18 +1,24 @@
 package virtualworld
 
-import "sort"
+import "slices"
 
 // Replica is the supernode-side copy of the virtual world. The cloud
 // computes the authoritative state and streams deltas; the replica applies
 // them ("the supernodes update the virtual world" — §3.1), discarding
-// stale updates by entity version, and serves snapshots to the renderer.
+// stale updates by entity version, and serves each video session its
+// player's view (ViewInto) plus full snapshots for convergence checks.
 type Replica struct {
 	width, height float64
 	entities      map[EntityID]Entity
 	byOwner       map[int]EntityID
-	tick          uint64
-	applied       int
-	stale         int
+	// grid is the same incrementally maintained spatial index the World
+	// keeps, over the replica's own copies: it answers view queries and
+	// keyframe pruning per cell instead of per world.
+	grid      *Grid
+	viewCells []uint32 // ViewInto scratch
+	tick      uint64
+	applied   int
+	stale     int
 }
 
 // NewReplica creates an empty replica for a world of the given dimensions.
@@ -27,8 +33,13 @@ func NewReplica(width, height float64) *Replica {
 		width: width, height: height,
 		entities: make(map[EntityID]Entity),
 		byOwner:  make(map[int]EntityID),
+		grid:     NewGrid(Geometry(width, height, DefaultCellSize)),
 	}
 }
+
+// Grid returns the replica's spatial index. Callers must treat it as
+// read-only; it is maintained by the replica's own mutation paths.
+func (r *Replica) Grid() *Grid { return r.grid }
 
 // Apply folds one tick's deltas into the replica. Updates older than the
 // replica's current version of an entity are discarded (out-of-order or
@@ -52,20 +63,26 @@ func (r *Replica) Apply(tick uint64, deltas []Delta) {
 	}
 }
 
-// setEntity stores an entity copy, maintaining the owner index.
+// setEntity stores an entity copy, maintaining the grid and owner index.
 func (r *Replica) setEntity(e Entity) {
+	if old, ok := r.entities[e.ID]; ok {
+		r.grid.Move(e.ID, old.X, old.Y, e.X, e.Y)
+	} else {
+		r.grid.Insert(e.ID, e.X, e.Y)
+	}
 	r.entities[e.ID] = e
 	if e.Kind == KindAvatar && e.Owner >= 0 {
 		r.byOwner[e.Owner] = e.ID
 	}
 }
 
-// removeEntity deletes an entity, maintaining the owner index.
+// removeEntity deletes an entity, maintaining the grid and owner index.
 func (r *Replica) removeEntity(id EntityID) {
 	e, ok := r.entities[id]
 	if !ok {
 		return
 	}
+	r.grid.Remove(id, e.X, e.Y)
 	delete(r.entities, id)
 	if e.Kind == KindAvatar && e.Owner >= 0 && r.byOwner[e.Owner] == id {
 		delete(r.byOwner, e.Owner)
@@ -88,39 +105,33 @@ func (r *Replica) AvatarPos(player int) (x, y float64, ok bool) {
 }
 
 // ApplyCellKeyframe folds a cell-enter keyframe into the replica: deltas
-// is the complete entity population of cell c (sorted by ID), so any
+// is the complete entity population of grid cell c (sorted by ID), so any
 // replica entity inside the cell that the keyframe does not mention was
 // removed while the fog was unsubscribed and is deleted here — the rule
 // that makes partial world views converge without per-entity tombstones.
-// The deltas then apply with the usual version staleness check.
-func (r *Replica) ApplyCellKeyframe(tick uint64, geo GridGeom, c uint32, deltas []Delta) {
-	if tick > r.tick {
-		r.tick = tick
-	}
-	for id, e := range r.entities {
-		if geo.CellOf(e.X, e.Y) != c {
-			continue
-		}
-		i := sort.Search(len(deltas), func(i int) bool { return deltas[i].ID >= id })
-		if i < len(deltas) && deltas[i].ID == id {
-			continue
-		}
-		r.removeEntity(id)
-		r.applied++
-	}
-	for _, d := range deltas {
-		if d.Removed {
-			r.removeEntity(d.ID)
+// The deltas then apply with the usual version staleness check. c indexes
+// the replica's own grid, whose geometry the cloud shares (same world
+// dimensions, DefaultCellSize); the cost is the cell's population, not
+// the replica's.
+func (r *Replica) ApplyCellKeyframe(tick uint64, c uint32, deltas []Delta) {
+	if int(c) < len(r.grid.cells) {
+		// Both lists ascend by ID; walk them from the top so removing
+		// cell[i] never shifts an element still to be visited.
+		cell := r.grid.cells[c]
+		j := len(deltas) - 1
+		for i := len(cell) - 1; i >= 0; i-- {
+			id := cell[i]
+			for j >= 0 && deltas[j].ID > id {
+				j--
+			}
+			if j >= 0 && deltas[j].ID == id {
+				continue
+			}
+			r.removeEntity(id)
 			r.applied++
-			continue
 		}
-		if cur, ok := r.entities[d.ID]; ok && cur.Version >= d.Entity.Version {
-			r.stale++
-			continue
-		}
-		r.setEntity(d.Entity)
-		r.applied++
 	}
+	r.Apply(tick, deltas)
 }
 
 // Seed initializes the replica from a full snapshot (the state transferred
@@ -130,6 +141,7 @@ func (r *Replica) Seed(s Snapshot) {
 	r.width, r.height = s.Width, s.Height
 	r.entities = make(map[EntityID]Entity, len(s.Entities))
 	r.byOwner = make(map[int]EntityID)
+	r.grid = NewGrid(Geometry(s.Width, s.Height, DefaultCellSize))
 	for _, e := range s.Entities {
 		r.setEntity(e)
 	}
@@ -163,7 +175,7 @@ func (r *Replica) Snapshot() Snapshot {
 	for _, e := range r.entities {
 		out.Entities = append(out.Entities, e)
 	}
-	sort.Slice(out.Entities, func(i, j int) bool { return out.Entities[i].ID < out.Entities[j].ID })
+	slices.SortFunc(out.Entities, cmpEntityID)
 	return out
 }
 

@@ -142,3 +142,21 @@ func TestSnapshotEqualProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestViewIntoSteadyStateAllocs: once the caller's snapshot and the
+// source's cell scratch have grown, a view query allocates nothing.
+func TestViewIntoSteadyStateAllocs(t *testing.T) {
+	w, rep := world20k()
+	var view Snapshot
+	for name, viewInto := range map[string]func(*Snapshot, int, float64, float64) Viewport{
+		"replica": rep.ViewInto, "world": w.ViewInto,
+	} {
+		viewInto(&view, 1, benchHalfW, benchHalfH) // warm-up
+		if len(view.Entities) < 10 {
+			t.Fatalf("%s: view holds %d entities; the test world is too sparse to mean anything", name, len(view.Entities))
+		}
+		if n := testing.AllocsPerRun(100, func() { viewInto(&view, 1, benchHalfW, benchHalfH) }); n != 0 {
+			t.Errorf("%s.ViewInto allocates %.1f/op in steady state, want 0", name, n)
+		}
+	}
+}

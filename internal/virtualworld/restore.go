@@ -89,14 +89,5 @@ func (w *World) SnapshotInto(s *Snapshot) {
 	for _, e := range w.entities {
 		s.Entities = append(s.Entities, *e)
 	}
-	slices.SortFunc(s.Entities, func(a, b Entity) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(s.Entities, cmpEntityID)
 }

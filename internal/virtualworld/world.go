@@ -19,8 +19,10 @@
 package virtualworld
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -157,6 +159,15 @@ type World struct {
 	// so interest-managed fan-out never rebuilds it per tick. It is pure
 	// derived state: checkpoints don't carry it, Restore re-derives it.
 	grid *Grid
+	// Per-tick scratch, reused across Steps: the player-sorted action
+	// copy, the IDs touched and despawned this tick (duplicates allowed
+	// until the final sort), and the owned-avatar scan of the respawn
+	// pass. viewCells backs ViewInto.
+	actScratch []Action
+	changedIDs []EntityID
+	removedIDs []EntityID
+	ownedIDs   []EntityID
+	viewCells  []uint32
 }
 
 // New creates an empty world of the given size (non-positive dimensions
@@ -286,11 +297,10 @@ type Delta struct {
 // update stream to supernodes.
 func (w *World) Step(actions []Action) []Delta {
 	w.tick++
-	changed := make(map[EntityID]bool)
-	removed := make(map[EntityID]bool)
+	changed, removed := w.changedIDs[:0], w.removedIDs[:0]
 
-	sorted := append([]Action(nil), actions...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Player < sorted[j].Player })
+	sorted := append(w.actScratch[:0], actions...)
+	slices.SortStableFunc(sorted, func(a, b Action) int { return cmp.Compare(a.Player, b.Player) })
 
 	for _, a := range sorted {
 		actor := w.Avatar(a.Player)
@@ -300,27 +310,26 @@ func (w *World) Step(actions []Action) []Delta {
 		switch a.Kind {
 		case ActMove:
 			if w.applyMove(actor, a.TargetX, a.TargetY) {
-				changed[actor.ID] = true
+				changed = append(changed, actor.ID)
 			}
 		case ActAttack:
 			if victim := w.applyAttack(actor, a.TargetEntity); victim != nil {
-				changed[actor.ID] = true
-				changed[victim.ID] = true
+				changed = append(changed, actor.ID, victim.ID)
 				if victim.HP <= 0 && victim.Kind == KindNPC {
 					w.grid.Remove(victim.ID, victim.X, victim.Y)
 					delete(w.entities, victim.ID)
-					removed[victim.ID] = true
+					removed = append(removed, victim.ID)
 				}
 			}
 		case ActPickUp:
 			if item := w.applyPickUp(actor, a.TargetEntity); item != nil {
-				changed[actor.ID] = true
-				removed[item.ID] = true
+				changed = append(changed, actor.ID)
+				removed = append(removed, item.ID)
 			}
 		case ActEmote:
 			actor.State = a.StateTag
 			actor.Version++
-			changed[actor.ID] = true
+			changed = append(changed, actor.ID)
 		}
 	}
 
@@ -333,33 +342,41 @@ func (w *World) Step(actions []Action) []Delta {
 			e.X, e.Y = w.clampPos(8, 8)
 			e.Version++
 			w.grid.Move(e.ID, ox, oy, e.X, e.Y)
-			changed[e.ID] = true
+			changed = append(changed, e.ID)
 		}
 	}
 
+	// Emit in ID order: entities that changed and still exist, then the
+	// despawns. Only the touched IDs are sorted, so a tick costs what it
+	// changed, not what the world holds. An entity can change many times
+	// in a tick but despawns once (it is gone from w.entities after), so
+	// only changed needs deduplicating. The result is freshly allocated:
+	// callers keep batches across ticks.
+	slices.Sort(changed)
+	changed = slices.Compact(changed)
+	slices.Sort(removed)
 	deltas := make([]Delta, 0, len(changed)+len(removed))
-	for _, e := range w.Entities() {
-		if changed[e.ID] && !removed[e.ID] {
-			deltas = append(deltas, Delta{ID: e.ID, Entity: *e})
+	for _, id := range changed {
+		if e := w.entities[id]; e != nil {
+			deltas = append(deltas, Delta{ID: id, Entity: *e})
 		}
 	}
-	rm := make([]EntityID, 0, len(removed))
-	for id := range removed {
-		rm = append(rm, id)
-	}
-	sort.Slice(rm, func(i, j int) bool { return rm[i] < rm[j] })
-	for _, id := range rm {
+	for _, id := range removed {
 		deltas = append(deltas, Delta{ID: id, Removed: true})
 	}
+	w.actScratch, w.changedIDs, w.removedIDs = sorted[:0], changed[:0], removed[:0]
 	return deltas
 }
 
+// sortedOwnedIDs returns every player-owned entity ID in ascending order,
+// in scratch the next call reuses.
 func (w *World) sortedOwnedIDs() []EntityID {
-	ids := make([]EntityID, 0, len(w.byOwner))
+	ids := w.ownedIDs[:0]
 	for _, id := range w.byOwner {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	w.ownedIDs = ids
 	return ids
 }
 
@@ -372,8 +389,8 @@ func (w *World) applyMove(actor *Entity, tx, ty float64) bool {
 	}
 	step := math.Min(MoveSpeed, dist)
 	ox, oy := actor.X, actor.Y
-	actor.X += dx / dist * step
-	actor.Y += dy / dist * step
+	// Re-clamp: dx/dist*step can overshoot a world edge by one ulp.
+	actor.X, actor.Y = w.clampPos(actor.X+dx/dist*step, actor.Y+dy/dist*step)
 	actor.Facing = math.Atan2(dy, dx)
 	actor.Version++
 	w.grid.Move(actor.ID, ox, oy, actor.X, actor.Y)

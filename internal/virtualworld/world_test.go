@@ -2,8 +2,12 @@ package virtualworld
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"cloudfog/internal/rng"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -291,6 +295,172 @@ func TestEntitiesSorted(t *testing.T) {
 	for i := 1; i < len(es); i++ {
 		if es[i].ID <= es[i-1].ID {
 			t.Fatal("Entities not sorted")
+		}
+	}
+}
+
+// TestMoveStaysInWorld pins the sequence that used to walk an avatar off
+// the plane: dx/dist*step overshot Y=0 by one ulp (−4.44e−16) because the
+// stepped position was not re-clamped.
+func TestMoveStaysInWorld(t *testing.T) {
+	targets := []float64{-29884, 27191, -7043, 3910, 14313, -1136, -16423, 27709, 4443, 27752,
+		-27065, 11056, 14315, 13002, 30207, 15292, -23105, 24015, 5471, 8908, 7157, 21879, 10007,
+		1240, 14135, 17200, 10330, -23030, 2615, 5724, 30611, -18704, -2137, 24176, 29872, 22410}
+	w := New(200, 200)
+	a := w.SpawnAvatar(1, 100, 100)
+	for i, tgt := range targets {
+		w.Step([]Action{{Player: 1, Kind: ActMove, TargetX: tgt, TargetY: -tgt}})
+		if a.X < 0 || a.X > 200 || a.Y < 0 || a.Y > 200 {
+			t.Fatalf("after move %d (target %v,%v) avatar left the world: (%v, %v)", i, tgt, -tgt, a.X, a.Y)
+		}
+	}
+}
+
+// oracleStep is Step as it was before it sorted only what changed: mark
+// changed and removed IDs in maps, then walk every entity in ID order.
+// Kept as the reference the O(changed) emit is compared against.
+func oracleStep(w *World, actions []Action) []Delta {
+	w.tick++
+	changed := make(map[EntityID]bool)
+	removed := make(map[EntityID]bool)
+	sorted := append([]Action(nil), actions...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Player < sorted[j].Player })
+	for _, a := range sorted {
+		actor := w.Avatar(a.Player)
+		if actor == nil || actor.HP <= 0 {
+			continue
+		}
+		switch a.Kind {
+		case ActMove:
+			if w.applyMove(actor, a.TargetX, a.TargetY) {
+				changed[actor.ID] = true
+			}
+		case ActAttack:
+			if victim := w.applyAttack(actor, a.TargetEntity); victim != nil {
+				changed[actor.ID] = true
+				changed[victim.ID] = true
+				if victim.HP <= 0 && victim.Kind == KindNPC {
+					w.grid.Remove(victim.ID, victim.X, victim.Y)
+					delete(w.entities, victim.ID)
+					removed[victim.ID] = true
+				}
+			}
+		case ActPickUp:
+			if item := w.applyPickUp(actor, a.TargetEntity); item != nil {
+				changed[actor.ID] = true
+				removed[item.ID] = true
+			}
+		case ActEmote:
+			actor.State = a.StateTag
+			actor.Version++
+			changed[actor.ID] = true
+		}
+	}
+	var owned []EntityID
+	for _, id := range w.byOwner {
+		owned = append(owned, id)
+	}
+	sort.Slice(owned, func(i, j int) bool { return owned[i] < owned[j] })
+	for _, id := range owned {
+		e := w.entities[id]
+		if e != nil && e.Kind == KindAvatar && e.HP <= 0 {
+			ox, oy := e.X, e.Y
+			e.HP = MaxHP
+			e.X, e.Y = w.clampPos(8, 8)
+			e.Version++
+			w.grid.Move(e.ID, ox, oy, e.X, e.Y)
+			changed[e.ID] = true
+		}
+	}
+	deltas := make([]Delta, 0, len(changed)+len(removed))
+	for _, e := range w.Entities() {
+		if changed[e.ID] && !removed[e.ID] {
+			deltas = append(deltas, Delta{ID: e.ID, Entity: *e})
+		}
+	}
+	rm := make([]EntityID, 0, len(removed))
+	for id := range removed {
+		rm = append(rm, id)
+	}
+	sort.Slice(rm, func(i, j int) bool { return rm[i] < rm[j] })
+	for _, id := range rm {
+		deltas = append(deltas, Delta{ID: id, Removed: true})
+	}
+	return deltas
+}
+
+// TestStepDeltasMatchOracle runs two identical worlds in lockstep, one
+// through Step and one through the oracle, over random action mixes in a
+// world crowded enough that NPCs die, items are collected and avatars are
+// killed and respawn. Every tick's delta slice must be identical, order
+// included, and so must the worlds afterwards.
+func TestStepDeltasMatchOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rng.New(seed).SplitNamed("step-oracle")
+		w := New(120, 120)
+		const players = 6
+		for p := 1; p <= players; p++ {
+			w.SpawnAvatar(p, r.Uniform(30, 90), r.Uniform(30, 90))
+		}
+		for i := 0; i < 40; i++ {
+			w.SpawnNPC(r.Uniform(20, 100), r.Uniform(20, 100))
+			w.SpawnItem(r.Uniform(20, 100), r.Uniform(20, 100))
+		}
+		ref := Restore(w.Snapshot(), w.NextID())
+		kind := map[EntityID]EntityKind{}
+		for _, e := range w.Entities() {
+			kind[e.ID] = e.Kind
+		}
+		var kills, pickups, respawns, emotes int
+		for tick := 0; tick < 400; tick++ {
+			var actions []Action
+			// Players act in shuffled order, some twice, some not at all.
+			for i := r.Intn(2 * players); i > 0; i-- {
+				a := Action{Player: 1 + r.Intn(players+1), // players+1 has no avatar
+					TargetX: r.Uniform(-10, 130), TargetY: r.Uniform(-10, 130),
+					TargetEntity: EntityID(1 + r.Intn(int(w.NextID()))), StateTag: uint8(r.Intn(4))}
+				a.Kind = []ActionKind{ActMove, ActAttack, ActAttack, ActPickUp, ActEmote}[r.Intn(5)]
+				if a.Kind != ActMove && a.Kind != ActEmote && r.Intn(2) == 0 {
+					// Aim at something in reach, so fights actually finish.
+					if me := w.Avatar(a.Player); me != nil {
+						for _, e := range w.Entities() {
+							if e.ID != me.ID && math.Hypot(e.X-me.X, e.Y-me.Y) <= PickUpRange {
+								a.TargetEntity = e.ID
+								break
+							}
+						}
+					}
+				}
+				actions = append(actions, a)
+			}
+			hpBefore := map[int]int16{}
+			for p := 1; p <= players; p++ {
+				hpBefore[p] = w.Avatar(p).HP
+			}
+			got := w.Step(actions)
+			want := oracleStep(ref, actions)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d tick %d: Step deltas differ from the oracle\n got: %+v\nwant: %+v", seed, tick, got, want)
+			}
+			for _, d := range got {
+				switch {
+				case d.Removed && kind[d.ID] == KindItem:
+					pickups++
+				case d.Removed:
+					kills++
+				case d.Entity.Kind == KindAvatar && d.Entity.HP == MaxHP && hpBefore[d.Entity.Owner] < MaxHP:
+					respawns++
+				case d.Entity.Kind == KindAvatar && d.Entity.State > 1:
+					emotes++
+				}
+			}
+		}
+		if !w.Snapshot().Equal(ref.Snapshot()) || w.Tick() != ref.Tick() || w.Grid().Digest() != ref.Grid().Digest() {
+			t.Fatalf("seed %d: worlds diverged after 400 ticks", seed)
+		}
+		if kills == 0 || pickups == 0 || respawns == 0 || emotes == 0 {
+			t.Fatalf("seed %d: action mix too tame to mean anything: kills=%d pickups=%d respawns=%d emotes=%d",
+				seed, kills, pickups, respawns, emotes)
 		}
 	}
 }
