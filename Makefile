@@ -64,7 +64,7 @@ bench:
 # benchmark runs five times (five rows per name), so the file carries its
 # own run-to-run spread. The three *20k rows are the world costs that must
 # follow what changed or is visible, not the 20 000 entities present.
-BENCH_WIREPATH = BenchmarkUpdateBatch|BenchmarkWriteMessage|BenchmarkAppendFrame|BenchmarkReadMessage|BenchmarkFrameReader|BenchmarkTickFanout|BenchmarkFrameStream|BenchmarkEncode|BenchmarkDecode|BenchmarkRender|BenchmarkSelectorSelect|BenchmarkCandidateLadder|BenchmarkRank|BenchmarkCheckpoint|BenchmarkStep20k|BenchmarkReplicaView20k|BenchmarkCellKeyframe20k
+BENCH_WIREPATH = BenchmarkUpdateBatch|BenchmarkWriteMessage|BenchmarkAppendFrame|BenchmarkReadMessage|BenchmarkFrameReader|BenchmarkTickFanout|BenchmarkFrameStream|BenchmarkEncodeInto|BenchmarkDecodeInto|BenchmarkRenderInto|BenchmarkSelectorSelect|BenchmarkCandidateLadder|BenchmarkRank|BenchmarkCheckpoint|BenchmarkStep20k|BenchmarkReplicaView20k|BenchmarkCellKeyframe20k
 
 bench-json:
 	$(GO) test -bench='$(BENCH_WIREPATH)' -benchmem -benchtime=2000x -count=5 -run='^$$' \

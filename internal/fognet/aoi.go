@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"time"
 
 	"cloudfog/internal/protocol"
 	"cloudfog/internal/render"
@@ -462,17 +461,10 @@ func (f *FogNode) refreshInterest() {
 	f.mu.Unlock()
 	iu := protocol.InterestUpdate{Gen: ai.gen, CellSize: ai.geo.CellSize,
 		Players: ai.players, Cells: ai.cells}
-	var err error
-	ai.buf, err = protocol.AppendMessage(ai.buf[:0], protocol.MsgInterestUpdate, &iu)
-	if err != nil {
-		return
-	}
 	// The update shares the connection with heartbeat acks and forwarded
 	// actions; one writer at a time.
 	f.cloudWMu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(f.cfg.WriteTimeout))
-	_, werr := conn.Write(ai.buf)
-	conn.SetWriteDeadline(time.Time{})
+	werr := sendInto(conn, f.cfg.WriteTimeout, &ai.buf, protocol.MsgInterestUpdate, &iu)
 	f.cloudWMu.Unlock()
 	if werr != nil {
 		return // the update loop's read side will observe the dead conn

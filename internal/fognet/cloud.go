@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"cloudfog/internal/checkpoint"
-	"cloudfog/internal/game"
 	"cloudfog/internal/protocol"
 	"cloudfog/internal/render"
 	"cloudfog/internal/reputation"
@@ -498,9 +497,7 @@ func (s *CloudServer) Shutdown() error {
 	}
 	for _, p := range players {
 		p.sendMu.Lock()
-		p.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		protocol.WriteMessage(p.conn, protocol.MsgBye, nil)
-		p.conn.SetWriteDeadline(time.Time{})
+		_ = sendMsg(p.conn, s.cfg.WriteTimeout, protocol.MsgBye, nil) // best effort: Close below ends the session regardless
 		p.sendMu.Unlock()
 	}
 	// Drain: wait (bounded) for the coalescing writers to flush what was
@@ -839,8 +836,8 @@ func (s *CloudServer) enqueue(sn *supernodeConn, m outMsg) bool {
 
 // snWriter is the single writer for one supernode connection, and it
 // coalesces: when it wakes it drains everything queued, appends each
-// message's frame into one pooled buffer, sets one write deadline, and
-// flushes with a single Write — a supernode that fell a few messages
+// message's frame into one pooled buffer, and flushes it with a single
+// deadlined Write — a supernode that fell a few messages
 // behind costs one syscall to catch up, not one per message. The first
 // failure closes the connection, which the read loop observes and
 // unregisters.
@@ -874,8 +871,7 @@ func (s *CloudServer) snWriter(sn *supernodeConn) {
 				}
 			}
 			if err == nil {
-				sn.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-				_, err = sn.conn.Write(buf.B)
+				err = writeWithin(sn.conn, s.cfg.WriteTimeout, buf.B)
 			}
 			// Flush (or failure) done: drop the shared-payload references,
 			// then the scratch buffer.
@@ -1093,9 +1089,7 @@ func (s *CloudServer) broadcastCandidates() {
 	var sent int64
 	for _, p := range players {
 		p.sendMu.Lock()
-		p.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		_, err := p.conn.Write(buf.B)
-		p.conn.SetWriteDeadline(time.Time{})
+		err := writeWithin(p.conn, s.cfg.WriteTimeout, buf.B)
 		p.sendMu.Unlock()
 		if err == nil {
 			sent++
@@ -1118,47 +1112,66 @@ func (s *CloudServer) broadcastCandidates() {
 	s.mu.Unlock()
 }
 
-// handleConn dispatches on the first message: supernode registration or
-// player admission. The first message carries a deadline so a silent
-// connection cannot pin this goroutine.
+// handleConn reads the first message under the handshake deadline — a
+// silent connection cannot pin this goroutine — and dispatches on it:
+// supernode or player admission (fresh or resumed), a standby attaching,
+// or a probe opening a fallback video session.
 func (s *CloudServer) handleConn(conn net.Conn) {
 	defer s.wg.Done()
+	fr := protocol.NewFrameReader(conn)
 	conn.SetReadDeadline(time.Now().Add(s.tc.HandshakeTimeout))
-	typ, payload, err := protocol.ReadMessage(conn)
+	typ, payload, err := fr.Next()
+	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		conn.Close()
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
 	switch typ {
 	case protocol.MsgSupernodeHello:
-		s.serveSupernode(conn, payload)
+		if hello, herr := protocol.UnmarshalSupernodeHello(payload); herr == nil {
+			s.admitSupernode(conn, fr, hello, nil)
+			return
+		}
 	case protocol.MsgPlayerJoin:
-		s.servePlayer(conn, payload)
-	case protocol.MsgStandbyHello:
-		s.serveStandby(conn, payload)
+		if join, jerr := protocol.UnmarshalPlayerJoin(payload); jerr == nil {
+			s.admitPlayer(conn, fr, join, nil)
+			return
+		}
 	case protocol.MsgResume:
-		s.serveResume(conn, payload)
+		// Epoch-stamped resumption: the post-failover path that lets
+		// supernodes and players continue on a promoted standby without a
+		// full rejoin. Same admission, different source of the fields.
+		req, rerr := protocol.UnmarshalResume(payload)
+		switch {
+		case rerr != nil:
+		case req.Kind == protocol.ResumeSupernode:
+			s.admitSupernode(conn, fr, protocol.SupernodeHello{Name: req.Name,
+				Capacity: req.Capacity, StreamAddr: req.StreamAddr}, &req)
+			return
+		case req.Kind == protocol.ResumePlayer:
+			s.admitPlayer(conn, fr, protocol.PlayerJoin{PlayerID: req.PlayerID}, &req)
+			return
+		}
+	case protocol.MsgStandbyHello:
+		if hello, herr := protocol.UnmarshalStandbyHello(payload); herr == nil {
+			s.serveStandby(conn, fr, hello)
+			return
+		}
 	case protocol.MsgProbe:
 		// Fallback streaming session: the cloud itself renders for
 		// players no supernode accepted. The cloud never refuses —
 		// it is the last resort (and the bandwidth bill shows it).
-		s.serveFallbackStream(conn)
-	default:
-		conn.Close()
+		s.serveFallbackStream(conn, fr)
+		return
 	}
+	conn.Close()
 }
 
 // serveStandby attaches a warm standby: it gets an immediate full
 // checkpoint, then every tick's delta-log entry (and periodic fresh
 // checkpoints) through the same bounded-queue coalescing writer a
 // supernode uses. A newer standby replaces an older one.
-func (s *CloudServer) serveStandby(conn net.Conn, payload []byte) {
-	hello, err := protocol.UnmarshalStandbyHello(payload)
-	if err != nil {
-		conn.Close()
-		return
-	}
+func (s *CloudServer) serveStandby(conn net.Conn, fr *protocol.FrameReader, hello protocol.StandbyHello) {
 	sb := &supernodeConn{
 		name:       "standby",
 		streamAddr: hello.Addr,
@@ -1188,7 +1201,6 @@ func (s *CloudServer) serveStandby(conn net.Conn, payload []byte) {
 	// The standby sends nothing in steady state; the read blocks until
 	// the follower drops, which is how the primary notices it is alone
 	// again.
-	fr := protocol.NewFrameReader(conn)
 	for {
 		if _, _, rerr := fr.Next(); rerr != nil {
 			break
@@ -1204,50 +1216,28 @@ func (s *CloudServer) serveStandby(conn net.Conn, payload []byte) {
 	s.broadcastCandidates()
 }
 
-// serveResume dispatches an epoch-stamped session resumption — the
-// post-failover path that lets supernodes and players continue on a
-// promoted standby without a full rejoin.
-func (s *CloudServer) serveResume(conn net.Conn, payload []byte) {
-	req, err := protocol.UnmarshalResume(payload)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	switch req.Kind {
-	case protocol.ResumeSupernode:
-		s.resumeSupernode(conn, req)
-	case protocol.ResumePlayer:
-		s.resumePlayer(conn, req)
-	default:
-		conn.Close()
-	}
-}
-
-// resumeSupernode re-admits a supernode after a failover: it is
-// registered like a fresh one, but the reply tells it the new epoch and
-// authoritative tick and carries a full snapshot to reseed its replica.
-// Discard is set when the supernode's replica ran ahead of the restored
-// history (ticks the crashed primary computed but never checkpointed or
-// logged) — those ticks are authoritatively gone.
-//
-//cfg:epochcheck
-func (s *CloudServer) resumeSupernode(conn net.Conn, req protocol.Resume) {
-	s.mu.Lock()
+// admitSupernode is the one supernode admission: it registers the
+// supernode and answers with a full snapshot to seed its replica from. A
+// first contact (MsgSupernodeHello, req nil) is welcomed; a resume after
+// a network blip or a failover (MsgResume, req set) is registered exactly
+// like a fresh one — replicas may hold ticks the restored history never
+// committed, so they always reseed — and the reply tells it so.
+func (s *CloudServer) admitSupernode(conn net.Conn, fr *protocol.FrameReader, hello protocol.SupernodeHello, req *protocol.Resume) {
 	sn := &supernodeConn{
-		id:         s.nextSNID,
-		name:       req.Name,
-		streamAddr: req.StreamAddr,
-		capacity:   req.Capacity,
+		name:       hello.Name,
+		streamAddr: hello.StreamAddr,
+		capacity:   hello.Capacity,
 		conn:       conn,
 		sendQ:      make(chan outMsg, s.cfg.SendQueueLen),
 		done:       make(chan struct{}),
 	}
+	s.mu.Lock()
+	sn.id = s.nextSNID
 	s.nextSNID++
 	s.supernodes[sn.id] = sn
 	snap := s.world.Snapshot()
 	reply := protocol.ResumeReply{
 		OK:              true,
-		Discard:         req.Epoch != s.epoch && req.Tick > snap.Tick,
 		Epoch:           s.epoch,
 		Tick:            snap.Tick,
 		SupernodeID:     sn.id,
@@ -1256,59 +1246,39 @@ func (s *CloudServer) resumeSupernode(conn net.Conn, req protocol.Resume) {
 		CloudStreamAddr: s.Addr(),
 		StandbyAddr:     s.standbyAddr,
 	}
-	s.resil.ResumedSupernodes++
+	if req != nil {
+		s.resil.ResumedSupernodes++
+	}
 	s.mu.Unlock()
 
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	err := protocol.WriteMessage(conn, protocol.MsgResumeReply, reply.Marshal())
-	conn.SetWriteDeadline(time.Time{})
-	if err != nil {
+	typ, payload := admissionReply(req, reply)
+	if sendMsg(conn, s.cfg.WriteTimeout, typ, payload) != nil {
 		s.unregisterSupernode(sn, false)
 		return
 	}
+	// The new supernode changes every player's best failover ladder.
 	s.broadcastCandidates()
 	s.wg.Add(1)
 	go s.snWriter(sn)
-	s.snReadLoop(sn, conn)
+	s.snReadLoop(sn, fr)
 }
 
-// serveFallbackStream answers the probe and runs a cloud-rendered video
-// session, exactly like a supernode but from the authoritative world.
-func (s *CloudServer) serveFallbackStream(conn net.Conn) {
+// serveFallbackStream runs a cloud-rendered video session, exactly like a
+// supernode but from the authoritative world; handleConn consumed the
+// probe that opened it.
+func (s *CloudServer) serveFallbackStream(conn net.Conn, fr *protocol.FrameReader) {
 	defer conn.Close()
-	reply := protocol.ProbeReply{Available: 1 << 15} // effectively unbounded
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if protocol.WriteMessage(conn, protocol.MsgProbeReply, reply.Marshal()) != nil {
+	fb := cloudFallback{s}
+	attach, ok := serveAttach(conn, fr, s.tc, true, fb)
+	if !ok {
 		return
 	}
-	conn.SetReadDeadline(time.Now().Add(s.tc.HandshakeTimeout))
-	typ, payload, err := protocol.ReadMessage(conn)
-	if err != nil || typ != protocol.MsgPlayerAttach {
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	attach, err := protocol.UnmarshalPlayerAttach(payload)
-	if err != nil {
-		return
-	}
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if protocol.WriteMessage(conn, protocol.MsgAttachReply, protocol.AttachReply{OK: true}.Marshal()) != nil {
-		return
-	}
-	conn.SetWriteDeadline(time.Time{})
-	s.mu.Lock()
-	s.fallbackLive++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.fallbackLive--
-		s.mu.Unlock()
-	}()
+	defer fb.unclaim(attach.PlayerID)
 	// The cloud's fallback stream never upgrades to datagrams (nil
 	// offer): the last rung of the ladder favors the transport that
 	// works everywhere over the one that performs best.
-	runVideoSession(conn, attach.PlayerID, game.QualityLevel(attach.QualityLevel),
-		DefaultFrameInterval, s.cfg.WriteTimeout, s, cloudFallbackCounters{s}, s, nil, s.stop, &s.wg)
+	runVideoSession(conn, fr, attach, DefaultFrameInterval, s.cfg.WriteTimeout,
+		s, fb, s, nil, s.stop, &s.wg)
 }
 
 // submitAction implements actionSink for cloud-fallback video sessions:
@@ -1331,64 +1301,39 @@ func (s *CloudServer) viewInto(dst *virtualworld.Snapshot, player int) virtualwo
 	return s.world.ViewInto(dst, player, render.ViewHalfWidth, render.ViewHalfHeight)
 }
 
-// cloudFallbackCounters routes fallback-session egress into the cloud's
-// bandwidth accounting.
-type cloudFallbackCounters struct{ s *CloudServer }
+// cloudFallback is the fallback stream's bookkeeping: it never refuses a
+// session (sessionSlots) and routes its egress into the cloud's bandwidth
+// accounting (streamCounters).
+type cloudFallback struct{ s *CloudServer }
 
-func (c cloudFallbackCounters) addFrame(bits int) {
+func (c cloudFallback) freeSlots() int { return 1 << 15 } // effectively unbounded
+
+func (c cloudFallback) claim(int32) bool {
+	c.s.mu.Lock()
+	c.s.fallbackLive++
+	c.s.mu.Unlock()
+	return true
+}
+
+func (c cloudFallback) unclaim(int32) {
+	c.s.mu.Lock()
+	c.s.fallbackLive--
+	c.s.mu.Unlock()
+}
+
+func (c cloudFallback) addFrame(bits int) {
 	c.s.mu.Lock()
 	c.s.fallbackBits += int64(bits)
 	c.s.fallbackCount++
 	c.s.mu.Unlock()
 }
 
-func (s *CloudServer) serveSupernode(conn net.Conn, payload []byte) {
-	hello, err := protocol.UnmarshalSupernodeHello(payload)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	s.mu.Lock()
-	sn := &supernodeConn{
-		id:         s.nextSNID,
-		name:       hello.Name,
-		streamAddr: hello.StreamAddr,
-		capacity:   hello.Capacity,
-		conn:       conn,
-		sendQ:      make(chan outMsg, s.cfg.SendQueueLen),
-		done:       make(chan struct{}),
-	}
-	s.nextSNID++
-	s.supernodes[sn.id] = sn
-	welcome := protocol.SupernodeWelcome{
-		SupernodeID: sn.id,
-		Epoch:       s.epoch,
-		StandbyAddr: s.standbyAddr,
-		Snapshot:    s.world.Snapshot(),
-	}
-	s.mu.Unlock()
-
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	err = protocol.WriteMessage(conn, protocol.MsgSupernodeWelcome, welcome.Marshal())
-	conn.SetWriteDeadline(time.Time{})
-	if err != nil {
-		s.unregisterSupernode(sn, false)
-		return
-	}
-	// The new supernode changes every player's best failover ladder.
-	s.broadcastCandidates()
-	s.wg.Add(1)
-	go s.snWriter(sn)
-	s.snReadLoop(sn, conn)
-}
-
-// snReadLoop is the shared supernode read loop: heartbeat acks flow back
-// here, along with player actions the supernode buffered and forwarded
-// during a cloud outage. A read error means the supernode left or was
-// evicted. The reader reuses one buffer per connection; every message is
-// decoded into owned values before the next read.
-func (s *CloudServer) snReadLoop(sn *supernodeConn, conn net.Conn) {
-	fr := protocol.NewFrameReader(conn)
+// snReadLoop is the supernode read loop: heartbeat acks flow back here,
+// along with player actions the supernode buffered and forwarded during a
+// cloud outage. A read error means the supernode left or was evicted.
+// The reader reuses one buffer per connection; every message is decoded
+// into owned values before the next read.
+func (s *CloudServer) snReadLoop(sn *supernodeConn, fr *protocol.FrameReader) {
 	var iu protocol.InterestUpdate // decode scratch, reused per message
 readLoop:
 	for {
@@ -1438,127 +1383,81 @@ readLoop:
 	s.unregisterSupernode(sn, false)
 }
 
-func (s *CloudServer) servePlayer(conn net.Conn, payload []byte) {
-	join, err := protocol.UnmarshalPlayerJoin(payload)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	pc := &playerConn{conn: conn}
-	s.mu.Lock()
-	av := s.world.SpawnAvatar(int(join.PlayerID), join.SpawnX, join.SpawnY)
-	// The spawn is a membership change the next tick's delta stream (and
-	// the standby's log) must carry.
-	s.sessionDeltas = append(s.sessionDeltas, virtualworld.Delta{ID: av.ID, Entity: *av})
-	old := s.players[join.PlayerID]
-	s.players[join.PlayerID] = pc
-	delete(s.resumable, join.PlayerID) // a full join supersedes any resumable claim
-	// Candidate ladder: registered supernodes ranked by the shared §3.2
-	// pipeline (load, capacity, live QoE score).
-	cands := s.candidateInfosLocked()
-	tick := s.world.Tick()
-	standbyAddr := s.standbyAddr
-	s.mu.Unlock()
-	if old != nil && old != pc {
-		old.conn.Close()
-	}
-
-	reply := protocol.JoinReply{
-		OK:              true,
-		Epoch:           s.epoch,
-		Tick:            tick,
-		Candidates:      cands,
-		CloudStreamAddr: s.Addr(),
-		StandbyAddr:     standbyAddr,
-	}
-	pc.sendMu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	err = protocol.WriteMessage(conn, protocol.MsgJoinReply, reply.Marshal())
-	conn.SetWriteDeadline(time.Time{})
-	pc.sendMu.Unlock()
-	if err != nil {
-		s.dropPlayer(join.PlayerID, pc)
-		return
-	}
-	s.playerLoop(conn, join.PlayerID, pc)
-}
-
-// resumePlayer re-admits a player session after a failover. A session is
-// resumable when its avatar survived into the restored world (directly,
-// or listed in the checkpoint's session table); the avatar keeps its
-// exact position, HP, and state — no respawn. Unknown sessions are
-// refused and fall back to a full rejoin.
-//
-//cfg:epochcheck
-func (s *CloudServer) resumePlayer(conn net.Conn, req protocol.Resume) {
+// admitPlayer is the one player admission. A join (MsgPlayerJoin, req
+// nil) spawns the avatar where it asks. A resume (MsgResume, req set)
+// re-admits a session that survived a failover: it is known when its
+// avatar lives in the restored world or the checkpoint's session table
+// lists it, the avatar keeps its exact position, HP, and state — no
+// respawn — and an unknown session is refused so the client falls back
+// to a full rejoin.
+func (s *CloudServer) admitPlayer(conn net.Conn, fr *protocol.FrameReader, join protocol.PlayerJoin, req *protocol.Resume) {
+	id := join.PlayerID
 	pc := &playerConn{conn: conn}
 	var (
-		old         *playerConn
-		cands       []protocol.CandidateInfo
-		tick        uint64
-		standbyAddr string
+		old   *playerConn
+		reply protocol.ResumeReply
 	)
 	s.mu.Lock()
-	known := s.world.Avatar(int(req.PlayerID)) != nil || s.resumable[req.PlayerID]
+	survived := s.world.Avatar(int(id)) != nil
+	known := req == nil || survived || s.resumable[id]
 	if known {
-		if s.world.Avatar(int(req.PlayerID)) == nil {
+		if req != nil {
 			// Session table said resumable but the avatar is gone (departed
-			// after the checkpoint, removal replayed from the log): treat the
-			// resume as a fresh spawn rather than refusing the player.
+			// after the checkpoint, removal replayed from the log): a fresh
+			// spawn at the centre rather than refusing the player.
 			width, height := s.world.Size()
-			av := s.world.SpawnAvatar(int(req.PlayerID), width/2, height/2)
+			join.SpawnX, join.SpawnY = width/2, height/2
+		}
+		av := s.world.SpawnAvatar(int(id), join.SpawnX, join.SpawnY) // a surviving avatar is returned untouched
+		if req == nil || !survived {
+			// The spawn is a membership change the next tick's delta stream
+			// (and the standby's log) must carry.
 			s.sessionDeltas = append(s.sessionDeltas, virtualworld.Delta{ID: av.ID, Entity: *av})
 		}
-		old = s.players[req.PlayerID]
-		s.players[req.PlayerID] = pc
-		delete(s.resumable, req.PlayerID)
-		cands = s.candidateInfosLocked()
-		tick = s.world.Tick()
-		standbyAddr = s.standbyAddr
-		s.resil.ResumedPlayers++
+		old = s.players[id]
+		s.players[id] = pc
+		delete(s.resumable, id) // admitted either way: the resumable claim is spent
+		reply = protocol.ResumeReply{
+			OK:    true,
+			Epoch: s.epoch,
+			Tick:  s.world.Tick(),
+			// Candidate ladder: registered supernodes ranked by the shared
+			// §3.2 pipeline (load, capacity, live QoE score).
+			Candidates:      s.candidateInfosLocked(),
+			CloudStreamAddr: s.Addr(),
+			StandbyAddr:     s.standbyAddr,
+		}
+		if req != nil {
+			s.resil.ResumedPlayers++
+		}
 	}
 	s.mu.Unlock()
 	if !known {
 		//lint:ignore epochstamp refusal reply: OK=false carries no orderable state, the client falls back to a full rejoin
 		refuse := protocol.ResumeReply{Reason: "unknown session"}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		protocol.WriteMessage(conn, protocol.MsgResumeReply, refuse.Marshal())
+		_ = sendMsg(conn, s.cfg.WriteTimeout, protocol.MsgResumeReply, refuse.Marshal()) // the close says no just as well
 		conn.Close()
 		return
 	}
-	if old != nil && old != pc {
+	if old != nil {
 		old.conn.Close()
 	}
 
-	reply := protocol.ResumeReply{
-		OK: true,
-		// Discard tells the client its retained state ran ahead of the
-		// restored history: inputs it sent against ticks beyond Tick were
-		// never committed and should be dropped, not replayed.
-		Discard:         req.Epoch != s.epoch && req.Tick > tick,
-		Epoch:           s.epoch,
-		Tick:            tick,
-		Candidates:      cands,
-		CloudStreamAddr: s.Addr(),
-		StandbyAddr:     standbyAddr,
-	}
+	typ, payload := admissionReply(req, reply)
 	pc.sendMu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	err := protocol.WriteMessage(conn, protocol.MsgResumeReply, reply.Marshal())
-	conn.SetWriteDeadline(time.Time{})
+	err := sendMsg(conn, s.cfg.WriteTimeout, typ, payload)
 	pc.sendMu.Unlock()
 	if err != nil {
-		s.dropPlayer(req.PlayerID, pc)
+		s.dropPlayer(id, pc)
 		return
 	}
-	s.playerLoop(conn, req.PlayerID, pc)
+	s.playerLoop(fr, id, pc)
 }
 
-// playerLoop is the shared action loop: the player streams inputs until
-// it leaves. The reader reuses one buffer per connection; every message
-// is decoded into owned values before the next read.
-func (s *CloudServer) playerLoop(conn net.Conn, playerID int32, pc *playerConn) {
-	fr := protocol.NewFrameReader(conn)
+// playerLoop is the action loop: the player streams inputs until it
+// leaves. The reader reuses one buffer per connection; every message is
+// decoded into owned values before the next read.
+func (s *CloudServer) playerLoop(fr *protocol.FrameReader, playerID int32, pc *playerConn) {
 	for {
 		typ, payload, err := fr.Next()
 		if err != nil {

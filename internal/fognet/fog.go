@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"cloudfog/internal/game"
 	"cloudfog/internal/protocol"
 	"cloudfog/internal/render"
 	"cloudfog/internal/rng"
@@ -115,9 +114,8 @@ const maxBufferedActionsPerPlayer = 64
 // per-player video.
 type FogNode struct {
 	cfg FogConfig
-	// tc/tp are the transport seam: every dial, handshake deadline, and
-	// write bound the node applies flows from this one policy.
-	tc       transport.Config
+	// tp is the transport seam: every dial, handshake deadline, and
+	// write bound the node applies flows from its one policy.
 	tp       transport.TCP
 	listener net.Listener
 	// dgram is the UDP video path, nil unless cfg.Datagram is set.
@@ -125,6 +123,7 @@ type FogNode struct {
 
 	mu        sync.Mutex
 	cloud     net.Conn
+	cloudFR   *protocol.FrameReader // cloud's one frame reader, swapped with it
 	id        uint32
 	replica   *virtualworld.Replica
 	attached  map[int32]struct{} // guarded by mu
@@ -158,7 +157,7 @@ type FogNode struct {
 	cloudWMu sync.Mutex
 	actBuf   []byte // forward-path encode scratch; guarded by cloudWMu
 
-	jitter *rng.Rand // reconnect jitter; guarded by mu
+	jitter *rng.Rand // reconnect jitter; drawn from under mu (backoffWait)
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -201,7 +200,6 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 	}
 	f := &FogNode{
 		cfg:       cfg,
-		tc:        tc,
 		tp:        tp,
 		listener:  ln,
 		attached:  make(map[int32]struct{}),
@@ -218,7 +216,7 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 			return nil, fmt.Errorf("fog datagram listen: %w", err)
 		}
 	}
-	conn, welcome, err := f.connectCloud()
+	conn, fr, welcome, err := f.dialCloud(cfg.CloudAddr, false)
 	if err != nil {
 		if f.dgram != nil {
 			f.dgram.close()
@@ -227,16 +225,11 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 		return nil, err
 	}
 	f.mu.Lock()
-	f.cloud = conn
-	f.id = welcome.SupernodeID
-	f.epoch = welcome.Epoch
-	f.standbyAddr = welcome.StandbyAddr
 	f.replica = virtualworld.NewReplica(welcome.Snapshot.Width, welcome.Snapshot.Height)
-	f.replica.Seed(welcome.Snapshot)
 	if cfg.AoI {
 		f.aoi = &fogInterest{margin: cfg.AoIMargin}
-		f.resetInterestLocked()
 	}
+	f.adoptCloudLocked(conn, fr, cfg.CloudAddr, welcome)
 	f.mu.Unlock()
 
 	f.wg.Add(2)
@@ -248,37 +241,51 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 	return f, nil
 }
 
-// connectCloud dials the cloud, registers, and returns the connection and
-// welcome (with the snapshot to seed/resync the replica from). The whole
-// handshake runs under deadlines.
-func (f *FogNode) connectCloud() (net.Conn, protocol.SupernodeWelcome, error) {
-	var zero protocol.SupernodeWelcome
-	conn, err := f.tp.Dial(f.cfg.CloudAddr)
-	if err != nil {
-		return nil, zero, fmt.Errorf("fog dial cloud: %w", err)
-	}
+// dialCloud is the node's one way onto a cloud: dial addr and register,
+// with MsgSupernodeHello on first contact and the epoch-stamped MsgResume
+// on every reconnect. Either answer carries the supernode ID, the epoch,
+// the standby's address and the snapshot to (re)seed the replica from.
+func (f *FogNode) dialCloud(addr string, resume bool) (net.Conn, *protocol.FrameReader, protocol.ResumeReply, error) {
 	hello := protocol.SupernodeHello{
 		Name:       f.cfg.Name,
 		Capacity:   f.cfg.Capacity,
-		StreamAddr: f.listener.Addr().String(),
+		StreamAddr: f.StreamAddr(),
 	}
-	conn.SetDeadline(time.Now().Add(f.tc.HandshakeTimeout))
-	if err := protocol.WriteMessage(conn, protocol.MsgSupernodeHello, hello.Marshal()); err != nil {
+	typ, want, payload := protocol.MsgSupernodeHello, protocol.MsgSupernodeWelcome, hello.Marshal()
+	if resume {
+		f.mu.Lock()
+		req := protocol.Resume{
+			Kind:       protocol.ResumeSupernode,
+			Epoch:      f.epoch,
+			Tick:       f.replica.Tick(),
+			Name:       hello.Name,
+			Capacity:   hello.Capacity,
+			StreamAddr: hello.StreamAddr,
+		}
+		f.mu.Unlock()
+		typ, want, payload = protocol.MsgResume, protocol.MsgResumeReply, req.Marshal()
+	}
+	conn, fr, reply, err := dialAdmission(f.tp, addr, typ, payload, want)
+	if err == nil && !reply.HasSnapshot {
 		conn.Close()
-		return nil, zero, fmt.Errorf("fog register: %w", err)
+		return nil, nil, reply, fmt.Errorf("admission at %s: %v carries no snapshot", addr, want)
 	}
-	typ, payload, err := protocol.ReadMessage(conn)
-	if err != nil || typ != protocol.MsgSupernodeWelcome {
-		conn.Close()
-		return nil, zero, fmt.Errorf("fog welcome: %v %w", typ, err)
-	}
-	welcome, err := protocol.UnmarshalSupernodeWelcome(payload)
-	if err != nil {
-		conn.Close()
-		return nil, zero, fmt.Errorf("fog welcome decode: %w", err)
-	}
-	conn.SetDeadline(time.Time{})
-	return conn, welcome, nil
+	return conn, fr, reply, err
+}
+
+// adoptCloudLocked binds the node to the cloud link dialCloud just
+// established: connection, identity, failover view, and a replica reseeded
+// from the reply's snapshot (stale state is dropped wholesale). The new
+// connection has no AoI subscription; the tracker is rearmed so the
+// footprint is recomputed and re-reported from scratch. Caller holds mu.
+func (f *FogNode) adoptCloudLocked(conn net.Conn, fr *protocol.FrameReader, addr string, reply protocol.ResumeReply) {
+	f.cloud, f.cloudFR = conn, fr
+	f.id = reply.SupernodeID
+	f.epoch = reply.Epoch
+	f.authority = addr
+	f.standbyAddr = reply.StandbyAddr
+	f.replica.Seed(reply.Snapshot)
+	f.resetInterestLocked()
 }
 
 // StreamAddr returns the address players connect to for video.
@@ -329,8 +336,7 @@ func (f *FogNode) Shutdown() error {
 	f.mu.Unlock()
 	if conn != nil {
 		f.cloudWMu.Lock()
-		conn.SetWriteDeadline(time.Now().Add(f.cfg.WriteTimeout))
-		protocol.WriteMessage(conn, protocol.MsgBye, nil)
+		_ = sendMsg(conn, f.cfg.WriteTimeout, protocol.MsgBye, nil) // best effort: Close below ends the link regardless
 		f.cloudWMu.Unlock()
 	}
 	return f.Close()
@@ -431,11 +437,8 @@ func (f *FogNode) updateLoop() {
 	var ackBuf []byte
 	for {
 		f.mu.Lock()
-		conn := f.cloud
+		conn, fr := f.cloud, f.cloudFR // reconnecting swaps both
 		f.mu.Unlock()
-		// One reader per connection: reconnecting swaps the conn, so the
-		// reader (and its buffered stream position) must be rebuilt.
-		fr := protocol.NewFrameReader(conn)
 	readLoop:
 		for {
 			typ, payload, err := fr.Next()
@@ -491,17 +494,10 @@ func (f *FogNode) updateLoop() {
 					Attached:    uint16(len(f.attached)),
 				}
 				f.mu.Unlock()
-				var aerr error
-				ackBuf, aerr = protocol.AppendMessage(ackBuf[:0], protocol.MsgHeartbeatAck, &ack)
-				if aerr != nil {
-					continue
-				}
 				// The ack shares the connection with forwarded player
 				// actions; one writer at a time.
 				f.cloudWMu.Lock()
-				conn.SetWriteDeadline(time.Now().Add(f.cfg.WriteTimeout))
-				_, werr := conn.Write(ackBuf)
-				conn.SetWriteDeadline(time.Time{})
+				werr := sendInto(conn, f.cfg.WriteTimeout, &ackBuf, protocol.MsgHeartbeatAck, &ack)
 				f.cloudWMu.Unlock()
 				if werr != nil {
 					continue // the read side will observe the dead conn
@@ -546,105 +542,40 @@ func (f *FogNode) reconnect() bool {
 	f.mu.Unlock()
 	old.Close()
 	backoff := f.cfg.ReconnectBackoff
-	for {
-		select {
-		case <-f.stop:
-			return false
-		default:
-		}
+	for backoffWait(f.stop, &f.mu, f.jitter, &backoff, f.cfg.ReconnectBackoffMax) {
 		f.mu.Lock()
-		sleep, next := nextBackoff(f.jitter, backoff, f.cfg.ReconnectBackoffMax)
-		ladder := []string{f.authority}
-		if f.standbyAddr != "" && f.standbyAddr != f.authority {
-			ladder = append(ladder, f.standbyAddr)
-		}
+		ladder := failoverLadder(f.authority, f.standbyAddr)
 		f.mu.Unlock()
-		backoff = next
-		t := time.NewTimer(sleep)
-		select {
-		case <-f.stop:
-			t.Stop()
-			return false
-		case <-t.C:
-		}
 		for _, addr := range ladder {
 			f.mu.Lock()
 			f.resil.ReconnectAttempts++
 			f.mu.Unlock()
-			conn, reply, err := f.resumeCloud(addr)
+			conn, fr, reply, err := f.dialCloud(addr, true)
 			if err != nil {
 				continue
 			}
 			f.mu.Lock()
-			f.cloud = conn
-			f.id = reply.SupernodeID
-			f.epoch = reply.Epoch
-			f.authority = addr
-			f.standbyAddr = reply.StandbyAddr
-			f.replica.Seed(reply.Snapshot) // resync: drop stale state wholesale
-			// The new connection has no subscription; rearm AoI so the
-			// footprint is recomputed and re-reported from scratch.
-			f.resetInterestLocked()
+			f.adoptCloudLocked(conn, fr, addr, reply)
 			if reply.Discard {
 				f.resil.DiscardedResyncs++
 			}
 			f.resil.Reconnects++
 			f.resil.Resumes++
-			closing := false
+			f.mu.Unlock()
 			select {
 			case <-f.stop:
-				closing = true
-			default:
-			}
-			f.mu.Unlock()
-			if closing {
+				// Close ran before the new link was installed and will not
+				// see it; it is ours to close.
 				conn.Close()
 				return false
+			default:
 			}
 			f.flushActions()
 			f.refreshInterest()
 			return true
 		}
 	}
-}
-
-// resumeCloud dials addr and performs the epoch-stamped resume
-// handshake, returning the connection and the reply holding the new
-// epoch, authoritative tick, and reseed snapshot. The whole handshake
-// runs under deadlines.
-func (f *FogNode) resumeCloud(addr string) (net.Conn, protocol.ResumeReply, error) {
-	var zero protocol.ResumeReply
-	conn, err := f.tp.Dial(addr)
-	if err != nil {
-		return nil, zero, err
-	}
-	f.mu.Lock()
-	req := protocol.Resume{
-		Kind:       protocol.ResumeSupernode,
-		Epoch:      f.epoch,
-		Tick:       f.replica.Tick(),
-		Name:       f.cfg.Name,
-		Capacity:   f.cfg.Capacity,
-		StreamAddr: f.listener.Addr().String(),
-	}
-	f.mu.Unlock()
-	conn.SetDeadline(time.Now().Add(f.tc.HandshakeTimeout))
-	if werr := protocol.WriteMessage(conn, protocol.MsgResume, req.Marshal()); werr != nil {
-		conn.Close()
-		return nil, zero, fmt.Errorf("fog resume: %w", werr)
-	}
-	typ, payload, rerr := protocol.ReadMessage(conn)
-	if rerr != nil || typ != protocol.MsgResumeReply {
-		conn.Close()
-		return nil, zero, fmt.Errorf("fog resume reply: %v %w", typ, rerr)
-	}
-	reply, derr := protocol.UnmarshalResumeReply(payload)
-	if derr != nil || !reply.OK || !reply.HasSnapshot {
-		conn.Close()
-		return nil, zero, fmt.Errorf("fog resume rejected: %s %w", reply.Reason, derr)
-	}
-	conn.SetDeadline(time.Time{})
-	return conn, reply, nil
+	return false // closing
 }
 
 // submitAction implements actionSink: a player whose cloud control link
@@ -679,15 +610,7 @@ func (f *FogNode) forwardAction(conn net.Conn, a virtualworld.Action) bool {
 	msg := protocol.ActionMsg{Action: a}
 	f.cloudWMu.Lock()
 	defer f.cloudWMu.Unlock()
-	var err error
-	f.actBuf, err = protocol.AppendMessage(f.actBuf[:0], protocol.MsgAction, &msg)
-	if err != nil {
-		return false
-	}
-	conn.SetWriteDeadline(time.Now().Add(f.cfg.WriteTimeout))
-	_, werr := conn.Write(f.actBuf)
-	conn.SetWriteDeadline(time.Time{})
-	return werr == nil
+	return sendInto(conn, f.cfg.WriteTimeout, &f.actBuf, protocol.MsgAction, &msg) == nil
 }
 
 // flushActions drains the outage-window buffers upstream after a
@@ -731,85 +654,53 @@ func (f *FogNode) acceptLoop() {
 	}
 }
 
-// available returns the free player slots.
-func (f *FogNode) available() int {
+// freeSlots implements sessionSlots: it answers, and counts, one capacity
+// probe.
+func (f *FogNode) freeSlots() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.probes++
 	return f.cfg.Capacity - len(f.attached)
+}
+
+// claim implements sessionSlots against the node's capacity.
+func (f *FogNode) claim(player int32) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.attached) >= f.cfg.Capacity {
+		return false
+	}
+	f.attached[player] = struct{}{}
+	return true
+}
+
+// unclaim implements sessionSlots.
+func (f *FogNode) unclaim(player int32) {
+	f.mu.Lock()
+	delete(f.attached, player)
+	f.mu.Unlock()
 }
 
 // servePlayer answers capacity probes and runs one player's video session.
 func (f *FogNode) servePlayer(conn net.Conn) {
 	defer f.wg.Done()
 	defer conn.Close()
-
-	var playerID int32
-	var level game.QualityLevel
-	attached := false
-	for !attached {
-		conn.SetReadDeadline(time.Now().Add(f.tc.HandshakeTimeout))
-		typ, payload, err := protocol.ReadMessage(conn)
-		if err != nil {
-			return
-		}
-		switch typ {
-		case protocol.MsgProbe:
-			f.mu.Lock()
-			f.probes++
-			f.mu.Unlock()
-			reply := protocol.ProbeReply{Available: f.available()}
-			conn.SetWriteDeadline(time.Now().Add(f.cfg.WriteTimeout))
-			if protocol.WriteMessage(conn, protocol.MsgProbeReply, reply.Marshal()) != nil {
-				return
-			}
-		case protocol.MsgPlayerAttach:
-			attach, aerr := protocol.UnmarshalPlayerAttach(payload)
-			if aerr != nil {
-				return
-			}
-			f.mu.Lock()
-			ok := len(f.attached) < f.cfg.Capacity
-			if ok {
-				f.attached[attach.PlayerID] = struct{}{}
-			}
-			f.mu.Unlock()
-			reply := protocol.AttachReply{OK: ok}
-			if !ok {
-				reply.Reason = "at capacity"
-			}
-			conn.SetWriteDeadline(time.Now().Add(f.cfg.WriteTimeout))
-			if protocol.WriteMessage(conn, protocol.MsgAttachReply, reply.Marshal()) != nil {
-				if ok {
-					f.mu.Lock()
-					delete(f.attached, attach.PlayerID)
-					f.mu.Unlock()
-				}
-				return
-			}
-			if !ok {
-				return
-			}
-			playerID = attach.PlayerID
-			level = game.QualityLevel(attach.QualityLevel)
-			attached = true
-		default:
-			return
-		}
+	fr := protocol.NewFrameReader(conn)
+	attach, ok := serveAttach(conn, fr, f.tp.Config, false, f)
+	if !ok {
+		return
 	}
-	conn.SetDeadline(time.Time{}) // handshake read+write deadlines no longer apply
 	// The attach set changed: the AoI footprint must cover the new
 	// player's surroundings before its first frames render.
 	f.interestDirty()
 	f.refreshInterest()
 	defer func() {
-		f.mu.Lock()
-		delete(f.attached, playerID)
-		f.mu.Unlock()
+		f.unclaim(attach.PlayerID)
 		// Departure shrinks the footprint (after hysteresis).
 		f.interestDirty()
 		f.refreshInterest()
 	}()
-	runVideoSession(conn, playerID, level, f.cfg.FrameInterval, f.cfg.WriteTimeout,
+	runVideoSession(conn, fr, attach, f.cfg.FrameInterval, f.cfg.WriteTimeout,
 		f, f, f, f, f.stop, &f.wg)
 }
 

@@ -98,9 +98,8 @@ const maxPendingActions = 256
 // a video stream from a supernode.
 type PlayerClient struct {
 	cfg PlayerConfig
-	// tc/tp are the transport seam: every dial, handshake deadline, and
-	// write bound the client applies flows from this one policy.
-	tc transport.Config
+	// tp is the transport seam: every dial, handshake deadline, and
+	// write bound the client applies flows from its one policy.
 	tp transport.TCP
 
 	mu         sync.Mutex
@@ -168,7 +167,7 @@ type PlayerClient struct {
 	servingAddr string                   // the address currently streaming video
 	qoeReports  int64
 
-	jitter *rng.Rand // migration backoff jitter; guarded by mu
+	jitter *rng.Rand // migration backoff jitter; drawn from under mu (backoffWait)
 	rank   *rng.Rand // ladder tie-break shuffle; guarded by mu
 
 	// cloudMu serializes writes on the cloud control connection, which
@@ -215,54 +214,32 @@ func NewPlayerClient(cfg PlayerConfig) (*PlayerClient, error) {
 	if cfg.QoEInterval == 0 {
 		cfg.QoEInterval = DefaultQoEInterval
 	}
-	tp := transport.TCP{Config: tc, DialFunc: cfg.Dial}
-	cloud, err := tp.Dial(cfg.CloudAddr)
-	if err != nil {
-		return nil, fmt.Errorf("player dial cloud: %w", err)
-	}
 	r := rng.New(cfg.Seed + uint64(cfg.PlayerID))
 	p := &PlayerClient{
 		cfg:    cfg,
-		tc:     tc,
-		tp:     tp,
-		cloud:  cloud,
+		tp:     transport.TCP{Config: tc, DialFunc: cfg.Dial},
 		level:  cfg.Game.DefaultQuality,
 		rttMs:  make(map[string]float64),
 		stop:   make(chan struct{}),
 		jitter: r.SplitNamed("migrate-jitter"),
 		rank:   r.SplitNamed("ladder-rank"),
 	}
-	join := protocol.PlayerJoin{
+	cloud, cloudFR, reply, err := p.dialCtrl(cfg.CloudAddr, &protocol.PlayerJoin{
 		PlayerID: cfg.PlayerID,
 		GameID:   uint8(cfg.Game.ID),
 		SpawnX:   r.Uniform(50, 400),
 		SpawnY:   r.Uniform(50, 400),
+	})
+	if err != nil {
+		return nil, err
 	}
-	cloud.SetDeadline(time.Now().Add(tc.HandshakeTimeout))
-	if err := protocol.WriteMessage(cloud, protocol.MsgPlayerJoin, join.Marshal()); err != nil {
-		cloud.Close()
-		return nil, fmt.Errorf("player join: %w", err)
-	}
-	typ, payload, err := protocol.ReadMessage(cloud)
-	if err != nil || typ != protocol.MsgJoinReply {
-		cloud.Close()
-		return nil, fmt.Errorf("player join reply: %v %w", typ, err)
-	}
-	cloud.SetDeadline(time.Time{})
-	reply, err := protocol.UnmarshalJoinReply(payload)
-	if err != nil || !reply.OK {
-		cloud.Close()
-		return nil, fmt.Errorf("player join rejected: %s %w", reply.Reason, err)
-	}
-
+	p.cloudMu.Lock()
+	p.cloud = cloud
+	p.cloudMu.Unlock()
 	p.mu.Lock()
-	p.candidates = reply.Candidates
-	p.cloudAddr = reply.CloudStreamAddr
-	p.epoch = reply.Epoch
-	p.ctrlAddr = cfg.CloudAddr
-	p.standbyAddr = reply.StandbyAddr
+	p.adoptCtrlLocked(cfg.CloudAddr, reply)
 	p.mu.Unlock()
-	video, err := p.attachToAny(p.ladder())
+	video, videoFR, err := p.attachToAny(p.ladder())
 	if err != nil {
 		cloud.Close()
 		return nil, err
@@ -278,8 +255,8 @@ func NewPlayerClient(cfg PlayerConfig) (*PlayerClient, error) {
 
 	p.wg.Add(3)
 	go p.actionLoop(r)
-	go p.cloudLoop()
-	go p.videoLoop()
+	go p.cloudLoop(cloudFR)
+	go p.videoLoop(videoFR)
 	return p, nil
 }
 
@@ -342,78 +319,70 @@ func (p *PlayerClient) noteRTT(addr string, ms float64) {
 	p.mu.Unlock()
 }
 
-// attachToAny probes the candidate supernodes in order and attaches to the
-// first that accepts. The whole per-candidate handshake runs under a
-// deadline so a hung supernode costs at most the dial timeout plus the
-// handshake timeout.
-func (p *PlayerClient) attachToAny(addrs []string) (net.Conn, error) {
+// attachToAny walks the ladder and attaches to the first address that
+// accepts (the sequential capacity probing of §3.2.2).
+func (p *PlayerClient) attachToAny(addrs []string) (net.Conn, *protocol.FrameReader, error) {
 	for _, addr := range addrs {
-		conn, err := p.tp.Dial(addr)
-		if err != nil {
-			continue
+		if conn, fr, err := p.attachTo(addr); err == nil {
+			return conn, fr, nil
 		}
-		conn.SetDeadline(time.Now().Add(p.tc.HandshakeTimeout))
-		// Probe for capacity first; the probe round-trip doubles as the
-		// player's RTT measurement for ladder ranking.
-		probeSent := time.Now()
-		if err := protocol.WriteMessage(conn, protocol.MsgProbe, nil); err != nil {
-			conn.Close()
-			continue
-		}
-		typ, payload, err := protocol.ReadMessage(conn)
-		if err != nil || typ != protocol.MsgProbeReply {
-			conn.Close()
-			continue
-		}
-		p.noteRTT(addr, float64(time.Since(probeSent).Microseconds())/1000)
-		probe, err := protocol.UnmarshalProbeReply(payload)
-		if err != nil || probe.Available <= 0 {
-			conn.Close()
-			continue
-		}
-		attach := protocol.PlayerAttach{
-			PlayerID:     p.cfg.PlayerID,
-			QualityLevel: uint8(p.level),
-		}
-		if err := protocol.WriteMessage(conn, protocol.MsgPlayerAttach, attach.Marshal()); err != nil {
-			conn.Close()
-			continue
-		}
-		typ, payload, err = protocol.ReadMessage(conn)
-		if err != nil || typ != protocol.MsgAttachReply {
-			conn.Close()
-			continue
-		}
-		ack, err := protocol.UnmarshalAttachReply(payload)
-		if err != nil || !ack.OK {
-			conn.Close()
-			continue
-		}
-		p.mu.Lock()
-		isCloud := addr == p.cloudAddr
-		p.mu.Unlock()
-		if p.cfg.Datagram && !isCloud {
-			// Ask for the UDP video path; the reply arrives on the
-			// stream and the video loop completes (or abandons) the
-			// upgrade. Frames keep flowing over TCP until the hello
-			// lands, so a refusal costs nothing.
-			req := protocol.DatagramRequest{PlayerID: p.cfg.PlayerID}
-			if protocol.WriteMessage(conn, protocol.MsgDatagramRequest, req.Marshal()) != nil {
-				conn.Close()
-				continue
-			}
-		}
-		conn.SetDeadline(time.Time{})
-		p.mu.Lock()
-		if isCloud {
-			p.fallbacks++
-		}
-		p.servingAddr = addr
-		p.mu.Unlock()
-		return conn, nil
 	}
-	return nil, fmt.Errorf("fognet: no supernode accepted player %d (candidates: %d)",
+	return nil, nil, fmt.Errorf("fognet: no supernode accepted player %d (candidates: %d)",
 		p.cfg.PlayerID, len(addrs))
+}
+
+// attachTo dials one rung of the ladder and runs the asking side of
+// serveAttach on it. Each step is a deadlined exchange, so a hung
+// supernode costs at most the dial timeout plus two handshake timeouts.
+func (p *PlayerClient) attachTo(addr string) (net.Conn, *protocol.FrameReader, error) {
+	conn, err := p.tp.Dial(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	fr := protocol.NewFrameReader(conn)
+	// Probe for capacity first; the probe round-trip doubles as the
+	// player's RTT measurement for ladder ranking.
+	probeSent := time.Now()
+	body, err := exchange(conn, fr, p.tp.Config.HandshakeTimeout, protocol.MsgProbe, nil, protocol.MsgProbeReply)
+	if err == nil {
+		p.noteRTT(addr, float64(time.Since(probeSent).Microseconds())/1000)
+		var probe protocol.ProbeReply
+		if probe, err = protocol.UnmarshalProbeReply(body); err == nil && probe.Available <= 0 {
+			err = fmt.Errorf("%s has no free slot", addr)
+		}
+	}
+	if err == nil {
+		attach := protocol.PlayerAttach{PlayerID: p.cfg.PlayerID, QualityLevel: uint8(p.level)}
+		body, err = exchange(conn, fr, p.tp.Config.HandshakeTimeout, protocol.MsgPlayerAttach, attach.Marshal(), protocol.MsgAttachReply)
+	}
+	if err == nil {
+		var ack protocol.AttachReply
+		if ack, err = protocol.UnmarshalAttachReply(body); err == nil && !ack.OK {
+			err = fmt.Errorf("%s refused the attach: %s", addr, ack.Reason)
+		}
+	}
+	p.mu.Lock()
+	isCloud := addr == p.cloudAddr
+	p.mu.Unlock()
+	if err == nil && p.cfg.Datagram && !isCloud {
+		// Ask for the UDP video path; the reply arrives on the stream and
+		// the video loop completes (or abandons) the upgrade. Frames keep
+		// flowing over TCP until the hello lands, so a refusal costs
+		// nothing.
+		req := protocol.DatagramRequest{PlayerID: p.cfg.PlayerID}
+		err = sendMsg(conn, p.cfg.WriteTimeout, protocol.MsgDatagramRequest, req.Marshal())
+	}
+	if err != nil {
+		conn.Close()
+		return nil, nil, err
+	}
+	p.mu.Lock()
+	if isCloud {
+		p.fallbacks++
+	}
+	p.servingAddr = addr
+	p.mu.Unlock()
+	return conn, fr, nil
 }
 
 // Close leaves the game and waits for the client's goroutines.
@@ -434,13 +403,11 @@ func (p *PlayerClient) Close() error {
 	}
 	p.cloudMu.Lock()
 	cloud := p.cloud
-	cloud.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-	protocol.WriteMessage(cloud, protocol.MsgBye, nil)
+	_ = sendMsg(cloud, p.cfg.WriteTimeout, protocol.MsgBye, nil)
 	p.cloudMu.Unlock()
 	if video != nil {
 		p.videoWMu.Lock()
-		video.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-		protocol.WriteMessage(video, protocol.MsgBye, nil)
+		_ = sendMsg(video, p.cfg.WriteTimeout, protocol.MsgBye, nil)
 		p.videoWMu.Unlock()
 		video.Close()
 	}
@@ -564,9 +531,7 @@ func (p *PlayerClient) reportQoE(addr string, rating float64, stalled, fallback 
 		Fallback: fallback,
 	}
 	p.cloudMu.Lock()
-	p.cloud.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-	err := protocol.WriteMessage(p.cloud, protocol.MsgQoEReport, rep.Marshal())
-	p.cloud.SetWriteDeadline(time.Time{})
+	err := sendMsg(p.cloud, p.cfg.WriteTimeout, protocol.MsgQoEReport, rep.Marshal())
 	p.cloudMu.Unlock()
 	if err == nil {
 		p.mu.Lock()
@@ -617,17 +582,10 @@ func (p *PlayerClient) actionLoop(r *rng.Rand) {
 				Player: int(p.cfg.PlayerID), Kind: virtualworld.ActMove,
 				TargetX: tx, TargetY: ty,
 			}}
-			// Frame into the loop-owned scratch buffer and flush with a
-			// single Write: the 10 Hz input stream allocates nothing.
-			var aerr error
-			actBuf, aerr = protocol.AppendMessage(actBuf[:0], protocol.MsgAction, &msg)
-			if aerr != nil {
-				return
-			}
+			// Framed into the loop-owned scratch buffer: the 10 Hz input
+			// stream reuses it, and a refused write reroutes its bytes.
 			p.cloudMu.Lock()
-			conn := p.cloud
-			conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-			_, err := conn.Write(actBuf)
+			err := sendInto(p.cloud, p.cfg.WriteTimeout, &actBuf, protocol.MsgAction, &msg)
 			p.cloudMu.Unlock()
 			if err != nil {
 				// Cloud control link down: reroute the input through the
@@ -645,13 +603,9 @@ func (p *PlayerClient) actionLoop(r *rng.Rand) {
 // healing that connection: when it breaks (crash or graceful Bye), the
 // loop resumes the session on the failover ladder and flushes any
 // inputs buffered through the outage.
-func (p *PlayerClient) cloudLoop() {
+func (p *PlayerClient) cloudLoop(fr *protocol.FrameReader) {
 	defer p.wg.Done()
-	p.cloudMu.Lock()
-	conn := p.cloud
-	p.cloudMu.Unlock()
 	for {
-		fr := protocol.NewFrameReader(conn)
 	readLoop:
 		for {
 			typ, payload, err := fr.Next()
@@ -678,23 +632,60 @@ func (p *PlayerClient) cloudLoop() {
 				break readLoop
 			}
 		}
-		next, ok := p.resumeCtrl()
-		if !ok {
+		var ok bool
+		if fr, ok = p.resumeCtrl(); !ok {
 			return
 		}
-		conn = next
+	}
+}
+
+// dialCtrl is the client's one way onto the cloud's control plane: dial
+// addr and be admitted, as a new player when join is set (MsgPlayerJoin)
+// and otherwise by resuming the session with the epoch-stamped MsgResume.
+// Either answer carries the epoch, the failover ladder, the cloud's own
+// stream endpoint and the standby's address.
+func (p *PlayerClient) dialCtrl(addr string, join *protocol.PlayerJoin) (net.Conn, *protocol.FrameReader, protocol.ResumeReply, error) {
+	typ, want := protocol.MsgResume, protocol.MsgResumeReply
+	var payload []byte
+	if join != nil {
+		typ, want, payload = protocol.MsgPlayerJoin, protocol.MsgJoinReply, join.Marshal()
+	} else {
+		p.mu.Lock()
+		req := protocol.Resume{
+			Kind:     protocol.ResumePlayer,
+			PlayerID: p.cfg.PlayerID,
+			Epoch:    p.epoch,
+			Tick:     p.lastTick,
+		}
+		p.mu.Unlock()
+		payload = req.Marshal()
+	}
+	return dialAdmission(p.tp, addr, typ, payload, want)
+}
+
+// adoptCtrlLocked rebinds the failover view to the cloud at addr that
+// just admitted the player. Caller holds mu.
+func (p *PlayerClient) adoptCtrlLocked(addr string, reply protocol.ResumeReply) {
+	p.epoch = reply.Epoch
+	p.ctrlAddr = addr
+	p.standbyAddr = reply.StandbyAddr
+	if len(reply.Candidates) > 0 {
+		p.candidates = reply.Candidates
+	}
+	if reply.CloudStreamAddr != "" {
+		p.cloudAddr = reply.CloudStreamAddr
 	}
 }
 
 // resumeCtrl re-establishes the control session after the cloud link
-// broke, walking the ladder ctrlAddr → standbyAddr with jittered,
-// capped backoff and the epoch-stamped MsgResume handshake. On success
-// the avatar continues where the recovered authority has it — no
-// rejoin, no respawn — and locally buffered inputs are flushed (or
-// discarded when the reply says the client's history ran ahead of the
-// restored world). It reports false when the client is closing or every
-// attempt was refused.
-func (p *PlayerClient) resumeCtrl() (net.Conn, bool) {
+// broke, walking the ladder ctrlAddr → standbyAddr with jittered, capped
+// backoff. On success the avatar continues where the recovered authority
+// has it — no rejoin, no respawn — and locally buffered inputs are
+// flushed (or discarded when the reply says the client's history ran
+// ahead of the restored world). It returns the new connection's frame
+// reader, or false when the client is closing or every attempt was
+// refused.
+func (p *PlayerClient) resumeCtrl() (*protocol.FrameReader, bool) {
 	backoff := DefaultMigrateBackoff
 	for attempt := 0; attempt < migrateAttempts; attempt++ {
 		select {
@@ -703,19 +694,10 @@ func (p *PlayerClient) resumeCtrl() (net.Conn, bool) {
 		default:
 		}
 		p.mu.Lock()
-		ladder := []string{p.ctrlAddr}
-		if p.standbyAddr != "" && p.standbyAddr != p.ctrlAddr {
-			ladder = append(ladder, p.standbyAddr)
-		}
-		req := protocol.Resume{
-			Kind:     protocol.ResumePlayer,
-			PlayerID: p.cfg.PlayerID,
-			Epoch:    p.epoch,
-			Tick:     p.lastTick,
-		}
+		ladder := failoverLadder(p.ctrlAddr, p.standbyAddr)
 		p.mu.Unlock()
 		for _, addr := range ladder {
-			conn, reply, err := p.dialResume(addr, req)
+			conn, fr, reply, err := p.dialCtrl(addr, nil)
 			if err != nil {
 				continue
 			}
@@ -723,19 +705,9 @@ func (p *PlayerClient) resumeCtrl() (net.Conn, bool) {
 			old := p.cloud
 			p.cloud = conn
 			p.cloudMu.Unlock()
-			if old != nil {
-				old.Close()
-			}
+			old.Close()
 			p.mu.Lock()
-			p.epoch = reply.Epoch
-			p.ctrlAddr = addr
-			p.standbyAddr = reply.StandbyAddr
-			if len(reply.Candidates) > 0 {
-				p.candidates = reply.Candidates
-			}
-			if reply.CloudStreamAddr != "" {
-				p.cloudAddr = reply.CloudStreamAddr
-			}
+			p.adoptCtrlLocked(addr, reply)
 			p.ctrlResumes++
 			var flush []virtualworld.Action
 			if reply.Discard {
@@ -749,47 +721,13 @@ func (p *PlayerClient) resumeCtrl() (net.Conn, bool) {
 			p.pendingActs = p.pendingActs[:0]
 			p.mu.Unlock()
 			p.flushPending(conn, flush)
-			return conn, true
+			return fr, true
 		}
-		p.mu.Lock()
-		sleep, next := nextBackoff(p.jitter, backoff, DefaultMigrateBackoffMax)
-		p.mu.Unlock()
-		backoff = next
-		t := time.NewTimer(sleep)
-		select {
-		case <-p.stop:
-			t.Stop()
+		if !backoffWait(p.stop, &p.mu, p.jitter, &backoff, DefaultMigrateBackoffMax) {
 			return nil, false
-		case <-t.C:
 		}
 	}
 	return nil, false
-}
-
-// dialResume performs one resume handshake under deadlines.
-func (p *PlayerClient) dialResume(addr string, req protocol.Resume) (net.Conn, protocol.ResumeReply, error) {
-	var zero protocol.ResumeReply
-	conn, err := p.tp.Dial(addr)
-	if err != nil {
-		return nil, zero, err
-	}
-	conn.SetDeadline(time.Now().Add(p.tc.HandshakeTimeout))
-	if werr := protocol.WriteMessage(conn, protocol.MsgResume, req.Marshal()); werr != nil {
-		conn.Close()
-		return nil, zero, werr
-	}
-	typ, payload, rerr := protocol.ReadMessage(conn)
-	if rerr != nil || typ != protocol.MsgResumeReply {
-		conn.Close()
-		return nil, zero, fmt.Errorf("player resume reply: %v %w", typ, rerr)
-	}
-	reply, derr := protocol.UnmarshalResumeReply(payload)
-	if derr != nil || !reply.OK {
-		conn.Close()
-		return nil, zero, fmt.Errorf("player resume rejected: %s %w", reply.Reason, derr)
-	}
-	conn.SetDeadline(time.Time{})
-	return conn, reply, nil
 }
 
 // flushPending replays outage-buffered inputs on the resumed control
@@ -798,15 +736,8 @@ func (p *PlayerClient) flushPending(conn net.Conn, acts []virtualworld.Action) {
 	var buf []byte
 	for i := range acts {
 		msg := protocol.ActionMsg{Action: acts[i]}
-		var err error
-		buf, err = protocol.AppendMessage(buf[:0], protocol.MsgAction, &msg)
-		if err != nil {
-			return
-		}
 		p.cloudMu.Lock()
-		conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-		_, werr := conn.Write(buf)
-		conn.SetWriteDeadline(time.Time{})
+		werr := sendInto(conn, p.cfg.WriteTimeout, &buf, protocol.MsgAction, &msg)
 		p.cloudMu.Unlock()
 		if werr != nil {
 			return // the read side will observe the dead conn
@@ -827,9 +758,7 @@ func (p *PlayerClient) rerouteAction(frame []byte, a virtualworld.Action) {
 	// A cloud-fallback video session dies with the cloud; don't bother.
 	if video != nil && !isCloudStream {
 		p.videoWMu.Lock()
-		video.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-		_, err := video.Write(frame)
-		video.SetWriteDeadline(time.Time{})
+		err := writeWithin(video, p.cfg.WriteTimeout, frame)
 		p.videoWMu.Unlock()
 		if err == nil {
 			p.mu.Lock()
@@ -932,15 +861,8 @@ func (p *PlayerClient) maybeAdapt(st *videoRecvState, conn net.Conn, lossFn func
 		return
 	}
 	rc := protocol.RateChange{QualityLevel: uint8(p.ctrl.Level())}
-	var rerr error
-	st.rcBuf, rerr = protocol.AppendMessage(st.rcBuf[:0], protocol.MsgRateChange, &rc)
-	if rerr != nil {
-		return
-	}
 	p.videoWMu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-	_, werr := conn.Write(st.rcBuf)
-	conn.SetWriteDeadline(time.Time{})
+	werr := sendInto(conn, p.cfg.WriteTimeout, &st.rcBuf, protocol.MsgRateChange, &rc)
 	p.videoWMu.Unlock()
 	if werr != nil {
 		return // the next read will fail over
@@ -965,7 +887,7 @@ func (p *PlayerClient) maybeAdapt(st *videoRecvState, conn net.Conn, lossFn func
 // whose Data aliases that buffer (consumed before the next read), the
 // decoder's internal reference frame, and the output frame whose pixels
 // alias decoder memory. Steady state allocates nothing per frame.
-func (p *PlayerClient) videoLoop() {
+func (p *PlayerClient) videoLoop(fr *protocol.FrameReader) {
 	defer p.wg.Done()
 	st := videoRecvState{start: time.Now()}
 	st.windowStart = st.start
@@ -973,7 +895,6 @@ func (p *PlayerClient) videoLoop() {
 	conn := p.video
 	p.lastFrameAt = st.start
 	p.mu.Unlock()
-	fr := protocol.NewFrameReader(conn)
 	for {
 		conn.SetReadDeadline(time.Now().Add(p.cfg.VideoReadTimeout))
 		typ, payload, err := fr.Next()
@@ -982,13 +903,10 @@ func (p *PlayerClient) videoLoop() {
 			// migrate down the ladder (§3.2.2). No game state
 			// transfers — the cloud holds it all — so the stream
 			// resumes with a fresh decoder.
-			next, ok := p.migrate(&st.dec)
-			if !ok {
+			var ok bool
+			if conn, fr, ok = p.migrate(&st.dec); !ok {
 				return
 			}
-			conn = next
-			// New connection, new stream position: rebuild the reader.
-			fr = protocol.NewFrameReader(conn)
 			continue
 		}
 		switch typ {
@@ -1007,12 +925,10 @@ func (p *PlayerClient) videoLoop() {
 			case dgClosed:
 				return
 			case dgStall:
-				next, ok := p.migrate(&st.dec)
-				if !ok {
+				var ok bool
+				if conn, fr, ok = p.migrate(&st.dec); !ok {
 					return
 				}
-				conn = next
-				fr = protocol.NewFrameReader(conn)
 			case dgNoUpgrade:
 				// The hello never registered, so the fog still streams
 				// over this TCP connection; keep reading it.
@@ -1025,14 +941,14 @@ func (p *PlayerClient) videoLoop() {
 }
 
 // migrate walks the failover ladder after the serving connection failed,
-// retrying with jittered backoff, and returns the new connection. It
-// reports false when the client is closing or the ladder stays dry. It
+// retrying with jittered backoff, and returns the new connection and its
+// frame reader. It reports false when the client is closing or the ladder stays dry. It
 // opens a stall, which the first frame decoded afterwards closes. The
 // failed supernode is reported to the cloud's reputation book (rating 0,
 // stalled), and again with the fallback flag if the migration ends on the
 // cloud's own stream — every escape to the expensive rung demotes whoever
 // caused it.
-func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, bool) {
+func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, *protocol.FrameReader, bool) {
 	p.mu.Lock()
 	p.stalled = true
 	failed := p.servingAddr
@@ -1047,10 +963,10 @@ func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, bool) {
 	for attempt := 0; attempt < migrateAttempts; attempt++ {
 		select {
 		case <-p.stop:
-			return nil, false
+			return nil, nil, false
 		default:
 		}
-		conn, err := p.attachToAny(p.ladder())
+		conn, fr, err := p.attachToAny(p.ladder())
 		if err == nil {
 			p.mu.Lock()
 			old := p.video
@@ -1065,21 +981,13 @@ func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, bool) {
 				old.Close()
 			}
 			*dec = videocodec.Decoder{} // the new stream starts with an I-frame
-			return conn, true
+			return conn, fr, true
 		}
 		// The ladder may be mid-refresh (the cloud broadcasts after an
 		// eviction); back off with deterministic jitter and retry.
-		p.mu.Lock()
-		sleep, next := nextBackoff(p.jitter, backoff, DefaultMigrateBackoffMax)
-		p.mu.Unlock()
-		backoff = next
-		t := time.NewTimer(sleep)
-		select {
-		case <-p.stop:
-			t.Stop()
-			return nil, false
-		case <-t.C:
+		if !backoffWait(p.stop, &p.mu, p.jitter, &backoff, DefaultMigrateBackoffMax) {
+			return nil, nil, false
 		}
 	}
-	return nil, false
+	return nil, nil, false
 }

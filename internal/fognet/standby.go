@@ -97,7 +97,7 @@ type Standby struct {
 	logEntries  int64 // guarded by mu
 	attaches    int64 // guarded by mu
 
-	jitter *rng.Rand // redial jitter; guarded by mu
+	jitter *rng.Rand // redial jitter; drawn from under mu (backoffWait)
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -203,26 +203,13 @@ func (sb *Standby) run() {
 	defer sb.wg.Done()
 	backoff := sb.cfg.ReconnectBackoff
 	for {
-		select {
-		case <-sb.stop:
-			return
-		default:
-		}
 		bye := sb.follow()
 		if sb.shouldPromote(bye) {
 			sb.promote()
 			return
 		}
-		sb.mu.Lock()
-		sleep, next := nextBackoff(sb.jitter, backoff, sb.cfg.ReconnectBackoffMax)
-		sb.mu.Unlock()
-		backoff = next
-		t := time.NewTimer(sleep)
-		select {
-		case <-sb.stop:
-			t.Stop()
+		if !backoffWait(sb.stop, &sb.mu, sb.jitter, &backoff, sb.cfg.ReconnectBackoffMax) {
 			return
-		case <-t.C:
 		}
 	}
 }
@@ -249,11 +236,9 @@ func (sb *Standby) follow() (bye bool) {
 		}
 	}()
 	hello := protocol.StandbyHello{Addr: sb.listener.Addr().String()}
-	conn.SetWriteDeadline(time.Now().Add(sb.cfg.WriteTimeout))
-	if protocol.WriteMessage(conn, protocol.MsgStandbyHello, hello.Marshal()) != nil {
+	if sendMsg(conn, sb.cfg.WriteTimeout, protocol.MsgStandbyHello, hello.Marshal()) != nil {
 		return false
 	}
-	conn.SetWriteDeadline(time.Time{})
 	sb.mu.Lock()
 	sb.attaches++
 	// The attach itself proves the primary alive: the silence window

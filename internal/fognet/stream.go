@@ -8,6 +8,7 @@ import (
 	"cloudfog/internal/game"
 	"cloudfog/internal/protocol"
 	"cloudfog/internal/render"
+	"cloudfog/internal/transport"
 	"cloudfog/internal/videocodec"
 	"cloudfog/internal/virtualworld"
 )
@@ -36,6 +37,66 @@ type actionSink interface {
 	submitAction(a virtualworld.Action) bool
 }
 
+// sessionSlots is a tier's admission control for video sessions: a fog
+// node counts attached players against its capacity, the cloud's fallback
+// stream never refuses.
+type sessionSlots interface {
+	// freeSlots answers a capacity probe.
+	freeSlots() int
+	// claim takes a slot for the player; false means at capacity.
+	claim(player int32) bool
+	// unclaim gives the slot back.
+	unclaim(player int32)
+}
+
+// serveAttach is the serving side of the probe→attach handshake that
+// opens every video session, on a fog node and on the cloud's fallback
+// stream alike: each MsgProbe is answered with the free slots, and the
+// MsgPlayerAttach that follows claims one. probed says the caller's
+// dispatch already consumed the opening MsgProbe (the cloud tells its
+// peers apart by their first message). The read deadline is armed once
+// for the whole handshake, not per message: a peer that keeps probing and
+// never attaches is cut off when it runs out. On success the player holds
+// a slot the caller must unclaim.
+func serveAttach(conn net.Conn, fr *protocol.FrameReader, tc transport.Config,
+	probed bool, slots sessionSlots) (protocol.PlayerAttach, bool) {
+	var attach protocol.PlayerAttach
+	conn.SetReadDeadline(time.Now().Add(tc.HandshakeTimeout))
+	for ; ; probed = false {
+		typ, payload := protocol.MsgProbe, []byte(nil)
+		if !probed {
+			var err error
+			if typ, payload, err = fr.Next(); err != nil {
+				return attach, false
+			}
+		}
+		switch typ {
+		case protocol.MsgProbe:
+			reply := protocol.ProbeReply{Available: slots.freeSlots()}
+			if sendMsg(conn, tc.WriteTimeout, protocol.MsgProbeReply, reply.Marshal()) != nil {
+				return attach, false
+			}
+		case protocol.MsgPlayerAttach:
+			var err error
+			if attach, err = protocol.UnmarshalPlayerAttach(payload); err != nil {
+				return attach, false
+			}
+			reply := protocol.AttachReply{OK: slots.claim(attach.PlayerID)}
+			if !reply.OK {
+				reply.Reason = "at capacity"
+			}
+			err = sendMsg(conn, tc.WriteTimeout, protocol.MsgAttachReply, reply.Marshal())
+			if reply.OK && err != nil {
+				slots.unclaim(attach.PlayerID)
+			}
+			conn.SetReadDeadline(time.Time{})
+			return attach, reply.OK && err == nil
+		default:
+			return attach, false
+		}
+	}
+}
+
 // runVideoSession streams rendered, encoded frames for one attached player
 // until the connection breaks, a Bye arrives, or stop closes. It handles
 // the receiver-driven RateChange messages of §3.3 and the optional
@@ -44,15 +105,15 @@ type actionSink interface {
 // player's hello registers, frames ride UDP while this connection keeps
 // carrying control. Every frame write carries writeTimeout as a deadline,
 // so a player that stops reading cannot pin the session goroutine. The
-// caller owns conn and the attach handshake; wg tracks the internal
+// caller owns conn and ran serveAttach on it; wg tracks the internal
 // reader goroutine.
 //
 // The 30 fps loop is the fog tier's hot path; frameStream.sendFrame is
 // one iteration of it.
 func runVideoSession(
 	conn net.Conn,
-	playerID int32,
-	level game.QualityLevel,
+	fr *protocol.FrameReader,
+	attach protocol.PlayerAttach,
 	frameInterval time.Duration,
 	writeTimeout time.Duration,
 	source viewSource,
@@ -62,6 +123,7 @@ func runVideoSession(
 	stop <-chan struct{},
 	wg *sync.WaitGroup,
 ) {
+	playerID, level := attach.PlayerID, game.QualityLevel(attach.QualityLevel)
 	if level < 1 || level > game.NumQualityLevels {
 		level = 3
 	}
@@ -75,7 +137,6 @@ func runVideoSession(
 	go func() {
 		defer wg.Done()
 		defer close(readDone)
-		fr := protocol.NewFrameReader(conn)
 		for {
 			typ, payload, err := fr.Next()
 			if err != nil {
@@ -140,15 +201,7 @@ func runVideoSession(
 			if offer != nil && fs.sess == nil {
 				reply, fs.sess = offer.offerDatagram()
 			}
-			var err error
-			out.B, err = protocol.AppendFrame(out.B[:0], protocol.MsgDatagramReply, reply.Marshal())
-			if err != nil {
-				return
-			}
-			if writeTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			}
-			if _, err := conn.Write(out.B); err != nil {
+			if sendMsg(conn, writeTimeout, protocol.MsgDatagramReply, reply.Marshal()) != nil {
 				return
 			}
 		case <-ticker.C:
@@ -230,15 +283,7 @@ func (fs *frameStream) sendFrame() bool {
 		// No hello yet, oversized frame, or a socket error:
 		// this frame rides the reliable stream instead.
 	}
-	var err error
-	fs.out.B, err = protocol.AppendMessage(fs.out.B[:0], protocol.MsgVideoFrame, &fs.ef)
-	if err != nil {
-		return false
-	}
-	if fs.writeTimeout > 0 {
-		fs.conn.SetWriteDeadline(time.Now().Add(fs.writeTimeout))
-	}
-	if _, err := fs.conn.Write(fs.out.B); err != nil {
+	if sendInto(fs.conn, fs.writeTimeout, &fs.out.B, protocol.MsgVideoFrame, &fs.ef) != nil {
 		return false
 	}
 	fs.counters.addFrame(fs.ef.SizeBits())

@@ -149,16 +149,9 @@ func baseLuma(e virtualworld.Entity) byte {
 	}
 }
 
-// Render rasterizes the visible slice of the snapshot for the viewport
-// into a fresh frame.
-func (r *Renderer) Render(s virtualworld.Snapshot, v virtualworld.Viewport) *Frame {
-	f := NewFrame(r.res)
-	r.RenderInto(s, v, f)
-	return f
-}
-
-// RenderInto rasterizes into an existing frame, reusing its pixel buffer:
-// zero allocations per frame in steady state. The frame is resized (and
+// RenderInto rasterizes the visible slice of the snapshot for the viewport
+// into an existing frame, reusing its pixel buffer: zero allocations per
+// frame in steady state. The frame is resized (and
 // its buffer regrown) only when the renderer's resolution differs — the
 // 30 fps fog streaming loop renders into the same frame every tick.
 func (r *Renderer) RenderInto(s virtualworld.Snapshot, v virtualworld.Viewport, f *Frame) {

@@ -6,6 +6,13 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
+// render is the tests' owning form of RenderInto: a fresh frame per call.
+func render(r *Renderer, s virtualworld.Snapshot, v virtualworld.Viewport) *Frame {
+	f := NewFrame(r.Resolution())
+	r.RenderInto(s, v, f)
+	return f
+}
+
 func demoWorld() *virtualworld.World {
 	w := virtualworld.New(400, 400)
 	w.SpawnAvatar(1, 200, 200)
@@ -40,8 +47,8 @@ func TestRenderDeterministic(t *testing.T) {
 	s := w.Snapshot()
 	r := NewRenderer(ResolutionForLevel(2))
 	v := ViewportFor(s, 1)
-	f1 := r.Render(s, v)
-	f2 := r.Render(s, v)
+	f1 := render(r, s, v)
+	f2 := render(r, s, v)
 	if !f1.Equal(f2) {
 		t.Fatal("same snapshot rendered differently")
 	}
@@ -55,8 +62,8 @@ func TestRenderShowsEntities(t *testing.T) {
 	s := w.Snapshot()
 	r := NewRenderer(ResolutionForLevel(2))
 	v := ViewportFor(s, 1)
-	withEntities := r.Render(s, v)
-	empty := r.Render(virtualworld.Snapshot{Tick: s.Tick, Width: 400, Height: 400}, v)
+	withEntities := render(r, s, v)
+	empty := render(r, virtualworld.Snapshot{Tick: s.Tick, Width: 400, Height: 400}, v)
 	if withEntities.Equal(empty) {
 		t.Fatal("entities invisible in the frame")
 	}
@@ -71,10 +78,10 @@ func TestRenderChangesWhenWorldChanges(t *testing.T) {
 	w := demoWorld()
 	r := NewRenderer(ResolutionForLevel(2))
 	s1 := w.Snapshot()
-	f1 := r.Render(s1, ViewportFor(s1, 1))
+	f1 := render(r, s1, ViewportFor(s1, 1))
 	w.Step([]virtualworld.Action{{Player: 2, Kind: virtualworld.ActMove, TargetX: 300, TargetY: 300}})
 	s2 := w.Snapshot()
-	f2 := r.Render(s2, ViewportFor(s2, 1))
+	f2 := render(r, s2, ViewportFor(s2, 1))
 	if f1.Equal(f2) {
 		t.Fatal("world change invisible")
 	}
@@ -89,8 +96,8 @@ func TestRenderViewDependent(t *testing.T) {
 	w := demoWorld()
 	s := w.Snapshot()
 	r := NewRenderer(ResolutionForLevel(1))
-	f1 := r.Render(s, ViewportFor(s, 1))
-	f2 := r.Render(s, ViewportFor(s, 2))
+	f1 := render(r, s, ViewportFor(s, 1))
+	f2 := render(r, s, ViewportFor(s, 2))
 	if f1.Equal(f2) {
 		t.Fatal("different viewpoints produced identical frames")
 	}

@@ -19,17 +19,18 @@ func testSnapshot(t testing.TB) virtualworld.Snapshot {
 	return w.Snapshot()
 }
 
-// TestRenderIntoMatchesRender pins the buffer-reuse path to the allocating
-// one, including after a resolution change (the frame must be resized).
-func TestRenderIntoMatchesRender(t *testing.T) {
+// TestRenderIntoResizesFrame pins the reuse path's one reallocation: a
+// frame left over from another resolution is resized, and renders exactly
+// what a right-sized frame does.
+func TestRenderIntoResizesFrame(t *testing.T) {
 	s := testSnapshot(t)
 	v := ViewportFor(s, 1)
 	r := NewRenderer(ResolutionForLevel(3))
-	want := r.Render(s, v)
+	want := render(r, s, v)
 	f := NewFrame(ResolutionForLevel(1)) // wrong size: RenderInto must resize
 	r.RenderInto(s, v, f)
 	if !want.Equal(f) || want.Tick != f.Tick {
-		t.Fatal("RenderInto output differs from Render")
+		t.Fatal("resized frame renders differently")
 	}
 }
 

@@ -99,19 +99,13 @@ func quantize(v byte, q int) byte {
 	return byte(int(v) / q * q)
 }
 
-// Encode compresses one frame. The first frame, every GOP-th frame, and
-// any resolution change produce an I-frame; the rest are P-frames.
-func (e *Encoder) Encode(f *render.Frame) *EncodedFrame {
-	out := &EncodedFrame{}
-	e.EncodeInto(f, out)
-	return out
-}
-
-// EncodeInto compresses one frame into ef, reusing ef.Data's capacity and
-// the encoder's internal scratch buffers: zero allocations per frame in
-// steady state. ef must not be shared with a previous EncodeInto call
-// that is still in flight (the fog streams one frame at a time per
-// session, so each session owns one EncodedFrame).
+// EncodeInto compresses one frame into ef: the first frame, every GOP-th
+// frame, and any resolution change produce an I-frame, the rest are
+// P-frames. It reuses ef.Data's capacity and the encoder's internal
+// scratch buffers: zero allocations per frame in steady state. ef must
+// not be shared with a previous EncodeInto call that is still in flight
+// (the fog streams one frame at a time per session, so each session owns
+// one EncodedFrame).
 func (e *Encoder) EncodeInto(f *render.Frame, ef *EncodedFrame) {
 	if e.GOP <= 0 {
 		e.GOP = DefaultGOP
@@ -190,28 +184,16 @@ type Decoder struct {
 	w, h    int
 }
 
-// Errors returned by Decode.
+// Errors returned by DecodeInto.
 var (
 	ErrNoReference   = errors.New("videocodec: P-frame without a reference frame")
 	ErrCorruptStream = errors.New("videocodec: corrupt payload")
 )
 
-// Decode reconstructs one frame. The returned frame owns its pixels.
-func (d *Decoder) Decode(ef *EncodedFrame) (*render.Frame, error) {
-	f := &render.Frame{}
-	if err := d.DecodeInto(ef, f); err != nil {
-		return nil, err
-	}
-	pix := make([]byte, len(f.Pix))
-	copy(pix, f.Pix)
-	f.Pix = pix
-	return f, nil
-}
-
 // DecodeInto reconstructs one frame into f, reusing the decoder's internal
 // buffers: zero allocations per frame in steady state. f.Pix aliases
 // decoder-owned memory and is valid only until the next DecodeInto call;
-// callers that keep pixels longer must copy them (Decode does).
+// callers that keep pixels longer must copy them.
 func (d *Decoder) DecodeInto(ef *EncodedFrame, f *render.Frame) error {
 	n := ef.Width * ef.Height
 	if n <= 0 {
@@ -253,11 +235,6 @@ func (d *Decoder) DecodeInto(ef *EncodedFrame, f *render.Frame) error {
 
 // --- run-length coding ----------------------------------------------------
 
-// rleEncode compresses with byte-level RLE: (count, value) pairs.
-func rleEncode(data []byte) []byte {
-	return rleAppend(make([]byte, 0, len(data)/4+8), data)
-}
-
 // rleAppend compresses data with byte-level RLE, appending (count, value)
 // pairs to out; with enough capacity it does not allocate.
 func rleAppend(out, data []byte) []byte {
@@ -272,11 +249,6 @@ func rleAppend(out, data []byte) []byte {
 		i += run
 	}
 	return out
-}
-
-// rleDecode expands an RLE payload to exactly n bytes.
-func rleDecode(data []byte, n int) ([]byte, error) {
-	return rleDecodeInto(make([]byte, 0, n), data, n)
 }
 
 // rleDecodeInto expands an RLE payload to exactly n bytes appended to out;
@@ -326,17 +298,6 @@ func (ef *EncodedFrame) AppendTo(buf []byte) []byte {
 	binary.BigEndian.PutUint32(hdr[14:], uint32(len(ef.Data)))
 	buf = append(buf, hdr[:]...)
 	return append(buf, ef.Data...)
-}
-
-// UnmarshalFrame parses a serialized encoded frame. The returned frame
-// owns its payload (Data is copied out of buf).
-func UnmarshalFrame(buf []byte) (*EncodedFrame, error) {
-	ef := &EncodedFrame{}
-	if err := UnmarshalFrameInto(buf, ef); err != nil {
-		return nil, err
-	}
-	ef.Data = append([]byte(nil), ef.Data...)
-	return ef, nil
 }
 
 // UnmarshalFrameInto parses a serialized encoded frame into ef without

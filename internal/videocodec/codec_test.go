@@ -9,6 +9,24 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
+// encode and decode are the tests' owning forms of EncodeInto and
+// DecodeInto: a fresh EncodedFrame per call, and a decoded frame whose
+// pixels are copied out of the decoder's reused memory.
+func encode(e *Encoder, f *render.Frame) *EncodedFrame {
+	ef := &EncodedFrame{}
+	e.EncodeInto(f, ef)
+	return ef
+}
+
+func decode(d *Decoder, ef *EncodedFrame) (*render.Frame, error) {
+	f := &render.Frame{}
+	if err := d.DecodeInto(ef, f); err != nil {
+		return nil, err
+	}
+	f.Pix = append([]byte(nil), f.Pix...)
+	return f, nil
+}
+
 // frameSequence renders a short clip of a moving avatar.
 func frameSequence(t *testing.T, n int, level int) []*render.Frame {
 	t.Helper()
@@ -22,7 +40,9 @@ func frameSequence(t *testing.T, n int, level int) []*render.Frame {
 			Player: 1, Kind: virtualworld.ActMove, TargetX: 300, TargetY: 300,
 		}})
 		s := w.Snapshot()
-		frames = append(frames, r.Render(s, render.ViewportFor(s, 1)))
+		f := render.NewFrame(r.Resolution())
+		r.RenderInto(s, render.ViewportFor(s, 1), f)
+		frames = append(frames, f)
 	}
 	return frames
 }
@@ -34,8 +54,8 @@ func TestRoundTripLossless(t *testing.T) {
 	enc := NewEncoder(0) // no rate control => quant 1
 	var dec Decoder
 	for i, f := range frames {
-		ef := enc.Encode(f)
-		got, err := dec.Decode(ef)
+		ef := encode(enc, f)
+		got, err := decode(&dec, ef)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -57,8 +77,8 @@ func TestRoundTripQuantizedConsistent(t *testing.T) {
 	var dec Decoder
 	var prev *render.Frame
 	for i, f := range frames {
-		ef := enc.Encode(f)
-		got, err := dec.Decode(ef)
+		ef := encode(enc, f)
+		got, err := decode(&dec, ef)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -74,7 +94,7 @@ func TestGOPStructure(t *testing.T) {
 	enc := NewEncoder(0)
 	enc.GOP = 30
 	for i, f := range frames {
-		ef := enc.Encode(f)
+		ef := encode(enc, f)
 		wantI := i%30 == 0
 		if (ef.Type == IFrame) != wantI {
 			t.Fatalf("frame %d type %d, want I=%v", i, ef.Type, wantI)
@@ -86,10 +106,10 @@ func TestPFramesSmallerThanIFrames(t *testing.T) {
 	frames := frameSequence(t, 30, 2)
 	enc := NewEncoder(0)
 	enc.GOP = 30
-	iBits := enc.Encode(frames[0]).SizeBits()
+	iBits := encode(enc, frames[0]).SizeBits()
 	pTotal := 0
 	for _, f := range frames[1:] {
-		pTotal += enc.Encode(f).SizeBits()
+		pTotal += encode(enc, f).SizeBits()
 	}
 	pMean := pTotal / (len(frames) - 1)
 	if pMean >= iBits {
@@ -104,7 +124,7 @@ func TestRateControlConverges(t *testing.T) {
 	enc := NewEncoder(target)
 	var bits int
 	for _, f := range frames[60:] { // after warm-up
-		bits += enc.Encode(f).SizeBits()
+		bits += encode(enc, f).SizeBits()
 	}
 	// 60 frames at 30 fps = 2 seconds.
 	kbps := float64(bits) / 2 / 1000
@@ -119,8 +139,8 @@ func TestLowerTargetCoarserQuant(t *testing.T) {
 	encHigh := NewEncoder(1800)
 	encLow := NewEncoder(100)
 	for i := range framesA {
-		encHigh.Encode(framesA[i])
-		encLow.Encode(framesB[i])
+		encode(encHigh, framesA[i])
+		encode(encLow, framesB[i])
 	}
 	if encLow.Quant() <= encHigh.Quant() {
 		t.Errorf("low-rate quant %d not coarser than high-rate %d",
@@ -131,37 +151,37 @@ func TestLowerTargetCoarserQuant(t *testing.T) {
 func TestDecodePFrameWithoutReference(t *testing.T) {
 	frames := frameSequence(t, 2, 1)
 	enc := NewEncoder(0)
-	enc.Encode(frames[0])      // I
-	p := enc.Encode(frames[1]) // P
-	var freshDecoder Decoder   // never saw the I frame
-	if _, err := freshDecoder.Decode(p); !errors.Is(err, ErrNoReference) {
+	encode(enc, frames[0])      // I
+	p := encode(enc, frames[1]) // P
+	var freshDecoder Decoder    // never saw the I frame
+	if _, err := decode(&freshDecoder, p); !errors.Is(err, ErrNoReference) {
 		t.Errorf("err = %v, want ErrNoReference", err)
 	}
 }
 
 func TestDecodeCorrupt(t *testing.T) {
 	var dec Decoder
-	if _, err := dec.Decode(&EncodedFrame{Type: IFrame, Width: 0, Height: 4}); err == nil {
+	if _, err := decode(&dec, &EncodedFrame{Type: IFrame, Width: 0, Height: 4}); err == nil {
 		t.Error("bad dimensions accepted")
 	}
-	if _, err := dec.Decode(&EncodedFrame{Type: IFrame, Width: 2, Height: 2, Data: []byte{1}}); err == nil {
+	if _, err := decode(&dec, &EncodedFrame{Type: IFrame, Width: 2, Height: 2, Data: []byte{1}}); err == nil {
 		t.Error("odd RLE accepted")
 	}
-	if _, err := dec.Decode(&EncodedFrame{Type: IFrame, Width: 2, Height: 2, Data: []byte{9, 1}}); err == nil {
+	if _, err := decode(&dec, &EncodedFrame{Type: IFrame, Width: 2, Height: 2, Data: []byte{9, 1}}); err == nil {
 		t.Error("overflowing RLE accepted")
 	}
-	if _, err := dec.Decode(&EncodedFrame{Type: IFrame, Width: 2, Height: 2, Data: []byte{2, 1}}); err == nil {
+	if _, err := decode(&dec, &EncodedFrame{Type: IFrame, Width: 2, Height: 2, Data: []byte{2, 1}}); err == nil {
 		t.Error("underflowing RLE accepted")
 	}
-	if _, err := dec.Decode(&EncodedFrame{Type: 77, Width: 2, Height: 2, Data: []byte{4, 0}}); err == nil {
+	if _, err := decode(&dec, &EncodedFrame{Type: 77, Width: 2, Height: 2, Data: []byte{4, 0}}); err == nil {
 		t.Error("unknown frame type accepted")
 	}
 }
 
 func TestRLERoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		enc := rleEncode(data)
-		dec, err := rleDecode(enc, len(data))
+		enc := rleAppend(nil, data)
+		dec, err := rleDecodeInto(nil, enc, len(data))
 		if err != nil {
 			return false
 		}
@@ -184,10 +204,10 @@ func TestMarshalRoundTrip(t *testing.T) {
 	frames := frameSequence(t, 3, 1)
 	enc := NewEncoder(800)
 	for _, f := range frames {
-		ef := enc.Encode(f)
+		ef := encode(enc, f)
 		buf := ef.Marshal()
-		got, err := UnmarshalFrame(buf)
-		if err != nil {
+		var got EncodedFrame
+		if err := UnmarshalFrameInto(buf, &got); err != nil {
 			t.Fatal(err)
 		}
 		if got.Type != ef.Type || got.Width != ef.Width || got.Height != ef.Height ||
@@ -203,19 +223,20 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := UnmarshalFrame([]byte{1, 2, 3}); err == nil {
+	var ef EncodedFrame
+	if err := UnmarshalFrameInto([]byte{1, 2, 3}, &ef); err == nil {
 		t.Error("short header accepted")
 	}
 	frames := frameSequence(t, 1, 1)
-	buf := NewEncoder(0).Encode(frames[0]).Marshal()
-	if _, err := UnmarshalFrame(buf[:len(buf)-1]); err == nil {
+	buf := encode(NewEncoder(0), frames[0]).Marshal()
+	if err := UnmarshalFrameInto(buf[:len(buf)-1], &ef); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }
 
 func TestSizeBitsMatchesWire(t *testing.T) {
 	frames := frameSequence(t, 1, 1)
-	ef := NewEncoder(0).Encode(frames[0])
+	ef := encode(NewEncoder(0), frames[0])
 	if ef.SizeBits() != len(ef.Marshal())*8 {
 		t.Errorf("SizeBits %d != wire bits %d", ef.SizeBits(), len(ef.Marshal())*8)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // testFrames renders a deterministic moving-avatar sequence at the given
-// quality level — shared input for the equivalence and allocation tests.
+// quality level — shared input for the wire and allocation tests.
 func testFrames(t testing.TB, level, n int) []*render.Frame {
 	t.Helper()
 	w := virtualworld.New(400, 400)
@@ -19,51 +19,11 @@ func testFrames(t testing.TB, level, n int) []*render.Frame {
 	for i := 0; i < n; i++ {
 		w.Step([]virtualworld.Action{{Player: 1, Kind: virtualworld.ActMove, TargetX: 300, TargetY: 300}})
 		s := w.Snapshot()
-		frames = append(frames, r.Render(s, render.ViewportFor(s, 1)))
+		f := render.NewFrame(r.Resolution())
+		r.RenderInto(s, render.ViewportFor(s, 1), f)
+		frames = append(frames, f)
 	}
 	return frames
-}
-
-// TestEncodeIntoMatchesEncode pins the reuse path to the allocating one:
-// two encoders fed the same sequence must produce byte-identical streams.
-func TestEncodeIntoMatchesEncode(t *testing.T) {
-	frames := testFrames(t, 3, 40) // 40 > GOP, so the sequence spans an I-frame boundary
-	a := NewEncoder(600)
-	b := NewEncoder(600)
-	var ef EncodedFrame
-	for i, f := range frames {
-		want := a.Encode(f)
-		b.EncodeInto(f, &ef)
-		if want.Type != ef.Type || want.Quant != ef.Quant || want.Tick != ef.Tick ||
-			want.Width != ef.Width || want.Height != ef.Height {
-			t.Fatalf("frame %d: header mismatch: %+v vs %+v", i, want, ef)
-		}
-		if !bytes.Equal(want.Data, ef.Data) {
-			t.Fatalf("frame %d: payload mismatch (%d vs %d bytes)", i, len(want.Data), len(ef.Data))
-		}
-	}
-}
-
-// TestDecodeIntoMatchesDecode pins the aliasing decode path to the copying
-// one across I- and P-frames.
-func TestDecodeIntoMatchesDecode(t *testing.T) {
-	frames := testFrames(t, 3, 40)
-	enc := NewEncoder(600)
-	var da, db Decoder
-	var out render.Frame
-	for i, f := range frames {
-		ef := enc.Encode(f)
-		want, err := da.Decode(ef)
-		if err != nil {
-			t.Fatalf("frame %d: Decode: %v", i, err)
-		}
-		if err := db.DecodeInto(ef, &out); err != nil {
-			t.Fatalf("frame %d: DecodeInto: %v", i, err)
-		}
-		if !want.Equal(&out) || want.Tick != out.Tick {
-			t.Fatalf("frame %d: decoded frames differ", i)
-		}
-	}
 }
 
 // TestFrameWireRoundTripInto pins the alias-parsing wire path: AppendTo
@@ -72,7 +32,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 func TestFrameWireRoundTripInto(t *testing.T) {
 	frames := testFrames(t, 2, 3)
 	enc := NewEncoder(400)
-	src := enc.Encode(frames[1])
+	src := encode(enc, frames[1])
 	buf := src.AppendTo(nil)
 	if len(buf) != src.EncodedSize() {
 		t.Fatalf("EncodedSize %d != marshaled length %d", src.EncodedSize(), len(buf))
@@ -115,7 +75,7 @@ func TestDecodeIntoSteadyStateAllocs(t *testing.T) {
 	enc := NewEncoder(600)
 	wire := make([][]byte, len(frames))
 	for i, f := range frames {
-		wire[i] = enc.Encode(f).Marshal()
+		wire[i] = encode(enc, f).Marshal()
 	}
 	var dec Decoder
 	var ef EncodedFrame
@@ -140,10 +100,10 @@ func TestDecodeIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeInto720p is the reuse-path counterpart of
-// BenchmarkEncode720p: same frames, zero allocations.
+// BenchmarkEncodeInto720p measures the per-frame cost of encoding the top
+// quality rung: zero allocations.
 func BenchmarkEncodeInto720p(b *testing.B) {
-	frames := benchFrames(b, 5)
+	frames := testFrames(b, 5, 32)
 	enc := NewEncoder(1800)
 	var ef EncodedFrame
 	b.ReportAllocs()
@@ -153,14 +113,13 @@ func BenchmarkEncodeInto720p(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeInto720p is the reuse-path counterpart of
-// BenchmarkDecode720p.
+// BenchmarkDecodeInto720p measures the client-side decode cost.
 func BenchmarkDecodeInto720p(b *testing.B) {
-	frames := benchFrames(b, 5)
+	frames := testFrames(b, 5, 32)
 	enc := NewEncoder(1800)
 	encoded := make([]*EncodedFrame, len(frames))
 	for i, f := range frames {
-		encoded[i] = enc.Encode(f)
+		encoded[i] = encode(enc, f)
 	}
 	var dec Decoder
 	var out render.Frame
