@@ -1,79 +1,35 @@
-// Command cloudfoglint is the repo's invariant checker: a multichecker
-// over the custom analyzers registered in internal/analysis/checkers —
-// the five syntactic ones (pooledbuf, conndeadline, guardedby,
-// deterministic, noretain) plus the fact-driven interprocedural ones
-// (phasepure, allocfree, epochstamp). It runs two ways:
+// Command cloudfoglint is the repo's invariant checker: it loads the
+// named packages, runs the seven analyzers registered in
+// internal/analysis/checkers over them (DESIGN.md §11 says what each one
+// guards), prints file:line:col: message (analyzer) for every surviving
+// diagnostic and exits 2 if there was one.
 //
-// Standalone, over package patterns (the make lint entry point) — this
-// is the authoritative mode: facts span the whole module, and unused
-// //lint:ignore directives are reported:
+//	go run ./cmd/cloudfoglint ./...     (what make lint runs)
+//	go run ./cmd/cloudfoglint -list
 //
-//	go run ./cmd/cloudfoglint ./...
-//	go run ./cmd/cloudfoglint -sarif lint.sarif ./...
-//	go run ./cmd/cloudfoglint -baseline lint-baseline.json ./...
-//	go run ./cmd/cloudfoglint -write-baseline lint-baseline.json ./...
-//
-// As a vet tool, one compiled package at a time, driven by the go
-// command's JSON cfg protocol (facts are package-local here, so the
-// interprocedural analyzers see only intra-package edges):
-//
-//	go vet -vettool=$(pwd)/bin/cloudfoglint ./...
-//
-// Both modes print file:line:col: message (analyzer) diagnostics and
-// exit non-zero when any survive. Against a baseline, new findings fail
-// and so do stale baseline entries — the baseline only shrinks.
-// Suppress a diagnostic by annotating the offending line (or the line
-// above) with
+// The same run is tier-1's checkers.TestTreeClean. Over the whole module
+// ("./...") the call graph behind phasepure spans every package and
+// //lint:ignore directives that suppress nothing are reported; a package
+// list is a weaker check. Suppress a diagnostic by annotating the
+// offending line (or the line above) with
 //
 //	//lint:ignore <analyzer> <reason>
-//
-// See DESIGN.md §11 for the original invariants and the suppression
-// policy, §16 for the fact engine, directives, and baseline workflow.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"cloudfog/internal/analysis"
 	"cloudfog/internal/analysis/checkers"
 )
 
-var analyzers = checkers.All()
-
 func main() {
-	args := os.Args[1:]
-	// The go command probes vet tools before use: -V=full must print a
-	// version fingerprint, -flags the supported flag set.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Println("cloudfoglint version v1")
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0]))
-	}
-
 	list := flag.Bool("list", false, "list analyzers and exit")
-	sarifPath := flag.String("sarif", "", "write diagnostics as SARIF 2.1.0 to this file")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline; new or stale findings fail")
-	writeBaselinePath := flag.String("write-baseline", "", "record current findings to this baseline file and exit 0")
 	flag.Parse()
 	if *list {
-		for _, a := range analyzers {
+		for _, a := range checkers.All() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
@@ -82,143 +38,17 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	diags, err := analysis.Shared().Run(analyzers, patterns...)
+	loader := analysis.Shared()
+	diags, err := loader.Run(checkers.All(), patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cloudfoglint:", err)
 		os.Exit(1)
 	}
-	findings := make([]finding, 0, len(diags))
 	for _, d := range diags {
-		pos := analysis.Shared().Fset.Position(d.Pos)
-		findings = append(findings, finding{
-			Analyzer: d.Analyzer,
-			File:     relPath(pos.Filename),
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Message:  d.Message,
-		})
-	}
-	if *sarifPath != "" {
-		if err := writeSARIF(*sarifPath, findings, analyzers); err != nil {
-			fmt.Fprintln(os.Stderr, "cloudfoglint: writing SARIF:", err)
-			os.Exit(1)
-		}
-	}
-	if *writeBaselinePath != "" {
-		if err := writeBaseline(*writeBaselinePath, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "cloudfoglint: writing baseline:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "cloudfoglint: recorded %d finding(s) to %s\n", len(findings), *writeBaselinePath)
-		return
-	}
-	var stale []baselineEntry
-	if *baselinePath != "" {
-		bf, err := readBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cloudfoglint:", err)
-			os.Exit(1)
-		}
-		findings, stale = applyBaseline(findings, bf)
-	}
-	for _, f := range findings {
-		fmt.Printf("%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-	}
-	for _, e := range stale {
-		fmt.Printf("%s: stale baseline entry: %q (%s) no longer fires ×%d; remove it from %s\n",
-			e.File, e.Message, e.Analyzer, e.Count, *baselinePath)
-	}
-	if len(findings)+len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "cloudfoglint: %d invariant violation(s), %d stale baseline entr(ies)\n", len(findings), len(stale))
-		os.Exit(2)
-	}
-}
-
-// vetConfig mirrors the fields of the go command's vet cfg file that the
-// unit checker needs (cmd/go/internal/work's vetConfig).
-type vetConfig struct {
-	ID          string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
-
-// vetUnit analyzes one package from a vet cfg: the go command has
-// already compiled every dependency and tells us where the export data
-// lives, so type-checking needs no go list round-trips.
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cloudfoglint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "cloudfoglint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// Facts are not implemented; write the (empty) output the go command
-	// expects so caching works.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "cloudfoglint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	fset := token.NewFileSet()
-	var astFiles []*ast.File
-	for _, name := range cfg.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cloudfoglint:", err)
-			return 1
-		}
-		astFiles = append(astFiles, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	pkg, err := conf.Check(cfg.ImportPath, fset, astFiles, info)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cloudfoglint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	diags, err := analysis.RunAnalyzers(fset, astFiles, pkg, info, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cloudfoglint:", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
+		fmt.Printf("%s: %s (%s)\n", loader.Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
 	if len(diags) > 0 {
-		return 2
+		fmt.Fprintf(os.Stderr, "cloudfoglint: %d invariant violation(s)\n", len(diags))
+		os.Exit(2)
 	}
-	return 0
 }

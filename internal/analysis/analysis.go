@@ -47,11 +47,10 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the merged per-function fact index. In standalone runs
-	// (make lint) it spans every loaded package, so interprocedural
-	// analyzers see the whole call graph; in vet-tool and fixture runs it
-	// covers the current package only (the vet protocol hands us one
-	// compilation unit at a time — documented in DESIGN.md §16).
+	// Facts is the merged per-function fact index. In a Loader.Run (make
+	// lint, TestTreeClean) it spans every loaded package, so phasepure
+	// sees the whole call graph; in fixture runs it covers the fixture
+	// package only.
 	Facts *Facts
 
 	// Report records one diagnostic. Positions must be valid.
@@ -216,7 +215,7 @@ func (s suppressions) auditUnused(fset *token.FileSet, ranNames map[string]bool,
 	}
 }
 
-// RunConfig tunes one RunAnalyzersWith invocation.
+// RunConfig tunes one RunAnalyzers invocation.
 type RunConfig struct {
 	// Facts is the fact index handed to analyzers. When nil, a
 	// package-local index is computed from the pass's own files.
@@ -229,15 +228,8 @@ type RunConfig struct {
 
 // RunAnalyzers applies every analyzer to one type-checked package and
 // returns the surviving diagnostics (suppressions applied, _test.go files
-// dropped), sorted by position. Facts are computed package-locally; the
-// module-wide drivers use RunAnalyzersWith.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersWith(fset, files, pkg, info, analyzers, RunConfig{})
-}
-
-// RunAnalyzersWith is RunAnalyzers with an explicit fact index and audit
-// switch.
-func RunAnalyzersWith(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, cfg RunConfig) ([]Diagnostic, error) {
+// dropped), sorted by position.
+func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, cfg RunConfig) ([]Diagnostic, error) {
 	facts := cfg.Facts
 	if facts == nil {
 		facts = NewFacts()

@@ -29,7 +29,7 @@ func runOn(t *testing.T, src string, analyzers []*Analyzer) ([]Diagnostic, *toke
 	if err != nil {
 		t.Fatalf("type-check: %v", err)
 	}
-	diags, err := RunAnalyzersWith(fset, []*ast.File{f}, pkg, info, analyzers, RunConfig{AuditIgnores: true})
+	diags, err := RunAnalyzers(fset, []*ast.File{f}, pkg, info, analyzers, RunConfig{AuditIgnores: true})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

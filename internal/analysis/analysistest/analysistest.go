@@ -65,7 +65,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diags, err := analysis.RunAnalyzers(loader.Fset, tp.Files, tp.Pkg, tp.Info, []*analysis.Analyzer{a})
+		diags, err := analysis.RunAnalyzers(loader.Fset, tp.Files, tp.Pkg, tp.Info, []*analysis.Analyzer{a}, analysis.RunConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}

@@ -6,7 +6,6 @@ package checkers
 
 import (
 	"cloudfog/internal/analysis"
-	"cloudfog/internal/analysis/allocfree"
 	"cloudfog/internal/analysis/conndeadline"
 	"cloudfog/internal/analysis/deterministic"
 	"cloudfog/internal/analysis/epochstamp"
@@ -17,7 +16,7 @@ import (
 )
 
 // All returns every cloudfoglint analyzer in reporting order: the five
-// PR 4 syntactic checkers, then the three PR 10 fact-driven ones.
+// PR 4 syntactic checkers, then PR 10's phasepure and epochstamp.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		pooledbuf.Analyzer,
@@ -26,7 +25,6 @@ func All() []*analysis.Analyzer {
 		deterministic.Analyzer,
 		noretain.Analyzer,
 		phasepure.Analyzer,
-		allocfree.Analyzer,
 		epochstamp.Analyzer,
 	}
 }

@@ -37,11 +37,11 @@ func TestTreeClean(t *testing.T) {
 
 // registryNames is the full analyzer roster in registration order. The
 // sync tests below hold every entry to the same bar: wired into All(),
-// fixtures under its package's testdata, and a row in the DESIGN.md §16
+// fixtures under its package's testdata, and a row in the DESIGN.md §11
 // catalog.
 var registryNames = []string{
 	"pooledbuf", "conndeadline", "guardedby", "deterministic", "noretain",
-	"phasepure", "allocfree", "epochstamp",
+	"phasepure", "epochstamp",
 }
 
 // TestRegistryComplete guards against an analyzer package existing without
@@ -93,7 +93,7 @@ func TestRegistryFixtures(t *testing.T) {
 	}
 }
 
-// TestRegistryDocumented asserts the DESIGN.md §16 analyzer catalog has a
+// TestRegistryDocumented asserts the DESIGN.md §11 analyzer catalog has a
 // table row for every registered analyzer (and no row for an analyzer
 // that no longer exists): the catalog is the reviewer-facing contract,
 // and it goes stale exactly when nothing forces it to move with the
@@ -113,7 +113,7 @@ func TestRegistryDocumented(t *testing.T) {
 	for _, a := range All() {
 		registered[a.Name] = true
 		if !documented[a.Name] {
-			t.Errorf("analyzer %q has no catalog row in DESIGN.md §16 (expected a line starting \"| `%s` |\")", a.Name, a.Name)
+			t.Errorf("analyzer %q has no catalog row in DESIGN.md §11 (expected a line starting \"| `%s` |\")", a.Name, a.Name)
 		}
 	}
 	for name := range documented {

@@ -50,7 +50,7 @@ var simulatorPkgs = map[string]bool{
 	// transport is deliberately absent: it is real-I/O code whose deadline
 	// and pacing logic legitimately reads the wall clock. Its determinism-
 	// critical pieces (Header stamping, RecvTracker ordering) are enforced
-	// by epochstamp and the allocfree/phasepure fact walks instead.
+	// by epochstamp and the transport package's own tests instead.
 }
 
 // wallClockFuncs are the time package functions that read the wall clock

@@ -7,22 +7,20 @@
 // merged index via Pass.Facts.
 //
 // A FuncFact records the function's //cfg: directives, its statically
-// resolved callees, and the positions of every construct the downstream
-// analyzers care about — global-variable writes, lock acquisitions,
-// goroutine/channel use, wall-clock and global-rand reads, map-iteration-
-// ordered output, rng streams reached through the receiver or a global,
-// and allocating constructs (with the cap/len growth-guard idiom
-// exempted). Interprocedural analyzers (phasepure, allocfree) walk the
-// call graph with Facts.Reach and report the recorded sites with the call
-// chain that makes them reachable.
+// resolved callees, and the positions of every construct phasepure cares
+// about — global-variable writes, lock acquisitions, goroutine/channel
+// use, wall-clock and global-rand reads, map-iteration-ordered output and
+// rng streams reached through the receiver or a global. phasepure walks
+// the call graph with Facts.Reach and reports the recorded sites with the
+// call chain that makes them reachable.
 //
 // Directives are comment lines of the form
 //
 //	//cfg:<name>
 //
-// in a function's doc comment: computephase and allocfree mark analysis
-// roots, applyphase and amortized mark contract boundaries, epochcheck
-// blesses discard-rule validators (see the analyzer docs).
+// in a function's doc comment: computephase marks phasepure's roots,
+// applyphase its contract boundary, epochcheck blesses discard-rule
+// validators (see the analyzer docs).
 package analysis
 
 import (
@@ -60,44 +58,15 @@ const (
 	// stream whose consumption order depends on scheduling, not on the
 	// caller-threaded per-shard stream.
 	SiteForeignRNG
-	// SiteFuncValueCall is a call through a function-typed value: the
-	// callee is invisible to the call graph.
-	SiteFuncValueCall
-	// SiteAllocCall is a call into a known-allocating stdlib function
-	// (fmt, errors, strconv formatting, sort.Slice, ...).
-	SiteAllocCall
-	// SiteAllocMake is a make/new outside a cap/len growth guard.
-	SiteAllocMake
-	// SiteAllocLit is a slice/map composite literal or &T{} pointer
-	// literal outside a growth guard.
-	SiteAllocLit
-	// SiteAllocClosure is a variable-capturing closure in an escaping
-	// position (call argument, return, field, channel).
-	SiteAllocClosure
-	// SiteAllocBox is a non-pointer-shaped concrete value converted to an
-	// interface (boxing may heap-allocate the value).
-	SiteAllocBox
-	// SiteAllocConv is a string<->[]byte/[]rune conversion outside a
-	// range clause.
-	SiteAllocConv
 )
-
-// AllocKinds reports whether k is one of the allocation site kinds.
-func (k SiteKind) Alloc() bool {
-	switch k {
-	case SiteAllocCall, SiteAllocMake, SiteAllocLit, SiteAllocClosure, SiteAllocBox, SiteAllocConv:
-		return true
-	}
-	return false
-}
 
 // Site is one recorded construct.
 type Site struct {
 	Kind SiteKind
 	Pos  token.Pos
 	// What is a short human-readable description of the construct,
-	// interpolated into diagnostics ("fmt.Sprintf call", "write to
-	// package variable tickCount").
+	// interpolated into diagnostics ("go statement", "write to package
+	// variable tickCount").
 	What string
 }
 
@@ -224,26 +193,6 @@ var wallClockFullNames = map[string]bool{
 	"time.NewTicker": true, "time.NewTimer": true, "time.AfterFunc": true,
 }
 
-// allocStdlib are stdlib calls that allocate on every invocation. The
-// list is deliberately short and high-signal: formatting, error
-// construction, string building, and the reflective sorts. Append-style
-// stdlib helpers are excluded — amortized growth is the hot paths'
-// contract, checked at runtime by the AllocsPerRun gates.
-var allocStdlib = map[string]bool{
-	"errors.New": true, "errors.Join": true,
-	"strconv.Itoa": true, "strconv.FormatInt": true, "strconv.FormatUint": true,
-	"strconv.FormatFloat": true, "strconv.Quote": true,
-	"strings.Join": true, "strings.Repeat": true, "strings.Replace": true,
-	"strings.ReplaceAll": true, "strings.Split": true, "strings.SplitN": true,
-	"strings.Fields": true, "strings.ToUpper": true, "strings.ToLower": true,
-	"strings.Clone": true, "(*strings.Builder).String": true,
-	"bytes.Join": true, "bytes.Repeat": true, "bytes.Clone": true,
-	"(*bytes.Buffer).String": true, "bytes.NewBuffer": true, "bytes.NewBufferString": true,
-	"sort.Slice": true, "sort.SliceStable": true,
-	"encoding/json.Marshal": true, "encoding/json.Unmarshal": true,
-	"net.JoinHostPort": true, "(time.Time).Format": true, "(time.Time).String": true,
-}
-
 // randGlobalConstructors are math/rand functions that do not touch the
 // shared source (mirrors the deterministic analyzer's allowance).
 var randGlobalConstructors = map[string]bool{
@@ -269,7 +218,7 @@ func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 				Pos:        fd.Pos(),
 				Directives: funcDirectives(fd.Doc),
 			}
-			fw := &factWalker{fset: fset, info: info, pkg: pkg, fact: ff, fn: fd}
+			fw := &factWalker{info: info, pkg: pkg, fact: ff, fn: fd}
 			if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
 				fw.recv = info.Defs[fd.Recv.List[0].Names[0]]
 			}
@@ -286,49 +235,19 @@ func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 
 // factWalker is the per-function traversal state.
 type factWalker struct {
-	fset  *token.FileSet
-	info  *types.Info
-	pkg   *types.Package
-	fact  *FuncFact
-	fn    *ast.FuncDecl
-	recv  types.Object // method receiver, nil for plain functions
-	stack []ast.Node
+	info *types.Info
+	pkg  *types.Package
+	fact *FuncFact
+	fn   *ast.FuncDecl
+	recv types.Object // method receiver, nil for plain functions
 }
 
 func (w *factWalker) site(kind SiteKind, pos token.Pos, what string) {
-	// A panicking path is not steady state: allocations building the panic
-	// value (fmt.Sprintf in the message, boxing into panic's any) never
-	// run on the zero-alloc path the gates measure.
-	if kind.Alloc() && w.inPanic() {
-		return
-	}
 	w.fact.Sites = append(w.fact.Sites, Site{Kind: kind, Pos: pos, What: what})
-}
-
-// inPanic reports whether the current node is an argument of a builtin
-// panic call.
-func (w *factWalker) inPanic() bool {
-	for _, n := range w.stack {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-			if _, isBuiltin := w.info.Uses[id].(*types.Builtin); isBuiltin {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func (w *factWalker) walkBody(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			w.stack = w.stack[:len(w.stack)-1]
-			return true
-		}
-		w.stack = append(w.stack, n)
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			w.call(n)
@@ -342,9 +261,6 @@ func (w *factWalker) walkBody(body *ast.BlockStmt) {
 			switch n.Op {
 			case token.AND:
 				w.checkGlobalWrite(n.X)
-				if cl, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && !w.guarded() {
-					w.site(SiteAllocLit, n.Pos(), "&"+typeLabel(w.info, cl)+"{} literal")
-				}
 			case token.ARROW:
 				w.site(SiteChan, n.Pos(), "channel receive")
 			}
@@ -356,90 +272,26 @@ func (w *factWalker) walkBody(body *ast.BlockStmt) {
 			w.site(SiteChan, n.Pos(), "select statement")
 		case *ast.RangeStmt:
 			w.checkMapRange(n)
-		case *ast.CompositeLit:
-			w.compositeLit(n)
-		case *ast.FuncLit:
-			w.funcLit(n)
 		}
 		return true
 	})
 }
 
-// parent returns the n-th enclosing node (1 = direct parent of the node
-// currently being visited).
-func (w *factWalker) parent(n int) ast.Node {
-	if len(w.stack) <= n {
-		return nil
-	}
-	return w.stack[len(w.stack)-1-n]
-}
-
-// guarded reports whether the current node sits inside an if statement
-// whose condition consults cap() or len() — the reuse-or-grow idiom
-// (`if cap(buf) < n { buf = make(...) }`) whose allocations are amortized
-// to zero in steady state and therefore not alloc sites.
-func (w *factWalker) guarded() bool {
-	for _, n := range w.stack {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		found := false
-		ast.Inspect(ifs.Cond, func(c ast.Node) bool {
-			if call, ok := c.(*ast.CallExpr); ok {
-				if id, ok := call.Fun.(*ast.Ident); ok && (id.Name == "cap" || id.Name == "len") {
-					found = true
-				}
-			}
-			return !found
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
 func (w *factWalker) call(call *ast.CallExpr) {
-	// Type conversions parse as calls: string <-> []byte/[]rune copies.
-	if tv, ok := w.info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		w.checkConversion(call, tv.Type)
-		return
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if obj, ok := w.info.Uses[id].(*types.Builtin); ok {
-			if (obj.Name() == "make" || obj.Name() == "new") && !w.guarded() {
-				w.site(SiteAllocMake, call.Pos(), obj.Name()+" outside a cap/len growth guard")
-			}
-			return
-		}
-	}
 	fn := Callee(w.info, call)
 	if fn == nil {
-		// A call through a function-typed value (not a method, not a
-		// builtin): opaque to the call graph.
-		if !isTypeExprCall(w.info, call) {
-			w.site(SiteFuncValueCall, call.Pos(), "call through function value "+types.ExprString(call.Fun))
-		}
-		return
+		return // conversion, builtin, or a call through a function value
 	}
 	if orig := fn.Origin(); orig != nil {
 		fn = orig
 	}
 	full := fn.FullName()
 	w.fact.Calls = append(w.fact.Calls, CallFact{Name: full, Pos: call.Pos()})
-	w.checkBoxing(call, fn)
-	switch {
-	case wallClockFullNames[full]:
+	if wallClockFullNames[full] {
 		w.site(SiteWallClock, call.Pos(), full+" wall-clock read")
-	case allocStdlib[full]:
-		w.site(SiteAllocCall, call.Pos(), full+" call")
 	}
 	if fn.Pkg() != nil {
-		switch p := fn.Pkg().Path(); {
-		case p == "fmt":
-			w.site(SiteAllocCall, call.Pos(), "fmt."+fn.Name()+" call")
-		case (p == "math/rand" || p == "math/rand/v2") && signatureRecv(fn) == nil && !randGlobalConstructors[fn.Name()]:
+		if p := fn.Pkg().Path(); (p == "math/rand" || p == "math/rand/v2") && signatureRecv(fn) == nil && !randGlobalConstructors[fn.Name()] {
 			w.site(SiteGlobalRand, call.Pos(), p+"."+fn.Name()+" draw from the global source")
 		}
 	}
@@ -460,11 +312,6 @@ func signatureRecv(fn *types.Func) *types.Var {
 		return nil
 	}
 	return sig.Recv()
-}
-
-func isTypeExprCall(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call.Fun]
-	return ok && tv.IsType()
 }
 
 // checkLock records Lock/RLock acquisitions (releases are irrelevant to
@@ -513,189 +360,6 @@ func (w *factWalker) checkRNGReceiver(call *ast.CallExpr, fn *types.Func) {
 	} else if v, ok := root.(*types.Var); ok && v.Parent() == w.pkg.Scope() {
 		w.site(SiteForeignRNG, call.Pos(), "rng draw via package-level stream "+types.ExprString(sel.X))
 	}
-}
-
-// checkBoxing flags call arguments where a non-pointer-shaped concrete
-// value meets an interface parameter: the conversion may heap-allocate.
-// Pointer, channel, map, and function values are pointer-shaped and box
-// for free; nil and untyped constants are exempt.
-func (w *factWalker) checkBoxing(call *ast.CallExpr, fn *types.Func) {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			if s, ok := params.At(params.Len() - 1).Type().(*types.Slice); ok {
-				pt = s.Elem()
-			}
-		case i < params.Len():
-			pt = params.At(i).Type()
-		}
-		if pt == nil || !types.IsInterface(pt) {
-			continue
-		}
-		// A type parameter's underlying is its constraint interface, but a
-		// generic call instantiates — the argument passes concretely,
-		// without boxing (slices.SortFunc's S ~[]E takes the slice as-is).
-		if _, isTypeParam := pt.(*types.TypeParam); isTypeParam {
-			continue
-		}
-		at := w.info.Types[arg]
-		if at.Type == nil || at.IsNil() || at.Value != nil {
-			continue
-		}
-		if types.IsInterface(at.Type) || pointerShaped(at.Type) {
-			continue
-		}
-		w.site(SiteAllocBox, arg.Pos(), types.ExprString(arg)+" boxed into interface "+pt.String())
-	}
-}
-
-func pointerShaped(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature, *types.Basic:
-		// Basic: unsafe.Pointer only; other basics fall through below.
-		b, ok := t.Underlying().(*types.Basic)
-		return !ok || b.Kind() == types.UnsafePointer
-	}
-	return false
-}
-
-func (w *factWalker) checkConversion(call *ast.CallExpr, to types.Type) {
-	from := w.info.Types[call.Args[0]].Type
-	if from == nil {
-		return
-	}
-	if !stringByteConv(from, to) {
-		return
-	}
-	// `for range []byte(s)` compiles without a copy.
-	if r, ok := w.parent(1).(*ast.RangeStmt); ok && ast.Unparen(r.X) == call {
-		return
-	}
-	w.site(SiteAllocConv, call.Pos(), types.ExprString(call.Fun)+" conversion copies")
-}
-
-func stringByteConv(from, to types.Type) bool {
-	isStr := func(t types.Type) bool {
-		b, ok := t.Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsString != 0
-	}
-	isBytes := func(t types.Type) bool {
-		s, ok := t.Underlying().(*types.Slice)
-		if !ok {
-			return false
-		}
-		b, ok := s.Elem().Underlying().(*types.Basic)
-		return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-	}
-	return (isStr(from) && isBytes(to)) || (isBytes(from) && isStr(to))
-}
-
-func (w *factWalker) compositeLit(cl *ast.CompositeLit) {
-	tv, ok := w.info.Types[cl]
-	if !ok {
-		return
-	}
-	switch tv.Type.Underlying().(type) {
-	case *types.Slice, *types.Map:
-	default:
-		return // value struct/array literals live on the stack
-	}
-	// An element of an enclosing slice/map literal is covered by the
-	// outer site; &T{} is recorded at the UnaryExpr.
-	switch p := w.parent(1).(type) {
-	case *ast.CompositeLit:
-		return
-	case *ast.KeyValueExpr:
-		if _, ok := w.parent(2).(*ast.CompositeLit); ok {
-			_ = p
-			return
-		}
-	}
-	if w.guarded() {
-		return
-	}
-	w.site(SiteAllocLit, cl.Pos(), typeLabel(w.info, cl)+" composite literal")
-}
-
-func typeLabel(info *types.Info, e ast.Expr) string {
-	if tv, ok := info.Types[e]; ok && tv.Type != nil {
-		s := tv.Type.String()
-		if i := strings.LastIndexByte(s, '/'); i >= 0 && !strings.ContainsAny(s[i:], "]{}") {
-			s = s[i+1:]
-		}
-		return s
-	}
-	return "composite"
-}
-
-// funcLit records a capturing closure in an escaping position. A closure
-// assigned to a local and invoked in place compiles without allocation;
-// one handed to a callee, returned, stored, or sent forces its captures
-// onto the heap.
-func (w *factWalker) funcLit(lit *ast.FuncLit) {
-	if !w.captures(lit) {
-		return
-	}
-	escaping := false
-	switch p := w.parent(1).(type) {
-	case *ast.CallExpr:
-		if p.Fun == lit {
-			// Invoked in place compiles static — unless it is a goroutine
-			// body, which always escapes.
-			_, escaping = w.parent(2).(*ast.GoStmt)
-		} else {
-			escaping = true // argument to a callee that may retain it
-		}
-	case *ast.ReturnStmt, *ast.SendStmt, *ast.KeyValueExpr, *ast.CompositeLit:
-		escaping = true
-	case *ast.AssignStmt:
-		for _, lhs := range p.Lhs {
-			switch l := ast.Unparen(lhs).(type) {
-			case *ast.Ident:
-				// local binding: fine
-			case *ast.SelectorExpr, *ast.IndexExpr:
-				_ = l
-				escaping = true
-			}
-		}
-	}
-	if escaping && !w.guarded() {
-		w.site(SiteAllocClosure, lit.Pos(), "capturing closure escapes")
-	}
-}
-
-// captures reports whether lit references variables declared outside
-// itself but inside the enclosing function (parameters and receiver
-// included). Package-level references are free.
-func (w *factWalker) captures(lit *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := w.info.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
-			return true
-		}
-		if v.Parent() != nil && v.Parent() == w.pkg.Scope() {
-			return true // package-level
-		}
-		if v.Pos() < lit.Pos() && v.Pos() >= w.fn.Pos() {
-			found = true
-		}
-		return true
-	})
-	return found
 }
 
 func (w *factWalker) checkGlobalWrite(e ast.Expr) {

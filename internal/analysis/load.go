@@ -187,12 +187,11 @@ func (l *Loader) Check(path string, filenames []string) (*TypedPackage, error) {
 // package, returning all surviving diagnostics sorted per package.
 //
 // Facts are computed over every matched package before any analyzer
-// runs, so interprocedural analyzers (phasepure, allocfree) see one call
-// graph spanning the whole load — the standalone `make lint` run is the
-// authoritative one. The unused-suppression audit is enabled only on
-// whole-module patterns ("./...", "cloudfog/..."): a package-list run
-// omits the roots whose reachability makes an ignore load-bearing, and
-// would call live directives dead.
+// runs, so phasepure sees one call graph spanning the whole load. The
+// unused-suppression audit is enabled only on whole-module patterns
+// ("./...", "cloudfog/..."): a package-list run omits the roots whose
+// reachability makes an ignore load-bearing, and would call live
+// directives dead.
 func (l *Loader) Run(analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
 	pkgs, err := l.Load(patterns...)
 	if err != nil {
@@ -211,7 +210,7 @@ func (l *Loader) Run(analyzers []*Analyzer, patterns ...string) ([]Diagnostic, e
 	cfg := RunConfig{Facts: facts, AuditIgnores: wholeModule}
 	var out []Diagnostic
 	for _, tp := range pkgs {
-		diags, err := RunAnalyzersWith(l.Fset, tp.Files, tp.Pkg, tp.Info, analyzers, cfg)
+		diags, err := RunAnalyzers(l.Fset, tp.Files, tp.Pkg, tp.Info, analyzers, cfg)
 		if err != nil {
 			return nil, err
 		}

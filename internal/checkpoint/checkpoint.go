@@ -107,8 +107,6 @@ func (s *State) EncodedSize() int {
 
 // AppendTo appends the canonical encoding of s to buf and returns the
 // extended slice; with enough capacity it does not allocate.
-//
-//cfg:allocfree
 func (s *State) AppendTo(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, Magic)
 	buf = binary.BigEndian.AppendUint16(buf, Version)

@@ -44,8 +44,6 @@ func (e *LogEntry) EncodedSize() int {
 
 // AppendTo appends the encoded entry to buf and returns the extended
 // slice; with enough capacity it does not allocate.
-//
-//cfg:allocfree
 func (e *LogEntry) AppendTo(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, e.Epoch)
 	buf = binary.BigEndian.AppendUint64(buf, e.Tick)

@@ -7,14 +7,15 @@ import (
 	"cloudfog/internal/workload"
 )
 
-// The scale benchmarks behind `make bench-sim-json` / BENCH_sim.json. Each
-// row simulates a full seeded deployment and reports:
+// The simulator scale benchmarks (`go test -run '^$' -bench SimPlayers
+// -benchtime 1x ./internal/core`). Each row simulates a full seeded
+// deployment and reports:
 //
 //   - playerticks/s — player-subcycle evaluations per wall second, the
 //     simulator's throughput. The Seq/Par pairs at one scale share a config
 //     except for Config.Workers, so their ratio is the parallel speedup
-//     (≈1 on a single-core runner; the ≥5× acceptance bar applies to the
-//     multi-core CI runner that regenerates this file).
+//     (≈1 on a single-core runner). The figure the repo tracks is
+//     sim_playerticks_per_s on bench/'s sim_fog_50k workload.
 //   - heapMB/run — the Go heap footprint after the run, the streaming-
 //     metrics memory bar: O(1) in players means the 1M row stays within CI
 //     memory limits instead of accumulating 24M raw float64 samples.

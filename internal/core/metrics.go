@@ -74,8 +74,6 @@ func newResponseHist() *stats.Histogram {
 
 // ensureHist makes the latency histogram usable on a zero-value Metrics:
 // one allocation per Metrics lifetime, zero in steady state.
-//
-//cfg:amortized
 func (m *Metrics) ensureHist() {
 	if m.ResponseLatencyHist == nil {
 		m.ResponseLatencyHist = newResponseHist()

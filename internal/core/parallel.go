@@ -70,8 +70,6 @@ type evalScratch struct {
 
 // ensureHist lazily allocates the worker-local latency histogram: one
 // allocation per worker per run, zero in steady state.
-//
-//cfg:amortized
 func (sc *evalScratch) ensureHist() {
 	if sc.respHist == nil {
 		sc.respHist = newResponseHist()
@@ -80,8 +78,6 @@ func (sc *evalScratch) ensureHist() {
 
 // ensureKeyed lazily allocates the reusable keyed-draw generator: one
 // allocation per worker per run, zero in steady state.
-//
-//cfg:amortized
 func (sc *evalScratch) ensureKeyed() *rng.Rand {
 	if sc.keyed == nil {
 		sc.keyed = rng.New(0)
@@ -200,8 +196,6 @@ func (s *System) evalPhase(clock sim.Clock, measured bool, rSub *rng.Rand) (onli
 // players in index order, applying each result as it is computed. Kept for
 // bisection — its output is asserted bit-identical to the parallel path by
 // the equivalence tests.
-//
-//cfg:allocfree
 func (s *System) evalSequential(clock sim.Clock, measured bool, rSub *rng.Rand) (online int, cloudEgressKbps float64) {
 	sc := &s.seqScratch
 	for i := range s.players {

@@ -654,7 +654,6 @@ func (s *System) applyFixedPool(cycle int, measured bool) {
 // out and applied later by applyEval in canonical player order.
 //
 //cfg:computephase
-//cfg:allocfree
 func (s *System) computeEval(i int, clock sim.Clock, measured bool, r *rng.Rand, sc *evalScratch, out *evalResult) {
 	_ = r // reserved: eval-phase randomness is currently all hash-keyed
 	ps := s.ps
@@ -719,7 +718,6 @@ func (s *System) computeEval(i int, clock sim.Clock, measured bool, r *rng.Rand,
 // goroutine or many.
 //
 //cfg:applyphase
-//cfg:allocfree
 func (s *System) applyEval(i int, clock sim.Clock, measured bool, res *evalResult) {
 	if res.coplayRecord {
 		s.coplay.Record(i, int(res.coplayPartner), clock.Cycle)

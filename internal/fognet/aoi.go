@@ -126,8 +126,6 @@ type cellRange struct {
 // events (the cloud folds membership changes in ahead of Step's output)
 // and join the global bucket along with every removal; the rest land in
 // the cell their post-change position maps to.
-//
-//cfg:allocfree
 func (p *aoiPlan) build(geo virtualworld.GridGeom, deltas []virtualworld.Delta, nSession int) {
 	if p.geo != geo || len(p.count) != geo.NumCells() {
 		p.geo = geo
@@ -200,8 +198,6 @@ func (p *aoiPlan) cell(i int) uint32 { return p.ranges[i].cell }
 // entity ID, and the scatter is order-preserving. Callers must finish
 // with the slice before asking for another cell; the tick loop encodes
 // each cell immediately, so this never bites.
-//
-//cfg:allocfree
 func (p *aoiPlan) cellDeltas(i int) (uint32, []virtualworld.Delta) {
 	r := p.ranges[i]
 	if cap(p.gather) < int(r.n) {

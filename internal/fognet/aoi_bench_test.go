@@ -1,34 +1,26 @@
 package fognet
 
 import (
-	"io"
 	"testing"
 
-	"cloudfog/internal/protocol"
 	"cloudfog/internal/render"
 	"cloudfog/internal/rng"
 	"cloudfog/internal/virtualworld"
 )
 
-// aoiBenchFixture is the tick fan-out fixture: one tick's delta stream
+// newAoIFanoutFixture is the tick fan-out fixture: one tick's delta stream
 // over a world×world map, fanoutWidth subscribers each watching a
 // viewport-sized footprint around its player. The first `visible` deltas
 // land inside those footprints; the rest are spread uniformly over the
-// whole world (background activity no subscriber cares about).
-type aoiBenchFixture struct {
-	geo     virtualworld.GridGeom
-	deltas  []virtualworld.Delta
-	sets    []*interestSet
-	queues  []chan outMsg
-	plan    aoiPlan
-	pending []outMsg
-}
-
-func newAoIBenchFixture(total, visible int, world float64) *aoiBenchFixture {
-	f := &aoiBenchFixture{geo: virtualworld.Geometry(world, world, virtualworld.DefaultCellSize)}
+// whole world (background activity no subscriber cares about). With aoi
+// false the same supernodes have no interest set and get the pre-AoI
+// full-world stream instead.
+func newAoIFanoutFixture(total, visible int, world float64, aoi bool) *fanoutFixture {
+	geo := virtualworld.Geometry(world, world, virtualworld.DefaultCellSize)
 	r := rng.New(uint64(total)*31 + uint64(visible)).SplitNamed("aoi-bench")
 	type pt struct{ x, y float64 }
 	players := make([]pt, fanoutWidth)
+	sets := make([]*interestSet, fanoutWidth)
 	halfW := render.ViewHalfWidth + DefaultAoIMargin
 	halfH := render.ViewHalfHeight + DefaultAoIMargin
 	var cells []uint32
@@ -37,17 +29,18 @@ func newAoIBenchFixture(total, visible int, world float64) *aoiBenchFixture {
 			x: world * float64(i+1) / float64(fanoutWidth+1),
 			y: world / 2,
 		}
-		is := newInterestSet(1, f.geo.NumCells())
-		cells = f.geo.AppendCellsInRect(cells[:0],
+		if !aoi {
+			continue
+		}
+		sets[i] = newInterestSet(1, geo.NumCells())
+		cells = geo.AppendCellsInRect(cells[:0],
 			players[i].x-halfW, players[i].y-halfH, players[i].x+halfW, players[i].y+halfH)
 		for _, c := range cells {
-			is.add(c)
+			sets[i].add(c)
 		}
-		f.sets = append(f.sets, is)
-		f.queues = append(f.queues, make(chan outMsg, 2*DefaultSendQueueLen))
 	}
-	f.deltas = make([]virtualworld.Delta, total)
-	for i := range f.deltas {
+	deltas := make([]virtualworld.Delta, total)
+	for i := range deltas {
 		var x, y float64
 		if i < visible {
 			// Inside the cycling player's viewport: guaranteed subscribed.
@@ -59,90 +52,11 @@ func newAoIBenchFixture(total, visible int, world float64) *aoiBenchFixture {
 			y = r.Float64() * world
 		}
 		id := virtualworld.EntityID(i + 1)
-		f.deltas[i] = virtualworld.Delta{ID: id, Entity: virtualworld.Entity{
+		deltas[i] = virtualworld.Delta{ID: id, Entity: virtualworld.Entity{
 			ID: id, Kind: virtualworld.KindNPC, Owner: -1, X: x, Y: y, HP: 80, Version: 7,
 		}}
 	}
-	return f
-}
-
-// tickAoI runs one AoI fan-out cycle exactly as tickOnce + snWriter do:
-// bucket the deltas by cell, encode each subscribed dirty cell once into a
-// pooled reference-counted payload, enqueue to its subscribers, then drain
-// every queue through the coalescing writer path. Returns the egress bytes
-// this tick put on the wire.
-func (f *aoiBenchFixture) tickAoI(tb testing.TB) int64 {
-	f.plan.build(f.geo, f.deltas, 0)
-	var bytes int64
-	for i := 0; i < f.plan.numDirty(); i++ {
-		cell := f.plan.cell(i)
-		subs := 0
-		for _, is := range f.sets {
-			if is.has(cell) {
-				subs++
-			}
-		}
-		if subs == 0 {
-			continue
-		}
-		_, cd := f.plan.cellDeltas(i)
-		cb := protocol.CellBatch{Tick: 42, Cell: cell, Deltas: cd}
-		sp := newSharedPayload(subs)
-		sp.buf.B = cb.AppendTo(sp.buf.B[:0])
-		for j, is := range f.sets {
-			if is.has(cell) {
-				f.queues[j] <- outMsg{typ: protocol.MsgCellBatch, payload: sp.buf.B, shared: sp}
-				bytes += int64(len(sp.buf.B) + protocol.HeaderLen)
-			}
-		}
-	}
-	f.drain(tb)
-	return bytes
-}
-
-// tickLegacy is the pre-AoI baseline on the same fixture: the full batch
-// encoded once and fanned to every subscriber, regardless of interest.
-func (f *aoiBenchFixture) tickLegacy(tb testing.TB) int64 {
-	batch := protocol.UpdateBatch{Tick: 42, Deltas: f.deltas}
-	sp := newSharedPayload(len(f.queues))
-	sp.buf.B = batch.AppendTo(sp.buf.B[:0])
-	var bytes int64
-	for _, q := range f.queues {
-		q <- outMsg{typ: protocol.MsgUpdateBatch, payload: sp.buf.B, shared: sp}
-		bytes += int64(len(sp.buf.B) + protocol.HeaderLen)
-	}
-	f.drain(tb)
-	return bytes
-}
-
-func (f *aoiBenchFixture) drain(tb testing.TB) {
-	for _, q := range f.queues {
-		f.pending = f.pending[:0]
-	drain:
-		for {
-			select {
-			case m := <-q:
-				f.pending = append(f.pending, m)
-			default:
-				break drain
-			}
-		}
-		buf := protocol.GetBuffer()
-		for _, m := range f.pending {
-			var err error
-			if buf.B, err = protocol.AppendFrame(buf.B, m.typ, m.payload); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		if _, err := io.Discard.Write(buf.B); err != nil {
-			tb.Fatal(err)
-		}
-		for j := range f.pending {
-			f.pending[j].shared.release()
-			f.pending[j] = outMsg{}
-		}
-		protocol.PutBuffer(buf)
-	}
+	return newFanoutFixture(geo, deltas, sets)
 }
 
 // aoiBenchCases: the world-scaling rows hold the visible set fixed while
@@ -164,60 +78,93 @@ var aoiBenchCases = []struct {
 	{"world=16k/visible=16k", 16_000, 16_000, 4000},
 }
 
-// BenchmarkAoITickFanout measures the interest-managed tick fan-out.
-// Alongside ns/op it reports fanoutB/tick — the Λ egress one tick puts on
-// the wire — which is the number the AoI layer exists to bound.
-func BenchmarkAoITickFanout(b *testing.B) {
+// benchFanoutCases runs every aoiBenchCases row and reports, alongside
+// ns/op, fanoutB/tick — the Λ egress one tick puts on the wire, the number
+// the AoI layer exists to bound.
+func benchFanoutCases(b *testing.B, aoi bool) {
 	for _, tc := range aoiBenchCases {
 		b.Run(tc.name, func(b *testing.B) {
-			f := newAoIBenchFixture(tc.total, tc.visible, tc.world)
-			f.tickAoI(b) // warm pools and plan scratch
+			f := newAoIFanoutFixture(tc.total, tc.visible, tc.world, aoi)
+			f.tick(b) // warm pools and plan scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			var bytes int64
 			for i := 0; i < b.N; i++ {
-				bytes += f.tickAoI(b)
+				bytes += f.tick(b)
 			}
 			b.ReportMetric(float64(bytes)/float64(b.N), "fanoutB/tick")
 		})
 	}
 }
+
+// BenchmarkAoITickFanout measures the interest-managed tick fan-out.
+func BenchmarkAoITickFanout(b *testing.B) { benchFanoutCases(b, true) }
 
 // BenchmarkLegacyTickFanout is the full-world baseline on the identical
 // fixture: egress is total-entity- (and supernode-) proportional no matter
 // what the players can see.
-func BenchmarkLegacyTickFanout(b *testing.B) {
-	for _, tc := range aoiBenchCases {
-		b.Run(tc.name, func(b *testing.B) {
-			f := newAoIBenchFixture(tc.total, tc.visible, tc.world)
-			f.tickLegacy(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				bytes += f.tickLegacy(b)
-			}
-			b.ReportMetric(float64(bytes)/float64(b.N), "fanoutB/tick")
-		})
-	}
-}
+func BenchmarkLegacyTickFanout(b *testing.B) { benchFanoutCases(b, false) }
 
 // TestAoIFanoutSteadyStateAllocs pins the AoI fan-out's allocation
 // discipline as a regression test: after warm-up, bucketing + per-cell
-// encode + enqueue + coalesced drain allocate nothing.
+// encode + enqueue + coalesced drain allocate nothing — nor do the two
+// batches a plain tick lacks, the CellNone one a removal causes and a
+// pending cell keyframe.
 func TestAoIFanoutSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomizes caching under -race; allocation counts only hold without it")
 	}
-	f := newAoIBenchFixture(2048, 512, 1400)
-	// Convergence needs more warm-up than the single-payload fan-out test:
-	// the cycle keeps ~one pooled buffer per dirty cell, and buffers trade
-	// roles (cell payload vs coalesced frame) between ticks, so each tick
-	// can grow at most one more pool member to the high-water mark.
-	for i := 0; i < 512; i++ {
-		f.tickAoI(t)
+	busy := newAoIFanoutFixture(2048, 512, 1400, true)
+	// The removal and the keyframe ride on a tick small enough that no
+	// pooled buffer has to grow: on the busy one they would add two more
+	// pool members for the warm-up below to bring to the high-water mark.
+	quiet := newAoIFanoutFixture(64, 64, 1400, true)
+	quiet.deltas = append(quiet.deltas, virtualworld.Delta{ID: 1 << 20, Removed: true})
+	first := quiet.deltas[0].Entity
+	quiet.s.keyDeltas = quiet.deltas[:1]
+	quiet.s.keyPlan = []keyItem{{sn: quiet.s.fanSNs[0].sn, cell: quiet.geo.CellOf(first.X, first.Y), off: 0, n: 1}}
+	for _, f := range []*fanoutFixture{busy, quiet} {
+		// Convergence needs more warm-up than the single-payload fan-out
+		// test: the cycle keeps ~one pooled buffer per dirty cell, and
+		// buffers trade roles (cell payload vs coalesced frame) between
+		// ticks, so each tick can grow at most one more pool member to the
+		// high-water mark.
+		for i := 0; i < 512; i++ {
+			f.tick(t)
+		}
+		if n := testing.AllocsPerRun(64, func() { f.tick(t) }); n != 0 {
+			t.Fatalf("AoI fan-out of %d deltas allocates %.1f/op in steady state, want 0", len(f.deltas), n)
+		}
 	}
-	if n := testing.AllocsPerRun(64, func() { f.tickAoI(t) }); n != 0 {
-		t.Fatalf("AoI fan-out allocates %.1f/op in steady state, want 0", n)
+}
+
+// TestAoIFanoutEgressFollowsVisible pins what the AoI layer is for, on
+// the benchmark's own rows (the fixture is seeded, so the byte counts are
+// exact): a tick's egress follows what the subscribers can see, not the
+// size of the world, and is below the full-world stream on every row.
+func TestAoIFanoutEgressFollowsVisible(t *testing.T) {
+	aoi := make([]int64, len(aoiBenchCases))
+	legacy := make([]int64, len(aoiBenchCases))
+	for i, tc := range aoiBenchCases {
+		aoi[i] = newAoIFanoutFixture(tc.total, tc.visible, tc.world, true).tick(t)
+		legacy[i] = newAoIFanoutFixture(tc.total, tc.visible, tc.world, false).tick(t)
+		if aoi[i] <= 0 || aoi[i] >= legacy[i] {
+			t.Errorf("%s: AoI egress %d B/tick, full-world %d: want 0 < AoI < full-world", tc.name, aoi[i], legacy[i])
+		}
+	}
+	// Rows 0–2: visible=512 while the world grows 2k → 10k → 40k.
+	lo, hi := aoi[0], aoi[0]
+	for _, b := range aoi[1:3] {
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	if 2*hi > 3*lo {
+		t.Errorf("AoI egress at visible=512 spreads %d–%d B/tick over a 20x world, want within 1.5x", lo, hi)
+	}
+	if legacy[2] < 15*legacy[0] {
+		t.Errorf("full-world egress %d → %d B/tick over a 20x world, want ≥ 15x growth", legacy[0], legacy[2])
+	}
+	// Rows 3–5: world=16k while visible grows 1k → 4k → 16k.
+	if g := float64(aoi[5]) / float64(aoi[3]); aoi[3] >= aoi[4] || aoi[4] >= aoi[5] || g < 4 || g > 16 {
+		t.Errorf("AoI egress %d → %d → %d B/tick over 16x visible, want monotone growth of 4–16x", aoi[3], aoi[4], aoi[5])
 	}
 }

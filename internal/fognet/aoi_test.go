@@ -271,8 +271,12 @@ func TestAoIInterestSurvivesBlackhole(t *testing.T) {
 	// Blackhole the fog↔cloud link. The player keeps acting (its control
 	// connection is separate), so the authoritative avatar walks away from
 	// whatever cells the cloud last heard the fog wanted.
+	// Held well past the cloud's eviction horizon (5 misses × 50 ms plus
+	// the tick that acts on them, 300 ms at the latest): healed exactly on
+	// it, a late heartbeat tick leaves the fog registered and nothing to
+	// reconnect.
 	inj.SetMode(faultnet.Blackhole)
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(450 * time.Millisecond)
 	inj.SetMode(faultnet.Healthy)
 
 	// The fog reconnects (eviction or dead-conn detection), rearms AoI,

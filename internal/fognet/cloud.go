@@ -265,8 +265,6 @@ var sharedPayloadPool = sync.Pool{New: func() any { return &sharedPayload{} }}
 
 // newSharedPayload takes a pooled buffer and arms it for refs readers.
 // Pool refills amortize to zero in steady state.
-//
-//cfg:amortized
 func newSharedPayload(refs int) *sharedPayload {
 	sp := sharedPayloadPool.Get().(*sharedPayload)
 	sp.buf = protocol.GetBuffer()
@@ -305,6 +303,11 @@ type supernodeConn struct {
 	sendQ      chan outMsg
 	done       chan struct{}
 	stopOnce   sync.Once
+	// inflight counts the messages enqueue accepted that the writer has
+	// not yet flushed: queued, or already drained and inside a Write.
+	// idle gets a token each time the count returns to zero.
+	inflight atomic.Int32
+	idle     chan struct{}
 	// missed counts consecutive unanswered heartbeats (cloud mu).
 	missed int
 	// lastAttached is the player count from the latest heartbeat ack
@@ -501,25 +504,46 @@ func (s *CloudServer) Shutdown() error {
 		p.sendMu.Unlock()
 	}
 	// Drain: wait (bounded) for the coalescing writers to flush what was
-	// queued above before closing their sockets out from under them.
-	deadline := time.Now().Add(s.cfg.WriteTimeout)
-	for time.Now().Before(deadline) {
-		busy := false
-		if standby != nil && len(standby.sendQ) > 0 {
-			busy = true
-		}
-		for _, sn := range sns {
-			if len(sn.sendQ) > 0 {
-				busy = true
-				break
-			}
-		}
-		if !busy {
+	// queued above before closing their sockets out from under them. An
+	// empty queue is not a flushed one — the writer moves messages out of
+	// it before the Write that may block — so the wait is on inflight.
+	giveUp := time.NewTimer(s.cfg.WriteTimeout)
+	defer giveUp.Stop()
+	if standby != nil {
+		sns = append(sns, standby)
+	}
+	for _, sn := range sns {
+		if !sn.awaitFlushed(giveUp.C) {
 			break
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	return s.Close()
+}
+
+// settle retires n messages that enqueue counted: flushed by the writer,
+// or refused by a full queue.
+func (sn *supernodeConn) settle(n int) {
+	if sn.inflight.Add(-int32(n)) == 0 {
+		select {
+		case sn.idle <- struct{}{}:
+		default: // a token is already waiting
+		}
+	}
+}
+
+// awaitFlushed blocks until every message enqueue accepted has been
+// written or the link has died, and reports false if giveUp fires first.
+func (sn *supernodeConn) awaitFlushed(giveUp <-chan time.Time) bool {
+	for sn.inflight.Load() > 0 {
+		select {
+		case <-sn.idle:
+		case <-sn.done:
+			return true
+		case <-giveUp:
+			return false
+		}
+	}
+	return true
 }
 
 // shutdown stops the supernode's writer and closes its connection; safe to
@@ -661,12 +685,8 @@ func (s *CloudServer) tickOnce() {
 	// reused scratch: after the unlock the tick loop reads only this
 	// capture (interest sets are immutable once installed).
 	s.fanSNs = s.fanSNs[:0]
-	aoiCount := 0
 	for _, sn := range s.supernodes {
 		s.fanSNs = append(s.fanSNs, fanSN{sn: sn, interest: sn.interest})
-		if sn.interest != nil {
-			aoiCount++
-		}
 	}
 	// Gather pending cell-enter keyframes while the lock is held: the
 	// payload is the cell's current (post-Step) entity population, read
@@ -690,7 +710,17 @@ func (s *CloudServer) tickOnce() {
 		ckpt = s.encodeCheckpointLocked(1)
 	}
 	s.mu.Unlock()
+	s.fanOut(tick, nextID, geo, deltas, nSession, standby, ckpt)
+}
 
+// fanOut is the half of a tick that runs after the unlock: it encodes what
+// tickOnce captured — the standby's log entry and checkpoint, the pending
+// cell keyframes in keyPlan/keyDeltas, then the tick's deltas as one
+// full-world batch for legacy supernodes and per-cell batches for the AoI
+// ones in fanSNs — and enqueues each payload to its recipients. It reads
+// only its arguments and tick-loop-owned scratch, and allocates nothing
+// once that scratch and the payload pools are warm.
+func (s *CloudServer) fanOut(tick uint64, nextID virtualworld.EntityID, geo virtualworld.GridGeom, deltas []virtualworld.Delta, nSession int, standby *supernodeConn, ckpt *sharedPayload) {
 	if standby != nil {
 		// One delta-log entry per tick, even when empty: the entry stream
 		// doubles as the liveness signal the standby's promotion timer
@@ -721,6 +751,12 @@ func (s *CloudServer) tickOnce() {
 
 	if len(deltas) == 0 || len(s.fanSNs) == 0 {
 		return
+	}
+	aoiCount := 0
+	for _, f := range s.fanSNs {
+		if f.interest != nil {
+			aoiCount++
+		}
 	}
 	if n := len(s.fanSNs) - aoiCount; n > 0 {
 		// Legacy path for supernodes with no interest set: the full batch,
@@ -787,8 +823,6 @@ func (s *CloudServer) tickOnce() {
 // ID allocator, player sessions, address→reputation-ID table, QoE book,
 // and ladder RNG — into the reused checkpoint scratch and encodes it
 // into a fresh shared payload armed for refs readers. Caller holds mu.
-//
-//cfg:allocfree
 func (s *CloudServer) encodeCheckpointLocked(refs int) *sharedPayload {
 	st := &s.ckpt
 	st.Epoch = s.epoch
@@ -821,24 +855,21 @@ func (s *CloudServer) encodeCheckpointLocked(refs int) *sharedPayload {
 // enqueue offers a message to the supernode's bounded send queue without
 // ever blocking; full queues drop (and count) the message, releasing its
 // shared-payload reference.
-//
-//cfg:allocfree
 func (s *CloudServer) enqueue(sn *supernodeConn, m outMsg) bool {
+	sn.inflight.Add(1)
 	select {
 	case sn.sendQ <- m:
 		return true
 	default:
+		sn.settle(1)
 		m.shared.release()
 		s.queueDrops.Add(1)
 		return false
 	}
 }
 
-// snWriter is the single writer for one supernode connection, and it
-// coalesces: when it wakes it drains everything queued, appends each
-// message's frame into one pooled buffer, and flushes it with a single
-// deadlined Write — a supernode that fell a few messages
-// behind costs one syscall to catch up, not one per message. The first
+// snWriter is the single writer for one supernode connection: it sleeps
+// until something is queued and hands it to flushQueued. The first
 // failure closes the connection, which the read loop observes and
 // unregisters.
 func (s *CloudServer) snWriter(sn *supernodeConn) {
@@ -849,44 +880,56 @@ func (s *CloudServer) snWriter(sn *supernodeConn) {
 		case <-sn.done:
 			return
 		case m := <-sn.sendQ:
-			pending = append(pending[:0], m)
-		drain:
-			for {
-				select {
-				case m2 := <-sn.sendQ:
-					pending = append(pending, m2)
-				default:
-					break drain
-				}
-			}
-			buf := protocol.GetBuffer()
-			var batchBits int64
 			var err error
-			for _, m := range pending {
-				if buf.B, err = protocol.AppendFrame(buf.B, m.typ, m.payload); err != nil {
-					break
-				}
-				if m.typ == protocol.MsgUpdateBatch || m.typ == protocol.MsgCellBatch {
-					batchBits += int64(len(m.payload)+protocol.HeaderLen) * 8
-				}
-			}
-			if err == nil {
-				err = writeWithin(sn.conn, s.cfg.WriteTimeout, buf.B)
-			}
-			// Flush (or failure) done: drop the shared-payload references,
-			// then the scratch buffer.
-			for i := range pending {
-				pending[i].shared.release()
-				pending[i] = outMsg{}
-			}
-			protocol.PutBuffer(buf)
-			if err != nil {
+			if pending, err = s.flushQueued(sn, append(pending[:0], m)); err != nil {
 				sn.conn.Close()
 				return
 			}
-			s.updateBits.Add(batchBits)
 		}
 	}
+}
+
+// flushQueued is one wake-up of the writer, and it coalesces: it drains
+// everything queued behind pending, appends each message's frame into one
+// pooled buffer, and flushes it with a single deadlined Write — a
+// supernode that fell a few messages behind costs one syscall to catch
+// up, not one per message. It returns the emptied list for reuse.
+func (s *CloudServer) flushQueued(sn *supernodeConn, pending []outMsg) ([]outMsg, error) {
+drain:
+	for {
+		select {
+		case m := <-sn.sendQ:
+			pending = append(pending, m)
+		default:
+			break drain
+		}
+	}
+	buf := protocol.GetBuffer()
+	var batchBits int64
+	var err error
+	for _, m := range pending {
+		if buf.B, err = protocol.AppendFrame(buf.B, m.typ, m.payload); err != nil {
+			break
+		}
+		if m.typ == protocol.MsgUpdateBatch || m.typ == protocol.MsgCellBatch {
+			batchBits += int64(len(m.payload)+protocol.HeaderLen) * 8
+		}
+	}
+	if err == nil {
+		err = writeWithin(sn.conn, s.cfg.WriteTimeout, buf.B)
+	}
+	// Flush (or failure) done: drop the shared-payload references,
+	// then the scratch buffer.
+	for i := range pending {
+		pending[i].shared.release()
+		pending[i] = outMsg{}
+	}
+	protocol.PutBuffer(buf)
+	if err == nil {
+		s.updateBits.Add(batchBits)
+		sn.settle(len(pending))
+	}
+	return pending[:0], err
 }
 
 // heartbeatLoop pings every supernode each interval and evicts the ones
@@ -1178,6 +1221,7 @@ func (s *CloudServer) serveStandby(conn net.Conn, fr *protocol.FrameReader, hell
 		conn:       conn,
 		sendQ:      make(chan outMsg, s.cfg.SendQueueLen),
 		done:       make(chan struct{}),
+		idle:       make(chan struct{}, 1),
 	}
 	s.mu.Lock()
 	prev := s.standby
@@ -1188,7 +1232,7 @@ func (s *CloudServer) serveStandby(conn net.Conn, fr *protocol.FrameReader, hell
 	// it: the queue is empty, so the checkpoint is guaranteed to precede
 	// any log entry the tick loop enqueues afterwards.
 	ckpt := s.encodeCheckpointLocked(1)
-	sb.sendQ <- outMsg{typ: protocol.MsgCheckpoint, payload: ckpt.buf.B, shared: ckpt}
+	s.enqueue(sb, outMsg{typ: protocol.MsgCheckpoint, payload: ckpt.buf.B, shared: ckpt})
 	s.mu.Unlock()
 	if prev != nil {
 		prev.shutdown()
@@ -1230,6 +1274,7 @@ func (s *CloudServer) admitSupernode(conn net.Conn, fr *protocol.FrameReader, he
 		conn:       conn,
 		sendQ:      make(chan outMsg, s.cfg.SendQueueLen),
 		done:       make(chan struct{}),
+		idle:       make(chan struct{}, 1),
 	}
 	s.mu.Lock()
 	sn.id = s.nextSNID

@@ -187,8 +187,6 @@ func (s *dgramSession) remote() (netip.AddrPort, bool) {
 // means the caller must fall back to the TCP write for this frame. buf
 // is the session's pooled scratch: with enough capacity the whole path
 // is allocation-free.
-//
-//cfg:allocfree
 func (s *dgramSession) sendFrame(buf []byte, ef *videocodec.EncodedFrame, tick uint64) ([]byte, bool) {
 	addr, ok := s.remote()
 	if !ok {

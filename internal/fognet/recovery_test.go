@@ -9,6 +9,7 @@ import (
 
 	"cloudfog/internal/checkpoint"
 	"cloudfog/internal/faultnet"
+	"cloudfog/internal/protocol"
 	"cloudfog/internal/rng"
 )
 
@@ -137,8 +138,10 @@ func TestStandbyLinkStallDropsAndDetaches(t *testing.T) {
 	waitFor(t, 5*time.Second, "queue overflow drops", func() bool {
 		return cloud.Stats().Resilience.SendQueueDrops > drops0
 	})
+	// The standby redials within 5–15 ms of the detach, so a poll can miss
+	// the gap itself; a second attach proves the first link was dropped.
 	waitFor(t, 5*time.Second, "stalled follower detached", func() bool {
-		return !cloud.Stats().StandbyAttached
+		return !cloud.Stats().StandbyAttached || sb.Stats().Attaches > attaches0
 	})
 	// The authority never stopped ticking while its follower was stuck.
 	if tickNow := cloud.Stats().Tick; tickNow <= tick0 {
@@ -347,5 +350,80 @@ func TestPrimaryFailoverResume(t *testing.T) {
 				t.Logf("recovery artifact: %v", werr)
 			}
 		}
+	}
+}
+
+// TestShutdownFlushesFinalCheckpoint: Shutdown must not close a link under
+// a write that is still going out. The standby and a supernode sit behind
+// a bandwidth-shaped link on which the 20k-entity final checkpoint takes
+// well over 100 ms; the writer has moved it out of the send queue long
+// before that, so a drain that watches the queue's length closes the
+// socket mid-write and leaves the standby one checkpoint behind. Ticks are
+// driven by hand, so the cloud's last tick is exact.
+func TestShutdownFlushesFinalCheckpoint(t *testing.T) {
+	inj := faultnet.NewInjector(faultnet.Profile{Seed: 41, BandwidthKbps: 50_000})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud, err := NewCloudServer(CloudConfig{
+		Listener:          inj.WrapListener(ln),
+		TickInterval:      time.Hour, // the test ticks
+		HeartbeatInterval: time.Hour,
+		CheckpointEvery:   1 << 30, // only the attach and the final checkpoint
+		NPCs:              20000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Close()
+	sb, err := NewStandby(StandbyConfig{PrimaryAddr: cloud.Addr(), PromoteAfter: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	waitFor(t, 5*time.Second, "attach checkpoint", func() bool { return sb.Stats().Checkpoints == 1 })
+
+	// The fog is a supernode at the protocol level, so the test sees the
+	// goodbye itself.
+	fog, err := net.DialTimeout("tcp", cloud.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fog.Close()
+	hello := protocol.SupernodeHello{Name: "fog", Capacity: 1, StreamAddr: "127.0.0.1:1"}
+	if err := protocol.WriteMessage(fog, protocol.MsgSupernodeHello, hello.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	fr := protocol.NewFrameReader(fog)
+	fog.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if typ, _, err := fr.Next(); err != nil || typ != protocol.MsgSupernodeWelcome {
+		t.Fatalf("welcome: type %d, err %v", typ, err)
+	}
+	gotBye := make(chan bool, 1)
+	go func() {
+		for {
+			typ, _, err := fr.Next()
+			if err != nil || typ == protocol.MsgBye {
+				gotBye <- err == nil
+				return
+			}
+		}
+	}()
+
+	for i := 0; i < 3; i++ {
+		cloud.tickOnce()
+	}
+	last := cloud.Stats().Tick
+	if err := cloud.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the final checkpoint at the standby", func() bool {
+		sb.mu.Lock()
+		defer sb.mu.Unlock()
+		return sb.state.World.Tick == last
+	})
+	if !<-gotBye {
+		t.Fatal("the supernode's link closed before MsgBye arrived")
 	}
 }

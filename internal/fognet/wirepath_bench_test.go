@@ -1,7 +1,6 @@
 package fognet
 
 import (
-	"io"
 	"net"
 	"testing"
 	"time"
@@ -12,9 +11,9 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// fanoutBatch builds the tick payload the cloud fans out: n entity deltas
-// with a sprinkling of removals, like a busy world tick.
-func fanoutBatch(n int) protocol.UpdateBatch {
+// fanoutDeltas is the tick the cloud fans out: n entity deltas with a
+// sprinkling of removals, like a busy world tick.
+func fanoutDeltas(n int) []virtualworld.Delta {
 	deltas := make([]virtualworld.Delta, n)
 	for i := range deltas {
 		deltas[i] = virtualworld.Delta{
@@ -26,79 +25,97 @@ func fanoutBatch(n int) protocol.UpdateBatch {
 			},
 		}
 	}
-	return protocol.UpdateBatch{Tick: 42, Deltas: deltas}
+	return deltas
 }
 
-// fanoutWidth is the supernode count both tick fan-out benchmarks serve.
+// fanoutWidth is the supernode count the tick fan-out benchmarks serve.
 const fanoutWidth = 8
 
+// fanoutFixture is the cloud's fan-out without the network or the tick
+// clock: a CloudServer that was never started, holding real supernodeConns
+// over discarding connections, captured in fanSNs the way tickOnce leaves
+// them. tick runs CloudServer.fanOut and then CloudServer.flushQueued on
+// every link — the code tickOnce and snWriter themselves run — so an
+// allocation or an extra byte in either shows up in the tests built on it.
+type fanoutFixture struct {
+	s       *CloudServer
+	standby *supernodeConn
+	geo     virtualworld.GridGeom
+	deltas  []virtualworld.Delta
+	pending []outMsg
+}
+
+// newFanoutFixture links one supernode per entry of sets; a nil entry is a
+// legacy supernode on the full-world stream.
+func newFanoutFixture(geo virtualworld.GridGeom, deltas []virtualworld.Delta, sets []*interestSet) *fanoutFixture {
+	f := &fanoutFixture{
+		s:      &CloudServer{cfg: CloudConfig{WriteTimeout: time.Second}, epoch: 1},
+		geo:    geo,
+		deltas: deltas,
+	}
+	for _, is := range sets {
+		f.s.fanSNs = append(f.s.fanSNs, fanSN{sn: f.link(), interest: is})
+	}
+	return f
+}
+
+func (f *fanoutFixture) link() *supernodeConn {
+	return &supernodeConn{
+		conn:  discardNetConn{},
+		sendQ: make(chan outMsg, 2*DefaultSendQueueLen),
+		done:  make(chan struct{}),
+		idle:  make(chan struct{}, 1),
+	}
+}
+
+// tick fans one tick's deltas out and flushes every link, and returns the
+// update-stream bytes that put on the wire, by the cloud's own count.
+func (f *fanoutFixture) tick(tb testing.TB) int64 {
+	before := f.s.updateBits.Load()
+	f.s.fanOut(42, 1, f.geo, f.deltas, 0, f.standby, nil)
+	for _, fs := range f.s.fanSNs {
+		f.flush(tb, fs.sn)
+	}
+	if f.standby != nil {
+		f.flush(tb, f.standby)
+	}
+	if drops := f.s.queueDrops.Load(); drops != 0 {
+		tb.Fatalf("%d messages dropped at the send queue", drops)
+	}
+	return (f.s.updateBits.Load() - before) / 8
+}
+
+func (f *fanoutFixture) flush(tb testing.TB, sn *supernodeConn) {
+	var err error
+	if f.pending, err = f.s.flushQueued(sn, f.pending); err != nil {
+		tb.Fatal(err)
+	}
+	if n := sn.inflight.Load(); n != 0 {
+		tb.Fatalf("%d messages in flight after the flush", n)
+	}
+}
+
+// newLegacyFanoutFixture is a busy tick — 64 deltas, some of them
+// removals — going to fanoutWidth legacy supernodes and a standby.
+func newLegacyFanoutFixture() *fanoutFixture {
+	f := newFanoutFixture(virtualworld.GridGeom{}, fanoutDeltas(64), make([]*interestSet, fanoutWidth))
+	f.standby = f.link()
+	return f
+}
+
 // BenchmarkTickFanout measures the zero-allocation fan-out path end to
-// end, exactly as tickOnce + snWriter run it: one append-encode of the
-// tick batch into a pooled reference-counted buffer, an enqueue per
-// supernode, then each writer draining its queue into a pooled coalescing
+// end: one append-encode of the tick batch into a pooled
+// reference-counted buffer and an enqueue per supernode, the standby's
+// log entry, then each writer draining its queue into a pooled coalescing
 // buffer flushed with a single write. Steady state: 0 allocs/op for the
 // whole 8-wide fan-out.
 func BenchmarkTickFanout(b *testing.B) {
-	batch := fanoutBatch(64)
-	queues := make([]chan outMsg, fanoutWidth)
-	for i := range queues {
-		queues[i] = make(chan outMsg, DefaultSendQueueLen)
-	}
-	var pending []outMsg // reused drain list, as in snWriter
+	f := newLegacyFanoutFixture()
+	f.tick(b) // warm pools and scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// tickOnce side: encode once, arm one reference per recipient.
-		sp := newSharedPayload(len(queues))
-		sp.buf.B = batch.AppendTo(sp.buf.B[:0])
-		for _, q := range queues {
-			q <- outMsg{typ: protocol.MsgUpdateBatch, payload: sp.buf.B, shared: sp}
-		}
-		// snWriter side: drain, coalesce into a pooled buffer, flush once.
-		for _, q := range queues {
-			pending = pending[:0]
-		drain:
-			for {
-				select {
-				case m := <-q:
-					pending = append(pending, m)
-				default:
-					break drain
-				}
-			}
-			buf := protocol.GetBuffer()
-			for _, m := range pending {
-				var err error
-				if buf.B, err = protocol.AppendFrame(buf.B, m.typ, m.payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := io.Discard.Write(buf.B); err != nil {
-				b.Fatal(err)
-			}
-			for j := range pending {
-				pending[j].shared.release()
-				pending[j] = outMsg{}
-			}
-			protocol.PutBuffer(buf)
-		}
-	}
-}
-
-// BenchmarkTickFanoutLegacy is the pre-change baseline kept for
-// comparison: the old tick loop marshaled the batch once per supernode and
-// framed it through WriteMessage, allocating payload + header every time.
-// Compare against BenchmarkTickFanout in the same -benchmem run.
-func BenchmarkTickFanoutLegacy(b *testing.B) {
-	batch := fanoutBatch(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < fanoutWidth; j++ {
-			if err := protocol.WriteMessage(io.Discard, protocol.MsgUpdateBatch, batch.Marshal()); err != nil {
-				b.Fatal(err)
-			}
-		}
+		f.tick(b)
 	}
 }
 
@@ -184,49 +201,17 @@ func TestFrameStreamSteadyStateAllocs(t *testing.T) {
 }
 
 // TestTickFanoutSteadyStateAllocs pins the fan-out benchmark's property as
-// a regression test: after warm-up the shared-encode + coalesced-drain
-// cycle allocates nothing.
+// a regression test: after warm-up the shared encode, the standby's log
+// entry, every enqueue and the coalesced drain allocate nothing.
 func TestTickFanoutSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomizes caching under -race; allocation counts only hold without it")
 	}
-	batch := fanoutBatch(64)
-	q := make(chan outMsg, DefaultSendQueueLen)
-	var pending []outMsg
-	cycle := func() {
-		sp := newSharedPayload(1)
-		sp.buf.B = batch.AppendTo(sp.buf.B[:0])
-		q <- outMsg{typ: protocol.MsgUpdateBatch, payload: sp.buf.B, shared: sp}
-		pending = pending[:0]
-	drain:
-		for {
-			select {
-			case m := <-q:
-				pending = append(pending, m)
-			default:
-				break drain
-			}
-		}
-		buf := protocol.GetBuffer()
-		for _, m := range pending {
-			var err error
-			if buf.B, err = protocol.AppendFrame(buf.B, m.typ, m.payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := io.Discard.Write(buf.B); err != nil {
-			t.Fatal(err)
-		}
-		for j := range pending {
-			pending[j].shared.release()
-			pending[j] = outMsg{}
-		}
-		protocol.PutBuffer(buf)
-	}
+	f := newLegacyFanoutFixture()
 	for i := 0; i < 8; i++ { // warm-up: grow pools and scratch
-		cycle()
+		f.tick(t)
 	}
-	if n := testing.AllocsPerRun(64, cycle); n != 0 {
+	if n := testing.AllocsPerRun(64, func() { f.tick(t) }); n != 0 {
 		t.Fatalf("tick fan-out allocates %.1f/op in steady state, want 0", n)
 	}
 }

@@ -52,7 +52,6 @@ func Ladder() []Quality {
 // QualityFor returns the Quality at the given level.
 func QualityFor(level QualityLevel) (Quality, error) {
 	if level < 1 || level > NumQualityLevels {
-		//lint:ignore allocfree out-of-range guard: the adaptation controller clamps levels to the ladder, so this branch allocates only on programmer error
 		return Quality{}, fmt.Errorf("quality level %d out of range [1,%d]", level, NumQualityLevels)
 	}
 	return ladder[level-1], nil

@@ -65,9 +65,7 @@ func (s *splitmixSource) Seed(seed int64) { s.s = uint64(seed) }
 // netmodel), where escape analysis keeps them on the stack — the
 // eval-phase AllocsPerRun gates pin the whole path at zero.
 func New(seed uint64) *Rand {
-	//lint:ignore allocfree stack-allocated after inlining; gate-proven zero on the eval path
 	cnt := &countingSource{src: splitmixSource{s: mix(seed)}}
-	//lint:ignore allocfree stack-allocated after inlining; gate-proven zero on the eval path
 	return &Rand{
 		src:  rand.New(cnt),
 		cnt:  cnt,

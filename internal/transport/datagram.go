@@ -91,8 +91,6 @@ type Header struct {
 // AppendTo appends the fixed-size header to buf and returns the extended
 // slice, PR 3 append-encoder style: no intermediate allocation, caller
 // owns the buffer.
-//
-//cfg:allocfree
 func (h Header) AppendTo(buf []byte) []byte {
 	return append(buf,
 		h.Kind,
@@ -115,8 +113,6 @@ func be64(b []byte) uint64 {
 // ParseHeader decodes the header at the front of a received datagram into
 // h and returns the payload that follows, aliasing b (valid until the
 // receive buffer is reused — the same contract as protocol.FrameReader).
-//
-//cfg:allocfree
 func ParseHeader(b []byte, h *Header) ([]byte, error) {
 	if len(b) < HeaderLen {
 		return nil, ErrShortDatagram

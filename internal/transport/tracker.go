@@ -76,8 +76,6 @@ type RecvTracker struct {
 // be dropped. A gap below a fresh sequence is provisionally counted lost;
 // a late arrival inside the 64-sequence memory is reclassified from lost
 // to reordered (and still dropped).
-//
-//cfg:allocfree
 func (t *RecvTracker) Track(epoch, seq uint64) Verdict {
 	if !t.started || epoch > t.epoch {
 		// First datagram, or the sender moved to a newer authority epoch:

@@ -37,8 +37,6 @@ func (g *Grid) appendViewCells(dst []uint32, v Viewport) []uint32 {
 // exactly Snapshot() with everything the viewport cannot see left out:
 // rendering either yields the same frame. Once dst and the replica's
 // scratch have grown to the view's size this allocates nothing.
-//
-//cfg:allocfree
 func (r *Replica) ViewInto(dst *Snapshot, player int, halfWidth, halfHeight float64) Viewport {
 	v := Viewport{CenterX: r.width / 2, CenterY: r.height / 2, HalfWidth: halfWidth, HalfHeight: halfHeight}
 	if x, y, ok := r.AvatarPos(player); ok {
@@ -60,8 +58,6 @@ func (r *Replica) ViewInto(dst *Snapshot, player int, halfWidth, halfHeight floa
 
 // ViewInto is Replica.ViewInto over the authoritative world: the cloud's
 // fallback video sessions render from it.
-//
-//cfg:allocfree
 func (w *World) ViewInto(dst *Snapshot, player int, halfWidth, halfHeight float64) Viewport {
 	v := Viewport{CenterX: w.width / 2, CenterY: w.height / 2, HalfWidth: halfWidth, HalfHeight: halfHeight}
 	if a := w.Avatar(player); a != nil {
