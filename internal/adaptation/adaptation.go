@@ -282,10 +282,6 @@ func (c *Controller) Observe(nowSec, downloadKbps float64) Decision {
 	return Hold
 }
 
-// Stalled reports whether playback has drained the buffer to (near) empty,
-// i.e. the player is rebuffering.
-func (c *Controller) Stalled() bool { return c.bufferedSec < 1e-9 }
-
 // String renders the controller state for debugging.
 func (c *Controller) String() string {
 	return fmt.Sprintf("adaptation{level=%d buffered=%.2fs switches=%d}",

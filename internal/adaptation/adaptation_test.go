@@ -187,17 +187,6 @@ func TestTimeGoingBackwardIsIgnored(t *testing.T) {
 	}
 }
 
-func TestStalled(t *testing.T) {
-	c := NewController(Config{}, 3)
-	if !c.Stalled() {
-		t.Error("fresh controller (empty buffer) should report stalled")
-	}
-	c.Observe(1, c.BitrateKbps()*3)
-	if c.Stalled() {
-		t.Error("buffered controller reports stalled")
-	}
-}
-
 func TestStringAndDecisionString(t *testing.T) {
 	c := NewController(Config{}, 2)
 	if c.String() == "" {

@@ -85,26 +85,6 @@ type State struct {
 
 const entityBytes = 4 + 1 + 4 + 8 + 8 + 8 + 2 + 1 + 4 // 40
 
-// EncodedSize returns the exact AppendTo length in bytes, computed
-// arithmetically.
-func (s *State) EncodedSize() int {
-	n := 4 + 2 // magic + version
-	n += 8     // epoch
-	n += 8 + 8 + 8 + 4 + len(s.World.Entities)*entityBytes
-	n += 4 // next ID
-	n += 4 + len(s.Sessions)*4
-	n += 4
-	for _, a := range s.AddrIDs {
-		n += 2 + len(a.Addr) + 4
-	}
-	n += 8 + 4 // lambda + entry count
-	for _, e := range s.Book.Entries {
-		n += 4 + 4 + len(e.Ratings)*(8+4)
-	}
-	n += 8 + 8 + 8 // rng seed, splits, draws
-	return n
-}
-
 // AppendTo appends the canonical encoding of s to buf and returns the
 // extended slice; with enough capacity it does not allocate.
 func (s *State) AppendTo(buf []byte) []byte {

@@ -30,18 +30,6 @@ type LogEntry struct {
 	Deltas []virtualworld.Delta
 }
 
-// EncodedSize returns the exact AppendTo length in bytes.
-func (e *LogEntry) EncodedSize() int {
-	n := 8 + 8 + 4 + 4
-	for _, d := range e.Deltas {
-		n += 4 + 1
-		if !d.Removed {
-			n += entityBytes
-		}
-	}
-	return n
-}
-
 // AppendTo appends the encoded entry to buf and returns the extended
 // slice; with enough capacity it does not allocate.
 func (e *LogEntry) AppendTo(buf []byte) []byte {

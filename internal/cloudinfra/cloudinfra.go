@@ -160,17 +160,6 @@ func (c *Cloud) SameServer(a, b int) bool {
 	return sa != nil && sa == sb
 }
 
-// InteractionCommMs returns the server-communication component of the
-// response latency for an interaction between two players: intra-server
-// when co-located, cross-server otherwise (also when either player is not
-// allocated, the conservative case).
-func (c *Cloud) InteractionCommMs(a, b int) float64 {
-	if c.SameServer(a, b) {
-		return IntraServerCommMs
-	}
-	return CrossServerCommMs
-}
-
 // UpdateBandwidthKbps returns the total cloud egress spent on supernode
 // update streams: Λ times the number of active supernodes.
 func UpdateBandwidthKbps(activeSupernodes int, updateKbps float64) float64 {

@@ -127,22 +127,6 @@ func TestAssignPlayerRandom(t *testing.T) {
 	}
 }
 
-func TestInteractionCommMs(t *testing.T) {
-	c := newTestCloud(t, 1, 2)
-	c.AssignPlayerToServer(1, 0)
-	c.AssignPlayerToServer(2, 0)
-	c.AssignPlayerToServer(3, 1)
-	if got := c.InteractionCommMs(1, 2); got != IntraServerCommMs {
-		t.Errorf("same-server comm = %v", got)
-	}
-	if got := c.InteractionCommMs(1, 3); got != CrossServerCommMs {
-		t.Errorf("cross-server comm = %v", got)
-	}
-	if got := c.InteractionCommMs(1, 99); got != CrossServerCommMs {
-		t.Errorf("unassigned partner comm = %v (conservative case)", got)
-	}
-}
-
 func TestUpdateBandwidth(t *testing.T) {
 	if got := UpdateBandwidthKbps(10, 150); got != 1500 {
 		t.Errorf("update bandwidth = %v", got)

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"cloudfog/internal/sim"
 	"cloudfog/internal/workload"
 )
 
@@ -57,7 +56,7 @@ func TestWorldConstruction(t *testing.T) {
 	if len(sys.Players()) != 300 {
 		t.Errorf("players = %d", len(sys.Players()))
 	}
-	if sys.Graph().N() != 300 {
+	if sys.graph.N() != 300 {
 		t.Error("graph size mismatch")
 	}
 	if sys.Fog() == nil {
@@ -69,8 +68,8 @@ func TestWorldConstruction(t *testing.T) {
 	if len(sys.Fog().All()) != 40 {
 		t.Errorf("candidate pool = %d", len(sys.Fog().All()))
 	}
-	if sys.Cloud().NumServers() != 5*50 {
-		t.Errorf("servers = %d", sys.Cloud().NumServers())
+	if sys.cloud.NumServers() != 5*50 {
+		t.Errorf("servers = %d", sys.cloud.NumServers())
 	}
 	// Every player has a nearest-datacenter assignment and an endpoint.
 	for _, p := range sys.Players() {
@@ -220,24 +219,6 @@ func TestSupernodeFailureMigration(t *testing.T) {
 	}
 }
 
-func TestFailSupernodesDirect(t *testing.T) {
-	cfg := quickConfig(ModeCloudFog)
-	cfg.AlwaysOn = true
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Run(2, 0)
-	// After the run everyone is offline (finalize), so failing supernodes
-	// displaces no online players.
-	if n := sys.FailSupernodes(2, sim.Clock{Cycle: 2, Subcycle: 1}); n != 0 {
-		t.Errorf("migrated %d players after finalize", n)
-	}
-	if sys.FailSupernodes(0, sim.Clock{}) != 0 {
-		t.Error("failing zero supernodes migrated players")
-	}
-}
-
 func TestChurnModeArrivals(t *testing.T) {
 	cfg := quickConfig(ModeCloudFog)
 	cfg.Arrivals = &workload.ArrivalScript{OffPeakPerMinute: 0.5, PeakPerMinute: 2}
@@ -267,10 +248,9 @@ func TestProvisioningScalesFleet(t *testing.T) {
 	if m.ActiveSupernodes.N() == 0 {
 		t.Fatal("no supernode counts recorded")
 	}
-	// Provisioning must actually vary the fleet (min < max).
-	if m.ActiveSupernodes.Min() >= m.ActiveSupernodes.Max() {
-		t.Errorf("fleet never varied: min=%v max=%v",
-			m.ActiveSupernodes.Min(), m.ActiveSupernodes.Max())
+	// Provisioning must actually vary the fleet.
+	if m.ActiveSupernodes.Variance() == 0 {
+		t.Errorf("fleet never varied: always %v", m.ActiveSupernodes.Mean())
 	}
 }
 
@@ -283,9 +263,9 @@ func TestFixedPoolHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sys.Run(4, 1)
-	if m.ActiveSupernodes.Min() != 10 || m.ActiveSupernodes.Max() != 10 {
-		t.Errorf("fixed pool varied: min=%v max=%v",
-			m.ActiveSupernodes.Min(), m.ActiveSupernodes.Max())
+	if m.ActiveSupernodes.Mean() != 10 || m.ActiveSupernodes.Variance() != 0 {
+		t.Errorf("fixed pool varied: mean=%v variance=%v",
+			m.ActiveSupernodes.Mean(), m.ActiveSupernodes.Variance())
 	}
 }
 
@@ -357,8 +337,8 @@ func TestPlanetLabProfile(t *testing.T) {
 	if snap.Sessions == 0 {
 		t.Error("PlanetLab profile produced no sessions")
 	}
-	if len(sys.Cloud().Datacenters()) != 2 {
-		t.Errorf("PlanetLab datacenters = %d", len(sys.Cloud().Datacenters()))
+	if len(sys.cloud.Datacenters()) != 2 {
+		t.Errorf("PlanetLab datacenters = %d", len(sys.cloud.Datacenters()))
 	}
 }
 

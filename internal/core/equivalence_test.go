@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"cloudfog/internal/workload"
@@ -97,10 +98,8 @@ func TestParallelEquivalenceHistogram(t *testing.T) {
 	if got, want := par.ResponseLatencyHist.N(), seq.ResponseLatencyHist.N(); got != want {
 		t.Fatalf("histogram N: parallel %d, sequential %d", got, want)
 	}
-	for b := 0; b < seq.ResponseLatencyHist.NumBuckets(); b++ {
-		if got, want := par.ResponseLatencyHist.Bucket(b), seq.ResponseLatencyHist.Bucket(b); got != want {
-			t.Fatalf("bucket %d: parallel %d, sequential %d", b, got, want)
-		}
+	if !reflect.DeepEqual(par.ResponseLatencyHist, seq.ResponseLatencyHist) {
+		t.Fatalf("bucket counts differ:\nparallel   %+v\nsequential %+v", par.ResponseLatencyHist, seq.ResponseLatencyHist)
 	}
 	for _, p := range []float64{50, 95, 99} {
 		if got, want := par.ResponseLatencyHist.Percentile(p), seq.ResponseLatencyHist.Percentile(p); got != want {
@@ -135,38 +134,5 @@ func TestWorkersConfigResolution(t *testing.T) {
 		if tc.workers > 0 && got != tc.workers {
 			t.Errorf("Workers=%d resolved to %d", tc.workers, got)
 		}
-	}
-}
-
-// TestPlayerStoreFreeList exercises the dense-index recycling that dynamic
-// populations rely on.
-func TestPlayerStoreFreeList(t *testing.T) {
-	ps := newPlayerStore(4)
-	players := make([]*Player, 3)
-	for i := range players {
-		players[i] = &Player{ID: i}
-		if got := ps.alloc(players[i]); got != i {
-			t.Fatalf("alloc #%d returned %d", i, got)
-		}
-	}
-	ps.online[1] = true
-	ps.release(1)
-	if ps.handles[1] != nil || ps.online[1] {
-		t.Fatal("release did not clear slot state")
-	}
-	// The freed index is reused before the store grows.
-	p := &Player{ID: 1}
-	if got := ps.alloc(p); got != 1 {
-		t.Fatalf("alloc after release returned %d, want 1", got)
-	}
-	if ps.len() != 3 {
-		t.Fatalf("store len %d, want 3", ps.len())
-	}
-	if ps.handles[1] != p || p.st != ps {
-		t.Fatal("realloc did not rewire handle")
-	}
-	// Fresh slots keep growing past the free-list.
-	if got := ps.alloc(&Player{ID: 3}); got != 3 {
-		t.Fatalf("growth alloc returned %d, want 3", got)
 	}
 }

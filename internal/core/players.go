@@ -38,11 +38,8 @@ type playerStore struct {
 	ctrl []adaptation.Controller
 	// ctrlOn marks slots whose controller is live for the current session.
 	ctrlOn []bool
-	// handles maps a dense index back to its Player handle (nil for freed
-	// slots).
+	// handles maps a dense index back to its Player handle.
 	handles []*Player
-	// free is the LIFO free-list of released dense indices.
-	free []int32
 }
 
 func newPlayerStore(capacity int) *playerStore {
@@ -60,52 +57,21 @@ func newPlayerStore(capacity int) *playerStore {
 	}
 }
 
-// len returns the number of slots (live + freed).
-func (ps *playerStore) len() int { return len(ps.handles) }
-
-// alloc claims a slot for p, reusing a freed index when one is available,
-// and wires the handle's back-pointer. The returned index is the player's
-// dense identity; callers must keep p.ID equal to it.
+// alloc appends a slot for p and wires the handle's back-pointer. The
+// returned index is the player's dense identity; callers must keep p.ID
+// equal to it.
 func (ps *playerStore) alloc(p *Player) int {
-	var i int
-	if n := len(ps.free); n > 0 {
-		i = int(ps.free[n-1])
-		ps.free = ps.free[:n-1]
-		ps.online[i] = false
-		ps.src[i] = srcNone
-		ps.supernode[i] = 0
-		ps.cdnServer[i] = 0
-		ps.dc[i] = 0
-		ps.session[i] = workload.Session{}
-		ps.meter[i] = streaming.Meter{}
-		ps.ctrl[i] = adaptation.Controller{}
-		ps.ctrlOn[i] = false
-	} else {
-		i = len(ps.handles)
-		ps.online = append(ps.online, false)
-		ps.src = append(ps.src, srcNone)
-		ps.supernode = append(ps.supernode, 0)
-		ps.cdnServer = append(ps.cdnServer, 0)
-		ps.dc = append(ps.dc, 0)
-		ps.session = append(ps.session, workload.Session{})
-		ps.meter = append(ps.meter, streaming.Meter{})
-		ps.ctrl = append(ps.ctrl, adaptation.Controller{})
-		ps.ctrlOn = append(ps.ctrlOn, false)
-		ps.handles = append(ps.handles, nil)
-	}
-	ps.handles[i] = p
+	i := len(ps.handles)
+	ps.online = append(ps.online, false)
+	ps.src = append(ps.src, srcNone)
+	ps.supernode = append(ps.supernode, 0)
+	ps.cdnServer = append(ps.cdnServer, 0)
+	ps.dc = append(ps.dc, 0)
+	ps.session = append(ps.session, workload.Session{})
+	ps.meter = append(ps.meter, streaming.Meter{})
+	ps.ctrl = append(ps.ctrl, adaptation.Controller{})
+	ps.ctrlOn = append(ps.ctrlOn, false)
+	ps.handles = append(ps.handles, p)
 	p.st = ps
 	return i
-}
-
-// release returns slot i to the free-list. The fixed-population experiment
-// protocol never releases players, but dynamic-population scenarios (and
-// the churn arrival scripts, should they grow true departures) need slots
-// to be recyclable without compacting the arrays — indices are identities.
-func (ps *playerStore) release(i int) {
-	ps.handles[i] = nil
-	ps.online[i] = false
-	ps.src[i] = srcNone
-	ps.ctrlOn[i] = false
-	ps.free = append(ps.free, int32(i))
 }

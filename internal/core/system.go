@@ -51,9 +51,6 @@ func (s *System) Run(cycles, warmupCycles int) *Metrics {
 	return &s.metrics
 }
 
-// Metrics returns the metrics collected so far.
-func (s *System) Metrics() *Metrics { return &s.metrics }
-
 func (s *System) newForecaster() *provisioning.Forecaster {
 	windows := 24 * 7 / s.cfg.ProvisionWindowHours
 	f, err := provisioning.NewForecaster(windows, 0.3, 0.5)
@@ -365,15 +362,6 @@ func (s *System) migrate(p *Player, clock sim.Clock, measured bool, r *rng.Rand)
 	if measured {
 		s.metrics.MigrationMs.Add(migrationMs)
 	}
-}
-
-// FailSupernodes deactivates n random active supernodes and migrates their
-// players — the failure-injection used by the Fig. 9 migration study.
-// It returns the number of players that migrated.
-func (s *System) FailSupernodes(n int, clock sim.Clock) int {
-	before := s.metrics.MigrationMs.N()
-	s.failSupernodeIDs(n, clock)
-	return s.metrics.MigrationMs.N() - before
 }
 
 // failSupernodeIDs deactivates n random active supernodes, migrates their
@@ -690,7 +678,7 @@ func (s *System) computeEval(i int, clock sim.Clock, measured bool, r *rng.Rand,
 	if math.IsInf(respMs, 1) {
 		respMs = 10 * p.Game.LatencyRequirementMs
 	}
-	ps.meter[i].Observe(1, pOn, respMs)
+	ps.meter[i].Observe(1, pOn)
 
 	if measured {
 		// Quantiles come from per-worker scratch histograms: bucket counts
@@ -730,14 +718,10 @@ func (s *System) applyEval(i int, clock sim.Clock, measured bool, res *evalResul
 	}
 }
 
-// linkFor builds the delivery link of the player's current video source and
-// returns it with the one-way action latency to the renderer.
-func (s *System) linkFor(p *Player, clock sim.Clock) (streaming.Link, float64) {
-	return s.linkForR(p, clock, nil)
-}
-
-// linkForR is linkFor with a caller-supplied scratch Rand for the keyed
-// congestion draw (nil falls back to an allocating draw — same value).
+// linkForR builds the delivery link of the player's current video source
+// and returns it with the one-way action latency to the renderer. kr is a
+// caller-supplied scratch Rand for the keyed congestion draw (nil falls
+// back to an allocating draw — same value).
 func (s *System) linkForR(p *Player, clock sim.Clock, kr *rng.Rand) (streaming.Link, float64) {
 	ps := s.ps
 	var srcEp = s.cloud.Datacenters()[ps.dc[p.ID]].Endpoint

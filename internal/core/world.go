@@ -47,9 +47,6 @@ type Player struct {
 	st *playerStore
 }
 
-// Online reports whether the player is currently in a session.
-func (p *Player) Online() bool { return p.st.online[p.ID] }
-
 // cdnServer is an EdgeCloud-style edge server: state + render + stream.
 type cdnServer struct {
 	Index    int
@@ -148,23 +145,11 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Config returns the normalized configuration of the system.
-func (s *System) Config() Config { return s.cfg }
-
-// Model returns the system's network model.
-func (s *System) Model() *netmodel.Model { return s.model }
-
 // Players returns the player population.
 func (s *System) Players() []*Player { return s.players }
 
-// Graph returns the friendship graph.
-func (s *System) Graph() *social.Graph { return s.graph }
-
 // Fog returns the supernode registry (nil outside ModeCloudFog).
 func (s *System) Fog() *fog.Manager { return s.fogMgr }
-
-// Cloud returns the datacenter infrastructure.
-func (s *System) Cloud() *cloudinfra.Cloud { return s.cloud }
 
 func (s *System) buildWorld() error {
 	cfg := s.cfg

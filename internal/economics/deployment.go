@@ -107,23 +107,3 @@ func OptimalDeployment(m DeploymentModel, maxSupernodes int) (best DeploymentPoi
 	}
 	return best, sweep, nil
 }
-
-// MarginalGain returns G_s at fleet size m: the gain from deploying the
-// (m+1)-th supernode (Eq. 6 evaluated on the coverage curve). The
-// supernode's rewarded bandwidth c_j·u_j is what the ν new players
-// actually draw (bounded by its capacity), not the nominal capacity —
-// rewards are paid per contributed gigabyte. Deployment should stop where
-// this crosses zero, which coincides with the OptimalDeployment maximum
-// for concave coverage.
-func (m DeploymentModel) MarginalGain(fleet int) float64 {
-	nu := m.CoveredPlayers(fleet+1) - m.CoveredPlayers(fleet)
-	if nu < 0 {
-		nu = 0
-	}
-	drawn := float64(nu) * m.StreamRate
-	if drawn > m.SupernodeUpload {
-		drawn = m.SupernodeUpload
-	}
-	return DeploymentGain(m.ServerBandwidthValue, nu, m.StreamRate, m.UpdateRate,
-		m.SupernodeReward, drawn, 1)
-}

@@ -87,22 +87,6 @@ func TestOptimalDeploymentCapacityBinds(t *testing.T) {
 	}
 }
 
-func TestMarginalGainCrossesZeroNearOptimum(t *testing.T) {
-	m := testModel()
-	best, _, err := OptimalDeployment(m, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Eq. 6: the marginal gain is positive well below the optimum and
-	// negative well above it.
-	if g := m.MarginalGain(best.Supernodes / 4); g <= 0 {
-		t.Errorf("marginal gain below optimum = %v, want positive", g)
-	}
-	if g := m.MarginalGain(best.Supernodes * 3); g >= 0 {
-		t.Errorf("marginal gain above optimum = %v, want negative", g)
-	}
-}
-
 func TestSavingConcaveAroundOptimum(t *testing.T) {
 	// Sanity: the sweep is unimodal for a concave coverage curve (rises
 	// to the optimum, falls after).

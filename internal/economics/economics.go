@@ -1,7 +1,7 @@
 // Package economics implements the incentive and cost model of §3.1.1–3.1.2
 // and the Fig. 16 analyses of the CloudFog paper: supernode contributor
 // profit (Eq. 1), system bandwidth reduction (Eq. 2), game-service-provider
-// saving (Eq. 3–6), and the reward/electricity/EC2-renting comparisons.
+// saving (Eq. 3–5), and the reward/electricity/EC2-renting comparisons.
 package economics
 
 // Pricing constants from the paper's §4.4 analysis.
@@ -22,14 +22,6 @@ const (
 	MediumDatacenterUSD = 400e6
 )
 
-// SupernodeProfit returns P_s(j) = c_s*c_j*u_j − cost_j (Eq. 1): the profit
-// a contributor earns from a supernode with upload capacity capacity (in
-// reward-bandwidth units), utilization in [0, 1], per-unit reward
-// rewardPerUnit, and running cost cost (same currency).
-func SupernodeProfit(rewardPerUnit, capacity, utilization, cost float64) float64 {
-	return rewardPerUnit*capacity*utilization - cost
-}
-
 // BandwidthReduction returns B_r = n*R − Λ*m (Eq. 2): the cloud bandwidth
 // saved when m supernodes serve n players at streaming rate streamRate,
 // costing only the per-supernode update stream updateRate (Λ).
@@ -44,15 +36,6 @@ func BandwidthReduction(supportedPlayers int, streamRate float64, supernodes int
 // bandwidth contribution contributed (B_s).
 func ProviderSaving(serverBandwidthValue, reduction, rewardPerUnit, contributed float64) float64 {
 	return serverBandwidthValue*reduction - rewardPerUnit*contributed
-}
-
-// DeploymentGain returns G_s(j) = c_c*(ν*R − Λ) − c_s*c_j*u_j (Eq. 6): the
-// provider's gain from deploying one more supernode that newly covers
-// newPlayers (ν) players. Deploying is worthwhile when the gain is
-// positive.
-func DeploymentGain(serverBandwidthValue float64, newPlayers int, streamRate, updateRate, rewardPerUnit, capacity, utilization float64) float64 {
-	return serverBandwidthValue*(float64(newPlayers)*streamRate-updateRate) -
-		rewardPerUnit*capacity*utilization
 }
 
 // SupernodeEconomics is one row of the Fig. 16(a) analysis.

@@ -8,16 +8,6 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestSupernodeProfitEq1(t *testing.T) {
-	// P_s(j) = c_s*c_j*u_j - cost_j.
-	if got := SupernodeProfit(1.0, 10, 0.5, 2); !almostEq(got, 3) {
-		t.Errorf("profit = %v, want 3", got)
-	}
-	if got := SupernodeProfit(1.0, 10, 0, 2); !almostEq(got, -2) {
-		t.Errorf("idle profit = %v, want -2", got)
-	}
-}
-
 func TestBandwidthReductionEq2(t *testing.T) {
 	// B_r = n*R - Λ*m.
 	if got := BandwidthReduction(100, 1200, 10, 150); !almostEq(got, 100*1200-10*150) {
@@ -33,20 +23,6 @@ func TestProviderSavingEq3(t *testing.T) {
 	// C_g = c_c*B_r - c_s*B_s.
 	if got := ProviderSaving(2, 1000, 1, 500); !almostEq(got, 1500) {
 		t.Errorf("saving = %v", got)
-	}
-}
-
-func TestDeploymentGainEq6(t *testing.T) {
-	// G_s(j) = c_c*(ν*R - Λ) - c_s*c_j*u_j. Positive gain justifies
-	// deployment.
-	gain := DeploymentGain(0.001, 20, 1200, 150, 0.001, 50000, 0.5)
-	want := 0.001*(20*1200-150) - 0.001*50000*0.5
-	if !almostEq(gain, want) {
-		t.Errorf("gain = %v, want %v", gain, want)
-	}
-	// A supernode attracting no new players is not worth deploying.
-	if DeploymentGain(0.001, 0, 1200, 150, 0.001, 50000, 0.5) >= 0 {
-		t.Error("zero-coverage supernode should have negative gain")
 	}
 }
 

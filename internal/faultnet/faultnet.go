@@ -109,9 +109,6 @@ type Profile struct {
 	// DropRate is the per-write probability that the connection silently
 	// transitions to Blackhole (a vanished peer).
 	DropRate float64
-	// ResetRate is the per-write probability that the connection
-	// transitions to Reset (an abrupt RST).
-	ResetRate float64
 
 	// Datagram faults, applied per WriteToUDPAddrPort on wrapped packet
 	// conns (see WrapPacketConn). Unlike the stream faults above they
@@ -320,9 +317,6 @@ func (in *Injector) decide(n int) (Mode, time.Duration) {
 	defer in.mu.Unlock()
 	in.stats.Writes++
 	p := in.profile
-	if p.ResetRate > 0 && in.r.Bool(p.ResetRate) {
-		return Reset, 0
-	}
 	if p.DropRate > 0 && in.r.Bool(p.DropRate) {
 		return Blackhole, 0
 	}

@@ -7,6 +7,7 @@ import (
 	"cloudfog/internal/netmodel"
 	"cloudfog/internal/reputation"
 	"cloudfog/internal/rng"
+	"cloudfog/internal/selection"
 )
 
 // BenchmarkSelectorSelect measures the §3.2 selection hot path: candidate
@@ -21,7 +22,7 @@ func BenchmarkSelectorSelect(b *testing.B) {
 		m.Register(NewSupernode(netmodel.NewSupernodeEndpoint(100+i, loc, r), 3))
 	}
 	dc := netmodel.NewDatacenterEndpoint(9999, geo.Point{X: 4000, Y: 1950})
-	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: PolicyReputation}
+	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: selection.PolicyReputation}
 	player := netmodel.NewPlayerEndpoint(1, geo.Point{X: 1050, Y: 1050}, r)
 	book := reputation.NewBook(reputation.DefaultLambda)
 	for i := 0; i < 16; i++ {

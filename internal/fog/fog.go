@@ -244,23 +244,6 @@ func (m *Manager) CandidatesFor(loc geo.Point) []*Supernode {
 	return out
 }
 
-// SelectionPolicy controls how a player picks among delay-qualified
-// candidates. It is the shared control plane's selection.Policy; the
-// aliases below keep the historical names working.
-type SelectionPolicy = selection.Policy
-
-const (
-	// PolicyRandom picks a random qualified candidate (CloudFog/B, the
-	// Fig. 10 baseline).
-	PolicyRandom = selection.PolicyRandom
-	// PolicyReputation ranks qualified candidates by the player's own
-	// reputation book (CloudFog-reputation).
-	PolicyReputation = selection.PolicyReputation
-	// PolicyGlobalReputation ranks by a shared global reputation — the
-	// sybil-vulnerable strawman kept as an ablation.
-	PolicyGlobalReputation = selection.PolicyGlobalReputation
-)
-
 // Selection is the outcome of a player's supernode-selection procedure,
 // including the latency decomposition used by Fig. 9.
 type Selection struct {
@@ -290,7 +273,7 @@ type Selector struct {
 	// CloudEndpoint is the datacenter the player contacts for candidates.
 	CloudEndpoint *netmodel.Endpoint
 	// Policy picks the ranking rule.
-	Policy SelectionPolicy
+	Policy selection.Policy
 	// Global is consulted only under PolicyGlobalReputation.
 	Global *reputation.GlobalBook
 }
@@ -320,7 +303,7 @@ func (sel *Selector) Select(player *netmodel.Endpoint, maxDelayMs float64,
 	}
 	var scorer selection.Scorer
 	switch sel.Policy {
-	case PolicyGlobalReputation:
+	case selection.PolicyGlobalReputation:
 		if sel.Global != nil {
 			scorer = sel.Global
 		}

@@ -7,6 +7,7 @@ import (
 	"cloudfog/internal/netmodel"
 	"cloudfog/internal/reputation"
 	"cloudfog/internal/rng"
+	"cloudfog/internal/selection"
 )
 
 func newTestManager(t *testing.T, n int) (*Manager, *netmodel.Model, *rng.Rand) {
@@ -145,7 +146,7 @@ func TestCandidatesForEmptyManager(t *testing.T) {
 func TestSelectorConnectsNearby(t *testing.T) {
 	m, model, r := newTestManager(t, 20)
 	dc := netmodel.NewDatacenterEndpoint(9999, geo.Point{X: 4000, Y: 1950})
-	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: PolicyRandom}
+	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: selection.PolicyRandom}
 	player := playerAt(1, 1010, 1010, r)
 	out := sel.Select(player, 60, nil, 0, r)
 	if out.Supernode == nil {
@@ -168,7 +169,7 @@ func TestSelectorConnectsNearby(t *testing.T) {
 func TestSelectorDelayFilter(t *testing.T) {
 	m, model, r := newTestManager(t, 20)
 	dc := netmodel.NewDatacenterEndpoint(9999, geo.Point{X: 4000, Y: 1950})
-	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: PolicyRandom}
+	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: selection.PolicyRandom}
 	// A player on the far side of the plane cannot meet a 5 ms one-way
 	// threshold to supernodes around (1000, 1000).
 	player := playerAt(1, 4400, 2700, r)
@@ -194,7 +195,7 @@ func TestSelectorSequentialProbing(t *testing.T) {
 		}
 	}
 	dc := netmodel.NewDatacenterEndpoint(9999, geo.Point{X: 4000, Y: 1950})
-	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: PolicyRandom}
+	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: selection.PolicyRandom}
 	player := playerAt(1, 1020, 1020, r)
 	out := sel.Select(player, 100, nil, 0, r)
 	if out.Supernode == nil {
@@ -209,7 +210,7 @@ func TestSelectorReputationPrefersRated(t *testing.T) {
 	m, model, r := newTestManager(t, 10)
 	m.CandidateListSize = 10
 	dc := netmodel.NewDatacenterEndpoint(9999, geo.Point{X: 4000, Y: 1950})
-	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: PolicyReputation}
+	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: selection.PolicyReputation}
 	player := playerAt(1, 1050, 1050, r)
 	book := reputation.NewBook(0.9)
 	target := m.All()[7].ID
@@ -232,7 +233,7 @@ func TestSelectorGlobalReputation(t *testing.T) {
 	global := reputation.NewGlobalBook(0.9)
 	target := m.All()[3].ID
 	global.Rate(target, 0.99, 0)
-	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: PolicyGlobalReputation, Global: global}
+	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: selection.PolicyGlobalReputation, Global: global}
 	player := playerAt(1, 1050, 1050, r)
 	out := sel.Select(player, 200, nil, 0, r)
 	if out.Supernode == nil || out.Supernode.ID != target {
@@ -243,7 +244,7 @@ func TestSelectorGlobalReputation(t *testing.T) {
 func TestSelectorNilBookSafe(t *testing.T) {
 	m, model, r := newTestManager(t, 5)
 	dc := netmodel.NewDatacenterEndpoint(9999, geo.Point{X: 4000, Y: 1950})
-	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: PolicyReputation}
+	sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc, Policy: selection.PolicyReputation}
 	player := playerAt(1, 1010, 1010, r)
 	out := sel.Select(player, 100, nil, 0, r) // must not panic
 	if out.Supernode == nil {
@@ -291,7 +292,7 @@ func TestSelectorGlobalReputationShufflesUnknowns(t *testing.T) {
 		m, model, _ := newTestManager(t, 10)
 		m.CandidateListSize = 10
 		sel := &Selector{Manager: m, Model: model, CloudEndpoint: dc,
-			Policy: PolicyGlobalReputation, Global: reputation.NewGlobalBook(0.9)}
+			Policy: selection.PolicyGlobalReputation, Global: reputation.NewGlobalBook(0.9)}
 		r := rng.New(1000 + seed)
 		out := sel.Select(playerAt(1, 1050, 1050, r), 200, nil, 0, r)
 		if out.Supernode == nil {

@@ -266,7 +266,7 @@ func (s *CloudServer) applyInterest(sn *supernodeConn, iu *protocol.InterestUpda
 		}
 	}
 	sn.interest = ns
-	s.interestUpdates++
+	s.stats.InterestUpdates++
 }
 
 // appendCellStateLocked appends a keyframe's payload — one delta per
@@ -472,6 +472,6 @@ func (f *FogNode) refreshInterest() {
 func (f *FogNode) noteInterestSent(ai *fogInterest) {
 	f.mu.Lock()
 	ai.sentOnce = true
-	f.interestSent++
+	f.stats.InterestUpdatesSent++
 	f.mu.Unlock()
 }

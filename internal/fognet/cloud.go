@@ -57,9 +57,6 @@ const (
 	// DefaultHeartbeatMisses is how many unanswered heartbeats evict a
 	// supernode.
 	DefaultHeartbeatMisses = 3
-	// DefaultWriteTimeout bounds any single protocol write. The timeout
-	// policy lives on the transport seam; re-exported for compatibility.
-	DefaultWriteTimeout = transport.DefaultWriteTimeout
 	// DefaultSendQueueLen bounds the per-supernode outbound queue.
 	DefaultSendQueueLen = 64
 	// DefaultDialTimeout bounds connection establishment.
@@ -78,8 +75,6 @@ type CloudConfig struct {
 	// TickInterval is the world tick period. Defaults to
 	// DefaultTickInterval.
 	TickInterval time.Duration
-	// WorldWidth, WorldHeight size the virtual world (defaults apply).
-	WorldWidth, WorldHeight float64
 	// NPCs seeds the world with this many NPCs on a grid.
 	NPCs int
 	// HeartbeatInterval is the supernode liveness ping period. Defaults
@@ -89,7 +84,7 @@ type CloudConfig struct {
 	// a supernode. Defaults to DefaultHeartbeatMisses.
 	HeartbeatMisses int
 	// WriteTimeout bounds every protocol write. Defaults to
-	// DefaultWriteTimeout.
+	// transport.DefaultWriteTimeout.
 	WriteTimeout time.Duration
 	// SendQueueLen bounds the per-supernode outbound queue; when it is
 	// full, further messages are dropped (and counted) rather than
@@ -142,18 +137,17 @@ type CloudServer struct {
 	restoredHash uint64
 	restoredTick uint64
 
-	mu            sync.Mutex
-	world         *virtualworld.World
-	pending       []virtualworld.Action
-	supernodes    map[uint32]*supernodeConn // guarded by mu
-	nextSNID      uint32
-	players       map[int32]*playerConn // guarded by mu
-	ticks         int64
-	fallbackBits  int64
-	fallbackCount int64
-	fallbackLive  int
-	hbSeq         uint32
-	resil         CloudResilience
+	mu         sync.Mutex
+	world      *virtualworld.World
+	pending    []virtualworld.Action
+	supernodes map[uint32]*supernodeConn // guarded by mu
+	nextSNID   uint32
+	players    map[int32]*playerConn // guarded by mu
+	hbSeq      uint32
+	// stats is the storage of the counters Stats reports; the world,
+	// membership and immutable figures and the two hot-path atomics are
+	// filled in at snapshot time.
+	stats CloudStats // guarded by mu
 
 	// standby is the attached warm standby, fed through the same bounded
 	// queue + coalescing writer machinery as a supernode; standbyAddr is
@@ -186,14 +180,12 @@ type CloudServer struct {
 	// allocates nothing. aoiIDScratch/aoiCellScratch back the keyframe
 	// and interest-widening lookups. Only keyframe gathering and the
 	// interest counters run under mu; the rest is tick-loop-owned.
-	aoi             aoiPlan
-	fanSNs          []fanSN
-	keyPlan         []keyItem
-	keyDeltas       []virtualworld.Delta
-	aoiIDScratch    []virtualworld.EntityID
-	aoiCellScratch  []uint32
-	interestUpdates int64 // guarded by mu
-	keyframeCells   int64 // guarded by mu
+	aoi            aoiPlan
+	fanSNs         []fanSN
+	keyPlan        []keyItem
+	keyDeltas      []virtualworld.Delta
+	aoiIDScratch   []virtualworld.EntityID
+	aoiCellScratch []uint32
 
 	// Hot-path counters live outside mu: the per-supernode writer
 	// goroutines and the non-blocking enqueue bump them on every tick
@@ -360,15 +352,14 @@ func NewCloudServer(cfg CloudConfig) (*CloudServer, error) {
 	ln := cfg.Listener
 	if ln == nil {
 		var err error
-		// WrapConn is applied in acceptLoop rather than via the
-		// transport's listener wrapper so a handed-over standby listener
-		// gets identical fault injection.
+		// WrapConn is applied in acceptLoop, so a handed-over standby
+		// listener gets identical fault injection.
 		ln, err = transport.TCP{Config: tc}.Listen(cfg.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("cloud listen: %w", err)
 		}
 	}
-	world := virtualworld.New(cfg.WorldWidth, cfg.WorldHeight)
+	world := virtualworld.New(virtualworld.DefaultWidth, virtualworld.DefaultHeight)
 	book := reputation.NewGlobalBook(reputation.DefaultLambda)
 	rankRand := rng.New(cfg.Seed).SplitNamed("cloud-ladder")
 	addrIDs := make(map[string]int)
@@ -601,33 +592,22 @@ type CloudStats struct {
 func (s *CloudServer) Stats() CloudStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resil := s.resil
-	resil.SendQueueDrops = s.queueDrops.Load()
-	aoiSNs := 0
+	st := s.stats
+	st.Tick = s.world.Tick()
+	st.Epoch = s.epoch
+	st.StandbyAttached = s.standby != nil
+	st.RestoredHash, st.RestoredTick = s.restoredHash, s.restoredTick
+	st.UpdateBits = s.updateBits.Load()
+	st.Resilience.SendQueueDrops = s.queueDrops.Load()
+	st.Supernodes = len(s.supernodes)
 	for _, sn := range s.supernodes {
 		if sn.interest != nil {
-			aoiSNs++
+			st.AoISupernodes++
 		}
 	}
-	return CloudStats{
-		Ticks:           s.ticks,
-		Tick:            s.world.Tick(),
-		Epoch:           s.epoch,
-		StandbyAttached: s.standby != nil,
-		RestoredHash:    s.restoredHash,
-		RestoredTick:    s.restoredTick,
-		UpdateBits:      s.updateBits.Load(),
-		Supernodes:      len(s.supernodes),
-		AoISupernodes:   aoiSNs,
-		InterestUpdates: s.interestUpdates,
-		KeyframeCells:   s.keyframeCells,
-		Players:         len(s.players),
-		Entities:        s.world.NumEntities(),
-		FallbackBits:    s.fallbackBits,
-		FallbackPlayers: s.fallbackLive,
-		FallbackFrames:  s.fallbackCount,
-		Resilience:      resil,
-	}
+	st.Players = len(s.players)
+	st.Entities = s.world.NumEntities()
+	return st
 }
 
 func (s *CloudServer) acceptLoop() {
@@ -677,7 +657,7 @@ func (s *CloudServer) tickOnce() {
 		deltas = s.tickDeltas
 		s.sessionDeltas = s.sessionDeltas[:0]
 	}
-	s.ticks++
+	s.stats.Ticks++
 	tick := s.world.Tick()
 	nextID := s.world.NextID()
 	geo := s.world.Grid().Geom()
@@ -698,13 +678,13 @@ func (s *CloudServer) tickOnce() {
 			off := int32(len(s.keyDeltas))
 			s.keyDeltas = s.appendCellStateLocked(s.keyDeltas, c)
 			s.keyPlan = append(s.keyPlan, keyItem{sn: f.sn, cell: c, off: off, n: int32(len(s.keyDeltas)) - off})
-			s.keyframeCells++
+			s.stats.KeyframeCells++
 		}
 		f.sn.pendingKey = f.sn.pendingKey[:0]
 	}
 	standby := s.standby
 	var ckpt *sharedPayload
-	if standby != nil && s.ticks%int64(s.cfg.CheckpointEvery) == 0 {
+	if standby != nil && s.stats.Ticks%int64(s.cfg.CheckpointEvery) == 0 {
 		// Capture right after Step, while no actions are pending: the
 		// checkpoint is a clean tick boundary.
 		ckpt = s.encodeCheckpointLocked(1)
@@ -846,7 +826,7 @@ func (s *CloudServer) encodeCheckpointLocked(refs int) *sharedPayload {
 	s.book.StateInto(&st.Book)
 	st.RNG = s.rankRand.State()
 	st.Canonicalize()
-	s.resil.Checkpoints++
+	s.stats.Resilience.Checkpoints++
 	sp := newSharedPayload(refs)
 	sp.buf.B = st.AppendTo(sp.buf.B[:0])
 	return sp
@@ -962,7 +942,7 @@ func (s *CloudServer) heartbeatOnce() {
 		sn.missed++
 		ping = append(ping, sn)
 	}
-	s.resil.HeartbeatsSent += int64(len(ping))
+	s.stats.Resilience.HeartbeatsSent += int64(len(ping))
 	s.mu.Unlock()
 
 	if len(ping) > 0 {
@@ -985,9 +965,9 @@ func (s *CloudServer) unregisterSupernode(sn *supernodeConn, evicted bool) {
 	if present && cur == sn {
 		delete(s.supernodes, sn.id)
 		if evicted {
-			s.resil.Evictions++
+			s.stats.Resilience.Evictions++
 		} else {
-			s.resil.Departures++
+			s.stats.Resilience.Departures++
 		}
 	} else {
 		present = false
@@ -1087,17 +1067,15 @@ func (s *CloudServer) Candidates() []protocol.CandidateInfo {
 // player; periodic healthy reports wait for the next natural refresh.
 func (s *CloudServer) recordQoE(rep protocol.QoEReport) {
 	s.mu.Lock()
+	// An address never seen as a supernode is a bogus or stale report;
+	// absorbing it would let players mint reputation IDs.
 	id, known := s.addrIDs[rep.Addr]
-	if !known {
-		// Never seen this address as a supernode: a bogus or stale
-		// report; absorbing it would let players mint reputation IDs.
-		s.mu.Unlock()
-		return
+	if known {
+		s.book.Rate(id, rep.Rating, s.day())
+		s.stats.Resilience.QoEReports++
 	}
-	s.book.Rate(id, rep.Rating, s.day())
-	s.resil.QoEReports++
 	s.mu.Unlock()
-	if rep.Stalled || rep.Fallback {
+	if known && (rep.Stalled || rep.Fallback) {
 		s.broadcastCandidates()
 	}
 }
@@ -1151,7 +1129,7 @@ func (s *CloudServer) broadcastCandidates() {
 		}
 	}
 	s.mu.Lock()
-	s.resil.CandidateUpdates += sent
+	s.stats.Resilience.CandidateUpdates += sent
 	s.mu.Unlock()
 }
 
@@ -1227,7 +1205,7 @@ func (s *CloudServer) serveStandby(conn net.Conn, fr *protocol.FrameReader, hell
 	prev := s.standby
 	s.standby = sb
 	s.standbyAddr = hello.Addr
-	s.resil.StandbyAttaches++
+	s.stats.Resilience.StandbyAttaches++
 	// Seed the follower inside the same critical section that installs
 	// it: the queue is empty, so the checkpoint is guaranteed to precede
 	// any log entry the tick loop enqueues afterwards.
@@ -1292,7 +1270,7 @@ func (s *CloudServer) admitSupernode(conn net.Conn, fr *protocol.FrameReader, he
 		StandbyAddr:     s.standbyAddr,
 	}
 	if req != nil {
-		s.resil.ResumedSupernodes++
+		s.stats.Resilience.ResumedSupernodes++
 	}
 	s.mu.Unlock()
 
@@ -1319,57 +1297,61 @@ func (s *CloudServer) serveFallbackStream(conn net.Conn, fr *protocol.FrameReade
 		return
 	}
 	defer fb.unclaim(attach.PlayerID)
-	// The cloud's fallback stream never upgrades to datagrams (nil
-	// offer): the last rung of the ladder favors the transport that
-	// works everywhere over the one that performs best.
-	runVideoSession(conn, fr, attach, DefaultFrameInterval, s.cfg.WriteTimeout,
-		s, fb, s, nil, s.stop, &s.wg)
+	runVideoSession(conn, fr, attach, DefaultFrameInterval, s.cfg.WriteTimeout, fb, s.stop, &s.wg)
 }
 
-// submitAction implements actionSink for cloud-fallback video sessions:
-// the cloud is the authority, so rerouted inputs go straight into the
-// pending queue (the video-session reader already verified the sender).
-func (s *CloudServer) submitAction(a virtualworld.Action) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.world.Avatar(a.Player) == nil {
+// cloudFallback is the cloud as a sessionHost: it never refuses a session,
+// renders from the authoritative world, routes its egress into the cloud's
+// bandwidth accounting and never upgrades to datagrams.
+type cloudFallback struct{ s *CloudServer }
+
+// submitAction: the cloud is the authority, so rerouted inputs go straight
+// into the pending queue (the video-session reader already verified the
+// sender).
+func (c cloudFallback) submitAction(a virtualworld.Action) bool {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	if c.s.world.Avatar(a.Player) == nil {
 		return false
 	}
-	s.pending = append(s.pending, a)
+	c.s.pending = append(c.s.pending, a)
 	return true
 }
 
-// viewInto implements viewSource over the authoritative world.
-func (s *CloudServer) viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.world.ViewInto(dst, player, render.ViewHalfWidth, render.ViewHalfHeight)
+func (c cloudFallback) viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	return c.s.world.ViewInto(dst, player, render.ViewHalfWidth, render.ViewHalfHeight)
 }
 
-// cloudFallback is the fallback stream's bookkeeping: it never refuses a
-// session (sessionSlots) and routes its egress into the cloud's bandwidth
-// accounting (streamCounters).
-type cloudFallback struct{ s *CloudServer }
+// offerDatagram refuses: the last rung of the ladder favors the transport
+// that works everywhere over the one that performs best.
+func (c cloudFallback) offerDatagram() (protocol.DatagramReply, *dgramSession) {
+	//lint:ignore epochstamp refusal reply: OK=false carries no orderable state, the player stays on the TCP stream
+	return protocol.DatagramReply{Reason: "datagram video unavailable"}, nil
+}
+
+func (c cloudFallback) endDatagram(*dgramSession) {}
 
 func (c cloudFallback) freeSlots() int { return 1 << 15 } // effectively unbounded
 
 func (c cloudFallback) claim(int32) bool {
 	c.s.mu.Lock()
-	c.s.fallbackLive++
+	c.s.stats.FallbackPlayers++
 	c.s.mu.Unlock()
 	return true
 }
 
 func (c cloudFallback) unclaim(int32) {
 	c.s.mu.Lock()
-	c.s.fallbackLive--
+	c.s.stats.FallbackPlayers--
 	c.s.mu.Unlock()
 }
 
 func (c cloudFallback) addFrame(bits int) {
 	c.s.mu.Lock()
-	c.s.fallbackBits += int64(bits)
-	c.s.fallbackCount++
+	c.s.stats.FallbackBits += int64(bits)
+	c.s.stats.FallbackFrames++
 	c.s.mu.Unlock()
 }
 
@@ -1402,7 +1384,7 @@ readLoop:
 			// The ack doubles as a load report: the attached-player count
 			// feeds the availability sort of the candidate ladder.
 			sn.lastAttached = int(ack.Attached)
-			s.resil.HeartbeatAcks++
+			s.stats.Resilience.HeartbeatAcks++
 			s.mu.Unlock()
 		case protocol.MsgAction:
 			// A registered supernode relays inputs its players could not
@@ -1416,7 +1398,7 @@ readLoop:
 			s.mu.Lock()
 			if s.world.Avatar(am.Action.Player) != nil {
 				s.pending = append(s.pending, am.Action)
-				s.resil.ForwardedActions++
+				s.stats.Resilience.ForwardedActions++
 			}
 			s.mu.Unlock()
 		case protocol.MsgBye:
@@ -1473,7 +1455,7 @@ func (s *CloudServer) admitPlayer(conn net.Conn, fr *protocol.FrameReader, join 
 			StandbyAddr:     s.standbyAddr,
 		}
 		if req != nil {
-			s.resil.ResumedPlayers++
+			s.stats.Resilience.ResumedPlayers++
 		}
 	}
 	s.mu.Unlock()

@@ -13,19 +13,6 @@ import (
 	"cloudfog/internal/videocodec"
 )
 
-// dgramOffer is the optional datagram upgrade a video session can grant:
-// the fog node implements it over its UDP socket, the cloud's fallback
-// sessions pass nil so every MsgDatagramRequest is refused — the cloud
-// rung of the ladder stays TCP-only.
-type dgramOffer interface {
-	// offerDatagram registers a new datagram session and returns the
-	// reply to send plus the live session handle; reply.OK false means
-	// refusal (nil handle).
-	offerDatagram() (protocol.DatagramReply, *dgramSession)
-	// endDatagram releases the session when the video session ends.
-	endDatagram(*dgramSession)
-}
-
 // fogDatagram owns a fog node's UDP video socket: one receive loop
 // registers player hellos, and every datagram-upgraded video session
 // sends its frames through the shared socket. Tokens authenticate
@@ -218,7 +205,7 @@ func (s *dgramSession) sendFrame(buf []byte, ef *videocodec.EncodedFrame, tick u
 	return buf, true
 }
 
-// offerDatagram implements dgramOffer for the fog node: refuse when the
+// offerDatagram implements sessionHost for the fog node: refuse when the
 // UDP path is disabled, otherwise register a session under the epoch of
 // the cloud currently followed.
 func (f *FogNode) offerDatagram() (protocol.DatagramReply, *dgramSession) {
@@ -229,7 +216,7 @@ func (f *FogNode) offerDatagram() (protocol.DatagramReply, *dgramSession) {
 	return f.dgram.newSession(f.currentEpoch())
 }
 
-// endDatagram implements dgramOffer.
+// endDatagram implements sessionHost.
 func (f *FogNode) endDatagram(s *dgramSession) {
 	if f.dgram != nil {
 		f.dgram.drop(s)
@@ -242,5 +229,5 @@ func (f *FogNode) endDatagram(s *dgramSession) {
 func (f *FogNode) currentEpoch() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.epoch
+	return f.stats.Epoch
 }

@@ -2,13 +2,17 @@ package fognet
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
 	"cloudfog/internal/adaptation"
 	"cloudfog/internal/faultnet"
 	"cloudfog/internal/game"
+	"cloudfog/internal/protocol"
+	"cloudfog/internal/render"
 	"cloudfog/internal/transport"
+	"cloudfog/internal/videocodec"
 )
 
 // startDgramFog creates a fog node with the UDP video path enabled,
@@ -58,10 +62,13 @@ func TestDatagramVideoEndToEnd(t *testing.T) {
 	if s.DecodeErrors > s.Frames/10 {
 		t.Errorf("decode errors over UDP: %d of %d frames", s.DecodeErrors, s.Frames)
 	}
-	fs := fog.Stats()
-	if fs.DatagramSessions < 1 || fs.DatagramHellos < 1 || fs.DatagramFrames < 20 {
-		t.Errorf("fog datagram stats: %+v", fs)
-	}
+	// The fog counts a frame after its write returns, by which time the
+	// player may have counted it already: its twentieth can be a moment
+	// behind the player's.
+	waitFor(t, 2*time.Second, "fog datagram stats", func() bool {
+		fs := fog.Stats()
+		return fs.DatagramSessions >= 1 && fs.DatagramHellos >= 1 && fs.DatagramFrames >= 20
+	})
 	// Control stays on TCP: the goodbye must still tear the session down
 	// cleanly (the fog sees the Bye on the stream connection and drops
 	// the datagram session with it).
@@ -132,8 +139,9 @@ func TestDatagramCloudFallbackStaysTCP(t *testing.T) {
 // receiver's ordering discipline must hold: late and duplicated frames
 // are dropped at the tracker (DatagramStale / DatagramDuplicates), every
 // reordered frame is a dropped frame (Reordered ⊆ Stale), and the
-// decoded stream stays clean — the decoder only ever sees frames in
-// order, so chaos shows up as skipped frames, not corruption.
+// decoded stream stays clean — the decoder only ever sees a frame whose
+// reference it decoded too (the gap rule, TestDatagramGapRule), so chaos
+// shows up as skipped frames, not corruption and not decode errors.
 func TestDatagramChaosStaleNeverDelivered(t *testing.T) {
 	in := faultnet.NewInjector(faultnet.Profile{
 		Seed:                11,
@@ -175,9 +183,10 @@ func TestDatagramChaosStaleNeverDelivered(t *testing.T) {
 		t.Errorf("reordered (%d) > stale (%d): a late frame was not dropped",
 			s.DatagramReordered, s.DatagramStale)
 	}
-	// The decoder only saw in-order frames, so the stream stayed
-	// decodable despite the chaos.
-	if s.DecodeErrors > s.Frames/5 {
+	// In order is not enough — a frame behind a gap is in order and has no
+	// reference. The decoder saw only frames that continue the one before
+	// them, or keyframes, so nothing it was given failed to decode.
+	if s.DecodeErrors != 0 {
 		t.Errorf("decode errors under chaos: %d of %d frames", s.DecodeErrors, s.Frames)
 	}
 	if s.LastTick == 0 {
@@ -324,5 +333,111 @@ func TestAdaptationStepsDownAndRecoversUnderFaultnetLoss(t *testing.T) {
 	}
 	if ctrl.Lossy() {
 		t.Error("Lossy() still true after heal")
+	}
+}
+
+// rateChangeConn is a session connection that counts the MsgRateChange
+// frames written to it and swallows everything.
+type rateChangeConn struct {
+	discardNetConn
+	rateChanges int
+}
+
+func (c *rateChangeConn) Write(b []byte) (int, error) {
+	if len(b) > 4 && protocol.MsgType(b[4]) == protocol.MsgRateChange {
+		c.rateChanges++
+	}
+	return len(b), nil
+}
+
+// TestDatagramGapRule drives the player's datagram receive path — the
+// gap rule in front of the decoder — with a scripted loss, no network and
+// no clock: ten frames at GOP 6, one datagram dropped. Fresh means newer,
+// not next, so the P-frames behind the gap have no reference; they must
+// not be shown (decoded, they land on a stale reference, or fail
+// ErrNoReference one by one after a lost keyframe at a new resolution).
+// Every frame that is shown must equal the sender's
+// own reconstruction byte for byte, nothing may count as a decode error,
+// and exactly one keyframe request goes out per outage.
+func TestDatagramGapRule(t *testing.T) {
+	const gop = 6
+	small := render.Resolution{Width: 32, Height: 24}
+	large := render.Resolution{Width: 48, Height: 36}
+	for _, tc := range []struct {
+		name string
+		// res is the sender's resolution per frame (1-based index i-1); a
+		// change restarts the GOP with a fresh encoder, as setLevel does.
+		res   func(i int) render.Resolution
+		drop  int
+		shown []int
+	}{
+		{
+			name:  "P-frame lost mid-GOP",
+			res:   func(int) render.Resolution { return small },
+			drop:  4, // frames 5, 6 lose their reference; 7 is the next I-frame
+			shown: []int{1, 2, 3, 7, 8, 9, 10},
+		},
+		{
+			name: "I-frame lost after a resolution change",
+			res: func(i int) render.Resolution {
+				if i < 4 {
+					return small
+				}
+				return large
+			},
+			drop:  4, // the new encoder's I-frame; its GOP rolls over at 10
+			shown: []int{1, 2, 3, 10},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				enc    *videocodec.Encoder
+				sender videocodec.Decoder // the sender's own reconstruction
+				want   render.Frame
+				ef     videocodec.EncodedFrame
+				conn   rateChangeConn
+				p      = &PlayerClient{cfg: PlayerConfig{WriteTimeout: time.Second}}
+				st     = videoRecvState{needKey: true} // as runDatagramVideo starts it
+				shown  []int
+			)
+			p.stats.Level = 2
+			for i := 1; i <= 10; i++ {
+				res := tc.res(i)
+				if i == 1 || res != tc.res(i-1) {
+					enc = videocodec.NewEncoder(0)
+					enc.GOP = gop
+				}
+				pic := render.NewFrame(res)
+				for j := range pic.Pix {
+					pic.Pix[j] = byte(j/res.Width*8 + i*3*(j%5))
+				}
+				pic.Tick = uint64(i)
+				enc.EncodeInto(pic, &ef)
+				if err := sender.DecodeInto(&ef, &want); err != nil {
+					t.Fatalf("frame %d: sender-side decode: %v", i, err)
+				}
+				if i == tc.drop {
+					continue
+				}
+				before := p.Stats().Frames
+				p.recvDatagramFrame(&st, &conn, uint64(i), ef.AppendTo(nil))
+				if p.Stats().Frames == before {
+					continue
+				}
+				shown = append(shown, i)
+				if !st.frame.Equal(&want) || st.frame.Tick != uint64(i) {
+					t.Errorf("frame %d shown differs from the sender's reconstruction", i)
+				}
+			}
+			if !slices.Equal(shown, tc.shown) {
+				t.Errorf("shown frames %v, want %v", shown, tc.shown)
+			}
+			if s := p.Stats(); s.DecodeErrors != 0 || s.DatagramFrames != int64(len(tc.shown)) {
+				t.Errorf("decode errors %d, datagram frames %d; want 0 and %d", s.DecodeErrors, s.DatagramFrames, len(tc.shown))
+			}
+			if conn.rateChanges != 1 {
+				t.Errorf("%d keyframe requests, want 1", conn.rateChanges)
+			}
+		})
 	}
 }

@@ -43,13 +43,12 @@ type FogConfig struct {
 	// DialTimeout bounds the cloud dial. Defaults to DefaultDialTimeout.
 	DialTimeout time.Duration
 	// WriteTimeout bounds protocol writes (heartbeat acks, video frames).
-	// Defaults to DefaultWriteTimeout.
+	// Defaults to transport.DefaultWriteTimeout.
 	WriteTimeout time.Duration
 	// ReconnectBackoff is the initial delay before redialing a lost
 	// cloud connection; it doubles per attempt up to
-	// ReconnectBackoffMax, with ±50% deterministic jitter.
-	ReconnectBackoff    time.Duration
-	ReconnectBackoffMax time.Duration
+	// DefaultReconnectBackoffMax, with ±50% deterministic jitter.
+	ReconnectBackoff time.Duration
 	// Seed drives the reconnect jitter deterministically.
 	Seed uint64
 	// Dial, when set, replaces net.DialTimeout — the faultnet injection
@@ -121,29 +120,26 @@ type FogNode struct {
 	// dgram is the UDP video path, nil unless cfg.Datagram is set.
 	dgram *fogDatagram
 
-	mu        sync.Mutex
-	cloud     net.Conn
-	cloudFR   *protocol.FrameReader // cloud's one frame reader, swapped with it
-	id        uint32
-	replica   *virtualworld.Replica
-	attached  map[int32]struct{} // guarded by mu
-	videoBits int64
-	frames    int64
-	probes    int64
-	resil     FogResilience
+	mu       sync.Mutex
+	cloud    net.Conn
+	cloudFR  *protocol.FrameReader // cloud's one frame reader, swapped with it
+	id       uint32
+	replica  *virtualworld.Replica
+	attached map[int32]struct{} // guarded by mu
+	// stats is the storage of the counters Stats reports; the replica,
+	// attach-set, AoI and datagram figures are filled in at snapshot
+	// time. Its Epoch is live state too: the authority epoch of the
+	// cloud currently followed.
+	stats FogStats // guarded by mu
 	// aoi is the interest-management tracker, nil unless cfg.AoI. The
 	// pointer itself is immutable — set before the node's goroutines
 	// start — so nil checks need no lock; its mutable fields have their
 	// own locking discipline (see fogInterest).
-	aoi              *fogInterest
-	interestSent     int64 // guarded by mu
-	cellBatches      int64 // guarded by mu
-	keyframesApplied int64 // guarded by mu
+	aoi *fogInterest
 
-	// The failover view: the authority epoch of the cloud currently
-	// followed, its address, and the advertised standby. reconnect walks
+	// The failover view (next to stats.Epoch): the address of the cloud
+	// currently followed and the advertised standby. reconnect walks
 	// authority → standby and a successful resume rebinds all three.
-	epoch       uint64 // guarded by mu
 	authority   string // guarded by mu
 	standbyAddr string // guarded by mu
 	// actionQ buffers per-player inputs received on video sessions while
@@ -186,9 +182,6 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 	cfg.WriteTimeout = tc.WriteTimeout
 	if cfg.ReconnectBackoff <= 0 {
 		cfg.ReconnectBackoff = DefaultReconnectBackoff
-	}
-	if cfg.ReconnectBackoffMax <= 0 {
-		cfg.ReconnectBackoffMax = DefaultReconnectBackoffMax
 	}
 	if cfg.AoI && cfg.AoIMargin <= 0 {
 		cfg.AoIMargin = DefaultAoIMargin
@@ -256,7 +249,7 @@ func (f *FogNode) dialCloud(addr string, resume bool) (net.Conn, *protocol.Frame
 		f.mu.Lock()
 		req := protocol.Resume{
 			Kind:       protocol.ResumeSupernode,
-			Epoch:      f.epoch,
+			Epoch:      f.stats.Epoch,
 			Tick:       f.replica.Tick(),
 			Name:       hello.Name,
 			Capacity:   hello.Capacity,
@@ -281,7 +274,7 @@ func (f *FogNode) dialCloud(addr string, resume bool) (net.Conn, *protocol.Frame
 func (f *FogNode) adoptCloudLocked(conn net.Conn, fr *protocol.FrameReader, addr string, reply protocol.ResumeReply) {
 	f.cloud, f.cloudFR = conn, fr
 	f.id = reply.SupernodeID
-	f.epoch = reply.Epoch
+	f.stats.Epoch = reply.Epoch
 	f.authority = addr
 	f.standbyAddr = reply.StandbyAddr
 	f.replica.Seed(reply.Snapshot)
@@ -390,25 +383,14 @@ type FogStats struct {
 func (f *FogNode) Stats() FogStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	buffered := 0
+	st := f.stats
 	for _, q := range f.actionQ {
-		buffered += len(q)
+		st.BufferedNow += len(q)
 	}
-	st := FogStats{
-		ReplicaTick:         f.replica.Tick(),
-		Epoch:               f.epoch,
-		BufferedNow:         buffered,
-		Attached:            len(f.attached),
-		Frames:              f.frames,
-		VideoBits:           f.videoBits,
-		Probes:              f.probes,
-		AppliedDeltas:       f.replica.AppliedDeltas(),
-		StaleDeltas:         f.replica.StaleDeltas(),
-		InterestUpdatesSent: f.interestSent,
-		CellBatches:         f.cellBatches,
-		KeyframesApplied:    f.keyframesApplied,
-		Resilience:          f.resil,
-	}
+	st.ReplicaTick = f.replica.Tick()
+	st.Attached = len(f.attached)
+	st.AppliedDeltas = f.replica.AppliedDeltas()
+	st.StaleDeltas = f.replica.StaleDeltas()
 	if f.aoi != nil {
 		st.InterestCells = len(f.aoi.cells)
 	}
@@ -454,8 +436,8 @@ func (f *FogNode) updateLoop() {
 				// The authority failed over while this conn survived; its
 				// stamp is the fastest notification there is.
 				//lint:ignore epochstamp epoch adoption, not a discard decision: the fog follows the highest epoch it has seen
-				if batch.Epoch > f.epoch {
-					f.epoch = batch.Epoch
+				if batch.Epoch > f.stats.Epoch {
+					f.stats.Epoch = batch.Epoch
 				}
 				f.replica.Apply(batch.Tick, batch.Deltas)
 				f.mu.Unlock()
@@ -466,20 +448,20 @@ func (f *FogNode) updateLoop() {
 				}
 				f.mu.Lock()
 				//lint:ignore epochstamp epoch adoption, not a discard decision: the fog follows the highest epoch it has seen
-				if cellBatch.Epoch > f.epoch {
-					f.epoch = cellBatch.Epoch
+				if cellBatch.Epoch > f.stats.Epoch {
+					f.stats.Epoch = cellBatch.Epoch
 				}
 				if cellBatch.Keyframe && f.aoi != nil && f.aoi.ready {
 					// Cell-enter seed: prune in-cell entities the batch does
 					// not mention, then apply its full population.
 					f.replica.ApplyCellKeyframe(cellBatch.Tick, cellBatch.Cell, cellBatch.Deltas)
-					f.keyframesApplied++
+					f.stats.KeyframesApplied++
 				} else {
 					// Ordinary cell deltas — including the CellNone global
 					// bucket (removals, session events) — apply as-is.
 					f.replica.Apply(cellBatch.Tick, cellBatch.Deltas)
 				}
-				f.cellBatches++
+				f.stats.CellBatches++
 				f.mu.Unlock()
 				f.refreshInterest()
 			case protocol.MsgHeartbeat:
@@ -503,7 +485,7 @@ func (f *FogNode) updateLoop() {
 					continue // the read side will observe the dead conn
 				}
 				f.mu.Lock()
-				f.resil.HeartbeatAcks++
+				f.stats.Resilience.HeartbeatAcks++
 				f.mu.Unlock()
 			case protocol.MsgCandidateUpdate:
 				// The cloud keeps supernodes' failover view current too:
@@ -542,13 +524,13 @@ func (f *FogNode) reconnect() bool {
 	f.mu.Unlock()
 	old.Close()
 	backoff := f.cfg.ReconnectBackoff
-	for backoffWait(f.stop, &f.mu, f.jitter, &backoff, f.cfg.ReconnectBackoffMax) {
+	for backoffWait(f.stop, &f.mu, f.jitter, &backoff, DefaultReconnectBackoffMax) {
 		f.mu.Lock()
 		ladder := failoverLadder(f.authority, f.standbyAddr)
 		f.mu.Unlock()
 		for _, addr := range ladder {
 			f.mu.Lock()
-			f.resil.ReconnectAttempts++
+			f.stats.Resilience.ReconnectAttempts++
 			f.mu.Unlock()
 			conn, fr, reply, err := f.dialCloud(addr, true)
 			if err != nil {
@@ -557,10 +539,10 @@ func (f *FogNode) reconnect() bool {
 			f.mu.Lock()
 			f.adoptCloudLocked(conn, fr, addr, reply)
 			if reply.Discard {
-				f.resil.DiscardedResyncs++
+				f.stats.Resilience.DiscardedResyncs++
 			}
-			f.resil.Reconnects++
-			f.resil.Resumes++
+			f.stats.Resilience.Reconnects++
+			f.stats.Resilience.Resumes++
 			f.mu.Unlock()
 			select {
 			case <-f.stop:
@@ -578,7 +560,7 @@ func (f *FogNode) reconnect() bool {
 	return false // closing
 }
 
-// submitAction implements actionSink: a player whose cloud control link
+// submitAction implements sessionHost: a player whose cloud control link
 // is down sent an input over its video session. The fog forwards it
 // upstream immediately when its own cloud link is up, and otherwise
 // buffers it (bounded per player) for the outage window.
@@ -588,7 +570,7 @@ func (f *FogNode) submitAction(a virtualworld.Action) bool {
 	f.mu.Unlock()
 	if conn != nil && f.forwardAction(conn, a) {
 		f.mu.Lock()
-		f.resil.ForwardedActions++
+		f.stats.Resilience.ForwardedActions++
 		f.mu.Unlock()
 		return true
 	}
@@ -596,11 +578,11 @@ func (f *FogNode) submitAction(a virtualworld.Action) bool {
 	defer f.mu.Unlock()
 	q := f.actionQ[int32(a.Player)]
 	if len(q) >= maxBufferedActionsPerPlayer {
-		f.resil.DroppedActions++
+		f.stats.Resilience.DroppedActions++
 		return false
 	}
 	f.actionQ[int32(a.Player)] = append(q, a)
-	f.resil.BufferedActions++
+	f.stats.Resilience.BufferedActions++
 	return true
 }
 
@@ -637,7 +619,7 @@ func (f *FogNode) flushActions() {
 			return // the read side will observe the dead conn
 		}
 		f.mu.Lock()
-		f.resil.ForwardedActions++
+		f.stats.Resilience.ForwardedActions++
 		f.mu.Unlock()
 	}
 }
@@ -654,16 +636,16 @@ func (f *FogNode) acceptLoop() {
 	}
 }
 
-// freeSlots implements sessionSlots: it answers, and counts, one capacity
+// freeSlots implements sessionHost: it answers, and counts, one capacity
 // probe.
 func (f *FogNode) freeSlots() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.probes++
+	f.stats.Probes++
 	return f.cfg.Capacity - len(f.attached)
 }
 
-// claim implements sessionSlots against the node's capacity.
+// claim implements sessionHost against the node's capacity.
 func (f *FogNode) claim(player int32) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -674,7 +656,7 @@ func (f *FogNode) claim(player int32) bool {
 	return true
 }
 
-// unclaim implements sessionSlots.
+// unclaim implements sessionHost.
 func (f *FogNode) unclaim(player int32) {
 	f.mu.Lock()
 	delete(f.attached, player)
@@ -700,21 +682,20 @@ func (f *FogNode) servePlayer(conn net.Conn) {
 		f.interestDirty()
 		f.refreshInterest()
 	}()
-	runVideoSession(conn, fr, attach, f.cfg.FrameInterval, f.cfg.WriteTimeout,
-		f, f, f, f, f.stop, &f.wg)
+	runVideoSession(conn, fr, attach, f.cfg.FrameInterval, f.cfg.WriteTimeout, f, f.stop, &f.wg)
 }
 
-// viewInto implements viewSource over the replica.
+// viewInto implements sessionHost over the replica.
 func (f *FogNode) viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.replica.ViewInto(dst, player, render.ViewHalfWidth, render.ViewHalfHeight)
 }
 
-// addFrame implements streamCounters.
+// addFrame implements sessionHost.
 func (f *FogNode) addFrame(bits int) {
 	f.mu.Lock()
-	f.frames++
-	f.videoBits += int64(bits)
+	f.stats.Frames++
+	f.stats.VideoBits += int64(bits)
 	f.mu.Unlock()
 }

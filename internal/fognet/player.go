@@ -59,7 +59,7 @@ type PlayerConfig struct {
 	// DefaultVideoReadTimeout.
 	VideoReadTimeout time.Duration
 	// WriteTimeout bounds protocol writes. Defaults to
-	// DefaultWriteTimeout.
+	// transport.DefaultWriteTimeout.
 	WriteTimeout time.Duration
 	// Dial, when set, replaces net.DialTimeout — the faultnet injection
 	// point for chaos tests.
@@ -102,17 +102,13 @@ type PlayerClient struct {
 	// write bound the client applies flows from its one policy.
 	tp transport.TCP
 
-	mu         sync.Mutex
-	video      net.Conn
-	frames     int64
-	videoBits  int64
-	decodeErrs int64
-	lastTick   uint64
-	level      game.QualityLevel
-	switches   int
-	migrations int
-	fallbacks  int
-	candUpd    int64
+	mu    sync.Mutex
+	video net.Conn
+	// stats is the storage of every counter Stats reports (StallMs is
+	// computed at snapshot time). Its Level, LastTick and Epoch are live
+	// state too: the attach level, the resume tick and the authority
+	// epoch of the cloud currently spoken to.
+	stats PlayerStats // guarded by mu
 	// Stall accounting, in monotonic time: lastFrameAt is when the last
 	// frame was delivered (stream attach before the first), stalled marks
 	// a detected outage that no frame has ended yet, and stallNs sums the
@@ -122,37 +118,20 @@ type PlayerClient struct {
 	stalled     bool
 	stallNs     int64
 
-	// The datagram video path. videoDgram is the live UDP socket (nil
-	// while streaming over TCP) so Close can unblock its reader; the dg*
-	// counters account delivered, dropped, and reclassified datagrams,
-	// and lossEWMA smooths the per-window loss fraction into the QoE
-	// rating the action loop reports.
-	videoDgram  transport.DatagramConn // guarded by mu
-	dgSessions  int64                  // guarded by mu
-	dgFrames    int64                  // guarded by mu
-	dgStale     int64                  // guarded by mu
-	dgDups      int64                  // guarded by mu
-	dgLost      int64                  // guarded by mu
-	dgReordered int64                  // guarded by mu
-	dgFallbacks int64                  // guarded by mu
-	lossEWMA    float64                // guarded by mu
+	// videoDgram is the live UDP socket of the datagram video path (nil
+	// while streaming over TCP) so Close can unblock its reader.
+	videoDgram transport.DatagramConn // guarded by mu
 
-	// The failover view of the control plane: the authority epoch, the
-	// control address currently spoken to, and the advertised standby.
-	// A broken control link resumes ctrlAddr → standbyAddr with the
+	// The failover view of the control plane (next to stats.Epoch): the
+	// control address currently spoken to and the advertised standby. A
+	// broken control link resumes ctrlAddr → standbyAddr with the
 	// epoch-stamped MsgResume handshake.
-	epoch       uint64 // guarded by mu
 	ctrlAddr    string // guarded by mu
 	standbyAddr string // guarded by mu
 	// pendingActs buffers inputs that could reach neither the cloud nor
 	// the serving supernode, flushed (or discarded, on an epoch
 	// regression) after the control-plane resume. Guarded by mu.
-	pendingActs  []virtualworld.Action
-	ctrlResumes  int64 // guarded by mu
-	bufferedActs int64 // guarded by mu
-	reroutedActs int64 // guarded by mu
-	droppedActs  int64 // guarded by mu
-	discardedAct int64 // guarded by mu
+	pendingActs []virtualworld.Action
 
 	// candidates is the cloud-provided ladder — addresses plus load,
 	// capacity, and reputation score — kept fresh by MsgCandidateUpdate
@@ -165,7 +144,6 @@ type PlayerClient struct {
 	rttMs       map[string]float64       // guarded by mu
 	cloudAddr   string                   // the cloud's own stream endpoint (ladder tail)
 	servingAddr string                   // the address currently streaming video
-	qoeReports  int64
 
 	jitter *rng.Rand // migration backoff jitter; drawn from under mu (backoffWait)
 	rank   *rng.Rand // ladder tie-break shuffle; guarded by mu
@@ -218,7 +196,7 @@ func NewPlayerClient(cfg PlayerConfig) (*PlayerClient, error) {
 	p := &PlayerClient{
 		cfg:    cfg,
 		tp:     transport.TCP{Config: tc, DialFunc: cfg.Dial},
-		level:  cfg.Game.DefaultQuality,
+		stats:  PlayerStats{Level: cfg.Game.DefaultQuality},
 		rttMs:  make(map[string]float64),
 		stop:   make(chan struct{}),
 		jitter: r.SplitNamed("migrate-jitter"),
@@ -352,7 +330,10 @@ func (p *PlayerClient) attachTo(addr string) (net.Conn, *protocol.FrameReader, e
 		}
 	}
 	if err == nil {
-		attach := protocol.PlayerAttach{PlayerID: p.cfg.PlayerID, QualityLevel: uint8(p.level)}
+		p.mu.Lock()
+		level := p.stats.Level
+		p.mu.Unlock()
+		attach := protocol.PlayerAttach{PlayerID: p.cfg.PlayerID, QualityLevel: uint8(level)}
 		body, err = exchange(conn, fr, p.tp.Config.HandshakeTimeout, protocol.MsgPlayerAttach, attach.Marshal(), protocol.MsgAttachReply)
 	}
 	if err == nil {
@@ -378,7 +359,7 @@ func (p *PlayerClient) attachTo(addr string) (net.Conn, *protocol.FrameReader, e
 	}
 	p.mu.Lock()
 	if isCloud {
-		p.fallbacks++
+		p.stats.FallbackTransitions++
 	}
 	p.servingAddr = addr
 	p.mu.Unlock()
@@ -491,33 +472,9 @@ func (p *PlayerClient) Stats() PlayerStats {
 	if p.stalled {
 		stallNs += int64(time.Since(p.lastFrameAt))
 	}
-	return PlayerStats{
-		Frames:              p.frames,
-		VideoBits:           p.videoBits,
-		DecodeErrors:        p.decodeErrs,
-		LastTick:            p.lastTick,
-		Level:               p.level,
-		RateSwitches:        p.switches,
-		Migrations:          p.migrations,
-		FallbackTransitions: p.fallbacks,
-		StallMs:             (stallNs + int64(time.Millisecond) - 1) / int64(time.Millisecond),
-		CandidateUpdates:    p.candUpd,
-		QoEReports:          p.qoeReports,
-		Epoch:               p.epoch,
-		CtrlResumes:         p.ctrlResumes,
-		BufferedActions:     p.bufferedActs,
-		ReroutedActions:     p.reroutedActs,
-		DroppedActions:      p.droppedActs,
-		DiscardedActions:    p.discardedAct,
-		DatagramSessions:    p.dgSessions,
-		DatagramFrames:      p.dgFrames,
-		DatagramStale:       p.dgStale,
-		DatagramDuplicates:  p.dgDups,
-		DatagramLost:        p.dgLost,
-		DatagramReordered:   p.dgReordered,
-		DatagramFallbacks:   p.dgFallbacks,
-		LossEWMA:            p.lossEWMA,
-	}
+	st := p.stats
+	st.StallMs = (stallNs + int64(time.Millisecond) - 1) / int64(time.Millisecond)
+	return st
 }
 
 // reportQoE sends one rating for addr over the control connection,
@@ -535,7 +492,7 @@ func (p *PlayerClient) reportQoE(addr string, rating float64, stalled, fallback 
 	p.cloudMu.Unlock()
 	if err == nil {
 		p.mu.Lock()
-		p.qoeReports++
+		p.stats.QoEReports++
 		p.mu.Unlock()
 	}
 }
@@ -566,7 +523,7 @@ func (p *PlayerClient) actionLoop(r *rng.Rand) {
 			isCloud := addr == p.cloudAddr
 			// Datagram loss degrades the reported experience: a supernode
 			// behind a lossy path earns less reputation than a clean one.
-			rating := 1 - p.lossEWMA
+			rating := 1 - p.stats.LossEWMA
 			p.mu.Unlock()
 			if rating < 0 {
 				rating = 0
@@ -624,7 +581,7 @@ func (p *PlayerClient) cloudLoop(fr *protocol.FrameReader) {
 					p.cloudAddr = upd.CloudStreamAddr
 				}
 				p.standbyAddr = upd.StandbyAddr
-				p.candUpd++
+				p.stats.CandidateUpdates++
 				p.mu.Unlock()
 			case protocol.MsgBye:
 				// Graceful cloud shutdown: head straight into the resume
@@ -654,8 +611,8 @@ func (p *PlayerClient) dialCtrl(addr string, join *protocol.PlayerJoin) (net.Con
 		req := protocol.Resume{
 			Kind:     protocol.ResumePlayer,
 			PlayerID: p.cfg.PlayerID,
-			Epoch:    p.epoch,
-			Tick:     p.lastTick,
+			Epoch:    p.stats.Epoch,
+			Tick:     p.stats.LastTick,
 		}
 		p.mu.Unlock()
 		payload = req.Marshal()
@@ -666,7 +623,7 @@ func (p *PlayerClient) dialCtrl(addr string, join *protocol.PlayerJoin) (net.Con
 // adoptCtrlLocked rebinds the failover view to the cloud at addr that
 // just admitted the player. Caller holds mu.
 func (p *PlayerClient) adoptCtrlLocked(addr string, reply protocol.ResumeReply) {
-	p.epoch = reply.Epoch
+	p.stats.Epoch = reply.Epoch
 	p.ctrlAddr = addr
 	p.standbyAddr = reply.StandbyAddr
 	if len(reply.Candidates) > 0 {
@@ -708,13 +665,13 @@ func (p *PlayerClient) resumeCtrl() (*protocol.FrameReader, bool) {
 			old.Close()
 			p.mu.Lock()
 			p.adoptCtrlLocked(addr, reply)
-			p.ctrlResumes++
+			p.stats.CtrlResumes++
 			var flush []virtualworld.Action
 			if reply.Discard {
 				// The inputs were aimed at ticks the crashed primary
 				// never durably committed; replaying them against the
 				// rewound world would double-apply intent.
-				p.discardedAct += int64(len(p.pendingActs))
+				p.stats.DiscardedActions += int64(len(p.pendingActs))
 			} else {
 				flush = append(flush, p.pendingActs...)
 			}
@@ -762,17 +719,17 @@ func (p *PlayerClient) rerouteAction(frame []byte, a virtualworld.Action) {
 		p.videoWMu.Unlock()
 		if err == nil {
 			p.mu.Lock()
-			p.reroutedActs++
+			p.stats.ReroutedActions++
 			p.mu.Unlock()
 			return
 		}
 	}
 	p.mu.Lock()
 	if len(p.pendingActs) >= maxPendingActions {
-		p.droppedActs++
+		p.stats.DroppedActions++
 	} else {
 		p.pendingActs = append(p.pendingActs, a)
-		p.bufferedActs++
+		p.stats.BufferedActions++
 	}
 	p.mu.Unlock()
 }
@@ -791,42 +748,60 @@ type videoRecvState struct {
 	start       time.Time
 	windowBits  int64
 	windowStart time.Time
+	// The datagram gap rule (recvDatagramFrame): needKey drops P-frames
+	// undecoded until an I-frame arrives, dgSeq is the sequence of the
+	// last delivered datagram, keyAsked when a keyframe was last asked
+	// for. needKey is only ever set inside a datagram session.
+	needKey  bool
+	dgSeq    uint64
+	keyAsked time.Time
 }
 
 // decodeFrame decodes one received frame payload (the wire form of
 // MsgVideoFrame, which is also the datagram payload) into the shared
 // state and accounts it. viaDgram marks frames that arrived on the
-// unreliable path.
-func (p *PlayerClient) decodeFrame(st *videoRecvState, payload []byte, viaDgram bool) {
+// unreliable path. While st.needKey is set, a P-frame is dropped undecoded
+// (there is no reference to add it to) and the next frame decoded clears
+// the state. The decoder's verdict on a decoded frame is returned.
+func (p *PlayerClient) decodeFrame(st *videoRecvState, payload []byte, viaDgram bool) error {
 	if uerr := videocodec.UnmarshalFrameInto(payload, &st.ef); uerr != nil {
 		p.mu.Lock()
-		p.decodeErrs++
+		p.stats.DecodeErrors++
 		p.mu.Unlock()
-		return
+		return uerr
+	}
+	st.windowBits += int64(st.ef.SizeBits())
+	if st.needKey && st.ef.Type != videocodec.IFrame {
+		return nil
 	}
 	derr := st.dec.DecodeInto(&st.ef, &st.frame)
 	p.mu.Lock()
 	if derr != nil {
-		p.decodeErrs++
+		p.stats.DecodeErrors++
 	} else {
+		st.needKey = false
 		now := time.Now()
 		if p.stalled {
 			p.stallNs += int64(now.Sub(p.lastFrameAt))
 			p.stalled = false
 		}
 		p.lastFrameAt = now
-		p.frames++
-		p.videoBits += int64(st.ef.SizeBits())
+		p.stats.Frames++
+		p.stats.VideoBits += int64(st.ef.SizeBits())
 		if viaDgram {
-			p.dgFrames++
+			p.stats.DatagramFrames++
 		}
-		if st.frame.Tick > p.lastTick {
-			p.lastTick = st.frame.Tick
+		if st.frame.Tick > p.stats.LastTick {
+			p.stats.LastTick = st.frame.Tick
 		}
 	}
 	p.mu.Unlock()
-	st.windowBits += int64(st.ef.SizeBits())
+	return derr
 }
+
+// adaptWindow is the adaptation observation window; keyframe requests are
+// paced by it too.
+const adaptWindow = 250 * time.Millisecond
 
 // maybeAdapt runs the receiver-driven adaptation on ~250 ms windows: the
 // observed delivery rate feeds the buffer model, and level switches go
@@ -842,7 +817,7 @@ func (p *PlayerClient) maybeAdapt(st *videoRecvState, conn net.Conn, lossFn func
 		return
 	}
 	win := time.Since(st.windowStart)
-	if win < 250*time.Millisecond {
+	if win < adaptWindow {
 		return
 	}
 	loss := 0.0
@@ -851,7 +826,7 @@ func (p *PlayerClient) maybeAdapt(st *videoRecvState, conn net.Conn, lossFn func
 	}
 	p.ctrl.NoteLoss(loss)
 	p.mu.Lock()
-	p.lossEWMA = 0.5*loss + 0.5*p.lossEWMA
+	p.stats.LossEWMA = 0.5*loss + 0.5*p.stats.LossEWMA
 	p.mu.Unlock()
 	kbps := float64(st.windowBits) / win.Seconds() / 1000
 	now := time.Since(st.start).Seconds()
@@ -860,17 +835,22 @@ func (p *PlayerClient) maybeAdapt(st *videoRecvState, conn net.Conn, lossFn func
 	if decision == adaptation.Hold {
 		return
 	}
-	rc := protocol.RateChange{QualityLevel: uint8(p.ctrl.Level())}
-	p.videoWMu.Lock()
-	werr := sendInto(conn, p.cfg.WriteTimeout, &st.rcBuf, protocol.MsgRateChange, &rc)
-	p.videoWMu.Unlock()
-	if werr != nil {
+	if p.sendRateChange(st, conn, p.ctrl.Level()) != nil {
 		return // the next read will fail over
 	}
 	p.mu.Lock()
-	p.level = p.ctrl.Level()
-	p.switches++
+	p.stats.Level = p.ctrl.Level()
+	p.stats.RateSwitches++
 	p.mu.Unlock()
+}
+
+// sendRateChange writes one MsgRateChange on the session's TCP connection,
+// whose writes the video loop shares with the action loop's reroutes.
+func (p *PlayerClient) sendRateChange(st *videoRecvState, conn net.Conn, level game.QualityLevel) error {
+	rc := protocol.RateChange{QualityLevel: uint8(level)}
+	p.videoWMu.Lock()
+	defer p.videoWMu.Unlock()
+	return sendInto(conn, p.cfg.WriteTimeout, &st.rcBuf, protocol.MsgRateChange, &rc)
 }
 
 // videoLoop receives and decodes the video stream, and drives the
@@ -917,7 +897,7 @@ func (p *PlayerClient) videoLoop(fr *protocol.FrameReader) {
 			rep, derr := protocol.UnmarshalDatagramReply(payload)
 			if derr != nil || !rep.OK {
 				p.mu.Lock()
-				p.dgFallbacks++
+				p.stats.DatagramFallbacks++
 				p.mu.Unlock()
 				continue // refused: the TCP stream simply continues
 			}
@@ -933,7 +913,7 @@ func (p *PlayerClient) videoLoop(fr *protocol.FrameReader) {
 				// The hello never registered, so the fog still streams
 				// over this TCP connection; keep reading it.
 				p.mu.Lock()
-				p.dgFallbacks++
+				p.stats.DatagramFallbacks++
 				p.mu.Unlock()
 			}
 		}
@@ -971,7 +951,7 @@ func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, *protocol.Fra
 			p.mu.Lock()
 			old := p.video
 			p.video = conn
-			p.migrations++
+			p.stats.Migrations++
 			landedOnCloud := p.servingAddr == p.cloudAddr
 			p.mu.Unlock()
 			if landedOnCloud && failed != "" {

@@ -1,12 +1,14 @@
 package fognet
 
 import (
+	"errors"
 	"net"
 	"net/netip"
 	"time"
 
 	"cloudfog/internal/protocol"
 	"cloudfog/internal/transport"
+	"cloudfog/internal/videocodec"
 )
 
 // dgHelloAttempts bounds how many hellos the player sends before
@@ -36,10 +38,12 @@ const (
 // for the duration.
 //
 // Ordering discipline: every datagram is classified by the RecvTracker —
-// only Fresh frames are decoded, so a frame older than one already shown
-// is never delivered, no matter how it was lost, duplicated, or
-// reordered in flight. The tracker's window accounting feeds the
-// adaptation controller the loss fraction TCP would have hidden.
+// only Fresh frames are delivered, so a frame older than one already
+// shown is never delivered, no matter how it was lost, duplicated, or
+// reordered in flight — and recvDatagramFrame decodes a delivered P-frame
+// only when the frame before it was decoded too. The tracker's window
+// accounting feeds the adaptation controller the loss fraction TCP would
+// have hidden.
 func (p *PlayerClient) runDatagramVideo(conn net.Conn, rep protocol.DatagramReply, st *videoRecvState) dgResult {
 	raddr, aerr := netip.ParseAddrPort(rep.Addr)
 	if aerr != nil {
@@ -55,13 +59,17 @@ func (p *PlayerClient) runDatagramVideo(conn net.Conn, rep protocol.DatagramRepl
 	}
 	p.mu.Lock()
 	p.videoDgram = dc // published so Close can unblock the read below
-	lostBase, reorderBase := p.dgLost, p.dgReordered
+	lostBase, reorderBase := p.stats.DatagramLost, p.stats.DatagramReordered
 	p.mu.Unlock()
+	// The first datagram to arrive need not be the first one sent: the
+	// session starts waiting for a keyframe.
+	st.needKey = true
 	defer func() {
 		p.mu.Lock()
 		p.videoDgram = nil
 		p.mu.Unlock()
 		dc.Close()
+		st.needKey = false // the TCP stream it hands back to loses nothing
 	}()
 
 	var tr transport.RecvTracker
@@ -71,8 +79,8 @@ func (p *PlayerClient) runDatagramVideo(conn net.Conn, rep protocol.DatagramRepl
 	syncTracker := func() {
 		ts := tr.Stats()
 		p.mu.Lock()
-		p.dgLost = lostBase + int64(ts.Lost)
-		p.dgReordered = reorderBase + int64(ts.Reordered)
+		p.stats.DatagramLost = lostBase + int64(ts.Lost)
+		p.stats.DatagramReordered = reorderBase + int64(ts.Reordered)
 		p.mu.Unlock()
 	}
 	// lossFn gives maybeAdapt the window's datagram loss fraction.
@@ -97,15 +105,15 @@ func (p *PlayerClient) runDatagramVideo(conn net.Conn, rep protocol.DatagramRepl
 		switch tr.Track(hdr.Epoch, hdr.Seq) {
 		case transport.Fresh:
 			established = true
-			p.decodeFrame(st, payload, true)
+			p.recvDatagramFrame(st, conn, hdr.Seq, payload)
 			p.maybeAdapt(st, conn, lossFn)
 		case transport.Duplicate:
 			p.mu.Lock()
-			p.dgDups++
+			p.stats.DatagramDuplicates++
 			p.mu.Unlock()
 		default: // Stale: arrived behind a delivered frame — drop it.
 			p.mu.Lock()
-			p.dgStale++
+			p.stats.DatagramStale++
 			p.mu.Unlock()
 		}
 	}
@@ -143,7 +151,7 @@ func (p *PlayerClient) runDatagramVideo(conn net.Conn, rep protocol.DatagramRepl
 		return dgNoUpgrade
 	}
 	p.mu.Lock()
-	p.dgSessions++
+	p.stats.DatagramSessions++
 	p.mu.Unlock()
 
 	for {
@@ -166,4 +174,41 @@ func (p *PlayerClient) runDatagramVideo(conn net.Conn, rep protocol.DatagramRepl
 		}
 		handleDatagram(n)
 	}
+}
+
+// recvDatagramFrame delivers one Fresh datagram under the gap rule. Fresh
+// means newer, not next: after a sequence gap the reference of the
+// P-frames that follow never arrived, and adding them onto the stale one
+// would show a silently wrong picture until the GOP rolls over. So a gap —
+// or the decoder itself missing its reference, as after a lost keyframe at
+// a new resolution — puts the stream in the need-keyframe state: P-frames
+// are dropped undecoded until an I-frame arrives, and the supernode is
+// asked for one.
+func (p *PlayerClient) recvDatagramFrame(st *videoRecvState, conn net.Conn, seq uint64, payload []byte) {
+	if seq != st.dgSeq+1 {
+		st.needKey = true
+	}
+	st.dgSeq = seq
+	if errors.Is(p.decodeFrame(st, payload, true), videocodec.ErrNoReference) {
+		st.needKey = true
+	}
+	if st.needKey {
+		p.requestKeyframe(st, conn)
+	}
+}
+
+// requestKeyframe asks the serving supernode to restart the GOP, at most
+// once per adaptation window, by re-sending the current quality level:
+// runVideoSession answers a RateChange that changes nothing with a
+// keyframe. It rides the session's TCP connection, like every RateChange.
+func (p *PlayerClient) requestKeyframe(st *videoRecvState, conn net.Conn) {
+	now := time.Now()
+	if now.Sub(st.keyAsked) < adaptWindow {
+		return
+	}
+	st.keyAsked = now
+	p.mu.Lock()
+	level := p.stats.Level
+	p.mu.Unlock()
+	_ = p.sendRateChange(st, conn, level) // best effort: a dead link fails the next read
 }

@@ -1,9 +1,7 @@
 package fognet
 
 import (
-	"encoding/json"
 	"net"
-	"os"
 	"testing"
 	"time"
 
@@ -186,8 +184,7 @@ func TestStandbyLinkResetDetachesAndRecovers(t *testing.T) {
 //     point, and
 //   - video frames keep flowing afterwards.
 //
-// When RECOVERY_LATENCY_JSON names a file, the measured recovery
-// latencies are written there for the CI artifact.
+// The three measured recovery latencies are logged.
 func TestPrimaryFailoverResume(t *testing.T) {
 	primary, err := NewCloudServer(CloudConfig{
 		TickInterval:      5 * time.Millisecond,
@@ -334,23 +331,7 @@ func TestPrimaryFailoverResume(t *testing.T) {
 		return player.Stats().Frames > f0+5
 	})
 
-	if path := os.Getenv("RECOVERY_LATENCY_JSON"); path != "" {
-		art := map[string]interface{}{
-			"promote_ms":       promoteMs,
-			"fog_resume_ms":    fogResumeMs,
-			"player_resume_ms": playerResumeMs,
-			"restored_tick":    expTick,
-			"resume_tick":      resumeTick,
-			"restored_hash":    expHash,
-			"epoch":            ps.Epoch,
-		}
-		data, jerr := json.MarshalIndent(art, "", "  ")
-		if jerr == nil {
-			if werr := os.WriteFile(path, data, 0o644); werr != nil {
-				t.Logf("recovery artifact: %v", werr)
-			}
-		}
-	}
+	t.Logf("promote %d ms, fog resume %d ms, player resume %d ms after the kill", promoteMs, fogResumeMs, playerResumeMs)
 }
 
 // TestShutdownFlushesFinalCheckpoint: Shutdown must not close a link under

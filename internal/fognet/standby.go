@@ -32,16 +32,16 @@ type StandbyConfig struct {
 	// after which the standby promotes itself. Defaults to
 	// DefaultPromoteAfter.
 	PromoteAfter time.Duration
-	// ReconnectBackoff / ReconnectBackoffMax shape the jittered redial
-	// loop while the primary is unreachable but promotion is not yet
-	// due. Defaults match the fog node's.
-	ReconnectBackoff    time.Duration
-	ReconnectBackoffMax time.Duration
+	// ReconnectBackoff is the first delay of the jittered redial loop
+	// (doubling up to DefaultReconnectBackoffMax) while the primary is
+	// unreachable but promotion is not yet due. Defaults to the fog
+	// node's.
+	ReconnectBackoff time.Duration
 	// DialTimeout bounds the primary dial and hello. Defaults to
 	// DefaultDialTimeout.
 	DialTimeout time.Duration
 	// WriteTimeout bounds protocol writes. Defaults to
-	// DefaultWriteTimeout.
+	// transport.DefaultWriteTimeout.
 	WriteTimeout time.Duration
 	// Seed drives the redial jitter deterministically.
 	Seed uint64
@@ -92,10 +92,10 @@ type Standby struct {
 	lastMsg time.Time
 	// promoted is the post-failover CloudServer, nil until promotion.
 	// Guarded by mu.
-	promoted    *CloudServer
-	checkpoints int64 // guarded by mu
-	logEntries  int64 // guarded by mu
-	attaches    int64 // guarded by mu
+	promoted *CloudServer
+	// stats stores the three counters Stats reports; Epoch, LastTick and
+	// Promoted are derived at snapshot time.
+	stats StandbyStats // guarded by mu
 
 	jitter *rng.Rand // redial jitter; drawn from under mu (backoffWait)
 
@@ -116,9 +116,6 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	}
 	if cfg.ReconnectBackoff <= 0 {
 		cfg.ReconnectBackoff = DefaultReconnectBackoff
-	}
-	if cfg.ReconnectBackoffMax <= 0 {
-		cfg.ReconnectBackoffMax = DefaultReconnectBackoffMax
 	}
 	tc := transport.Config{
 		DialTimeout:  cfg.DialTimeout,
@@ -159,12 +156,8 @@ func (sb *Standby) Promoted() *CloudServer {
 func (sb *Standby) Stats() StandbyStats {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	st := StandbyStats{
-		Checkpoints: sb.checkpoints,
-		LogEntries:  sb.logEntries,
-		Attaches:    sb.attaches,
-		Promoted:    sb.promoted != nil,
-	}
+	st := sb.stats
+	st.Promoted = sb.promoted != nil
 	if sb.state != nil {
 		st.Epoch = sb.state.Epoch
 		st.LastTick = sb.state.World.Tick
@@ -208,7 +201,7 @@ func (sb *Standby) run() {
 			sb.promote()
 			return
 		}
-		if !backoffWait(sb.stop, &sb.mu, sb.jitter, &backoff, sb.cfg.ReconnectBackoffMax) {
+		if !backoffWait(sb.stop, &sb.mu, sb.jitter, &backoff, DefaultReconnectBackoffMax) {
 			return
 		}
 	}
@@ -240,7 +233,7 @@ func (sb *Standby) follow() (bye bool) {
 		return false
 	}
 	sb.mu.Lock()
-	sb.attaches++
+	sb.stats.Attaches++
 	// The attach itself proves the primary alive: the silence window
 	// restarts now, giving the first checkpoint time to arrive.
 	sb.lastMsg = time.Now()
@@ -277,7 +270,7 @@ func (sb *Standby) follow() (bye bool) {
 				}
 			}
 			sb.entries = kept
-			sb.checkpoints++
+			sb.stats.Checkpoints++
 			sb.lastMsg = time.Now()
 			sb.mu.Unlock()
 		case protocol.MsgLogEntry:
@@ -287,7 +280,7 @@ func (sb *Standby) follow() (bye bool) {
 			}
 			sb.mu.Lock()
 			sb.entries = append(sb.entries, e)
-			sb.logEntries++
+			sb.stats.LogEntries++
 			sb.lastMsg = time.Now()
 			sb.mu.Unlock()
 		case protocol.MsgBye:

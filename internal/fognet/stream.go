@@ -13,40 +13,39 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// viewSource fills a session-owned snapshot with what one player can see
-// and returns the viewport it was cut to: a fog node reads its replica,
-// the cloud reads the authoritative world (the fallback path for players
-// without a nearby supernode). Either holds its lock only for the view
-// query — time proportional to the visible entities, not to the world.
-type viewSource interface {
-	viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport
-}
-
-// streamCounters receives the session's egress accounting.
-type streamCounters interface {
-	addFrame(bits int)
-}
-
-// actionSink accepts player inputs that arrive on a video session — the
-// outage escape hatch: a player whose cloud control link is down routes
-// actions through its serving supernode, which forwards them upstream
-// immediately or buffers them (bounded) until its own cloud link
-// recovers. The cloud's fallback sessions feed the authoritative world
-// directly. Returns false when the action was dropped.
-type actionSink interface {
-	submitAction(a virtualworld.Action) bool
-}
-
-// sessionSlots is a tier's admission control for video sessions: a fog
-// node counts attached players against its capacity, the cloud's fallback
-// stream never refuses.
-type sessionSlots interface {
-	// freeSlots answers a capacity probe.
+// sessionHost is the tier a video session runs on: *FogNode, or
+// cloudFallback for players without a nearby supernode.
+type sessionHost interface {
+	// freeSlots answers a capacity probe, claim takes a slot for the
+	// player (false means at capacity) and unclaim gives it back: a fog
+	// node counts attached players against its capacity, the cloud's
+	// fallback stream never refuses.
 	freeSlots() int
-	// claim takes a slot for the player; false means at capacity.
 	claim(player int32) bool
-	// unclaim gives the slot back.
 	unclaim(player int32)
+	// viewInto fills a session-owned snapshot with what one player can
+	// see and returns the viewport it was cut to: a fog node reads its
+	// replica, the cloud the authoritative world. Either holds its lock
+	// only for the view query — time proportional to the visible
+	// entities, not to the world.
+	viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport
+	// addFrame receives the session's egress accounting.
+	addFrame(bits int)
+	// submitAction accepts a player input that arrived on the video
+	// session — the outage escape hatch: a player whose cloud control
+	// link is down routes actions through its serving supernode, which
+	// forwards them upstream immediately or buffers them (bounded) until
+	// its own cloud link recovers. The cloud's fallback sessions feed the
+	// authoritative world directly. Returns false when the action was
+	// dropped.
+	submitAction(a virtualworld.Action) bool
+	// offerDatagram registers a datagram upgrade over the fog node's UDP
+	// socket and returns the reply to send plus the live session handle;
+	// reply.OK false means refusal (nil handle), which is all the cloud
+	// ever answers — its rung of the ladder stays TCP-only. endDatagram
+	// releases the session when the video session ends.
+	offerDatagram() (protocol.DatagramReply, *dgramSession)
+	endDatagram(*dgramSession)
 }
 
 // serveAttach is the serving side of the probe→attach handshake that
@@ -59,7 +58,7 @@ type sessionSlots interface {
 // never attaches is cut off when it runs out. On success the player holds
 // a slot the caller must unclaim.
 func serveAttach(conn net.Conn, fr *protocol.FrameReader, tc transport.Config,
-	probed bool, slots sessionSlots) (protocol.PlayerAttach, bool) {
+	probed bool, host sessionHost) (protocol.PlayerAttach, bool) {
 	var attach protocol.PlayerAttach
 	conn.SetReadDeadline(time.Now().Add(tc.HandshakeTimeout))
 	for ; ; probed = false {
@@ -72,7 +71,7 @@ func serveAttach(conn net.Conn, fr *protocol.FrameReader, tc transport.Config,
 		}
 		switch typ {
 		case protocol.MsgProbe:
-			reply := protocol.ProbeReply{Available: slots.freeSlots()}
+			reply := protocol.ProbeReply{Available: host.freeSlots()}
 			if sendMsg(conn, tc.WriteTimeout, protocol.MsgProbeReply, reply.Marshal()) != nil {
 				return attach, false
 			}
@@ -81,13 +80,13 @@ func serveAttach(conn net.Conn, fr *protocol.FrameReader, tc transport.Config,
 			if attach, err = protocol.UnmarshalPlayerAttach(payload); err != nil {
 				return attach, false
 			}
-			reply := protocol.AttachReply{OK: slots.claim(attach.PlayerID)}
+			reply := protocol.AttachReply{OK: host.claim(attach.PlayerID)}
 			if !reply.OK {
 				reply.Reason = "at capacity"
 			}
 			err = sendMsg(conn, tc.WriteTimeout, protocol.MsgAttachReply, reply.Marshal())
 			if reply.OK && err != nil {
-				slots.unclaim(attach.PlayerID)
+				host.unclaim(attach.PlayerID)
 			}
 			conn.SetReadDeadline(time.Time{})
 			return attach, reply.OK && err == nil
@@ -99,9 +98,10 @@ func serveAttach(conn net.Conn, fr *protocol.FrameReader, tc transport.Config,
 
 // runVideoSession streams rendered, encoded frames for one attached player
 // until the connection breaks, a Bye arrives, or stop closes. It handles
-// the receiver-driven RateChange messages of §3.3 and the optional
-// datagram upgrade: a MsgDatagramRequest is answered (via offer, or
-// refused when offer is nil) on the session connection, and once the
+// the receiver-driven RateChange messages of §3.3 (one that repeats the
+// current level asks for a keyframe) and the optional
+// datagram upgrade: a MsgDatagramRequest is answered (host.offerDatagram
+// grants or refuses) on the session connection, and once the
 // player's hello registers, frames ride UDP while this connection keeps
 // carrying control. Every frame write carries writeTimeout as a deadline,
 // so a player that stops reading cannot pin the session goroutine. The
@@ -116,10 +116,7 @@ func runVideoSession(
 	attach protocol.PlayerAttach,
 	frameInterval time.Duration,
 	writeTimeout time.Duration,
-	source viewSource,
-	counters streamCounters,
-	actions actionSink,
-	offer dgramOffer,
+	host sessionHost,
 	stop <-chan struct{},
 	wg *sync.WaitGroup,
 ) {
@@ -158,7 +155,7 @@ func runVideoSession(
 				if aerr != nil || am.Action.Player != int(playerID) {
 					continue
 				}
-				actions.submitAction(am.Action)
+				host.submitAction(am.Action)
 			case protocol.MsgDatagramRequest:
 				req, derr := protocol.UnmarshalDatagramRequest(payload)
 				if derr != nil || req.PlayerID != playerID {
@@ -176,10 +173,10 @@ func runVideoSession(
 
 	out := protocol.GetBuffer()
 	defer protocol.PutBuffer(out)
-	fs := newFrameStream(conn, playerID, level, writeTimeout, source, counters, out)
+	fs := newFrameStream(conn, playerID, level, writeTimeout, host, out)
 	defer func() {
 		if fs.sess != nil {
-			offer.endDatagram(fs.sess)
+			host.endDatagram(fs.sess)
 		}
 	}()
 	ticker := time.NewTicker(frameInterval)
@@ -194,12 +191,17 @@ func runVideoSession(
 			if newLevel != level {
 				level = newLevel
 				fs.setLevel(level)
+			} else {
+				// A RateChange that changes nothing is a keyframe
+				// request: the player lost a datagram and has no
+				// reference for the P-frames that follow it.
+				fs.encoder.ForceKeyframe()
 			}
 		case <-dgramCh:
-			//lint:ignore epochstamp refusal default: overwritten by the stamped offer when the datagram path is up
+			//lint:ignore epochstamp refusal of a second request: overwritten by the host's answer to the first
 			reply := protocol.DatagramReply{Reason: "datagram video unavailable"}
-			if offer != nil && fs.sess == nil {
-				reply, fs.sess = offer.offerDatagram()
+			if fs.sess == nil {
+				reply, fs.sess = host.offerDatagram()
 			}
 			if sendMsg(conn, writeTimeout, protocol.MsgDatagramReply, reply.Marshal()) != nil {
 				return
@@ -225,8 +227,7 @@ type frameStream struct {
 	conn         net.Conn
 	playerID     int
 	writeTimeout time.Duration
-	source       viewSource
-	counters     streamCounters
+	host         sessionHost
 
 	renderer *render.Renderer
 	encoder  *videocodec.Encoder
@@ -242,9 +243,8 @@ type frameStream struct {
 }
 
 func newFrameStream(conn net.Conn, playerID int32, level game.QualityLevel, writeTimeout time.Duration,
-	source viewSource, counters streamCounters, out *protocol.Buffer) *frameStream {
-	fs := &frameStream{conn: conn, playerID: int(playerID), writeTimeout: writeTimeout,
-		source: source, counters: counters, out: out}
+	host sessionHost, out *protocol.Buffer) *frameStream {
+	fs := &frameStream{conn: conn, playerID: int(playerID), writeTimeout: writeTimeout, host: host, out: out}
 	fs.setLevel(level)
 	fs.frame = render.NewFrame(fs.renderer.Resolution())
 	return fs
@@ -260,7 +260,7 @@ func (fs *frameStream) setLevel(level game.QualityLevel) {
 // sendFrame renders, encodes and sends one frame of the player's current
 // view. It reports false when the session connection broke.
 func (fs *frameStream) sendFrame() bool {
-	vp := fs.source.viewInto(&fs.view, fs.playerID)
+	vp := fs.host.viewInto(&fs.view, fs.playerID)
 	if fs.sess != nil && !fs.dgramLive {
 		if _, ok := fs.sess.remote(); ok {
 			// The hello landed: this frame is the first to ride
@@ -277,7 +277,7 @@ func (fs *frameStream) sendFrame() bool {
 		var sent bool
 		fs.out.B, sent = fs.sess.sendFrame(fs.out.B, &fs.ef, fs.view.Tick)
 		if sent {
-			fs.counters.addFrame(fs.ef.SizeBits())
+			fs.host.addFrame(fs.ef.SizeBits())
 			return true
 		}
 		// No hello yet, oversized frame, or a socket error:
@@ -286,6 +286,6 @@ func (fs *frameStream) sendFrame() bool {
 	if sendInto(fs.conn, fs.writeTimeout, &fs.out.B, protocol.MsgVideoFrame, &fs.ef) != nil {
 		return false
 	}
-	fs.counters.addFrame(fs.ef.SizeBits())
+	fs.host.addFrame(fs.ef.SizeBits())
 	return true
 }

@@ -114,9 +114,3 @@ func Catalog() []Game {
 // SegmentDurationSec is the duration of one video segment. One-second
 // segments at 30 fps are the unit the receiver-driven adaptation buffers.
 const SegmentDurationSec = 1.0
-
-// SegmentBits returns the size in bits of one segment encoded at the given
-// quality level.
-func SegmentBits(level QualityLevel) float64 {
-	return ladder[level-1].BitrateKbps * 1000 * SegmentDurationSec
-}

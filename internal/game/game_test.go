@@ -107,16 +107,6 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
-func TestSegmentBits(t *testing.T) {
-	// One second at 300 kbps = 300,000 bits.
-	if got := SegmentBits(1); got != 300*1000*SegmentDurationSec {
-		t.Errorf("SegmentBits(1) = %v", got)
-	}
-	if got := SegmentBits(5); got != 1800*1000*SegmentDurationSec {
-		t.Errorf("SegmentBits(5) = %v", got)
-	}
-}
-
 func TestFrameRate(t *testing.T) {
 	// OnLive's 30 fps is the paper's experimental setting.
 	if FrameRate != 30 {

@@ -209,16 +209,6 @@ func (m *Model) congestionDraw(r *rng.Rand) float64 {
 	return r.Uniform(0.75, 1.0)
 }
 
-// TransmissionMs returns the time to push payloadBits through a link of
-// effective bandwidth kbps (kilobits per second). It returns +Inf for a
-// non-positive bandwidth.
-func (m *Model) TransmissionMs(payloadBits float64, kbps float64) float64 {
-	if kbps <= 0 {
-		return math.Inf(1)
-	}
-	return payloadBits / kbps // bits / (kbit/s) = ms
-}
-
 // --- Endpoint factories -----------------------------------------------
 
 // accessRTT tiers for consumer players: a bulk of cable/fiber users and a

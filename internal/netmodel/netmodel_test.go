@@ -144,16 +144,6 @@ func TestCongestionDipFrequency(t *testing.T) {
 	}
 }
 
-func TestTransmissionMs(t *testing.T) {
-	m := NewModel(Params{}, 1)
-	if got := m.TransmissionMs(1000, 1000); got != 1 {
-		t.Errorf("1000 bits over 1000 kbps = %v ms, want 1", got)
-	}
-	if got := m.TransmissionMs(1000, 0); !math.IsInf(got, 1) {
-		t.Errorf("zero bandwidth transmission = %v, want +Inf", got)
-	}
-}
-
 func TestParamsDefaults(t *testing.T) {
 	m := NewModel(Params{}, 1)
 	p := m.Params()

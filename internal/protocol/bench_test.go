@@ -26,30 +26,12 @@ func BenchmarkUpdateBatchMarshal(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateBatchUnmarshal measures the supernode-side decode cost.
-func BenchmarkUpdateBatchUnmarshal(b *testing.B) {
-	batch := UpdateBatch{Tick: 1}
-	for i := 0; i < 100; i++ {
-		batch.Deltas = append(batch.Deltas, virtualworld.Delta{
-			ID:     virtualworld.EntityID(i + 1),
-			Entity: virtualworld.Entity{ID: virtualworld.EntityID(i + 1), Version: 1},
-		})
-	}
-	buf := batch.Marshal()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := UnmarshalUpdateBatch(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkUpdateBatchAppendTo measures the append-style encode into a
 // warm buffer — the zero-allocation replacement for Marshal on the
 // cloud's per-tick path.
 func BenchmarkUpdateBatchAppendTo(b *testing.B) {
 	batch := benchBatch(100)
-	buf := make([]byte, 0, batch.EncodedSize())
+	buf := make([]byte, 0, len(batch.Marshal()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,7 +40,7 @@ func BenchmarkUpdateBatchAppendTo(b *testing.B) {
 }
 
 // BenchmarkUpdateBatchDecodeInto measures the reusable decode — the
-// zero-allocation replacement for UnmarshalUpdateBatch on the supernode's
+// zero-allocation decode on the supernode's
 // apply loop.
 func BenchmarkUpdateBatchDecodeInto(b *testing.B) {
 	payload := benchBatch(100).Marshal()
@@ -99,7 +81,7 @@ func BenchmarkWriteMessage(b *testing.B) {
 // Write. Steady state must be 0 allocs/op.
 func BenchmarkAppendFrame(b *testing.B) {
 	batch := benchBatch(100)
-	buf := make([]byte, 0, batch.EncodedSize()+HeaderLen)
+	buf := make([]byte, 0, len(batch.Marshal())+HeaderLen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -156,7 +138,7 @@ func BenchmarkFrameReader(b *testing.B) {
 // the cloud's per-cell per-tick serialization cost under AoI fan-out.
 func BenchmarkCellBatchAppendTo(b *testing.B) {
 	batch := CellBatch{Tick: 1, Cell: 7, Deltas: benchBatch(20).Deltas}
-	buf := make([]byte, 0, batch.EncodedSize())
+	buf := make([]byte, 0, len(batch.Marshal()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -48,18 +48,6 @@ func (m InterestUpdate) AppendTo(buf []byte) []byte {
 	return w.buf
 }
 
-// EncodedSize returns the exact Marshal()ed length in bytes.
-func (m InterestUpdate) EncodedSize() int {
-	return 4 + 8 + 4 + 4*len(m.Players) + 4 + 4*len(m.Cells)
-}
-
-// UnmarshalInterestUpdate decodes the message.
-func UnmarshalInterestUpdate(buf []byte) (InterestUpdate, error) {
-	var m InterestUpdate
-	err := DecodeInterestUpdate(buf, &m)
-	return m, err
-}
-
 // DecodeInterestUpdate decodes into m, reusing m.Players' and m.Cells'
 // capacity. On error m holds partially decoded data and must not be used.
 func DecodeInterestUpdate(buf []byte, m *InterestUpdate) error {
@@ -135,13 +123,6 @@ func (m CellBatch) AppendTo(buf []byte) []byte {
 	return w.buf
 }
 
-// UnmarshalCellBatch decodes the message.
-func UnmarshalCellBatch(buf []byte) (CellBatch, error) {
-	var m CellBatch
-	err := DecodeCellBatch(buf, &m)
-	return m, err
-}
-
 // DecodeCellBatch decodes into m, reusing m.Deltas' capacity — the
 // allocation-free decode for the supernode's per-tick apply loop. On
 // error m holds partially decoded data and must not be used.
@@ -165,19 +146,4 @@ func DecodeCellBatch(buf []byte, m *CellBatch) error {
 		}
 	}
 	return r.finish()
-}
-
-// SizeBits returns the encoded size in bits (Λ accounting).
-func (m CellBatch) SizeBits() int { return m.EncodedSize() * 8 }
-
-// EncodedSize returns the exact Marshal()ed length in bytes.
-func (m CellBatch) EncodedSize() int {
-	n := 8 + 8 + 4 + 1 + 4 // epoch + tick + cell + keyframe + delta count
-	for _, d := range m.Deltas {
-		n += 4 + 1
-		if !d.Removed {
-			n += EntityWireBytes
-		}
-	}
-	return n
 }

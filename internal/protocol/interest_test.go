@@ -14,8 +14,8 @@ func TestInterestUpdateRoundTrip(t *testing.T) {
 		{Gen: 2, CellSize: 64, Cells: []uint32{virtualworld.CellNone}},
 	}
 	for _, m := range cases {
-		got, err := UnmarshalInterestUpdate(m.Marshal())
-		if err != nil {
+		var got InterestUpdate
+		if err := DecodeInterestUpdate(m.Marshal(), &got); err != nil {
 			t.Fatalf("unmarshal %+v: %v", m, err)
 		}
 		if got.Gen != m.Gen || got.CellSize != m.CellSize ||
@@ -32,16 +32,13 @@ func TestInterestUpdateRoundTrip(t *testing.T) {
 				t.Fatalf("cells differ: %v vs %v", got.Cells, m.Cells)
 			}
 		}
-		if got, want := m.EncodedSize(), len(m.Marshal()); got != want {
-			t.Fatalf("EncodedSize = %d, want %d", got, want)
-		}
 	}
 }
 
 func TestInterestUpdateTruncated(t *testing.T) {
 	buf := InterestUpdate{Gen: 1, CellSize: 64, Players: []int32{1, 2}, Cells: []uint32{3, 4}}.Marshal()
 	for i := 0; i < len(buf); i++ {
-		if _, err := UnmarshalInterestUpdate(buf[:i]); err == nil {
+		if err := DecodeInterestUpdate(buf[:i], new(InterestUpdate)); err == nil {
 			t.Fatalf("truncation at %d not detected", i)
 		}
 	}
@@ -67,8 +64,8 @@ func testCellBatch(n int) CellBatch {
 func TestCellBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 64} {
 		m := testCellBatch(n)
-		got, err := UnmarshalCellBatch(m.Marshal())
-		if err != nil {
+		var got CellBatch
+		if err := DecodeCellBatch(m.Marshal(), &got); err != nil {
 			t.Fatalf("unmarshal n=%d: %v", n, err)
 		}
 		if got.Epoch != m.Epoch || got.Tick != m.Tick || got.Cell != m.Cell ||
@@ -80,16 +77,13 @@ func TestCellBatchRoundTrip(t *testing.T) {
 				t.Fatalf("delta %d differs: %+v vs %+v", i, got.Deltas[i], m.Deltas[i])
 			}
 		}
-		if got, want := m.EncodedSize(), len(m.Marshal()); got != want {
-			t.Fatalf("EncodedSize(n=%d) = %d, want %d", n, got, want)
-		}
 	}
 }
 
 func TestCellBatchTruncated(t *testing.T) {
 	buf := testCellBatch(3).Marshal()
 	for i := 0; i < len(buf); i++ {
-		if _, err := UnmarshalCellBatch(buf[:i]); err == nil {
+		if err := DecodeCellBatch(buf[:i], new(CellBatch)); err == nil {
 			t.Fatalf("truncation at %d not detected", i)
 		}
 	}

@@ -619,13 +619,6 @@ func (m UpdateBatch) AppendTo(buf []byte) []byte {
 	return w.buf
 }
 
-// UnmarshalUpdateBatch decodes the message.
-func UnmarshalUpdateBatch(buf []byte) (UpdateBatch, error) {
-	var m UpdateBatch
-	err := DecodeUpdateBatch(buf, &m)
-	return m, err
-}
-
 // DecodeUpdateBatch decodes into m, reusing m.Deltas' capacity — the
 // allocation-free decode for the supernode's per-tick apply loop. On error
 // m holds partially decoded data and must not be used.
@@ -647,22 +640,6 @@ func DecodeUpdateBatch(buf []byte, m *UpdateBatch) error {
 		}
 	}
 	return r.finish()
-}
-
-// SizeBits returns the encoded size of the batch in bits (Λ accounting),
-// computed arithmetically — no allocation, no throwaway Marshal.
-func (m UpdateBatch) SizeBits() int { return m.EncodedSize() * 8 }
-
-// EncodedSize returns the exact Marshal()ed length in bytes.
-func (m UpdateBatch) EncodedSize() int {
-	n := 8 + 8 + 4 // epoch + tick + delta count
-	for _, d := range m.Deltas {
-		n += 4 + 1 // entity ID + removed flag
-		if !d.Removed {
-			n += EntityWireBytes
-		}
-	}
-	return n
 }
 
 // PlayerAttach attaches a player's video session to a supernode.

@@ -170,8 +170,8 @@ func TestUpdateBatchRoundTrip(t *testing.T) {
 			}},
 		},
 	}
-	got, err := UnmarshalUpdateBatch(m.Marshal())
-	if err != nil {
+	var got UpdateBatch
+	if err := DecodeUpdateBatch(m.Marshal(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Tick != 99 || len(got.Deltas) != 3 {
@@ -182,14 +182,12 @@ func TestUpdateBatchRoundTrip(t *testing.T) {
 			t.Errorf("delta %d: %+v vs %+v", i, got.Deltas[i], m.Deltas[i])
 		}
 	}
-	if m.SizeBits() != len(m.Marshal())*8 {
-		t.Error("SizeBits mismatch")
-	}
 }
 
 func TestUpdateBatchEmpty(t *testing.T) {
 	m := UpdateBatch{Tick: 3}
-	got, err := UnmarshalUpdateBatch(m.Marshal())
+	var got UpdateBatch
+	err := DecodeUpdateBatch(m.Marshal(), &got)
 	if err != nil || got.Tick != 3 || len(got.Deltas) != 0 {
 		t.Errorf("empty batch: %+v, %v", got, err)
 	}
@@ -281,7 +279,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalPlayerJoin([]byte{1, 2}); err == nil {
 		t.Error("short join accepted")
 	}
-	if _, err := UnmarshalUpdateBatch([]byte{0}); err == nil {
+	if err := DecodeUpdateBatch([]byte{0}, new(UpdateBatch)); err == nil {
 		t.Error("short batch accepted")
 	}
 	if _, err := UnmarshalActionMsg(nil); err == nil {
@@ -296,7 +294,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	// field sits after the epoch and tick words.
 	huge := UpdateBatch{Tick: 1}.Marshal()
 	huge[16], huge[17], huge[18], huge[19] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := UnmarshalUpdateBatch(huge); err == nil {
+	if err := DecodeUpdateBatch(huge, new(UpdateBatch)); err == nil {
 		t.Error("hostile delta count accepted")
 	}
 }

@@ -91,12 +91,10 @@ func TestEpochStamps(t *testing.T) {
 	}
 
 	ub := UpdateBatch{Epoch: 9, Tick: 77}
-	gb, err := UnmarshalUpdateBatch(ub.Marshal())
+	var gb UpdateBatch
+	err = DecodeUpdateBatch(ub.Marshal(), &gb)
 	if err != nil || gb.Epoch != 9 || gb.Tick != 77 {
 		t.Errorf("update batch stamps: %+v, %v", gb, err)
-	}
-	if ub.EncodedSize() != len(ub.Marshal()) {
-		t.Error("EncodedSize out of sync with encoding")
 	}
 
 	sw := SupernodeWelcome{SupernodeID: 3, Epoch: 4, StandbyAddr: "s:9"}

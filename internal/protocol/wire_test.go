@@ -221,7 +221,7 @@ func TestAppendEncoderAllocs(t *testing.T) {
 	// interface would allocate per call; a pointer to an already-escaped
 	// value does not.
 	batch := testBatch(100)
-	buf := make([]byte, 0, batch.EncodedSize()+HeaderLen)
+	buf := make([]byte, 0, len(batch.Marshal())+HeaderLen)
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
 		buf, err = AppendMessage(buf[:0], MsgUpdateBatch, &batch)
@@ -262,20 +262,6 @@ func TestDecodeUpdateBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("DecodeUpdateBatch steady state: %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestUpdateBatchEncodedSize pins the arithmetic size against the real
-// encoder across delta mixes.
-func TestUpdateBatchEncodedSize(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 64} {
-		b := testBatch(n)
-		if got, want := b.EncodedSize(), len(b.Marshal()); got != want {
-			t.Errorf("EncodedSize(%d deltas) = %d, want %d", n, got, want)
-		}
-		if got, want := b.SizeBits(), len(b.Marshal())*8; got != want {
-			t.Errorf("SizeBits(%d deltas) = %d, want %d", n, got, want)
-		}
 	}
 }
 

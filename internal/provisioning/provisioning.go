@@ -98,12 +98,6 @@ func (f *Forecaster) Forecast() float64 {
 	return pred
 }
 
-// History returns the number of observed windows.
-func (f *Forecaster) History() int { return len(f.observed) }
-
-// Period returns the seasonal period T.
-func (f *Forecaster) Period() int { return f.period }
-
 // SupernodeCount returns Ns_t = ceil((1+epsilon) * predicted / avgCapacity)
 // (Eq. 15): the number of supernodes to pre-deploy to absorb the predicted
 // load with headroom epsilon. avgCapacity must be positive.

@@ -19,7 +19,7 @@ func TestNewForecasterValidation(t *testing.T) {
 		t.Error("Theta=1 accepted")
 	}
 	f, err := NewForecaster(42, 0.3, 0.5)
-	if err != nil || f.Period() != 42 {
+	if err != nil || f.period != 42 {
 		t.Errorf("valid forecaster rejected: %v", err)
 	}
 }
@@ -72,8 +72,8 @@ func TestForecastLearnsSeasonalPattern(t *testing.T) {
 	if maxErr > 15 {
 		t.Errorf("seasonal forecast error %v too large", maxErr)
 	}
-	if f.History() != 6*period {
-		t.Errorf("History = %d", f.History())
+	if len(f.observed) != 6*period {
+		t.Errorf("history = %d", len(f.observed))
 	}
 }
 

@@ -20,7 +20,6 @@ package reputation
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -99,21 +98,6 @@ func (b *Book) Score(supernodeID int, today int) float64 {
 	return score(b.ratings[supernodeID], b.lambda, today)
 }
 
-// NumRatings returns how many ratings this book holds for the supernode.
-func (b *Book) NumRatings(supernodeID int) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.ratings[supernodeID])
-}
-
-// Forget drops all ratings of the given supernode (e.g. after it
-// permanently leaves the system).
-func (b *Book) Forget(supernodeID int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.ratings, supernodeID)
-}
-
 // Prune discards ratings older than maxAgeDays as of today, bounding memory
 // for long-lived players. Ratings aged beyond the horizon contribute
 // lambda^age ~ 0 anyway.
@@ -133,34 +117,6 @@ func (b *Book) Prune(today, maxAgeDays int) {
 			b.ratings[id] = kept
 		}
 	}
-}
-
-// Ranked orders the candidate supernode IDs by descending reputation score
-// on the given day, breaking ties by ascending ID for determinism. This is
-// the ordered preference list the player probes sequentially for available
-// capacity (§3.2.2).
-func (b *Book) Ranked(candidates []int, today int) []int {
-	type scored struct {
-		id    int
-		score float64
-	}
-	b.mu.RLock()
-	ss := make([]scored, len(candidates))
-	for i, id := range candidates {
-		ss[i] = scored{id: id, score: score(b.ratings[id], b.lambda, today)}
-	}
-	b.mu.RUnlock()
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].score != ss[j].score {
-			return ss[i].score > ss[j].score
-		}
-		return ss[i].id < ss[j].id
-	})
-	out := make([]int, len(ss))
-	for i, s := range ss {
-		out[i] = s.id
-	}
-	return out
 }
 
 // GlobalBook aggregates ratings from ALL players, the strawman scheme the

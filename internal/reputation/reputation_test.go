@@ -108,51 +108,17 @@ func TestRecentRatingsDominate(t *testing.T) {
 	}
 }
 
-func TestNumRatingsAndForget(t *testing.T) {
-	b := NewBook(0.9)
-	b.Rate(1, 0.5, 0)
-	b.Rate(1, 0.6, 1)
-	if b.NumRatings(1) != 2 {
-		t.Errorf("NumRatings = %d", b.NumRatings(1))
-	}
-	b.Forget(1)
-	if b.NumRatings(1) != 0 || b.Score(1, 2) != 0 {
-		t.Error("Forget did not clear history")
-	}
-}
-
 func TestPrune(t *testing.T) {
 	b := NewBook(0.9)
 	b.Rate(1, 0.5, 0)
 	b.Rate(1, 0.6, 50)
 	b.Rate(2, 0.7, 0)
 	b.Prune(60, 30)
-	if b.NumRatings(1) != 1 {
-		t.Errorf("supernode 1 ratings after prune = %d, want 1", b.NumRatings(1))
+	if n := len(b.ratings[1]); n != 1 {
+		t.Errorf("supernode 1 ratings after prune = %d, want 1", n)
 	}
-	if b.NumRatings(2) != 0 {
-		t.Errorf("supernode 2 ratings after prune = %d, want 0", b.NumRatings(2))
-	}
-}
-
-func TestRanked(t *testing.T) {
-	b := NewBook(0.9)
-	b.Rate(10, 0.9, 5)
-	b.Rate(20, 0.5, 5)
-	// 30 unknown -> score 0 -> last; ties broken by ascending ID.
-	got := b.Ranked([]int{30, 20, 10, 40}, 5)
-	want := []int{10, 20, 30, 40}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranked = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRankedEmpty(t *testing.T) {
-	b := NewBook(0.9)
-	if got := b.Ranked(nil, 0); len(got) != 0 {
-		t.Errorf("Ranked(nil) = %v", got)
+	if n := len(b.ratings[2]); n != 0 {
+		t.Errorf("supernode 2 ratings after prune = %d, want 0", n)
 	}
 }
 
@@ -204,18 +170,15 @@ func TestBooksConcurrencySafe(t *testing.T) {
 				g.Rate(id, float64(i%10)/10, i%7)
 				_ = b.Score(id, i%7)
 				_ = g.Score(id, i%7)
-				_ = b.NumRatings(id)
 				_ = g.NumRatings(id)
 				if i%50 == 0 {
 					b.Prune(i%7, 3)
-					_ = b.Ranked([]int{0, 1, 2, 3}, i%7)
-					b.Forget(15)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if b.NumRatings(0) == 0 || g.NumRatings(0) == 0 {
+	if len(b.ratings[0]) == 0 || g.NumRatings(0) == 0 {
 		t.Error("concurrent ratings lost")
 	}
 }

@@ -146,12 +146,6 @@ func (r *Rand) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.src.NormFloat64()
 }
 
-// Exponential returns an exponential sample with the given mean. The mean
-// must be positive.
-func (r *Rand) Exponential(mean float64) float64 {
-	return r.src.ExpFloat64() * mean
-}
-
 // Pareto returns a sample from a Pareto distribution with minimum value
 // xm > 0 and shape alpha > 0. The paper uses Pareto-distributed supernode
 // capacities (alpha = 2) and node capacities (alpha = 1, mean 5).

@@ -308,18 +308,6 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(11)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(5)
-	}
-	if mean := sum / n; math.Abs(mean-5) > 0.2 {
-		t.Errorf("Exponential(5) empirical mean %v", mean)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := New(12)
 	var sum, sum2 float64

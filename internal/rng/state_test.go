@@ -53,7 +53,7 @@ func TestStateRestoreResumesStream(t *testing.T) {
 		case 0:
 			r.Float64()
 		case 1:
-			r.Exponential(3)
+			r.Pareto(1, 2)
 		case 2:
 			r.Poisson(12)
 		case 3:

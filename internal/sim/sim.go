@@ -100,22 +100,3 @@ func (e Engine) Run(h Hooks) {
 		}
 	}
 }
-
-// MeasuredCycles returns how many cycles fall inside the measured window.
-func (e Engine) MeasuredCycles() int {
-	cycles := e.Cycles
-	if cycles == 0 {
-		cycles = DefaultCycles
-	}
-	warmup := e.WarmupCycles
-	if warmup == 0 {
-		warmup = DefaultWarmupCycles
-	}
-	if warmup < 0 {
-		warmup = 0
-	}
-	if warmup > cycles {
-		warmup = cycles
-	}
-	return cycles - warmup
-}

@@ -14,28 +14,13 @@ type Accumulator struct {
 	n    int
 	sum  float64
 	sum2 float64
-	min  float64
-	max  float64
 }
 
 // Add records one sample.
 func (a *Accumulator) Add(x float64) {
-	if a.n == 0 || x < a.min {
-		a.min = x
-	}
-	if a.n == 0 || x > a.max {
-		a.max = x
-	}
 	a.n++
 	a.sum += x
 	a.sum2 += x * x
-}
-
-// AddN records the same sample n times.
-func (a *Accumulator) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		a.Add(x)
-	}
 }
 
 // N returns the number of recorded samples.
@@ -67,32 +52,6 @@ func (a *Accumulator) Variance() float64 {
 
 // StdDev returns the population standard deviation of all samples.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest recorded sample, or 0 if none were recorded.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest recorded sample, or 0 if none were recorded.
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Merge folds another accumulator's samples into a.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n += b.n
-	a.sum += b.sum
-	a.sum2 += b.sum2
-}
 
 // Ratio is a success counter reporting hits/total.
 type Ratio struct {
@@ -154,12 +113,6 @@ func (h *Histogram) Add(x float64) {
 
 // N returns the number of recorded samples.
 func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 
 // Percentile returns the p-th percentile (p in [0, 100]) estimated from the
 // bucket counts by linear interpolation inside the bucket containing the
@@ -225,21 +178,6 @@ func (h *Histogram) Reset() {
 		h.buckets[i] = 0
 	}
 	h.n = 0
-}
-
-// CDFAt returns the empirical CDF evaluated at x.
-func (h *Histogram) CDFAt(x float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	var c int
-	for i, b := range h.buckets {
-		upper := h.lo + float64(i+1)*h.width
-		if upper <= x {
-			c += b
-		}
-	}
-	return float64(c) / float64(h.n)
 }
 
 // String renders the histogram compactly for debugging.

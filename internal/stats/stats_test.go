@@ -20,48 +20,9 @@ func TestAccumulatorBasics(t *testing.T) {
 	if a.N() != 3 || !almostEq(a.Mean(), 4) || !almostEq(a.Sum(), 12) {
 		t.Errorf("accumulator: n=%d mean=%v sum=%v", a.N(), a.Mean(), a.Sum())
 	}
-	if a.Min() != 2 || a.Max() != 6 {
-		t.Errorf("min/max = %v/%v", a.Min(), a.Max())
-	}
 	wantVar := 8.0 / 3 // population variance of {2, 4, 6}
 	if !almostEq(a.Variance(), wantVar) {
 		t.Errorf("variance = %v, want %v", a.Variance(), wantVar)
-	}
-}
-
-func TestAccumulatorAddN(t *testing.T) {
-	var a Accumulator
-	a.AddN(5, 4)
-	if a.N() != 4 || !almostEq(a.Mean(), 5) || a.Variance() != 0 {
-		t.Errorf("AddN: n=%d mean=%v var=%v", a.N(), a.Mean(), a.Variance())
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	var a, b Accumulator
-	for _, x := range []float64{1, 2, 3} {
-		a.Add(x)
-	}
-	for _, x := range []float64{10, 20} {
-		b.Add(x)
-	}
-	a.Merge(&b)
-	want := 36.0 / 5
-	if a.N() != 5 || !almostEq(a.Mean(), want) {
-		t.Errorf("merged: n=%d mean=%v want %v", a.N(), a.Mean(), want)
-	}
-	if a.Min() != 1 || a.Max() != 20 {
-		t.Errorf("merged min/max: %v/%v", a.Min(), a.Max())
-	}
-	var empty Accumulator
-	a.Merge(&empty) // no-op
-	if a.N() != 5 {
-		t.Error("merging empty changed N")
-	}
-	var c Accumulator
-	c.Merge(&a)
-	if c.N() != 5 || !almostEq(c.Mean(), a.Mean()) {
-		t.Error("merge into empty lost samples")
 	}
 }
 
@@ -73,12 +34,11 @@ func TestAccumulatorMatchesTwoPassStats(t *testing.T) {
 			return true
 		}
 		var a Accumulator
-		lo, hi, sum := float64(raw[0]), float64(raw[0]), 0.0
+		sum := 0.0
 		for _, v := range raw {
 			x := float64(v)
 			a.Add(x)
 			sum += x
-			lo, hi = math.Min(lo, x), math.Max(hi, x)
 		}
 		mean := sum / float64(len(raw))
 		var variance float64
@@ -89,8 +49,7 @@ func TestAccumulatorMatchesTwoPassStats(t *testing.T) {
 			variance /= float64(len(raw))
 		}
 		return math.Abs(a.Mean()-mean) < 1e-6 &&
-			math.Abs(a.Variance()-variance) < 1e-4 &&
-			a.Min() == lo && a.Max() == hi
+			math.Abs(a.Variance()-variance) < 1e-4
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -123,14 +82,14 @@ func TestHistogram(t *testing.T) {
 		t.Errorf("N = %d", h.N())
 	}
 	// -1 clamps to bucket 0; 100 clamps to last bucket.
-	if h.Bucket(0) != 3 { // 0.5, 1, -1
-		t.Errorf("bucket0 = %d", h.Bucket(0))
+	if h.buckets[0] != 3 { // 0.5, 1, -1
+		t.Errorf("bucket0 = %d", h.buckets[0])
 	}
-	if h.Bucket(4) != 2 { // 9.9, 100
-		t.Errorf("bucket4 = %d", h.Bucket(4))
+	if h.buckets[4] != 2 { // 9.9, 100
+		t.Errorf("bucket4 = %d", h.buckets[4])
 	}
-	if h.NumBuckets() != 5 {
-		t.Errorf("NumBuckets = %d", h.NumBuckets())
+	if len(h.buckets) != 5 {
+		t.Errorf("NumBuckets = %d", len(h.buckets))
 	}
 }
 
@@ -140,25 +99,6 @@ func TestHistogramValidation(t *testing.T) {
 	}
 	if NewHistogram(0, 10, 0) != nil {
 		t.Error("zero buckets accepted")
-	}
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if got := h.CDFAt(5); !almostEq(got, 0.5) {
-		t.Errorf("CDF(5) = %v", got)
-	}
-	if got := h.CDFAt(10); !almostEq(got, 1) {
-		t.Errorf("CDF(10) = %v", got)
-	}
-	var empty Histogram
-	_ = empty
-	h2 := NewHistogram(0, 1, 2)
-	if got := h2.CDFAt(0.5); got != 0 {
-		t.Errorf("empty CDF = %v", got)
 	}
 }
 
@@ -241,9 +181,9 @@ func TestHistogramMergeOrderInsensitive(t *testing.T) {
 		if m.N() != seqH.N() {
 			t.Fatalf("order %v: N = %d, want %d", order, m.N(), seqH.N())
 		}
-		for b := 0; b < seqH.NumBuckets(); b++ {
-			if m.Bucket(b) != seqH.Bucket(b) {
-				t.Fatalf("order %v: bucket %d = %d, want %d", order, b, m.Bucket(b), seqH.Bucket(b))
+		for b := 0; b < len(seqH.buckets); b++ {
+			if m.buckets[b] != seqH.buckets[b] {
+				t.Fatalf("order %v: bucket %d = %d, want %d", order, b, m.buckets[b], seqH.buckets[b])
 			}
 		}
 	}
@@ -270,13 +210,13 @@ func TestHistogramReset(t *testing.T) {
 	if h.N() != 0 {
 		t.Fatalf("N after Reset = %d", h.N())
 	}
-	for b := 0; b < h.NumBuckets(); b++ {
-		if h.Bucket(b) != 0 {
+	for b := 0; b < len(h.buckets); b++ {
+		if h.buckets[b] != 0 {
 			t.Fatalf("bucket %d nonzero after Reset", b)
 		}
 	}
 	h.Add(2.5)
-	if h.N() != 1 || h.Bucket(1) != 1 {
+	if h.N() != 1 || h.buckets[1] != 1 {
 		t.Fatal("histogram unusable after Reset")
 	}
 }

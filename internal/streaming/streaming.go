@@ -164,15 +164,13 @@ func DeliveredKbps(link Link, bitrateKbps float64) float64 {
 // Meter accumulates a session's delivery quality across evaluation
 // intervals, weighted by interval duration.
 type Meter struct {
-	onTimeWeighted  float64
-	latencyWeighted float64
-	weight          float64
+	onTimeWeighted float64
+	weight         float64
 }
 
 // Observe records one evaluation interval of the given duration (any
-// consistent unit) with per-frame on-time probability p and expected
-// response latency latencyMs.
-func (m *Meter) Observe(duration, p, latencyMs float64) {
+// consistent unit) with per-frame on-time probability p.
+func (m *Meter) Observe(duration, p float64) {
 	if duration <= 0 {
 		return
 	}
@@ -183,7 +181,6 @@ func (m *Meter) Observe(duration, p, latencyMs float64) {
 		p = 1
 	}
 	m.onTimeWeighted += duration * p
-	m.latencyWeighted += duration * latencyMs
 	m.weight += duration
 }
 
@@ -194,14 +191,6 @@ func (m *Meter) Continuity() float64 {
 		return 0
 	}
 	return m.onTimeWeighted / m.weight
-}
-
-// MeanLatencyMs returns the duration-weighted mean response latency.
-func (m *Meter) MeanLatencyMs() float64 {
-	if m.weight == 0 {
-		return 0
-	}
-	return m.latencyWeighted / m.weight
 }
 
 // Satisfied reports whether the session meets the 95% on-time bar.

@@ -132,11 +132,11 @@ func TestDeliveredKbps(t *testing.T) {
 
 func TestMeter(t *testing.T) {
 	var m Meter
-	if m.Observed() || m.Continuity() != 0 || m.MeanLatencyMs() != 0 || m.Satisfied() {
+	if m.Observed() || m.Continuity() != 0 || m.Satisfied() {
 		t.Error("zero meter misbehaves")
 	}
-	m.Observe(1, 0.9, 50)
-	m.Observe(3, 0.5, 90)
+	m.Observe(1, 0.9)
+	m.Observe(3, 0.5)
 	if !m.Observed() {
 		t.Error("meter not observed")
 	}
@@ -144,24 +144,20 @@ func TestMeter(t *testing.T) {
 	if math.Abs(m.Continuity()-wantCont) > 1e-12 {
 		t.Errorf("continuity = %v, want %v", m.Continuity(), wantCont)
 	}
-	wantLat := (1*50.0 + 3*90.0) / 4
-	if math.Abs(m.MeanLatencyMs()-wantLat) > 1e-12 {
-		t.Errorf("latency = %v, want %v", m.MeanLatencyMs(), wantLat)
-	}
 }
 
 func TestMeterClampsAndIgnoresBadDurations(t *testing.T) {
 	var m Meter
-	m.Observe(0, 0.5, 10)  // ignored
-	m.Observe(-1, 0.5, 10) // ignored
+	m.Observe(0, 0.5)  // ignored
+	m.Observe(-1, 0.5) // ignored
 	if m.Observed() {
 		t.Error("non-positive durations recorded")
 	}
-	m.Observe(1, 1.7, 10)
+	m.Observe(1, 1.7)
 	if m.Continuity() != 1 {
 		t.Errorf("p>1 not clamped: %v", m.Continuity())
 	}
-	m.Observe(1, -0.5, 10)
+	m.Observe(1, -0.5)
 	if m.Continuity() != 0.5 {
 		t.Errorf("p<0 not clamped: %v", m.Continuity())
 	}
@@ -169,11 +165,11 @@ func TestMeterClampsAndIgnoresBadDurations(t *testing.T) {
 
 func TestMeterSatisfied(t *testing.T) {
 	var m Meter
-	m.Observe(1, 0.96, 40)
+	m.Observe(1, 0.96)
 	if !m.Satisfied() {
 		t.Error("96% on-time should satisfy the 95% bar")
 	}
-	m.Observe(1, 0.5, 40)
+	m.Observe(1, 0.5)
 	if m.Satisfied() {
 		t.Error("73% on-time satisfied")
 	}
@@ -183,7 +179,7 @@ func TestMeterContinuityBoundedProperty(t *testing.T) {
 	f := func(obs []uint8) bool {
 		var m Meter
 		for i, o := range obs {
-			m.Observe(float64(i%3)+0.5, float64(o)/200, float64(o))
+			m.Observe(float64(i%3)+0.5, float64(o)/200)
 		}
 		c := m.Continuity()
 		return c >= 0 && c <= 1

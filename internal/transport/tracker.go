@@ -147,13 +147,3 @@ func (t *RecvTracker) TakeWindow() (delivered, lost, stale uint64) {
 	t.wDelivered, t.wLost, t.wStale = 0, 0, 0
 	return delivered, lost, stale
 }
-
-// LossFraction reports the fraction of datagrams lost over the stream's
-// lifetime: lost / (delivered + lost). Zero before any arrival.
-func (t *RecvTracker) LossFraction() float64 {
-	total := t.stats.Delivered + t.stats.Lost
-	if total == 0 {
-		return 0
-	}
-	return float64(t.stats.Lost) / float64(total)
-}

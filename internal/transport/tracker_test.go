@@ -18,9 +18,6 @@ func TestTrackerInOrder(t *testing.T) {
 	if s.Delivered != 10 || s.Lost != 0 || s.Stale != 0 || s.Duplicates != 0 {
 		t.Errorf("stats %+v", s)
 	}
-	if tr.LossFraction() != 0 {
-		t.Errorf("loss fraction %v", tr.LossFraction())
-	}
 }
 
 func TestTrackerGapCountsLost(t *testing.T) {
@@ -30,9 +27,6 @@ func TestTrackerGapCountsLost(t *testing.T) {
 	s := tr.Stats()
 	if s.Lost != 3 || s.Delivered != 2 {
 		t.Errorf("stats %+v", s)
-	}
-	if got := tr.LossFraction(); got != 0.6 {
-		t.Errorf("loss fraction %v, want 0.6", got)
 	}
 }
 

@@ -68,44 +68,20 @@ func (c Config) WithDefaults() Config {
 // and the chaos demo can route dials through faultnet injectors.
 type DialFunc func(network, addr string, timeout time.Duration) (net.Conn, error)
 
-// Conn is the stream connection the session layer speaks over. It is
-// exactly net.Conn today; naming it here keeps the session code written
-// against the seam rather than against the net package.
-type Conn interface {
-	net.Conn
-}
-
-// Transport establishes and accepts stream connections under one timeout
-// policy.
-type Transport interface {
-	// Name identifies the transport ("tcp").
-	Name() string
-	// Dial connects to addr, bounded by the config's DialTimeout.
-	Dial(addr string) (Conn, error)
-	// Listen starts accepting stream connections on addr.
-	Listen(addr string) (net.Listener, error)
-}
-
-// TCP is the reliable stream transport. Its zero value dials with
-// net.DialTimeout under Config defaults; DialFunc and WrapConn are the
-// fault-injection hooks chaos tests use.
+// TCP is the reliable stream transport: it establishes and accepts stream
+// connections under one timeout policy. Its zero value dials with
+// net.DialTimeout under Config defaults; DialFunc is the fault-injection
+// hook chaos tests use.
 type TCP struct {
 	// Config is the timeout policy; zero fields take package defaults.
 	Config Config
 	// DialFunc, when set, replaces net.DialTimeout.
 	DialFunc DialFunc
-	// WrapConn, when set, wraps every accepted connection.
-	WrapConn func(net.Conn) net.Conn
 }
 
-var _ Transport = TCP{}
-
-// Name implements Transport.
-func (t TCP) Name() string { return "tcp" }
-
-// Dial implements Transport: one outbound connection, bounded by
+// Dial makes one outbound connection to addr, bounded by
 // Config.DialTimeout.
-func (t TCP) Dial(addr string) (Conn, error) {
+func (t TCP) Dial(addr string) (net.Conn, error) {
 	cfg := t.Config.WithDefaults()
 	dial := t.DialFunc
 	if dial == nil {
@@ -114,29 +90,7 @@ func (t TCP) Dial(addr string) (Conn, error) {
 	return dial("tcp", addr, cfg.DialTimeout)
 }
 
-// Listen implements Transport. Accepted connections pass through WrapConn
-// when it is set.
+// Listen starts accepting stream connections on addr.
 func (t TCP) Listen(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if t.WrapConn == nil {
-		return ln, nil
-	}
-	return &wrapListener{Listener: ln, wrap: t.WrapConn}, nil
-}
-
-// wrapListener applies a connection wrapper to every accept.
-type wrapListener struct {
-	net.Listener
-	wrap func(net.Conn) net.Conn
-}
-
-func (l *wrapListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.wrap(c), nil
+	return net.Listen("tcp", addr)
 }

@@ -62,34 +62,6 @@ func TestTCPDialListen(t *testing.T) {
 	}
 }
 
-func TestTCPListenWrapConn(t *testing.T) {
-	wrapped := 0
-	tr := TCP{WrapConn: func(c net.Conn) net.Conn { wrapped++; return c }}
-	ln, err := tr.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, aerr := ln.Accept()
-		if aerr == nil {
-			c.Close()
-		}
-	}()
-	conn, err := TCP{}.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for wrapped == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if wrapped != 1 {
-		t.Errorf("WrapConn applied %d times, want 1", wrapped)
-	}
-}
-
 func TestHeaderRoundTrip(t *testing.T) {
 	h := Header{Kind: DgramFrame, Token: 0xdeadbeefcafe, Epoch: 7, Seq: 1 << 40, Tick: 12345}
 	buf := h.AppendTo(nil)

@@ -82,9 +82,6 @@ func NewEncoder(targetKbps float64) *Encoder {
 	return &Encoder{GOP: DefaultGOP, TargetKbps: targetKbps, quant: quant}
 }
 
-// SetTargetKbps retargets the rate controller (a quality-level switch).
-func (e *Encoder) SetTargetKbps(kbps float64) { e.TargetKbps = kbps }
-
 // ForceKeyframe makes the next encoded frame an I-frame, restarting the
 // GOP. Senders call it when a receiver (re)joins mid-stream — a
 // transport switch, for instance — so the new receiver is not stuck
@@ -173,9 +170,6 @@ func (e *Encoder) adaptQuant(lastBits int) {
 	}
 }
 
-// Quant returns the current quantization step (diagnostics).
-func (e *Encoder) Quant() int { return e.quant }
-
 // Decoder reconstructs frames from an encoded stream.
 type Decoder struct {
 	prev    []byte
@@ -196,8 +190,11 @@ var (
 // callers that keep pixels longer must copy them.
 func (d *Decoder) DecodeInto(ef *EncodedFrame, f *render.Frame) error {
 	n := ef.Width * ef.Height
-	if n <= 0 {
-		return fmt.Errorf("%w: bad dimensions %dx%d", ErrCorruptStream, ef.Width, ef.Height)
+	// The header is network bytes: nothing is allocated for it before the
+	// payload proves it can fill the frame. One RLE (count, value) pair
+	// expands to at most 255 pixels.
+	if n <= 0 || n > 255*(len(ef.Data)/2) {
+		return fmt.Errorf("%w: bad dimensions %dx%d for %d payload bytes", ErrCorruptStream, ef.Width, ef.Height, len(ef.Data))
 	}
 	if cap(d.payload) < n {
 		d.payload = make([]byte, 0, n)

@@ -142,9 +142,9 @@ func TestLowerTargetCoarserQuant(t *testing.T) {
 		encode(encHigh, framesA[i])
 		encode(encLow, framesB[i])
 	}
-	if encLow.Quant() <= encHigh.Quant() {
+	if encLow.quant <= encHigh.quant {
 		t.Errorf("low-rate quant %d not coarser than high-rate %d",
-			encLow.Quant(), encHigh.Quant())
+			encLow.quant, encHigh.quant)
 	}
 }
 

@@ -48,21 +48,6 @@ func BenchmarkReplicaApply(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionKD measures the kd-tree region split over 2,000
-// avatars.
-func BenchmarkPartitionKD(b *testing.B) {
-	r := rng.New(3)
-	w := New(1024, 1024)
-	for p := 1; p <= 2000; p++ {
-		w.SpawnAvatar(p, r.Uniform(0, 1024), r.Uniform(0, 1024))
-	}
-	s := w.Snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PartitionKD(s, 16)
-	}
-}
-
 // The 20k benchmarks measure the live tiers' per-tick and per-frame world
 // costs at the size of the end-to-end benchmark's big_world workload:
 // 20 000 entities spread over 4096², five of them avatars. Each cost is

@@ -248,31 +248,6 @@ func TestReplicaApplyCellKeyframe(t *testing.T) {
 	}
 }
 
-func TestRegionIndexMatchesRegionOf(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	w := New(0, 0)
-	for p := 0; p < 64; p++ {
-		w.SpawnAvatar(p, rng.Float64()*DefaultWidth, rng.Float64()*DefaultHeight)
-	}
-	for _, n := range []int{1, 2, 7, 16, 33} {
-		regions := PartitionKD(w.Snapshot(), n)
-		idx := NewRegionIndex(regions, DefaultWidth, DefaultHeight)
-		for i := 0; i < 2000; i++ {
-			x := rng.Float64() * DefaultWidth
-			y := rng.Float64() * DefaultHeight
-			if got, want := idx.Lookup(x, y), RegionOf(regions, x, y); got != want {
-				t.Fatalf("n=%d (%g,%g): Lookup=%d RegionOf=%d", n, x, y, got, want)
-			}
-		}
-		// Max-edge and corner cases hit the shared fallback.
-		for _, pt := range [][2]float64{{DefaultWidth, DefaultHeight}, {DefaultWidth, 5}, {5, DefaultHeight}, {0, 0}} {
-			if got, want := idx.Lookup(pt[0], pt[1]), RegionOf(regions, pt[0], pt[1]); got != want {
-				t.Fatalf("n=%d edge (%g,%g): Lookup=%d RegionOf=%d", n, pt[0], pt[1], got, want)
-			}
-		}
-	}
-}
-
 func BenchmarkGridMove(b *testing.B) {
 	g := NewGrid(Geometry(DefaultWidth, DefaultHeight, DefaultCellSize))
 	for id := EntityID(1); id <= 1024; id++ {
@@ -285,36 +260,5 @@ func BenchmarkGridMove(b *testing.B) {
 		ox, oy := float64(id%1024), float64((id*7)%1024)
 		g.Move(id, ox, oy, ox+MoveSpeed, oy)
 		g.Move(id, ox+MoveSpeed, oy, ox, oy)
-	}
-}
-
-// BenchmarkRegionOf is the legacy linear scan; BenchmarkRegionIndexLookup
-// is the grid-accelerated replacement. Same query stream on a 64-region
-// partition.
-func regionBenchSetup() ([]Region, *RegionIndex, *rand.Rand) {
-	rng := rand.New(rand.NewSource(5))
-	w := New(0, 0)
-	for p := 0; p < 256; p++ {
-		w.SpawnAvatar(p, rng.Float64()*DefaultWidth, rng.Float64()*DefaultHeight)
-	}
-	regions := PartitionKD(w.Snapshot(), 64)
-	return regions, NewRegionIndex(regions, DefaultWidth, DefaultHeight), rng
-}
-
-func BenchmarkRegionOf(b *testing.B) {
-	regions, _, rng := regionBenchSetup()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RegionOf(regions, rng.Float64()*DefaultWidth, rng.Float64()*DefaultHeight)
-	}
-}
-
-func BenchmarkRegionIndexLookup(b *testing.B) {
-	_, idx, rng := regionBenchSetup()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.Lookup(rng.Float64()*DefaultWidth, rng.Float64()*DefaultHeight)
 	}
 }

@@ -1,107 +1,6 @@
 package virtualworld
 
-import (
-	"math"
-	"testing"
-
-	"cloudfog/internal/rng"
-)
-
-func crowdedSnapshot(t *testing.T, n int, seed uint64) Snapshot {
-	t.Helper()
-	r := rng.New(seed)
-	w := New(1024, 1024)
-	for p := 1; p <= n; p++ {
-		// Clustered population: half in one corner, half spread out.
-		if r.Bool(0.5) {
-			w.SpawnAvatar(p, r.Uniform(0, 200), r.Uniform(0, 200))
-		} else {
-			w.SpawnAvatar(p, r.Uniform(0, 1024), r.Uniform(0, 1024))
-		}
-	}
-	return w.Snapshot()
-}
-
-func TestPartitionKDCoversWorld(t *testing.T) {
-	s := crowdedSnapshot(t, 100, 1)
-	regions := PartitionKD(s, 8)
-	if len(regions) != 8 {
-		t.Fatalf("regions = %d", len(regions))
-	}
-	// Total area equals the world's.
-	var area float64
-	for _, r := range regions {
-		if r.Area() <= 0 {
-			t.Fatalf("degenerate region %+v", r)
-		}
-		area += r.Area()
-	}
-	if math.Abs(area-1024*1024) > 1e-6 {
-		t.Errorf("areas sum to %v", area)
-	}
-	// Every avatar belongs to exactly one region.
-	for _, e := range s.Entities {
-		count := 0
-		for _, r := range regions {
-			if r.Contains(e.X, e.Y) {
-				count++
-			}
-		}
-		if count != 1 && e.X < 1024 && e.Y < 1024 {
-			t.Fatalf("entity at %v,%v in %d regions", e.X, e.Y, count)
-		}
-	}
-}
-
-func TestPartitionKDBalances(t *testing.T) {
-	s := crowdedSnapshot(t, 400, 2)
-	regions := PartitionKD(s, 8)
-	counts := make([]int, len(regions))
-	for _, e := range s.Entities {
-		counts[RegionOf(regions, e.X, e.Y)]++
-	}
-	minC, maxC := counts[0], counts[0]
-	for _, c := range counts {
-		if c < minC {
-			minC = c
-		}
-		if c > maxC {
-			maxC = c
-		}
-	}
-	// The kd split balances load: no region should carry more than ~3x
-	// the lightest (uniform grid over this clustered population would be
-	// far worse).
-	if maxC > 3*minC+5 {
-		t.Errorf("kd partition unbalanced: min=%d max=%d", minC, maxC)
-	}
-}
-
-func TestPartitionKDEdgeCases(t *testing.T) {
-	empty := Snapshot{Width: 100, Height: 100}
-	if got := PartitionKD(empty, 4); len(got) != 1 {
-		t.Errorf("empty world split into %d regions", len(got))
-	}
-	if got := PartitionKD(empty, 0); len(got) != 1 {
-		t.Errorf("n=0 produced %d regions", len(got))
-	}
-	w := New(100, 100)
-	w.SpawnAvatar(1, 50, 50)
-	if got := PartitionKD(w.Snapshot(), 4); len(got) != 1 {
-		t.Errorf("single avatar split into %d regions", len(got))
-	}
-}
-
-func TestRegionOfMaxEdge(t *testing.T) {
-	s := crowdedSnapshot(t, 50, 3)
-	regions := PartitionKD(s, 4)
-	// The exact max corner is contained by no region (max-exclusive);
-	// RegionOf must still return a valid index.
-	idx := RegionOf(regions, 1024, 1024)
-	if idx < 0 || idx >= len(regions) {
-		t.Errorf("max-edge region = %d", idx)
-	}
-}
+import "testing"
 
 func TestViewport(t *testing.T) {
 	v := Viewport{CenterX: 100, CenterY: 100, HalfWidth: 50, HalfHeight: 30}
@@ -119,7 +18,7 @@ func TestVisibleEntities(t *testing.T) {
 	w.SpawnNPC(120, 110)
 	w.SpawnNPC(350, 350)
 	v := Viewport{CenterX: 100, CenterY: 100, HalfWidth: 60, HalfHeight: 60}
-	vis := VisibleEntities(w.Snapshot(), v)
+	vis := AppendVisibleEntities(nil, w.Snapshot(), v)
 	if len(vis) != 2 {
 		t.Fatalf("visible = %d, want 2", len(vis))
 	}
@@ -127,18 +26,5 @@ func TestVisibleEntities(t *testing.T) {
 		if vis[i].ID <= vis[i-1].ID {
 			t.Fatal("visible entities not sorted")
 		}
-	}
-}
-
-func TestFilterDeltas(t *testing.T) {
-	v := Viewport{CenterX: 0, CenterY: 0, HalfWidth: 10, HalfHeight: 10}
-	deltas := []Delta{
-		{ID: 1, Entity: Entity{ID: 1, X: 5, Y: 5}},     // visible
-		{ID: 2, Entity: Entity{ID: 2, X: 500, Y: 500}}, // invisible
-		{ID: 3, Removed: true},                         // always kept
-	}
-	got := FilterDeltas(deltas, v)
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 {
-		t.Errorf("filtered = %+v", got)
 	}
 }

@@ -82,12 +82,6 @@ type Entity struct {
 	Version uint32
 }
 
-// clone returns a copy of the entity.
-func (e *Entity) clone() *Entity {
-	c := *e
-	return &c
-}
-
 // ActionKind enumerates the player actions of the game.
 type ActionKind uint8
 

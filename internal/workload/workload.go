@@ -99,15 +99,6 @@ func (s Session) Active(subcycle int) bool {
 	return subcycle >= s.Start && subcycle < s.Start+s.Duration
 }
 
-// End returns the first subcycle after the session (clipped to 25).
-func (s Session) End() int {
-	e := s.Start + s.Duration
-	if e > SubcyclesPerCycle+1 {
-		e = SubcyclesPerCycle + 1
-	}
-	return e
-}
-
 // ScheduleDay samples a player's session for one cycle: the start subcycle
 // lands in peak hours with probability 70%, and the duration follows the
 // player's behavior class (clipped to the end of the day).
@@ -186,25 +177,4 @@ func ChooseGame(friendGames []int, catalog []game.Game, r *rng.Rand) game.Game {
 		return catalog[r.Intn(len(catalog))]
 	}
 	return tied[r.Intn(len(tied))]
-}
-
-// DiurnalOnline returns a smooth expected-online-count curve for the given
-// population and subcycle, used to sanity-check forecasts: low overnight,
-// rising through the day, peaking in subcycles 20–24. The curve integrates
-// the 70/30 start-time split and the 50/30/20 duration mix approximately.
-func DiurnalOnline(population int, subcycle int) float64 {
-	// Piecewise fractions of the population online, tuned to the schedule
-	// generator's empirical output.
-	var frac float64
-	switch {
-	case subcycle >= PeakStartSubcycle:
-		frac = 0.45
-	case subcycle >= 16:
-		frac = 0.20
-	case subcycle >= 8:
-		frac = 0.12
-	default:
-		frac = 0.06
-	}
-	return frac * float64(population)
 }

@@ -91,13 +91,6 @@ func TestSessionActive(t *testing.T) {
 			t.Errorf("Active(%d) = %v", sub, s.Active(sub))
 		}
 	}
-	if s.End() != 13 {
-		t.Errorf("End = %d", s.End())
-	}
-	late := Session{Start: 23, Duration: 5}
-	if late.End() != SubcyclesPerCycle+1 {
-		t.Errorf("End clipped = %d", late.End())
-	}
 	var zero Session
 	if zero.Active(1) {
 		t.Error("zero session active")
@@ -186,19 +179,5 @@ func TestChooseGameEmptyCatalog(t *testing.T) {
 	g := ChooseGame([]int{1}, nil, r)
 	if g.ID != 0 {
 		t.Errorf("empty catalog returned game %d", g.ID)
-	}
-}
-
-func TestDiurnalOnline(t *testing.T) {
-	pop := 10000
-	night := DiurnalOnline(pop, 3)
-	day := DiurnalOnline(pop, 14)
-	evening := DiurnalOnline(pop, 18)
-	peak := DiurnalOnline(pop, 22)
-	if !(night < day && day < evening && evening < peak) {
-		t.Errorf("diurnal curve not increasing toward peak: %v %v %v %v", night, day, evening, peak)
-	}
-	if peak > float64(pop) {
-		t.Error("peak exceeds population")
 	}
 }
