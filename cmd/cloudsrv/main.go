@@ -4,6 +4,11 @@
 //
 //	cloudsrv -addr 127.0.0.1:7000 -npcs 8
 //
+// -tick is the idle tick period: the world only moves when a player acts,
+// so an input arms an early tick a third of the period after it arrives
+// and the periodic tick is what an idle world falls back to. The stats
+// line counts both (ticks) and the early ones alone (input).
+//
 // With -standby it instead runs a warm standby that follows the primary's
 // checkpoint/log stream and promotes itself (epoch+1, same listen
 // address) when the primary goes silent:
@@ -30,14 +35,14 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7000", "listen address")
-	tick := flag.Duration("tick", fognet.DefaultTickInterval, "world tick interval")
+	tick := flag.Duration("tick", fognet.DefaultTickInterval, "idle world tick period; an input is applied at most a third of it after arrival")
 	npcs := flag.Int("npcs", 8, "NPCs to seed the world with")
 	hbInterval := flag.Duration("hb-interval", fognet.DefaultHeartbeatInterval, "supernode heartbeat interval")
 	hbMisses := flag.Int("hb-misses", fognet.DefaultHeartbeatMisses, "missed heartbeats before a supernode is evicted")
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval (0 = silent)")
 	selPolicy := flag.String("selection", "reputation", "candidate-ladder ranking policy: random | reputation | global")
 	seed := flag.Uint64("seed", 1, "ladder tie-break shuffle seed")
-	ckptEvery := flag.Int("checkpoint-every", fognet.DefaultCheckpointEvery, "ticks between checkpoints streamed to the standby")
+	ckptEvery := flag.Int("checkpoint-every", fognet.DefaultCheckpointEvery, "tick periods between checkpoints streamed to the standby")
 	standby := flag.String("standby", "", "run as warm standby following this primary address")
 	promoteAfter := flag.Duration("promote-after", fognet.DefaultPromoteAfter, "standby: silence on the primary's stream before promotion")
 	flag.Parse()
@@ -150,8 +155,8 @@ func runStandby(addr, primary string, promoteAfter, statsEvery time.Duration, cf
 
 func printCloudStats(cloud *fognet.CloudServer) {
 	s := cloud.Stats()
-	fmt.Printf("cloudsrv: epoch=%d ticks=%d supernodes=%d aoi=%d interest=%d keycells=%d players=%d entities=%d update=%0.1f kbit ckpts=%d standby=%v evictions=%d departures=%d qdrops=%d qoe=%d\n",
-		s.Epoch, s.Ticks, s.Supernodes, s.AoISupernodes, s.InterestUpdates, s.KeyframeCells,
+	fmt.Printf("cloudsrv: epoch=%d ticks=%d input=%d supernodes=%d aoi=%d interest=%d keycells=%d players=%d entities=%d update=%0.1f kbit ckpts=%d standby=%v evictions=%d departures=%d qdrops=%d qoe=%d\n",
+		s.Epoch, s.Ticks, s.InputTicks, s.Supernodes, s.AoISupernodes, s.InterestUpdates, s.KeyframeCells,
 		s.Players, s.Entities, float64(s.UpdateBits)/1000,
 		s.Resilience.Checkpoints, s.StandbyAttached,
 		s.Resilience.Evictions, s.Resilience.Departures, s.Resilience.SendQueueDrops,

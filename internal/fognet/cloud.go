@@ -42,12 +42,22 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// DefaultTickInterval is the world tick period (20 Hz).
+// DefaultTickInterval is the idle world tick period (20 Hz): the metronome
+// an idle cloud ticks at, and the longest an input ever waits.
 const DefaultTickInterval = 50 * time.Millisecond
 
-// DefaultCheckpointEvery is the checkpoint cadence in ticks: with the
-// default 20 Hz tick the standby receives a full world image once a
-// second, and the per-tick delta log covers everything in between.
+// inputWindowDivisor sets the input-armed clock: the action that makes the
+// pending queue non-empty is applied TickInterval/inputWindowDivisor later
+// at most, together with whatever else arrived inside that window. The
+// world only moves when a player acts, so a tick is purely a batching
+// window and running one sooner changes no game speed; the price is one
+// batch header per extra tick on full-world links (DESIGN.md, "Tick
+// pacing", has the window/latency/egress trade that picked 3).
+const inputWindowDivisor = 3
+
+// DefaultCheckpointEvery is the checkpoint cadence in metronome ticks:
+// with the default 20 Hz tick the standby receives a full world image once
+// a second, and the per-tick delta log covers everything in between.
 const DefaultCheckpointEvery = 20
 
 // Liveness and robustness defaults. Tests lower the intervals.
@@ -72,8 +82,8 @@ type DialFunc = transport.DialFunc
 type CloudConfig struct {
 	// Addr is the listen address ("127.0.0.1:0" for an ephemeral port).
 	Addr string
-	// TickInterval is the world tick period. Defaults to
-	// DefaultTickInterval.
+	// TickInterval is the idle world tick period; an input is applied at
+	// most a third of it after arrival. Defaults to DefaultTickInterval.
 	TickInterval time.Duration
 	// NPCs seeds the world with this many NPCs on a grid.
 	NPCs int
@@ -105,9 +115,11 @@ type CloudConfig struct {
 	// fresh primary); a promoted standby passes its checkpoint epoch + 1
 	// so every client can tell a failover happened from the stamps alone.
 	Epoch uint64
-	// CheckpointEvery is the checkpoint cadence in ticks. Defaults to
-	// DefaultCheckpointEvery. Checkpoints flow to the attached standby;
-	// without one, none are encoded.
+	// CheckpointEvery is the checkpoint cadence in metronome ticks, so
+	// CheckpointEvery × TickInterval of wall time however many input-armed
+	// ticks run in between. Defaults to DefaultCheckpointEvery.
+	// Checkpoints flow to the attached standby; without one, none are
+	// encoded.
 	CheckpointEvery int
 	// Listener, when set, is used instead of listening on Addr: a
 	// promoted standby hands over the listener it already advertised, so
@@ -137,9 +149,14 @@ type CloudServer struct {
 	restoredHash uint64
 	restoredTick uint64
 
-	mu         sync.Mutex
-	world      *virtualworld.World
+	mu    sync.Mutex
+	world *virtualworld.World
+	// pending holds the inputs queued since the last tick (guarded by mu);
+	// inputCh holds a token exactly while pending is non-empty and the tick
+	// loop has not yet armed its early timer for it: queueActionLocked
+	// fills it, tickOnce empties both under mu.
 	pending    []virtualworld.Action
+	inputCh    chan struct{}
 	supernodes map[uint32]*supernodeConn // guarded by mu
 	nextSNID   uint32
 	players    map[int32]*playerConn // guarded by mu
@@ -412,6 +429,7 @@ func NewCloudServer(cfg CloudConfig) (*CloudServer, error) {
 		ranker:     selection.PolicyRanker{Policy: cfg.SelectionPolicy, Scorer: optimisticScorer{book}},
 		rankRand:   rankRand,
 		started:    time.Now(),
+		inputCh:    make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 	}
 	s.wg.Add(3)
@@ -546,8 +564,10 @@ func (sn *supernodeConn) shutdown() {
 
 // Stats reports cloud-side counters.
 type CloudStats struct {
-	// Ticks is how many world ticks ran.
-	Ticks int64
+	// Ticks is how many world ticks ran; InputTicks is how many of them
+	// the input-armed clock ran ahead of the metronome.
+	Ticks      int64
+	InputTicks int64
 	// Tick is the authoritative world tick (it starts past zero on a
 	// restored server).
 	Tick uint64
@@ -625,27 +645,84 @@ func (s *CloudServer) acceptLoop() {
 	}
 }
 
-// tickLoop advances the world and fans out update batches.
+// tickLoop advances the world and fans out update batches on two clocks.
+// The metronome ticks every TickInterval whether or not anything happened
+// and is the only tick an idle cloud runs. The input-armed clock is a
+// one-shot timer the first queued action starts: it runs the same tickOnce
+// a fraction of the interval later, so an input waits for a short
+// coalescing window instead of for the metronome. Whichever fires first
+// takes everything pending; a metronome tick disarms the early timer.
 func (s *CloudServer) tickLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.TickInterval)
 	defer ticker.Stop()
+	window := s.cfg.TickInterval / inputWindowDivisor
+	early := time.NewTimer(window)
+	defer early.Stop()
+	// armed: early was Reset and its channel not yet received from. go.mod
+	// predates go 1.23, so a stopped timer that already fired keeps its
+	// value buffered; whoever disarms it must drain it, or the next arm
+	// would tick at once.
+	armed := true
+	disarm := func() {
+		if armed && !early.Stop() {
+			<-early.C
+		}
+		armed = false
+	}
+	disarm()
 	for {
 		select {
 		case <-s.stop:
 			return
+		case <-s.inputCh:
+			if !armed {
+				early.Reset(window)
+				armed = true
+			}
+		case <-early.C:
+			armed = false
+			s.tickOnce(false)
 		case <-ticker.C:
-			s.tickOnce()
+			disarm()
+			s.tickOnce(true)
 		}
 	}
 }
 
-func (s *CloudServer) tickOnce() {
+// queueActionLocked is the one intake of player inputs, whichever link
+// they arrived on: an action naming no admitted avatar is refused, and the
+// one that makes pending non-empty arms the tick loop's early timer.
+// Caller holds mu.
+func (s *CloudServer) queueActionLocked(a virtualworld.Action) bool {
+	if s.world.Avatar(a.Player) == nil {
+		return false
+	}
+	s.pending = append(s.pending, a)
+	if len(s.pending) == 1 {
+		select {
+		case s.inputCh <- struct{}{}:
+		default: // a token is already waiting for the loop
+		}
+	}
+	return true
+}
+
+// tickOnce runs one world tick — numbered, logged and fanned out the same
+// whichever clock asked for it; metronome only decides whether the tick
+// counts toward the checkpoint cadence.
+func (s *CloudServer) tickOnce(metronome bool) {
 	s.mu.Lock()
-	actions := s.pending
-	s.pending = nil
+	// Step copies its argument before use, so pending is truncated and
+	// reused. The arming token goes with it: this tick serves the inputs
+	// it announced.
+	deltas := s.world.Step(s.pending)
+	s.pending = s.pending[:0]
+	select {
+	case <-s.inputCh:
+	default:
+	}
 	nSession := len(s.sessionDeltas)
-	deltas := s.world.Step(actions)
 	if nSession > 0 {
 		// Fold membership changes (avatar spawns, departures) into the
 		// tick's delta stream so replicas and the standby's log both see
@@ -658,6 +735,9 @@ func (s *CloudServer) tickOnce() {
 		s.sessionDeltas = s.sessionDeltas[:0]
 	}
 	s.stats.Ticks++
+	if !metronome {
+		s.stats.InputTicks++
+	}
 	tick := s.world.Tick()
 	nextID := s.world.NextID()
 	geo := s.world.Grid().Geom()
@@ -684,9 +764,12 @@ func (s *CloudServer) tickOnce() {
 	}
 	standby := s.standby
 	var ckpt *sharedPayload
-	if standby != nil && s.stats.Ticks%int64(s.cfg.CheckpointEvery) == 0 {
+	if metronome && standby != nil && (s.stats.Ticks-s.stats.InputTicks)%int64(s.cfg.CheckpointEvery) == 0 {
 		// Capture right after Step, while no actions are pending: the
-		// checkpoint is a clean tick boundary.
+		// checkpoint is a clean tick boundary. Only metronome ticks count
+		// toward the cadence: the O(world) capture under mu and its payload
+		// stay CheckpointEvery × TickInterval apart however busy the input
+		// clock is, and the early ticks stay O(actions).
 		ckpt = s.encodeCheckpointLocked(1)
 	}
 	s.mu.Unlock()
@@ -1311,11 +1394,7 @@ type cloudFallback struct{ s *CloudServer }
 func (c cloudFallback) submitAction(a virtualworld.Action) bool {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
-	if c.s.world.Avatar(a.Player) == nil {
-		return false
-	}
-	c.s.pending = append(c.s.pending, a)
-	return true
+	return c.s.queueActionLocked(a)
 }
 
 func (c cloudFallback) viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport {
@@ -1396,8 +1475,7 @@ readLoop:
 				continue
 			}
 			s.mu.Lock()
-			if s.world.Avatar(am.Action.Player) != nil {
-				s.pending = append(s.pending, am.Action)
+			if s.queueActionLocked(am.Action) {
 				s.stats.Resilience.ForwardedActions++
 			}
 			s.mu.Unlock()
@@ -1497,7 +1575,7 @@ func (s *CloudServer) playerLoop(fr *protocol.FrameReader, playerID int32, pc *p
 				continue // never let a player act for another
 			}
 			s.mu.Lock()
-			s.pending = append(s.pending, am.Action)
+			s.queueActionLocked(am.Action)
 			s.mu.Unlock()
 		case protocol.MsgQoEReport:
 			rep, rerr := protocol.UnmarshalQoEReport(payload)

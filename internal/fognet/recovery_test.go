@@ -393,7 +393,7 @@ func TestShutdownFlushesFinalCheckpoint(t *testing.T) {
 	}()
 
 	for i := 0; i < 3; i++ {
-		cloud.tickOnce()
+		cloud.tickOnce(true)
 	}
 	last := cloud.Stats().Tick
 	if err := cloud.Shutdown(); err != nil {

@@ -179,6 +179,15 @@ func runVideoSession(
 			host.endDatagram(fs.sess)
 		}
 	}()
+	// A player that migrated, resumed or fell back here is already in the
+	// world this host renders from: its first frame need not wait for the
+	// frame clock. A fresh joiner attaches before its spawn delta can have
+	// arrived; a frame now would be centred on the middle of the world, so
+	// it keeps the one-period wait.
+	host.viewInto(&fs.view, fs.playerID)
+	if fs.viewHasAvatar() && !fs.sendFrame() {
+		return
+	}
 	ticker := time.NewTicker(frameInterval)
 	defer ticker.Stop()
 	for {
@@ -255,6 +264,17 @@ func newFrameStream(conn net.Conn, playerID int32, level game.QualityLevel, writ
 func (fs *frameStream) setLevel(level game.QualityLevel) {
 	fs.renderer = render.NewRenderer(render.ResolutionForLevel(int(level)))
 	fs.encoder = videocodec.NewEncoder(game.MustQuality(level).BitrateKbps)
+}
+
+// viewHasAvatar reports whether the view last taken shows the player's own
+// avatar, that is, whether it was centred on it.
+func (fs *frameStream) viewHasAvatar() bool {
+	for i := range fs.view.Entities {
+		if e := &fs.view.Entities[i]; e.Kind == virtualworld.KindAvatar && e.Owner == fs.playerID {
+			return true
+		}
+	}
+	return false
 }
 
 // sendFrame renders, encodes and sends one frame of the player's current

@@ -214,4 +214,42 @@ func TestTickFanoutSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(64, func() { f.tick(t) }); n != 0 {
 		t.Fatalf("tick fan-out allocates %.1f/op in steady state, want 0", n)
 	}
+
+	// The same from the intake on: an action is queued and the early tick
+	// it arms steps the world, captures the links from the registry and
+	// fans out — tickOnce itself. World.Step returns a fresh delta slice by
+	// contract (callers keep batches), and that is the one allocation: the
+	// pending queue is reused from tick to tick.
+	f.s.cfg.CheckpointEvery = DefaultCheckpointEvery
+	f.s.world = virtualworld.New(virtualworld.DefaultWidth, virtualworld.DefaultHeight)
+	f.s.world.SpawnAvatar(1, 100, 100)
+	f.s.supernodes = make(map[uint32]*supernodeConn)
+	for i, fs := range f.s.fanSNs {
+		f.s.supernodes[uint32(i+1)] = fs.sn
+	}
+	f.s.standby = f.standby
+	tag := uint8(0)
+	inputTick := func() {
+		tag++
+		f.s.mu.Lock()
+		queued := f.s.queueActionLocked(virtualworld.Action{Player: 1, Kind: virtualworld.ActEmote, StateTag: tag})
+		f.s.mu.Unlock()
+		if !queued {
+			t.Fatal("action refused")
+		}
+		f.s.tickOnce(false)
+		for _, fs := range f.s.fanSNs {
+			f.flush(t, fs.sn)
+		}
+		f.flush(t, f.standby)
+	}
+	for i := 0; i < 8; i++ {
+		inputTick()
+	}
+	if n := testing.AllocsPerRun(64, inputTick); n != 1 {
+		t.Fatalf("an input-armed tick allocates %.1f/op in steady state, want 1 (Step's result)", n)
+	}
+	if st := f.s.stats; st.InputTicks != st.Ticks || st.Resilience.Checkpoints != 0 {
+		t.Fatalf("%d of %d ticks were input ticks, %d checkpoints; want all and none", st.InputTicks, st.Ticks, st.Resilience.Checkpoints)
+	}
 }
