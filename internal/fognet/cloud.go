@@ -602,8 +602,11 @@ type CloudStats struct {
 	FallbackBits int64
 	// FallbackPlayers is the number of live cloud-streamed sessions.
 	FallbackPlayers int
-	// FallbackFrames is the total frames the cloud rendered itself.
-	FallbackFrames int64
+	// FallbackFrames is the total frames the cloud rendered itself, and
+	// FallbackFullEncodes how many of them were encoded with every tile
+	// dirty (FogStats.FullEncodes, for the fallback stream).
+	FallbackFrames      int64
+	FallbackFullEncodes int64
 	// Resilience groups the failure-handling counters.
 	Resilience CloudResilience
 }
@@ -1427,10 +1430,13 @@ func (c cloudFallback) unclaim(int32) {
 	c.s.mu.Unlock()
 }
 
-func (c cloudFallback) addFrame(bits int) {
+func (c cloudFallback) addFrame(bits int, fullEncode bool) {
 	c.s.mu.Lock()
 	c.s.stats.FallbackBits += int64(bits)
 	c.s.stats.FallbackFrames++
+	if fullEncode {
+		c.s.stats.FallbackFullEncodes++
+	}
 	c.s.mu.Unlock()
 }
 

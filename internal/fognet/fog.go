@@ -349,6 +349,12 @@ type FogStats struct {
 	Frames int64
 	// VideoBits is the total video egress.
 	VideoBits int64
+	// FullEncodes counts the frames whose encoder could not use the
+	// renderer's damage and worked through every pixel: one per session
+	// start, level switch and quantization-step change. A count that
+	// keeps pace with Frames means sessions pay the full codec cost on
+	// every frame.
+	FullEncodes int64
 	// Probes counts capacity probes answered — how often this supernode
 	// was tried during §3.2 selection, whether or not a player attached.
 	Probes int64
@@ -693,9 +699,12 @@ func (f *FogNode) viewInto(dst *virtualworld.Snapshot, player int) virtualworld.
 }
 
 // addFrame implements sessionHost.
-func (f *FogNode) addFrame(bits int) {
+func (f *FogNode) addFrame(bits int, fullEncode bool) {
 	f.mu.Lock()
 	f.stats.Frames++
 	f.stats.VideoBits += int64(bits)
+	if fullEncode {
+		f.stats.FullEncodes++
+	}
 	f.mu.Unlock()
 }

@@ -116,6 +116,38 @@ func TestEndToEndStreaming(t *testing.T) {
 	}
 }
 
+// TestFullEncodesSettle watches a live 720p session for the failure that
+// would silently give back the codec's cost: a session that re-creates
+// its Frame, or whose rate controller keeps changing the quantization
+// step, encodes every tile of every frame. The first frame and the
+// controller's first steps are full encodes by rights; once it has
+// settled — over frames 31 to 60, a GOP's I-frame among them — none is.
+func TestFullEncodesSettle(t *testing.T) {
+	cloud := startCloud(t)
+	fog := startFog(t, cloud, "fog-1", 4)
+	player, err := NewPlayerClient(PlayerConfig{
+		PlayerID: 7, CloudAddr: cloud.Addr(), Game: game.Catalog()[4],
+		ActionInterval: 10 * time.Millisecond, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer player.Close()
+	var at30, at60 FogStats
+	waitFor(t, 10*time.Second, "30 frames", func() bool { at30 = fog.Stats(); return at30.Frames >= 30 })
+	waitFor(t, 10*time.Second, "60 frames", func() bool { at60 = fog.Stats(); return at60.Frames >= at30.Frames+30 })
+	if at30.FullEncodes == 0 {
+		t.Error("the session's first frame was not counted as a full encode")
+	}
+	if at60.FullEncodes != at30.FullEncodes {
+		t.Errorf("%d of frames %d..%d were encoded with every tile dirty (%d before them)",
+			at60.FullEncodes-at30.FullEncodes, at30.Frames+1, at60.Frames, at30.FullEncodes)
+	}
+	if ps := player.Stats(); ps.DecodeErrors != 0 {
+		t.Errorf("%d decode errors", ps.DecodeErrors)
+	}
+}
+
 func TestReplicaTracksWorld(t *testing.T) {
 	cloud := startCloud(t)
 	fog := startFog(t, cloud, "fog-1", 4)

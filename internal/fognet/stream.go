@@ -29,8 +29,9 @@ type sessionHost interface {
 	// only for the view query — time proportional to the visible
 	// entities, not to the world.
 	viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport
-	// addFrame receives the session's egress accounting.
-	addFrame(bits int)
+	// addFrame receives the session's accounting for one frame sent: its
+	// size, and whether the encoder had to treat every tile as dirty.
+	addFrame(bits int, fullEncode bool)
 	// submitAction accepts a player input that arrived on the video
 	// session — the outage escape hatch: a player whose cloud control
 	// link is down routes actions through its serving supernode, which
@@ -225,9 +226,10 @@ func runVideoSession(
 
 // frameStream is one video session's per-frame state, all of it reused
 // from frame to frame so the steady-state loop allocates nothing: the
-// view snapshot the source refills, the renderer's framebuffer, the
-// encoder's scratch (EncodeInto), and the pooled buffer the encoded
-// frame plus its header — the 5-byte stream header or the 33-byte
+// view snapshot the source refills, the renderer's framebuffer (whose
+// damage only this session's encoder consumes, so a frame costs what moved
+// in it), the encoder's reference (EncodeInto), and the pooled buffer the
+// encoded frame plus its header — the 5-byte stream header or the 33-byte
 // datagram header — are appended into and flushed from with a single
 // Write. The pooled buffer belongs to the session until it ends —
 // per-frame it is simply truncated and refilled, never handed to another
@@ -292,12 +294,14 @@ func (fs *frameStream) sendFrame() bool {
 		}
 	}
 	fs.renderer.RenderInto(fs.view, vp, fs.frame)
+	fullBefore := fs.encoder.FullEncodes()
 	fs.encoder.EncodeInto(fs.frame, &fs.ef)
+	full := fs.encoder.FullEncodes() != fullBefore
 	if fs.sess != nil {
 		var sent bool
 		fs.out.B, sent = fs.sess.sendFrame(fs.out.B, &fs.ef, fs.view.Tick)
 		if sent {
-			fs.host.addFrame(fs.ef.SizeBits())
+			fs.host.addFrame(fs.ef.SizeBits(), full)
 			return true
 		}
 		// No hello yet, oversized frame, or a socket error:
@@ -306,6 +310,6 @@ func (fs *frameStream) sendFrame() bool {
 	if sendInto(fs.conn, fs.writeTimeout, &fs.out.B, protocol.MsgVideoFrame, &fs.ef) != nil {
 		return false
 	}
-	fs.host.addFrame(fs.ef.SizeBits())
+	fs.host.addFrame(fs.ef.SizeBits(), full)
 	return true
 }

@@ -16,6 +16,7 @@ package render
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cloudfog/internal/virtualworld"
 )
@@ -43,14 +44,58 @@ func ResolutionForLevel(level int) Resolution {
 	}
 }
 
-// Frame is one rendered grayscale video frame.
+// TileSize is the edge in pixels of the square tiles a Frame tracks damage
+// in. The background bands are one tile high, so the background under a
+// tile is a single value.
+const TileSize = 16
+
+// Frame is one rendered grayscale video frame. The zero Frame and a Frame
+// built by literal or NewFrame are valid; their damage is "everything"
+// until RenderInto has drawn them.
 type Frame struct {
 	// Width, Height are the frame dimensions.
 	Width, Height int
-	// Pix holds Width*Height luminance bytes, row-major.
+	// Pix holds Width*Height luminance bytes, row-major. Only RenderInto
+	// may write the pixels of a frame whose Damage is to be believed.
 	Pix []byte
 	// Tick is the world tick the frame depicts.
 	Tick uint64
+
+	// Damage state, one bit per tile, row-major: drawn marks the tiles the
+	// last RenderInto put sprites on, dirty those any RenderInto wrote
+	// since the last ClearDamage (all: every one of them). own is &Pix[0]
+	// as RenderInto left it — while it still is, Pix holds that render's
+	// output. gen counts ClearDamage calls.
+	drawn, dirty []uint64
+	own          *byte
+	gen          uint64
+	all          bool
+}
+
+// Damage reports where Pix may differ from what it held when ClearDamage
+// returned gen: a bitset of TileSize×TileSize tiles, row-major,
+// ⌈Width/TileSize⌉ to a row, valid until the next RenderInto or
+// ClearDamage. nil means anywhere — gen is not the latest ClearDamage (0
+// never is), RenderInto had to repaint the whole frame, or somebody else
+// owns Pix.
+func (f *Frame) Damage(gen uint64) []uint64 {
+	if gen == 0 || gen != f.gen || f.all || !f.rendered() {
+		return nil
+	}
+	return f.dirty
+}
+
+// rendered reports whether Pix is still the buffer RenderInto last drew.
+func (f *Frame) rendered() bool { return len(f.Pix) > 0 && f.own == &f.Pix[0] }
+
+// ClearDamage forgets the damage recorded so far and returns the
+// generation to pass to the next Damage call. The consumer of a frame (one
+// encoder) calls it once it has read everything Damage reported.
+func (f *Frame) ClearDamage() uint64 {
+	clear(f.dirty)
+	f.all = false
+	f.gen++
+	return f.gen
 }
 
 // NewFrame allocates a black frame.
@@ -64,14 +109,6 @@ func (f *Frame) At(x, y int) byte {
 		return 0
 	}
 	return f.Pix[y*f.Width+x]
-}
-
-// set writes a pixel, ignoring out-of-bounds writes.
-func (f *Frame) set(x, y int, v byte) {
-	if x < 0 || y < 0 || x >= f.Width || y >= f.Height {
-		return
-	}
-	f.Pix[y*f.Width+x] = v
 }
 
 // Equal reports whether two frames are pixel-identical.
@@ -151,16 +188,22 @@ func baseLuma(e virtualworld.Entity) byte {
 
 // RenderInto rasterizes the visible slice of the snapshot for the viewport
 // into an existing frame, reusing its pixel buffer: zero allocations per
-// frame in steady state. The frame is resized (and
-// its buffer regrown) only when the renderer's resolution differs — the
-// 30 fps fog streaming loop renders into the same frame every tick.
+// frame in steady state. The frame is resized (and its buffer regrown) only
+// when the renderer's resolution differs — the 30 fps fog streaming loop
+// renders into the same frame every tick, and then the cost is the sprites:
+// a frame that still holds RenderInto's previous output gets background
+// only under the tiles that render drew on, and its damage (Frame.Damage)
+// grows by those tiles and the ones drawn now. Any other frame is painted
+// whole and reports everything damaged.
 func (r *Renderer) RenderInto(s virtualworld.Snapshot, v virtualworld.Viewport, f *Frame) {
-	if f.Width != r.res.Width || f.Height != r.res.Height || len(f.Pix) != r.res.Width*r.res.Height {
-		f.Width, f.Height = r.res.Width, r.res.Height
-		if cap(f.Pix) < f.Width*f.Height {
-			f.Pix = make([]byte, f.Width*f.Height)
+	w, h := r.res.Width, r.res.Height
+	held := f.Width == w && f.Height == h && len(f.Pix) == w*h && f.rendered()
+	if !held {
+		f.Width, f.Height = w, h
+		if cap(f.Pix) < w*h {
+			f.Pix = make([]byte, w*h)
 		}
-		f.Pix = f.Pix[:f.Width*f.Height]
+		f.Pix = f.Pix[:w*h]
 	}
 	f.Tick = s.Tick
 	// Background: a screen-space gradient in coarse bands. Keeping it
@@ -168,30 +211,85 @@ func (r *Renderer) RenderInto(s virtualworld.Snapshot, v virtualworld.Viewport, 
 	// achieve for panning cameras: successive frames differ mostly where
 	// entities moved, which is what the inter-frame compression of the
 	// codec (and of LiveRender, which the paper cites) exploits.
-	for y := 0; y < f.Height; y++ {
-		band := byte(16 + ((y / 16) % 8 * 4))
-		row := f.Pix[y*f.Width : (y+1)*f.Width]
-		for x := range row {
-			row[x] = band
+	tw := (w + TileSize - 1) / TileSize
+	if held {
+		for i, d := range f.drawn {
+			f.dirty[i] |= d
+			f.drawn[i] = 0
+			for ; d != 0; d &= d - 1 {
+				t := i*64 + bits.TrailingZeros64(d)
+				f.fillTile(t%tw, t/tw, bandLuma(t/tw))
+			}
 		}
+	} else {
+		for y := 0; y < h; y += TileSize {
+			first := f.Pix[y*w : (y+1)*w]
+			band := bandLuma(y / TileSize)
+			for x := range first {
+				first[x] = band
+			}
+			for yy := y + 1; yy < y+TileSize && yy < h; yy++ {
+				copy(f.Pix[yy*w:(yy+1)*w], first)
+			}
+		}
+		words := (tw*((h+TileSize-1)/TileSize) + 63) / 64
+		f.drawn = zeroedBits(f.drawn, words)
+		f.dirty = zeroedBits(f.dirty, words)
+		f.own, f.all = &f.Pix[0], true
 	}
 	// Entities, back-to-front by ID for determinism. Culling reuses the
 	// renderer's scratch slice so the per-frame loop stays allocation-free.
 	r.vis = virtualworld.AppendVisibleEntities(r.vis[:0], s, v)
 	for _, e := range r.vis {
-		px := int((e.X - (v.CenterX - v.HalfWidth)) / (2 * v.HalfWidth) * float64(f.Width))
-		py := int((e.Y - (v.CenterY - v.HalfHeight)) / (2 * v.HalfHeight) * float64(f.Height))
+		px := int((e.X - (v.CenterX - v.HalfWidth)) / (2 * v.HalfWidth) * float64(w))
+		py := int((e.Y - (v.CenterY - v.HalfHeight)) / (2 * v.HalfHeight) * float64(h))
+		x0, x1 := max(px-entityRadiusPx, 0), min(px+entityRadiusPx, w-1)
+		y0, y1 := max(py-entityRadiusPx, 0), min(py+entityRadiusPx, h-1)
+		if x0 > x1 || y0 > y1 {
+			continue // the whole disc is off screen
+		}
 		luma := baseLuma(e)
 		// Pose modulation so emotes are visible.
 		luma ^= e.State << 2
-		for dy := -entityRadiusPx; dy <= entityRadiusPx; dy++ {
-			for dx := -entityRadiusPx; dx <= entityRadiusPx; dx++ {
-				if dx*dx+dy*dy <= entityRadiusPx*entityRadiusPx {
-					f.set(px+dx, py+dy, luma)
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				if dx, dy := x-px, y-py; dx*dx+dy*dy <= entityRadiusPx*entityRadiusPx {
+					f.Pix[y*w+x] = luma
 				}
 			}
 		}
+		for ty := y0 / TileSize; ty <= y1/TileSize; ty++ {
+			for tx := x0 / TileSize; tx <= x1/TileSize; tx++ {
+				t := ty*tw + tx
+				f.drawn[t/64] |= 1 << (t % 64)
+				f.dirty[t/64] |= 1 << (t % 64)
+			}
+		}
 	}
+}
+
+// bandLuma is the background luminance of tile row ty.
+func bandLuma(ty int) byte { return byte(16 + ty%8*4) }
+
+// fillTile paints tile (tx, ty), clipped to the frame, with one value.
+func (f *Frame) fillTile(tx, ty int, v byte) {
+	x0, x1 := tx*TileSize, min((tx+1)*TileSize, f.Width)
+	for y := ty * TileSize; y < (ty+1)*TileSize && y < f.Height; y++ {
+		row := f.Pix[y*f.Width+x0 : y*f.Width+x1]
+		for x := range row {
+			row[x] = v
+		}
+	}
+}
+
+// zeroedBits returns b resized to n zero words, reusing its capacity.
+func zeroedBits(b []uint64, n int) []uint64 {
+	if cap(b) < n {
+		return make([]uint64, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // ViewHalfWidth and ViewHalfHeight are the fixed viewport half-extents in

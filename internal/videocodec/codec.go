@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"cloudfog/internal/game"
 	"cloudfog/internal/render"
@@ -50,7 +51,12 @@ func (e *EncodedFrame) SizeBits() int { return (len(e.Data) + frameHeaderBytes) 
 
 const frameHeaderBytes = 18
 
-// Encoder compresses a frame stream with I/P frames and rate control.
+// Encoder compresses a frame stream with I/P frames and rate control. It
+// does work only where the source frame says it changed (render.Frame's
+// damage): one encoder should be the only consumer of the one frame it is
+// fed, and any other arrangement — another frame each call, a frame
+// another encoder also reads, a hand-built frame — is encoded correctly
+// but with every tile dirty.
 type Encoder struct {
 	// GOP is the group-of-pictures length: an I-frame every GOP frames.
 	GOP int
@@ -58,14 +64,30 @@ type Encoder struct {
 	// rate control; quantization stays at 1).
 	TargetKbps float64
 
-	prev    []byte // previous DECODED (quantized) frame, for P references
-	cur     []byte // scratch for the current quantized frame (swapped with prev)
-	diff    []byte // scratch for P-frame deltas
-	w, h    int
+	// ref is the previous DECODED (quantized) frame, the P-frame reference,
+	// w×h at step refQuant, updated in place where the source changed.
+	ref      []byte
+	w, h     int
+	refQuant int
+	// src is the frame ref was last brought up to date with and srcGen the
+	// damage generation it was left at: the frame's damage describes ref
+	// only while both still match.
+	src    *render.Frame
+	srcGen uint64
+	spans  []span    // scratch: this frame's dirty pixel ranges
+	cols   []span    // scratch: one tile row's dirty column ranges
+	table  [256]byte // quantize(v, tableQuant) for every v
+	// tableQuant is the step table was built for (0: not built).
+	tableQuant int
+
 	count   int
 	quant   int
 	bitsAcc float64 // rolling bits-per-frame average
+	full    int64   // frames encoded with every tile dirty
 }
+
+// span is a range of pixels [off, end) in row-major order.
+type span struct{ off, end int }
 
 // DefaultGOP is the default group-of-pictures length (one I-frame per
 // second at 30 fps).
@@ -88,6 +110,94 @@ func NewEncoder(targetKbps float64) *Encoder {
 // undecodable until the GOP rolls over.
 func (e *Encoder) ForceKeyframe() { e.count = 0 }
 
+// FullEncodes counts the frames encoded with every tile dirty — the first
+// frame, a resolution or quantization-step change, a source frame whose
+// damage is unknown — each of which costs the whole picture instead of
+// what moved in it.
+func (e *Encoder) FullEncodes() int64 { return e.full }
+
+// EncodeInto compresses one frame into ef: the first frame, every GOP-th
+// frame, and any resolution change produce an I-frame, the rest are
+// P-frames. It reuses ef.Data's capacity and the encoder's internal
+// scratch buffers: zero allocations per frame in steady state. ef must
+// not be shared with a previous EncodeInto call that is still in flight
+// (the fog streams one frame at a time per session, so each session owns
+// one EncodedFrame). It consumes f's damage.
+func (e *Encoder) EncodeInto(f *render.Frame, ef *EncodedFrame) {
+	if e.GOP <= 0 {
+		e.GOP = DefaultGOP
+	}
+	if e.quant < 1 {
+		e.quant = 1
+	}
+	n := len(f.Pix)
+	resized := e.ref == nil || e.w != f.Width || e.h != f.Height
+	isI := e.count%e.GOP == 0 || resized
+	e.count++
+
+	// Where ref must be brought up to date: the frame's damage when ref
+	// is this frame's last encode at this step, everywhere otherwise.
+	var tiles []uint64
+	if !resized && e.src == f && e.refQuant == e.quant {
+		tiles = f.Damage(e.srcGen)
+	}
+	if tiles != nil {
+		e.dirtySpans(tiles, f.Width, f.Height)
+	} else {
+		e.spans = append(e.spans[:0], span{0, n})
+	}
+	e.src, e.srcGen = f, f.ClearDamage() // after the read: tiles aliases what this zeroes
+	if len(e.spans) == 1 && e.spans[0] == (span{0, n}) {
+		e.full++
+	}
+	if cap(e.ref) < n {
+		e.ref = make([]byte, n)
+	}
+	ref := e.ref[:n]
+	e.ref, e.w, e.h, e.refQuant = ref, f.Width, f.Height, e.quant
+	if e.tableQuant != e.quant {
+		for v := range e.table {
+			e.table[v] = quantize(byte(v), e.quant)
+		}
+		e.tableQuant = e.quant
+	}
+
+	out := runWriter{buf: ef.Data[:0]}
+	if isI {
+		ef.Type = IFrame
+		for _, s := range e.spans {
+			src, dst := f.Pix[s.off:s.end], ref[s.off:s.end]
+			for i, v := range src {
+				dst[i] = e.table[v]
+			}
+		}
+		out.appendRuns(ref)
+	} else {
+		// The delta is zero wherever nothing was drawn: only the spans are
+		// computed, the gaps between them are counted.
+		ef.Type = PFrame
+		pos := 0
+		for _, s := range e.spans {
+			out.add(0, s.off-pos)
+			src, dst := f.Pix[s.off:s.end], ref[s.off:s.end]
+			for i, v := range src {
+				q := e.table[v]
+				out.add(q-dst[i], 1)
+				dst[i] = q
+			}
+			pos = s.end
+		}
+		out.add(0, n-pos)
+	}
+	out.flush()
+	ef.Data = out.buf
+
+	ef.Width, ef.Height = f.Width, f.Height
+	ef.Quant = uint8(e.quant)
+	ef.Tick = f.Tick
+	e.adaptQuant(ef.SizeBits())
+}
+
 // quantize buckets a luminance value with step q.
 func quantize(v byte, q int) byte {
 	if q <= 1 {
@@ -96,57 +206,40 @@ func quantize(v byte, q int) byte {
 	return byte(int(v) / q * q)
 }
 
-// EncodeInto compresses one frame into ef: the first frame, every GOP-th
-// frame, and any resolution change produce an I-frame, the rest are
-// P-frames. It reuses ef.Data's capacity and the encoder's internal
-// scratch buffers: zero allocations per frame in steady state. ef must
-// not be shared with a previous EncodeInto call that is still in flight
-// (the fog streams one frame at a time per session, so each session owns
-// one EncodedFrame).
-func (e *Encoder) EncodeInto(f *render.Frame, ef *EncodedFrame) {
-	if e.GOP <= 0 {
-		e.GOP = DefaultGOP
-	}
-	if e.quant < 1 {
-		e.quant = 1
-	}
-	isI := e.count%e.GOP == 0 || e.prev == nil || e.w != f.Width || e.h != f.Height
-	e.count++
-
-	// Quantize into the reusable scratch buffer.
-	q := e.quant
-	if cap(e.cur) < len(f.Pix) {
-		e.cur = make([]byte, len(f.Pix))
-	}
-	cur := e.cur[:len(f.Pix)]
-	for i, v := range f.Pix {
-		cur[i] = quantize(v, q)
-	}
-
-	if isI {
-		ef.Type = IFrame
-		ef.Data = rleAppend(ef.Data[:0], cur)
-	} else {
-		ef.Type = PFrame
-		if cap(e.diff) < len(cur) {
-			e.diff = make([]byte, len(cur))
+// dirtySpans sets e.spans to the pixel ranges of a w×h frame covered by
+// the set tiles, in pixel order and merged where they touch.
+func (e *Encoder) dirtySpans(tiles []uint64, w, h int) {
+	const ts = render.TileSize
+	e.spans = e.spans[:0]
+	tw := (w + ts - 1) / ts
+	for ty := 0; ty*ts < h; ty++ {
+		// The tile row's dirty columns, then that pattern on each of its
+		// pixel rows.
+		e.cols = e.cols[:0]
+		for tx := 0; tx < tw; tx++ {
+			if t := ty*tw + tx; tiles[t/64]&(1<<(t%64)) != 0 {
+				e.cols = appendSpan(e.cols, span{tx * ts, min((tx+1)*ts, w)})
+			}
 		}
-		diff := e.diff[:len(cur)]
-		prev := e.prev[:len(cur)]
-		for i := range cur {
-			diff[i] = cur[i] - prev[i]
+		if len(e.cols) == 0 {
+			continue
 		}
-		ef.Data = rleAppend(ef.Data[:0], diff)
+		for y := ty * ts; y < (ty+1)*ts && y < h; y++ {
+			for _, c := range e.cols {
+				e.spans = appendSpan(e.spans, span{y*w + c.off, y*w + c.end})
+			}
+		}
 	}
-	// Double-buffer: cur becomes the P-frame reference, the old reference
-	// becomes next frame's scratch.
-	e.prev, e.cur = cur, e.prev
-	e.w, e.h = f.Width, f.Height
+}
 
-	ef.Width, ef.Height = f.Width, f.Height
-	ef.Quant = uint8(q)
-	ef.Tick = f.Tick
-	e.adaptQuant(ef.SizeBits())
+// appendSpan appends s, or extends the last span when s starts where it
+// ends.
+func appendSpan(spans []span, s span) []span {
+	if k := len(spans) - 1; k >= 0 && spans[k].end == s.off {
+		spans[k].end = s.end
+		return spans
+	}
+	return append(spans, s)
 }
 
 // adaptQuant steers the quantization step toward the target bits/frame.
@@ -172,10 +265,8 @@ func (e *Encoder) adaptQuant(lastBits int) {
 
 // Decoder reconstructs frames from an encoded stream.
 type Decoder struct {
-	prev    []byte
-	cur     []byte // scratch for the frame being reconstructed
-	payload []byte // scratch for the RLE-expanded payload
-	w, h    int
+	ref  []byte // the last decoded frame, updated in place
+	w, h int
 }
 
 // Errors returned by DecodeInto.
@@ -184,10 +275,12 @@ var (
 	ErrCorruptStream = errors.New("videocodec: corrupt payload")
 )
 
-// DecodeInto reconstructs one frame into f, reusing the decoder's internal
-// buffers: zero allocations per frame in steady state. f.Pix aliases
-// decoder-owned memory and is valid only until the next DecodeInto call;
-// callers that keep pixels longer must copy them.
+// DecodeInto reconstructs one frame into f, in the decoder's one reference
+// buffer: zero allocations per frame in steady state, and a P-frame costs
+// what changed in it. f.Pix is that reference — it is valid only until the
+// next DecodeInto call, which rewrites it, and must not be written; callers
+// that keep pixels longer must copy them. A frame that is rejected leaves
+// the decoder, and the last frame it returned, as they were.
 func (d *Decoder) DecodeInto(ef *EncodedFrame, f *render.Frame) error {
 	n := ef.Width * ef.Height
 	// The header is network bytes: nothing is allocated for it before the
@@ -196,78 +289,141 @@ func (d *Decoder) DecodeInto(ef *EncodedFrame, f *render.Frame) error {
 	if n <= 0 || n > 255*(len(ef.Data)/2) {
 		return fmt.Errorf("%w: bad dimensions %dx%d for %d payload bytes", ErrCorruptStream, ef.Width, ef.Height, len(ef.Data))
 	}
-	if cap(d.payload) < n {
-		d.payload = make([]byte, 0, n)
-	}
-	payload, err := rleDecodeInto(d.payload[:0], ef.Data, n)
-	if err != nil {
+	// Everything that can be wrong with the frame is found before the
+	// reference is touched.
+	if err := rleCheck(ef.Data, n); err != nil {
 		return err
 	}
-	d.payload = payload[:0]
-	if cap(d.cur) < n {
-		d.cur = make([]byte, n)
-	}
-	pix := d.cur[:n]
 	switch ef.Type {
 	case IFrame:
-		copy(pix, payload)
+		if cap(d.ref) < n {
+			d.ref = make([]byte, n)
+		}
+		d.ref = d.ref[:n]
+		// A long run arrives as a train of 255s: fill it as one.
+		for i, pos := 0, 0; i < len(ef.Data); {
+			v, run := ef.Data[i+1], 0
+			for ; i < len(ef.Data) && ef.Data[i+1] == v; i += 2 {
+				run += int(ef.Data[i])
+			}
+			fill(d.ref[pos:pos+run], v)
+			pos += run
+		}
 	case PFrame:
-		if d.prev == nil || d.w != ef.Width || d.h != ef.Height {
+		if d.ref == nil || d.w != ef.Width || d.h != ef.Height {
 			return ErrNoReference
 		}
-		prev := d.prev[:n]
-		for i := range pix {
-			pix[i] = prev[i] + payload[i]
+		pos := 0
+		for i := 0; i < len(ef.Data); i += 2 {
+			run, v := int(ef.Data[i]), ef.Data[i+1]
+			if v != 0 {
+				for j := pos; j < pos+run; j++ {
+					d.ref[j] += v
+				}
+			}
+			pos += run
 		}
 	default:
 		return fmt.Errorf("%w: unknown frame type %d", ErrCorruptStream, ef.Type)
 	}
-	// Double-buffer: pix becomes the P-frame reference, the old reference
-	// becomes next frame's scratch.
-	d.prev, d.cur = pix, d.prev
 	d.w, d.h = ef.Width, ef.Height
-	f.Width, f.Height, f.Pix, f.Tick = ef.Width, ef.Height, pix, ef.Tick
+	f.Width, f.Height, f.Pix, f.Tick = ef.Width, ef.Height, d.ref, ef.Tick
 	return nil
+}
+
+// fill sets every byte of dst to v, doubling the filled prefix with copy.
+func fill(dst []byte, v byte) {
+	if len(dst) == 0 {
+		return
+	}
+	dst[0] = v
+	for done := 1; done < len(dst); done *= 2 {
+		copy(dst[done:], dst[:done])
+	}
 }
 
 // --- run-length coding ----------------------------------------------------
 
-// rleAppend compresses data with byte-level RLE, appending (count, value)
-// pairs to out; with enough capacity it does not allocate.
-func rleAppend(out, data []byte) []byte {
-	i := 0
-	for i < len(data) {
-		v := data[i]
-		run := 1
-		for i+run < len(data) && data[i+run] == v && run < 255 {
-			run++
-		}
-		out = append(out, byte(run), v)
-		i += run
-	}
-	return out
+// The payload is byte-level RLE: (count, value) pairs, count 1..255, each
+// run taken greedily — as long as the value repeats, up to 255 — so a
+// longer run is a train of (255, v) pairs and a remainder.
+
+// runWriter appends RLE pairs to buf from runs of any length: add extends
+// the pending run or, on a new value, writes it out, so a run that arrives
+// in pieces (pixel by pixel, or as the counted gap between two dirty
+// spans) is cut into exactly the pairs a byte-by-byte pass would produce.
+type runWriter struct {
+	buf []byte
+	v   byte
+	n   int // length of the pending run of v, 0 before the first add
 }
 
-// rleDecodeInto expands an RLE payload to exactly n bytes appended to out;
-// with enough capacity it does not allocate.
-func rleDecodeInto(out, data []byte, n int) ([]byte, error) {
+// add appends n more bytes of value v to the stream.
+func (w *runWriter) add(v byte, n int) {
+	if n == 0 {
+		return // an empty gap must not cut the run on either side of it
+	}
+	if v != w.v {
+		w.flush()
+		w.v = v
+	}
+	w.n += n
+}
+
+// flush writes the pending run out; buf is complete after the last one.
+func (w *runWriter) flush() {
+	for ; w.n > 255; w.n -= 255 {
+		w.buf = append(w.buf, 255, w.v)
+	}
+	if w.n > 0 {
+		w.buf = append(w.buf, byte(w.n), w.v)
+	}
+	w.n = 0
+}
+
+// appendRuns appends all of data.
+func (w *runWriter) appendRuns(data []byte) {
+	for len(data) > 0 {
+		n := runLength(data)
+		w.add(data[0], n)
+		data = data[n:]
+	}
+}
+
+// runLength returns how many leading bytes of data, which is not empty,
+// equal its first, comparing eight at a time.
+func runLength(data []byte) int {
+	v := data[0]
+	n := 1
+	for pattern := uint64(v) * 0x0101010101010101; n+8 <= len(data); n += 8 {
+		if x := binary.LittleEndian.Uint64(data[n:]) ^ pattern; x != 0 {
+			return n + bits.TrailingZeros64(x)/8
+		}
+	}
+	for n < len(data) && data[n] == v {
+		n++
+	}
+	return n
+}
+
+// rleCheck reports whether data is a well-formed RLE payload of exactly n
+// bytes.
+func rleCheck(data []byte, n int) error {
 	if len(data)%2 != 0 {
-		return nil, fmt.Errorf("%w: odd RLE length", ErrCorruptStream)
+		return fmt.Errorf("%w: odd RLE length", ErrCorruptStream)
 	}
-	base := len(out)
-	for i := 0; i+1 < len(data); i += 2 {
-		run, v := int(data[i]), data[i+1]
-		if run == 0 || len(out)-base+run > n {
-			return nil, fmt.Errorf("%w: RLE overflow", ErrCorruptStream)
+	total := 0
+	for i := 0; i < len(data); i += 2 {
+		run := int(data[i])
+		if run == 0 || total+run > n {
+			return fmt.Errorf("%w: RLE overflow", ErrCorruptStream)
 		}
-		for j := 0; j < run; j++ {
-			out = append(out, v)
-		}
+		total += run
 	}
-	if len(out)-base != n {
-		return nil, fmt.Errorf("%w: RLE underflow (%d of %d)", ErrCorruptStream, len(out)-base, n)
+	if total != n {
+		return fmt.Errorf("%w: RLE underflow (%d of %d)", ErrCorruptStream, total, n)
 	}
-	return out, nil
+	return nil
 }
 
 // --- wire helpers ----------------------------------------------------------

@@ -1,11 +1,13 @@
 package videocodec
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
 
 	"cloudfog/internal/render"
+	"cloudfog/internal/rng"
 	"cloudfog/internal/virtualworld"
 )
 
@@ -179,24 +181,95 @@ func TestDecodeCorrupt(t *testing.T) {
 }
 
 func TestRLERoundTripProperty(t *testing.T) {
+	// Any bytes, run-lengthed by the encoder's writer as one I-frame row,
+	// are the pairs the byte-by-byte oracle cuts and decode to themselves.
 	f := func(data []byte) bool {
-		enc := rleAppend(nil, data)
-		dec, err := rleDecodeInto(nil, enc, len(data))
-		if err != nil {
+		if len(data) == 0 {
+			return true
+		}
+		w := runWriter{}
+		w.appendRuns(data)
+		w.flush()
+		ef := &EncodedFrame{Type: IFrame, Width: len(data), Height: 1, Data: w.buf}
+		if !bytes.Equal(ef.Data, rleAppend(nil, data)) {
 			return false
 		}
-		if len(dec) != len(data) {
-			return false
-		}
-		for i := range data {
-			if dec[i] != data[i] {
-				return false
-			}
-		}
-		return true
+		var dec Decoder
+		got, err := decode(&dec, ef)
+		return err == nil && bytes.Equal(got.Pix, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// quick's random bytes hardly ever repeat: long runs, on and off the
+	// 8-byte stride and the 255 cut, are what the writer is for.
+	for _, n := range []int{1, 7, 8, 9, 254, 255, 256, 509, 510, 511, 1021} {
+		data := append(bytes.Repeat([]byte{3}, n), bytes.Repeat([]byte{0}, n)...)
+		data = append(data, 3)
+		if !f(data) || !f(data[1:]) || !f(data[:len(data)-1]) {
+			t.Errorf("runs of %d: not the oracle's pairs, or not decoded back", n)
+		}
+	}
+}
+
+// TestDirtySpansCoverExactlyTheTiles checks the encoder's reading of a
+// damage bitset pixel by pixel: spans in order, merged wherever they touch
+// (across a row end too), covering the set tiles and nothing else — for
+// sizes with a short last tile row and column, and for the patterns the
+// merging could get wrong: both edge columns, whole rows, everything.
+func TestDirtySpansCoverExactlyTheTiles(t *testing.T) {
+	const ts = render.TileSize
+	r := rng.New(7)
+	for _, size := range [][2]int{{64, 48}, {100, 70}, {16, 16}, {15, 33}, {288, 216}} {
+		w, h := size[0], size[1]
+		tw, th := (w+ts-1)/ts, (h+ts-1)/ts
+		patterns := map[string]func(tx, ty int) bool{
+			"none":       func(tx, ty int) bool { return false },
+			"all":        func(tx, ty int) bool { return true },
+			"edges":      func(tx, ty int) bool { return tx == 0 || tx == tw-1 },
+			"rows":       func(tx, ty int) bool { return ty%2 == 1 },
+			"last tile":  func(tx, ty int) bool { return tx == tw-1 && ty == th-1 },
+			"random 1/4": func(tx, ty int) bool { return r.Intn(4) == 0 },
+			"random 3/4": func(tx, ty int) bool { return r.Intn(4) != 0 },
+		}
+		for name, set := range patterns {
+			tiles := make([]uint64, (tw*th+63)/64)
+			want := make([]bool, w*h)
+			for ty := 0; ty < th; ty++ {
+				for tx := 0; tx < tw; tx++ {
+					if !set(tx, ty) {
+						continue
+					}
+					tiles[(ty*tw+tx)/64] |= 1 << ((ty*tw + tx) % 64)
+					for y := ty * ts; y < min((ty+1)*ts, h); y++ {
+						for x := tx * ts; x < min((tx+1)*ts, w); x++ {
+							want[y*w+x] = true
+						}
+					}
+				}
+			}
+			var e Encoder
+			e.dirtySpans(tiles, w, h)
+			got := make([]bool, w*h)
+			end := -1
+			for _, s := range e.spans {
+				if s.off <= end || s.end <= s.off || s.end > w*h {
+					t.Fatalf("%dx%d %s: span %+v after one ending at %d", w, h, name, s, end)
+				}
+				end = s.end
+				for i := s.off; i < s.end; i++ {
+					got[i] = true
+				}
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%dx%d %s: pixel (%d,%d) covered = %v, want %v", w, h, name, i%w, i/w, got[i], want[i])
+				}
+			}
+			if name == "all" && len(e.spans) != 1 {
+				t.Errorf("%dx%d: every tile set makes %d spans, want the one", w, h, len(e.spans))
+			}
+		}
 	}
 }
 

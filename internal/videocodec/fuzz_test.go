@@ -1,6 +1,7 @@
 package videocodec
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"testing"
@@ -53,9 +54,9 @@ func TestDecodeHostileDimensions(t *testing.T) {
 // FuzzFrameDecode feeds arbitrary bytes through the player's receive path
 // — UnmarshalFrameInto, then DecodeInto — twice on one decoder, so the
 // second frame meets whatever reference the first left behind. Neither
-// call may panic, and the decoder may never hold more than 255 bytes of
-// buffer per input byte (RLE's worst-case expansion, once for the payload
-// and once for the picture).
+// call may panic, a frame that is rejected may not change the picture the
+// decoder holds, and the decoder may never hold more than 255 bytes of
+// buffer per input byte (RLE's worst-case expansion).
 func FuzzFrameDecode(f *testing.F) {
 	// A valid I/P pair, small enough (16×12) for mutation and
 	// minimization to get through it quickly.
@@ -70,6 +71,12 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(hostileFrame, []byte(nil))
 	f.Add(iFrame, pFrame)
 	f.Add(pFrame, iFrame)
+	// Mid-stream corruption: a P-frame whose last run went missing arrives
+	// after a good I-frame, with its leading runs ready to be applied.
+	pic.Pix[3] += 5
+	torn := encode(enc, pic)
+	torn.Data = torn.Data[:len(torn.Data)-2]
+	f.Add(iFrame, torn.Marshal())
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		var (
 			dec Decoder
@@ -80,11 +87,14 @@ func FuzzFrameDecode(f *testing.F) {
 			if UnmarshalFrameInto(buf, &ef) != nil {
 				continue
 			}
+			before := append([]byte(nil), dec.ref...)
 			if err := dec.DecodeInto(&ef, &out); err == nil && len(out.Pix) != ef.Width*ef.Height {
 				t.Fatalf("decoded %d pixels for a %dx%d frame", len(out.Pix), ef.Width, ef.Height)
+			} else if err != nil && !bytes.Equal(dec.ref, before) {
+				t.Fatalf("a rejected frame (%v) changed the reference", err)
 			}
 		}
-		if held, limit := cap(dec.payload)+cap(dec.cur)+cap(dec.prev), 255*(len(a)+len(b)); held > limit {
+		if held, limit := cap(dec.ref), 255*(len(a)+len(b)); held > limit {
 			t.Fatalf("decoder holds %d bytes after %d input bytes (limit %d)", held, len(a)+len(b), limit)
 		}
 	})

@@ -8,31 +8,78 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// testFrames renders a deterministic moving-avatar sequence at the given
-// quality level — shared input for the wire and allocation tests.
-func testFrames(t testing.TB, level, n int) []*render.Frame {
-	t.Helper()
+// session is the product's shape — frameStream.sendFrame on the fog, the
+// decode loop on the player: a moving-avatar scene rendered into ONE
+// reused Frame, which one Encoder consumes, and one Decoder after it. Only
+// this shape reaches the damage path: a frame rendered fresh is, rightly,
+// dirty all over.
+type session struct {
+	views []virtualworld.Snapshot
+	rend  *render.Renderer
+	frame *render.Frame
+	enc   *Encoder
+	ef    EncodedFrame
+	dec   Decoder
+	out   render.Frame
+	next  int
+}
+
+func newSession(level int, kbps float64) *session {
 	w := virtualworld.New(400, 400)
 	w.SpawnAvatar(1, 100, 100)
-	r := render.NewRenderer(render.ResolutionForLevel(level))
-	frames := make([]*render.Frame, 0, n)
-	for i := 0; i < n; i++ {
+	w.SpawnNPC(140, 120)
+	s := &session{rend: render.NewRenderer(render.ResolutionForLevel(level)), enc: NewEncoder(kbps)}
+	s.frame = render.NewFrame(s.rend.Resolution())
+	for i := 0; i < 32; i++ {
 		w.Step([]virtualworld.Action{{Player: 1, Kind: virtualworld.ActMove, TargetX: 300, TargetY: 300}})
-		s := w.Snapshot()
-		f := render.NewFrame(r.Resolution())
-		r.RenderInto(s, render.ViewportFor(s, 1), f)
-		frames = append(frames, f)
+		s.views = append(s.views, w.Snapshot())
 	}
-	return frames
+	return s
+}
+
+// render draws the next view of the scene (they repeat) into the frame.
+func (s *session) render() {
+	v := s.views[s.next%len(s.views)]
+	s.next++
+	s.rend.RenderInto(v, render.ViewportFor(v, 1), s.frame)
+}
+
+// encodeNext renders and encodes the next frame into s.ef.
+func (s *session) encodeNext() {
+	s.render()
+	s.enc.EncodeInto(s.frame, &s.ef)
+}
+
+// wire returns n consecutive frames of the session as the player receives
+// them.
+func (s *session) wire(n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		s.encodeNext()
+		out[i] = s.ef.Marshal()
+	}
+	return out
+}
+
+// decodeWire is the player's receive path for one frame.
+func (s *session) decodeWire(tb testing.TB, buf []byte) {
+	var rx EncodedFrame
+	if err := UnmarshalFrameInto(buf, &rx); err != nil {
+		tb.Fatalf("UnmarshalFrameInto: %v", err)
+	}
+	if err := s.dec.DecodeInto(&rx, &s.out); err != nil {
+		tb.Fatalf("DecodeInto: %v", err)
+	}
 }
 
 // TestFrameWireRoundTripInto pins the alias-parsing wire path: AppendTo
 // then UnmarshalFrameInto must reproduce the frame, with Data aliasing the
 // input buffer (no copy).
 func TestFrameWireRoundTripInto(t *testing.T) {
-	frames := testFrames(t, 2, 3)
-	enc := NewEncoder(400)
-	src := encode(enc, frames[1])
+	s := newSession(2, 400)
+	s.encodeNext()
+	s.encodeNext()
+	src := &s.ef
 	buf := src.AppendTo(nil)
 	if len(buf) != src.EncodedSize() {
 		t.Fatalf("EncodedSize %d != marshaled length %d", src.EncodedSize(), len(buf))
@@ -51,49 +98,33 @@ func TestFrameWireRoundTripInto(t *testing.T) {
 }
 
 // TestEncodeIntoSteadyStateAllocs locks in the tentpole property: after
-// warm-up, the render→encode hot path allocates nothing per frame.
+// warm-up, the render→encode hot path allocates nothing per frame — and it
+// is the damage path that is measured, not the all-dirty one.
 func TestEncodeIntoSteadyStateAllocs(t *testing.T) {
-	frames := testFrames(t, 3, 32)
-	enc := NewEncoder(600)
-	var ef EncodedFrame
-	for _, f := range frames { // warm-up: grow scratch + Data to steady state
-		enc.EncodeInto(f, &ef)
+	s := newSession(3, 600)
+	for range s.views { // warm-up: grow the reference, the spans and Data to steady state
+		s.encodeNext()
 	}
-	i := 0
-	if n := testing.AllocsPerRun(64, func() {
-		enc.EncodeInto(frames[i%len(frames)], &ef)
-		i++
-	}); n != 0 {
+	full := s.enc.FullEncodes()
+	if n := testing.AllocsPerRun(64, s.encodeNext); n != 0 {
 		t.Fatalf("EncodeInto allocates %.1f/op in steady state, want 0", n)
+	}
+	if got := s.enc.FullEncodes() - full; got != 0 {
+		t.Fatalf("%d measured frames were encoded with every tile dirty: the gate missed the product's path", got)
 	}
 }
 
 // TestDecodeIntoSteadyStateAllocs: same property for the thin-client side,
 // including the alias-parsing UnmarshalFrameInto step.
 func TestDecodeIntoSteadyStateAllocs(t *testing.T) {
-	frames := testFrames(t, 3, 32)
-	enc := NewEncoder(600)
-	wire := make([][]byte, len(frames))
-	for i, f := range frames {
-		wire[i] = encode(enc, f).Marshal()
-	}
-	var dec Decoder
-	var ef EncodedFrame
-	var out render.Frame
-	decodeOne := func(buf []byte) {
-		if err := UnmarshalFrameInto(buf, &ef); err != nil {
-			t.Fatalf("UnmarshalFrameInto: %v", err)
-		}
-		if err := dec.DecodeInto(&ef, &out); err != nil {
-			t.Fatalf("DecodeInto: %v", err)
-		}
-	}
-	for _, buf := range wire { // warm-up
-		decodeOne(buf)
+	s := newSession(3, 600)
+	wire := s.wire(2 * DefaultGOP) // ends where it starts: before an I-frame
+	for _, buf := range wire {     // warm-up
+		s.decodeWire(t, buf)
 	}
 	i := 0
 	if n := testing.AllocsPerRun(64, func() {
-		decodeOne(wire[i%len(wire)])
+		s.decodeWire(t, wire[i%len(wire)])
 		i++
 	}); n != 0 {
 		t.Fatalf("decode path allocates %.1f/op in steady state, want 0", n)
@@ -101,33 +132,45 @@ func TestDecodeIntoSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkEncodeInto720p measures the per-frame cost of encoding the top
-// quality rung: zero allocations.
+// quality rung in the three shapes a session meets: steady (one reused
+// frame, the cost is what moved), keyframe (the same, every frame forced
+// to an I-frame) and alldirty (a frame with no damage to offer: every
+// pixel, as every frame cost before damage tracking). Zero allocations.
 func BenchmarkEncodeInto720p(b *testing.B) {
-	frames := testFrames(b, 5, 32)
-	enc := NewEncoder(1800)
-	var ef EncodedFrame
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.EncodeInto(frames[i%len(frames)], &ef)
+	shapes := []struct {
+		name string
+		next func(s *session) *render.Frame // the frame to encode, drawn while the clock is stopped
+	}{
+		{"steady", func(s *session) *render.Frame { s.render(); return s.frame }},
+		{"keyframe", func(s *session) *render.Frame { s.render(); s.enc.ForceKeyframe(); return s.frame }},
+		{"alldirty", func(s *session) *render.Frame {
+			s.render()
+			return &render.Frame{Width: s.frame.Width, Height: s.frame.Height, Pix: s.frame.Pix, Tick: s.frame.Tick}
+		}},
+	}
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			s := newSession(5, 1800)
+			s.encodeNext()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f := shape.next(s)
+				b.StartTimer()
+				s.enc.EncodeInto(f, &s.ef)
+			}
+		})
 	}
 }
 
 // BenchmarkDecodeInto720p measures the client-side decode cost.
 func BenchmarkDecodeInto720p(b *testing.B) {
-	frames := testFrames(b, 5, 32)
-	enc := NewEncoder(1800)
-	encoded := make([]*EncodedFrame, len(frames))
-	for i, f := range frames {
-		encoded[i] = encode(enc, f)
-	}
-	var dec Decoder
-	var out render.Frame
+	s := newSession(5, 1800)
+	wire := s.wire(2 * DefaultGOP)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := dec.DecodeInto(encoded[i%len(encoded)], &out); err != nil {
-			b.Fatal(err)
-		}
+		s.decodeWire(b, wire[i%len(wire)])
 	}
 }
