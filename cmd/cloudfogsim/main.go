@@ -7,10 +7,9 @@
 //	cloudfogsim -exp all
 //	cloudfogsim -list
 //
-// The simulator's evaluation loop runs on a worker pool by default
-// (-parallel auto-sizes it by GOMAXPROCS); -parallel=0 forces the legacy
-// sequential ordering for bisection. Seeded outputs are bit-identical
-// either way. -cpuprofile/-memprofile/-trace capture runtime profiles of
+// The simulator's evaluation loop runs on a worker pool: -parallel N fixes
+// its size, anything else sizes it by GOMAXPROCS. Seeded outputs are
+// bit-identical for every size. -cpuprofile/-memprofile/-trace capture runtime profiles of
 // an experiment run for perf work (see README).
 package main
 
@@ -107,7 +106,7 @@ func run(args []string) error {
 	profile := fs.String("profile", "peersim", "environment profile: peersim or planetlab")
 	seed := fs.Uint64("seed", 1, "random seed")
 	list := fs.Bool("list", false, "list available experiments")
-	parallel := fs.Int("parallel", -1, "eval worker pool size: -1 auto (GOMAXPROCS), 0 legacy sequential ordering, N fixed")
+	parallel := fs.Int("parallel", 0, "eval worker pool size; <= 0 means GOMAXPROCS")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	tracefile := fs.String("trace", "", "write a runtime execution trace to this file")
@@ -166,18 +165,7 @@ func run(args []string) error {
 		return fmt.Errorf("missing -exp (use -list to see experiments)")
 	}
 
-	opts := experiments.Options{Seed: *seed}
-	// -parallel speaks the bisection dialect (0 = old sequential ordering,
-	// the ISSUE/ROADMAP convention); core.Config.Workers speaks Go's
-	// (negative = sequential, 0 = GOMAXPROCS). Translate.
-	switch {
-	case *parallel < 0:
-		opts.Workers = 0 // auto-size by GOMAXPROCS
-	case *parallel == 0:
-		opts.Workers = -1 // legacy sequential ordering
-	default:
-		opts.Workers = *parallel
-	}
+	opts := experiments.Options{Seed: *seed, Workers: *parallel}
 	switch *scale {
 	case "quick":
 		opts.Scale = experiments.ScaleQuick

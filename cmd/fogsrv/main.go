@@ -37,21 +37,19 @@ func main() {
 		"UDP listen address for -transport udp (default: stream host, ephemeral port)")
 	aoi := flag.Bool("aoi", false,
 		"subscribe to the cloud's interest-managed (AoI) update stream: report the cells attached players can see and receive per-cell batches instead of the full world")
-	aoiMargin := flag.Float64("aoi-margin", fognet.DefaultAoIMargin,
-		"AoI hysteresis margin in world units (cells enter at viewport+margin, leave beyond viewport+2×margin); only meaningful with -aoi")
 	flag.Parse()
 
 	if *transportFlag != "tcp" && *transportFlag != "udp" {
 		log.Fatalf("fogsrv: -transport must be tcp or udp, got %q", *transportFlag)
 	}
 	if err := run(*name, *cloudAddr, *addr, *capacity, *frame, *dialTimeout, *statsEvery, *seed,
-		*transportFlag == "udp", *dgramAddr, *aoi, *aoiMargin); err != nil {
+		*transportFlag == "udp", *dgramAddr, *aoi); err != nil {
 		log.Fatal(err)
 	}
 }
 
 func run(name, cloudAddr, addr string, capacity int, frame, dialTimeout, statsEvery time.Duration,
-	seed uint64, datagram bool, dgramAddr string, aoi bool, aoiMargin float64) error {
+	seed uint64, datagram bool, dgramAddr string, aoi bool) error {
 	fog, err := fognet.NewFogNode(fognet.FogConfig{
 		Name:          name,
 		CloudAddr:     cloudAddr,
@@ -63,7 +61,6 @@ func run(name, cloudAddr, addr string, capacity int, frame, dialTimeout, statsEv
 		Datagram:      datagram,
 		DatagramAddr:  dgramAddr,
 		AoI:           aoi,
-		AoIMargin:     aoiMargin,
 	})
 	if err != nil {
 		return err
@@ -74,7 +71,7 @@ func run(name, cloudAddr, addr string, capacity int, frame, dialTimeout, statsEv
 	}
 	stream := "full-world"
 	if aoi {
-		stream = fmt.Sprintf("aoi (margin %g)", aoiMargin)
+		stream = "aoi"
 	}
 	fmt.Printf("fogsrv %q: supernode %d streaming on %s (capacity %d, transport %s, updates %s)\n",
 		name, fog.ID(), fog.StreamAddr(), capacity, transport, stream)

@@ -14,13 +14,13 @@ import (
 
 // TestEvalPhaseSteadyStateAllocs pins the streaming-evaluation loop — the
 // code every player pays every subcycle — at zero allocations per phase
-// once scratch buffers are warm (sequential path; the parallel path spawns
-// its workers per phase by design).
+// once scratch buffers are warm (one worker runs on the caller; more spawn
+// their goroutines per phase by design).
 func TestEvalPhaseSteadyStateAllocs(t *testing.T) {
 	cfg := quickConfig(ModeCloudFog)
 	cfg.Strategies = AllStrategies()
 	cfg.AlwaysOn = true
-	cfg.Workers = -1
+	cfg.Workers = 1
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestEvalPhaseSteadyStateAllocs(t *testing.T) {
 	// the phase's shared-state writes are pure accumulator arithmetic.
 	clock := sim.Clock{Cycle: 0, Subcycle: 3}
 	allocs := testing.AllocsPerRun(10, func() {
-		sys.evalPhase(clock, true, r)
+		sys.evalPhase(clock, true)
 	})
 	if allocs != 0 {
 		t.Errorf("evalPhase allocates %v times per phase in steady state, want 0", allocs)

@@ -13,7 +13,8 @@ import (
 //
 //   - playerticks/s — player-subcycle evaluations per wall second, the
 //     simulator's throughput. The Seq/Par pairs at one scale share a config
-//     except for Config.Workers, so their ratio is the parallel speedup
+//     except for Config.Workers (1 vs GOMAXPROCS), so their ratio is the
+//     parallel speedup
 //     (≈1 on a single-core runner). The figure the repo tracks is
 //     sim_playerticks_per_s on bench/'s sim_fog_50k workload.
 //   - heapMB/run — the Go heap footprint after the run, the streaming-
@@ -58,8 +59,8 @@ func runSimBench(b *testing.B, players, cycles, workers int) {
 	b.ReportMetric(float64(ms.HeapSys)/1e6, "heapMB/run")
 }
 
-func BenchmarkSimPlayers10kSeq(b *testing.B)  { runSimBench(b, 10_000, 2, -1) }
+func BenchmarkSimPlayers10kSeq(b *testing.B)  { runSimBench(b, 10_000, 2, 1) }
 func BenchmarkSimPlayers10kPar(b *testing.B)  { runSimBench(b, 10_000, 2, 0) }
-func BenchmarkSimPlayers100kSeq(b *testing.B) { runSimBench(b, 100_000, 1, -1) }
+func BenchmarkSimPlayers100kSeq(b *testing.B) { runSimBench(b, 100_000, 1, 1) }
 func BenchmarkSimPlayers100kPar(b *testing.B) { runSimBench(b, 100_000, 1, 0) }
 func BenchmarkSimPlayers1MPar(b *testing.B)   { runSimBench(b, 1_000_000, 1, 0) }

@@ -162,12 +162,12 @@ type Config struct {
 	// rates (the Fig. 13–15 experiments).
 	Arrivals *workload.ArrivalScript
 
-	// Workers controls the streaming-evaluation worker pool (parallel.go):
-	// 0 (the default) sizes it by GOMAXPROCS, a positive value is a fixed
-	// pool size, and a negative value forces the legacy single-pass
-	// sequential ordering. Seeded outputs are bit-identical across all
-	// settings — the knob exists for bisection and benchmarking, not
-	// correctness.
+	// Workers sizes the streaming-evaluation worker pool (parallel.go): a
+	// positive value is the pool size (1 runs on the caller's goroutine),
+	// anything else means GOMAXPROCS. Seeded outputs are bit-identical
+	// across all settings. The pool stays because it measured 1.27–1.34×
+	// over one worker on two cores (DESIGN.md §15); the serial part that
+	// caps it, and the next simulator hot spot, is fog.Manager.CandidatesFor.
 	Workers int
 }
 

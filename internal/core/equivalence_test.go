@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cloudfog/internal/workload"
@@ -9,9 +10,9 @@ import (
 
 // The parallel determinism contract (parallel.go): for any worker count,
 // a seeded run's outputs — metrics snapshot, quantiles, and the full state
-// digest — are bit-identical to the legacy sequential ordering
-// (Workers < 0). These tests are the enforcement; they are what lets
-// `-parallel` default to on.
+// digest — are bit-identical to the single worker that runs on the caller
+// (Workers = 1). These tests are the enforcement; they are what lets
+// `-parallel` default to GOMAXPROCS.
 
 // equivalenceConfigs covers every code path whose interleaving could
 // plausibly diverge under concurrency: fog selection with all strategies
@@ -56,15 +57,15 @@ func TestParallelEquivalence(t *testing.T) {
 	const cycles, warmup = 3, 1
 	for name, cfg := range equivalenceConfigs() {
 		t.Run(name, func(t *testing.T) {
-			wantSnap, wantDigest := runWithWorkers(t, cfg, -1, cycles, warmup)
-			for _, workers := range []int{0, 1, 2, 4, 8} {
+			wantSnap, wantDigest := runWithWorkers(t, cfg, 1, cycles, warmup)
+			for _, workers := range []int{0, 2, 4, 8} {
 				snap, digest := runWithWorkers(t, cfg, workers, cycles, warmup)
 				if snap != wantSnap {
-					t.Errorf("workers=%d: snapshot diverged from sequential\n got %+v\nwant %+v",
+					t.Errorf("workers=%d: snapshot diverged from one worker\n got %+v\nwant %+v",
 						workers, snap, wantSnap)
 				}
 				if digest != wantDigest {
-					t.Errorf("workers=%d: state digest %x, sequential %x", workers, digest, wantDigest)
+					t.Errorf("workers=%d: state digest %x, one worker %x", workers, digest, wantDigest)
 				}
 			}
 		})
@@ -73,7 +74,7 @@ func TestParallelEquivalence(t *testing.T) {
 
 // TestParallelEquivalenceHistogram pins the quantile path specifically:
 // per-worker scratch histograms merged in scheduler-dependent order must
-// reproduce the sequential histogram's exact bucket counts.
+// reproduce the single worker's exact bucket counts.
 func TestParallelEquivalenceHistogram(t *testing.T) {
 	cfg := quickConfig(ModeCloudFog)
 	cfg.Strategies = AllStrategies()
@@ -87,7 +88,7 @@ func TestParallelEquivalenceHistogram(t *testing.T) {
 		}
 		return sys.Run(3, 1)
 	}
-	seq := build(-1)
+	seq := build(1)
 	par := build(6)
 	if seq.ResponseLatencyHist == nil || par.ResponseLatencyHist == nil {
 		t.Fatal("response latency histogram not collected")
@@ -96,43 +97,30 @@ func TestParallelEquivalenceHistogram(t *testing.T) {
 		t.Fatal("histogram empty")
 	}
 	if got, want := par.ResponseLatencyHist.N(), seq.ResponseLatencyHist.N(); got != want {
-		t.Fatalf("histogram N: parallel %d, sequential %d", got, want)
+		t.Fatalf("histogram N: 6 workers %d, one worker %d", got, want)
 	}
 	if !reflect.DeepEqual(par.ResponseLatencyHist, seq.ResponseLatencyHist) {
-		t.Fatalf("bucket counts differ:\nparallel   %+v\nsequential %+v", par.ResponseLatencyHist, seq.ResponseLatencyHist)
+		t.Fatalf("bucket counts differ:\n6 workers  %+v\none worker %+v", par.ResponseLatencyHist, seq.ResponseLatencyHist)
 	}
 	for _, p := range []float64{50, 95, 99} {
 		if got, want := par.ResponseLatencyHist.Percentile(p), seq.ResponseLatencyHist.Percentile(p); got != want {
-			t.Fatalf("P%v: parallel %v, sequential %v", p, got, want)
+			t.Fatalf("P%v: 6 workers %v, one worker %v", p, got, want)
 		}
 	}
 }
 
-// TestWorkersConfigResolution documents the -parallel knob mapping.
+// TestWorkersConfigResolution documents the -parallel knob mapping: a
+// positive count is taken literally, anything else means GOMAXPROCS.
 func TestWorkersConfigResolution(t *testing.T) {
 	cfg := quickConfig(ModeCloud)
-	for _, tc := range []struct {
-		workers    int
-		sequential bool
-	}{
-		{workers: -1, sequential: true},
-		{workers: 0, sequential: false},
-		{workers: 3, sequential: false},
-	} {
-		cfg.Workers = tc.workers
+	for workers, want := range map[int]int{-1: runtime.GOMAXPROCS(0), 0: runtime.GOMAXPROCS(0), 1: 1, 3: 3} {
+		cfg.Workers = workers
 		sys, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := sys.workerCount()
-		if tc.sequential && got != 0 {
-			t.Errorf("Workers=%d resolved to %d workers, want sequential", tc.workers, got)
-		}
-		if !tc.sequential && got < 1 {
-			t.Errorf("Workers=%d resolved to %d workers, want >= 1", tc.workers, got)
-		}
-		if tc.workers > 0 && got != tc.workers {
-			t.Errorf("Workers=%d resolved to %d", tc.workers, got)
+		if got := sys.workerCount(); got != want {
+			t.Errorf("Workers=%d resolved to %d workers, want %d", workers, got, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"cloudfog/internal/game"
 	"cloudfog/internal/rng"
@@ -26,15 +25,13 @@ import (
 //     canonical schedule — committing each result's shared-state effects
 //     (float metric Adds, co-play records, egress sums) via applyEval.
 //
-// Because step 1 is order-independent and step 2 replays the exact
-// floating-point operation sequence of the historical sequential loop, the
-// seeded output is bit-identical for ANY worker count, including the
-// -parallel=0 legacy ordering (which interleaves compute and apply per
-// player; the interleaving is immaterial precisely because compute never
-// reads the state apply mutates). The only phase output assembled outside
-// canonical order is the response-latency histogram: workers fill private
-// scratch histograms and the integer bucket counts merge exactly in any
-// order (stats.Histogram.Merge).
+// Because step 1 is order-independent and step 2 commits in one fixed
+// floating-point operation sequence, the seeded output is bit-identical for
+// ANY worker count (Workers = 1 runs the same two steps on the caller's
+// goroutine and is the reference of the equivalence tests). The only phase
+// output assembled outside canonical order is the response-latency
+// histogram: workers fill private scratch histograms and the integer bucket
+// counts merge exactly in any order (stats.Histogram.Merge).
 
 // shardSize is the target player count per work unit. Shards partition each
 // region's players; workers claim whole shards via an atomic cursor, so the
@@ -108,39 +105,19 @@ func (s *System) buildShards() {
 	s.evalResults = make([]evalResult, len(s.players))
 }
 
-// workerCount resolves cfg.Workers: negative forces the legacy sequential
-// ordering, zero sizes the pool by GOMAXPROCS, positive is taken literally.
+// workerCount resolves cfg.Workers: positive is taken literally, anything
+// else sizes the pool by GOMAXPROCS.
 func (s *System) workerCount() int {
-	switch {
-	case s.cfg.Workers < 0:
-		return 0 // legacy sequential path
-	case s.cfg.Workers == 0:
-		return runtime.GOMAXPROCS(0)
-	default:
+	if s.cfg.Workers > 0 {
 		return s.cfg.Workers
 	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // evalPhase runs the streaming evaluation for one subcycle and returns the
-// online-player count and the cloud egress sum. rSub is the subcycle's
-// control stream; the parallel path derives one child stream per shard from
-// it, in shard order, so any eval-phase consumer of shard randomness is
-// pinned to the shard, not the worker.
-func (s *System) evalPhase(clock sim.Clock, measured bool, rSub *rng.Rand) (online int, cloudEgressKbps float64) {
+// online-player count and the cloud egress sum.
+func (s *System) evalPhase(clock sim.Clock, measured bool) (online int, cloudEgressKbps float64) {
 	w := s.workerCount()
-	if w == 0 {
-		return s.evalSequential(clock, measured, rSub)
-	}
-
-	// Per-shard streams, derived in shard index order before any worker
-	// starts: the k-th shard's stream is a pure function of (seed, k).
-	if cap(s.shardRands) < len(s.shards) {
-		s.shardRands = make([]*rng.Rand, len(s.shards))
-	}
-	shardRands := s.shardRands[:len(s.shards)]
-	for i := range shardRands {
-		shardRands[i] = rSub.Split()
-	}
 	if len(s.workerScratch) < w {
 		s.workerScratch = make([]evalScratch, w)
 	}
@@ -148,29 +125,22 @@ func (s *System) evalPhase(clock sim.Clock, measured bool, rSub *rng.Rand) (onli
 	// Compute: workers claim shards via an atomic cursor. Which worker
 	// evaluates which shard is scheduling-dependent and deliberately
 	// irrelevant: results land in per-player slots, and scratch histograms
-	// merge order-insensitively.
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(sc *evalScratch) {
-			defer wg.Done()
-			for {
-				c := int(cursor.Add(1) - 1)
-				if c >= len(s.shards) {
-					return
-				}
-				r := shardRands[c]
-				for _, idx := range s.shards[c] {
-					if !s.ps.online[idx] {
-						continue
-					}
-					s.computeEval(int(idx), clock, measured, r, sc, &s.evalResults[idx])
-				}
-			}
-		}(&s.workerScratch[k])
+	// merge order-insensitively. A single worker is the caller itself: no
+	// goroutine, nothing allocated.
+	s.shardCursor.Store(0)
+	if w == 1 {
+		s.evalShards(clock, measured, &s.workerScratch[0])
+	} else {
+		var wg sync.WaitGroup
+		for k := 0; k < w; k++ {
+			wg.Add(1)
+			go func(sc *evalScratch) {
+				defer wg.Done()
+				s.evalShards(clock, measured, sc)
+			}(&s.workerScratch[k])
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	// Apply, in canonical (ascending player index) order.
 	for i := range s.players {
@@ -192,28 +162,21 @@ func (s *System) evalPhase(clock sim.Clock, measured bool, rSub *rng.Rand) (onli
 	return online, cloudEgressKbps
 }
 
-// evalSequential is the legacy ordering (-parallel=0): one pass over the
-// players in index order, applying each result as it is computed. Kept for
-// bisection — its output is asserted bit-identical to the parallel path by
-// the equivalence tests.
-func (s *System) evalSequential(clock sim.Clock, measured bool, rSub *rng.Rand) (online int, cloudEgressKbps float64) {
-	sc := &s.seqScratch
-	for i := range s.players {
-		if !s.ps.online[i] {
-			continue
+// evalShards is one worker: it claims shards off the cursor until none are
+// left and evaluates their online players with its own scratch.
+func (s *System) evalShards(clock sim.Clock, measured bool, sc *evalScratch) {
+	for {
+		c := int(s.shardCursor.Add(1) - 1)
+		if c >= len(s.shards) {
+			return
 		}
-		online++
-		res := &s.evalResults[i]
-		s.computeEval(i, clock, measured, rSub, sc, res)
-		s.applyEval(i, clock, measured, res)
-		if res.cloud {
-			cloudEgressKbps += res.bitrate
+		for _, idx := range s.shards[c] {
+			if !s.ps.online[idx] {
+				continue
+			}
+			s.computeEval(int(idx), clock, measured, sc, &s.evalResults[idx])
 		}
 	}
-	if measured {
-		s.mergeRespHist(sc)
-	}
-	return online, cloudEgressKbps
 }
 
 // mergeRespHist folds a scratch histogram into the run metrics and resets

@@ -142,8 +142,8 @@ func (s *System) stepSubcycle(clock sim.Clock, measured bool) {
 	}
 	// Streaming evaluation: the hot phase. See parallel.go for the worker
 	// pool and the determinism contract that keeps its output bit-identical
-	// to the sequential ordering for any worker count.
-	online, cloudEgressKbps := s.evalPhase(clock, measured, r)
+	// for any worker count.
+	online, cloudEgressKbps := s.evalPhase(clock, measured)
 	if s.fogMgr != nil {
 		active := s.fogMgr.NumActive()
 		cloudEgressKbps += cloudinfra.UpdateBandwidthKbps(active, s.cfg.UpdateKbps)
@@ -212,8 +212,8 @@ func (s *System) join(p *Player, clock sim.Clock, measured bool, r *rng.Rand) {
 	rGame := s.decisionRand("game", p.ID, clock.Cycle, clock.Subcycle)
 	friendGames := s.friendGameScratch[:0]
 	if !rGame.Bool(0.2) {
-		s.seqScratch.friends = s.onlineFriends(p.ID, s.seqScratch.friends)
-		for _, f := range s.seqScratch.friends {
+		s.joinFriends = s.onlineFriends(p.ID, s.joinFriends)
+		for _, f := range s.joinFriends {
 			friendGames = append(friendGames, s.players[f].Game.ID)
 		}
 	}
@@ -635,15 +635,14 @@ func (s *System) applyFixedPool(cycle int, measured bool) {
 // computeEval evaluates player i's delivery quality for one subcycle and
 // fills out. It mutates only player-i state (rate controller, session
 // meter) plus the worker-local scratch, and draws randomness only from
-// hash-keyed decision streams (decisionRand, CongestionFactor) or the
-// per-shard stream r — never from shared generators — so shards can run
-// concurrently without changing any seeded output. Shared-state effects
+// hash-keyed decision streams (decisionRand, CongestionFactor) — never
+// from shared generators — so shards can run concurrently without
+// changing any seeded output. Shared-state effects
 // (metric accumulation, co-play recording, egress sums) are described in
 // out and applied later by applyEval in canonical player order.
 //
 //cfg:computephase
-func (s *System) computeEval(i int, clock sim.Clock, measured bool, r *rng.Rand, sc *evalScratch, out *evalResult) {
-	_ = r // reserved: eval-phase randomness is currently all hash-keyed
+func (s *System) computeEval(i int, clock sim.Clock, measured bool, sc *evalScratch, out *evalResult) {
 	ps := s.ps
 	p := s.players[i]
 	link, _ := s.linkForR(p, clock, sc.ensureKeyed())

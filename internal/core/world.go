@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"cloudfog/internal/cloudinfra"
 	"cloudfog/internal/fog"
@@ -107,13 +108,13 @@ type System struct {
 	// evalResults is the per-player result buffer of the parallel eval
 	// phase, reused every subcycle.
 	evalResults []evalResult
-	// seqScratch is the eval scratch of the sequential path and of the
-	// control-plane phases (join), which always run single-threaded.
-	seqScratch evalScratch
-	// workerScratch holds one evalScratch per parallel worker.
+	// joinFriends buffers join's online-friends filter; joins run on the
+	// control plane, single-threaded.
+	joinFriends []int32
+	// workerScratch holds one evalScratch per eval worker.
 	workerScratch []evalScratch
-	// shardRands buffers the per-shard streams derived each subcycle.
-	shardRands []*rng.Rand
+	// shardCursor is the next shard an eval worker claims.
+	shardCursor atomic.Int64
 
 	// assignment scratch (see assignStateServer): per-server friend counts
 	// and the touched-server list, reused across joins at zero allocations.

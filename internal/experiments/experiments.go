@@ -61,10 +61,9 @@ type Options struct {
 	Profile Profile
 	// Seed drives all randomness. Defaults to 1.
 	Seed uint64
-	// Workers forwards to core.Config.Workers: 0 (the default) sizes the
-	// streaming-evaluation worker pool by GOMAXPROCS, a positive value is a
-	// fixed pool, and a negative value forces the legacy sequential
-	// ordering. Seeded figure outputs are bit-identical across all
+	// Workers forwards to core.Config.Workers: a positive value is a fixed
+	// streaming-evaluation worker pool, anything else sizes it by
+	// GOMAXPROCS. Seeded figure outputs are bit-identical across all
 	// settings (see the core equivalence tests).
 	Workers int
 }

@@ -7,8 +7,8 @@ import (
 
 // TestFigureOutputsParallelEquivalence is the figure-level half of the
 // parallel determinism contract (core/parallel.go): every plotted number a
-// figure emits must be bit-identical between the legacy sequential ordering
-// (Workers < 0) and a multi-goroutine worker pool. The core equivalence
+// figure emits must be bit-identical between the single worker that runs on
+// the caller (Workers = 1) and a multi-goroutine worker pool. The core equivalence
 // tests pin snapshots and state digests; this pins what actually leaves the
 // repo — the figure series.
 func TestFigureOutputsParallelEquivalence(t *testing.T) {
@@ -20,7 +20,7 @@ func TestFigureOutputsParallelEquivalence(t *testing.T) {
 	}
 	for name, fig := range figures {
 		t.Run(name, func(t *testing.T) {
-			seq, err := fig(Options{Workers: -1})
+			seq, err := fig(Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -29,7 +29,7 @@ func TestFigureOutputsParallelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("figure %s diverged between sequential and 4 workers\n seq: %+v\n par: %+v",
+				t.Errorf("figure %s diverged between 1 and 4 workers\n seq: %+v\n par: %+v",
 					name, seq, par)
 			}
 		})

@@ -20,12 +20,14 @@ import (
 // that never report interest stay on the legacy full-world MsgUpdateBatch
 // stream, so every pre-AoI client keeps working unmodified.
 
-// DefaultAoIMargin is the hysteresis margin, in world units, added around
-// a player's viewport when a fog computes its interest footprint. Cells
-// are entered at viewport+margin and only dropped beyond viewport+2×margin,
-// so an avatar oscillating on a cell boundary does not flap its
-// subscription (and the keyframe traffic that comes with re-entry).
-const DefaultAoIMargin = 64.0
+// aoiMargin is the hysteresis margin, in world units, added around a
+// player's viewport when a fog computes its interest footprint. Cells are
+// entered at viewport+margin and only dropped beyond viewport+2×margin, so
+// an avatar oscillating on a cell boundary does not flap its subscription
+// (and the keyframe traffic that comes with re-entry). A constant, not a
+// setting: the cloud widens a reported footprint by the same margin
+// (applyInterest), and the two tiers must agree on it.
+const aoiMargin = 64.0
 
 // --- cloud side: per-supernode interest sets and per-tick bucketing ---------
 
@@ -234,8 +236,8 @@ func (s *CloudServer) applyInterest(sn *supernodeConn, iu *protocol.InterestUpda
 	for _, c := range iu.Cells {
 		ns.add(c)
 	}
-	halfW := render.ViewHalfWidth + DefaultAoIMargin
-	halfH := render.ViewHalfHeight + DefaultAoIMargin
+	halfW := render.ViewHalfWidth + aoiMargin
+	halfH := render.ViewHalfHeight + aoiMargin
 	for _, p := range iu.Players {
 		av := s.world.Avatar(int(p))
 		if av == nil {
@@ -292,7 +294,6 @@ func (s *CloudServer) appendCellStateLocked(dst []virtualworld.Delta, c uint32) 
 type fogInterest struct {
 	// sendMu serializes whole refresh operations (recompute + send).
 	sendMu sync.Mutex
-	margin float64
 	geo    virtualworld.GridGeom
 	ready  bool
 	gen    uint32
@@ -360,10 +361,10 @@ func (f *FogNode) computeInterestLocked() bool {
 		ai.players = append(ai.players, id)
 	}
 	slices.Sort(ai.players)
-	enterW := render.ViewHalfWidth + ai.margin
-	enterH := render.ViewHalfHeight + ai.margin
-	keepW := render.ViewHalfWidth + 2*ai.margin
-	keepH := render.ViewHalfHeight + 2*ai.margin
+	enterW := render.ViewHalfWidth + aoiMargin
+	enterH := render.ViewHalfHeight + aoiMargin
+	keepW := render.ViewHalfWidth + 2*aoiMargin
+	keepH := render.ViewHalfHeight + 2*aoiMargin
 	mark := func(words []uint64, x, y, hw, hh float64) {
 		ai.cellScratch = ai.geo.AppendCellsInRect(ai.cellScratch[:0], x-hw, y-hh, x+hw, y+hh)
 		for _, c := range ai.cellScratch {

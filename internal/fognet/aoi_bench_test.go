@@ -21,8 +21,8 @@ func newAoIFanoutFixture(total, visible int, world float64, aoi bool) *fanoutFix
 	type pt struct{ x, y float64 }
 	players := make([]pt, fanoutWidth)
 	sets := make([]*interestSet, fanoutWidth)
-	halfW := render.ViewHalfWidth + DefaultAoIMargin
-	halfH := render.ViewHalfHeight + DefaultAoIMargin
+	halfW := render.ViewHalfWidth + aoiMargin
+	halfH := render.ViewHalfHeight + aoiMargin
 	var cells []uint32
 	for i := range players {
 		players[i] = pt{

@@ -151,20 +151,12 @@ func TestSessionDeltaFanoutUnderChurn(t *testing.T) {
 // joinAndLeave admits a player over a raw control connection and hangs up
 // as soon as the cloud has answered.
 func joinAndLeave(addr string, id int32) error {
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
 	join := protocol.PlayerJoin{PlayerID: id, GameID: 1, SpawnX: float64(id % 900), SpawnY: float64(id % 700)}
-	if err := protocol.WriteMessage(conn, protocol.MsgPlayerJoin, join.Marshal()); err != nil {
-		return err
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, _, err := protocol.ReadMessage(conn)
+	conn, typ, err := firstFrame(addr, protocol.MsgPlayerJoin, join.Marshal())
 	if err != nil {
 		return err
 	}
+	conn.Close()
 	if typ != protocol.MsgJoinReply {
 		return fmt.Errorf("reply type %d", typ)
 	}

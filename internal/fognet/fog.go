@@ -74,9 +74,6 @@ type FogConfig struct {
 	// full-world update stream. Off by default — a node that never
 	// reports interest behaves exactly as before.
 	AoI bool
-	// AoIMargin is the hysteresis margin in world units around each
-	// player's viewport. Defaults to DefaultAoIMargin.
-	AoIMargin float64
 }
 
 // FogResilience groups the supernode's failure-handling counters.
@@ -183,9 +180,6 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 	if cfg.ReconnectBackoff <= 0 {
 		cfg.ReconnectBackoff = DefaultReconnectBackoff
 	}
-	if cfg.AoI && cfg.AoIMargin <= 0 {
-		cfg.AoIMargin = DefaultAoIMargin
-	}
 	tp := transport.TCP{Config: tc, DialFunc: cfg.Dial}
 	ln, err := tp.Listen(cfg.StreamAddr)
 	if err != nil {
@@ -220,7 +214,7 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 	f.mu.Lock()
 	f.replica = virtualworld.NewReplica(welcome.Snapshot.Width, welcome.Snapshot.Height)
 	if cfg.AoI {
-		f.aoi = &fogInterest{margin: cfg.AoIMargin}
+		f.aoi = &fogInterest{}
 	}
 	f.adoptCloudLocked(conn, fr, cfg.CloudAddr, welcome)
 	f.mu.Unlock()

@@ -80,7 +80,7 @@ func TestCheckpointEncodeSteadyStateAllocs(t *testing.T) {
 // standbyLinkFixture starts a cloud whose accepted connections pass
 // through a faultnet injector, with an attached standby, a small send
 // queue, and a short write timeout — the rig for exercising the
-// coalescing snWriter's drop-and-release path on the checkpoint stream.
+// link writer's drop-and-release path on the checkpoint stream.
 func standbyLinkFixture(t *testing.T, seed uint64) (*faultnet.Injector, *CloudServer, *Standby) {
 	t.Helper()
 	inj := faultnet.NewInjector(faultnet.Profile{Seed: seed})

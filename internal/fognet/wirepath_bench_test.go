@@ -34,12 +34,12 @@ const fanoutWidth = 8
 // fanoutFixture is the cloud's fan-out without the network or the tick
 // clock: a CloudServer that was never started, holding real supernodeConns
 // over discarding connections, captured in fanSNs the way tickOnce leaves
-// them. tick runs CloudServer.fanOut and then CloudServer.flushQueued on
-// every link — the code tickOnce and snWriter themselves run — so an
+// them. tick runs CloudServer.fanOut and then link.flushQueued on every
+// link — the code tickOnce and link.writer themselves run — so an
 // allocation or an extra byte in either shows up in the tests built on it.
 type fanoutFixture struct {
 	s       *CloudServer
-	standby *supernodeConn
+	standby *link
 	geo     virtualworld.GridGeom
 	deltas  []virtualworld.Delta
 	pending []outMsg
@@ -49,48 +49,43 @@ type fanoutFixture struct {
 // legacy supernode on the full-world stream.
 func newFanoutFixture(geo virtualworld.GridGeom, deltas []virtualworld.Delta, sets []*interestSet) *fanoutFixture {
 	f := &fanoutFixture{
-		s:      &CloudServer{cfg: CloudConfig{WriteTimeout: time.Second}, epoch: 1},
+		s:      &CloudServer{epoch: 1},
 		geo:    geo,
 		deltas: deltas,
 	}
 	for _, is := range sets {
-		f.s.fanSNs = append(f.s.fanSNs, fanSN{sn: f.link(), interest: is})
+		f.s.fanSNs = append(f.s.fanSNs, fanSN{sn: &supernodeConn{link: f.link()}, interest: is})
 	}
 	return f
 }
 
-func (f *fanoutFixture) link() *supernodeConn {
-	return &supernodeConn{
-		conn:  discardNetConn{},
-		sendQ: make(chan outMsg, 2*DefaultSendQueueLen),
-		done:  make(chan struct{}),
-		idle:  make(chan struct{}, 1),
-	}
+func (f *fanoutFixture) link() *link {
+	return newLink(discardNetConn{}, 2*DefaultSendQueueLen, time.Second, &f.s.links)
 }
 
 // tick fans one tick's deltas out and flushes every link, and returns the
 // update-stream bytes that put on the wire, by the cloud's own count.
 func (f *fanoutFixture) tick(tb testing.TB) int64 {
-	before := f.s.updateBits.Load()
+	before := f.s.links.updateBits.Load()
 	f.s.fanOut(42, 1, f.geo, f.deltas, 0, f.standby, nil)
 	for _, fs := range f.s.fanSNs {
-		f.flush(tb, fs.sn)
+		f.flush(tb, fs.sn.link)
 	}
 	if f.standby != nil {
 		f.flush(tb, f.standby)
 	}
-	if drops := f.s.queueDrops.Load(); drops != 0 {
+	if drops := f.s.links.queueDrops.Load(); drops != 0 {
 		tb.Fatalf("%d messages dropped at the send queue", drops)
 	}
-	return (f.s.updateBits.Load() - before) / 8
+	return (f.s.links.updateBits.Load() - before) / 8
 }
 
-func (f *fanoutFixture) flush(tb testing.TB, sn *supernodeConn) {
+func (f *fanoutFixture) flush(tb testing.TB, l *link) {
 	var err error
-	if f.pending, err = f.s.flushQueued(sn, f.pending); err != nil {
+	if f.pending, err = l.flushQueued(f.pending); err != nil {
 		tb.Fatal(err)
 	}
-	if n := sn.inflight.Load(); n != 0 {
+	if n := l.inflight.Load(); n != 0 {
 		tb.Fatalf("%d messages in flight after the flush", n)
 	}
 }
@@ -239,7 +234,7 @@ func TestTickFanoutSteadyStateAllocs(t *testing.T) {
 		}
 		f.s.tickOnce(false)
 		for _, fs := range f.s.fanSNs {
-			f.flush(t, fs.sn)
+			f.flush(t, fs.sn.link)
 		}
 		f.flush(t, f.standby)
 	}

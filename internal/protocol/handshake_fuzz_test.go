@@ -7,46 +7,82 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// marshaler is what every handshake message is.
+// marshaler is what every message is.
 type marshaler interface{ Marshal() []byte }
 
-// handshakeDecoder adapts one typed Unmarshal function to the table.
-func handshakeDecoder[M marshaler](unmarshal func([]byte) (M, error)) func([]byte) (marshaler, error) {
+// unmarshalFn adapts one typed Unmarshal function to the table.
+func unmarshalFn[M marshaler](unmarshal func([]byte) (M, error)) func([]byte) (marshaler, error) {
 	return func(b []byte) (marshaler, error) { return unmarshal(b) }
 }
 
-// handshakeDecoders are the decoders fognet's handshake primitive feeds
-// with bytes straight off the network, each with one valid seed message.
-var handshakeDecoders = []struct {
+// decodeFn adapts a Decode function, which fills a message the caller
+// reuses, to the table.
+func decodeFn[M any, P interface {
+	*M
+	marshaler
+}](decode func([]byte, P) error) func([]byte) (marshaler, error) {
+	return func(b []byte) (marshaler, error) {
+		m := P(new(M))
+		return m, decode(b, m)
+	}
+}
+
+// networkDecoders are all the decoders fognet feeds with bytes straight off
+// the network — the handshake messages first, then what flows on an
+// admitted connection — each with one valid seed message.
+var networkDecoders = []struct {
 	name   string
 	decode func([]byte) (marshaler, error)
 	seed   marshaler
 }{
-	{"SupernodeHello", handshakeDecoder(UnmarshalSupernodeHello),
+	{"SupernodeHello", unmarshalFn(UnmarshalSupernodeHello),
 		SupernodeHello{Name: "sn-1", Capacity: 8, StreamAddr: "10.0.0.7:7000"}},
-	{"SupernodeWelcome", handshakeDecoder(UnmarshalSupernodeWelcome),
+	{"SupernodeWelcome", unmarshalFn(UnmarshalSupernodeWelcome),
 		SupernodeWelcome{SupernodeID: 3, Epoch: 2, StandbyAddr: "10.0.0.2:7301", Snapshot: fuzzSnapshot()}},
-	{"PlayerJoin", handshakeDecoder(UnmarshalPlayerJoin),
+	{"PlayerJoin", unmarshalFn(UnmarshalPlayerJoin),
 		PlayerJoin{PlayerID: 42, GameID: 3, SpawnX: 12.5, SpawnY: -7}},
-	{"JoinReply", handshakeDecoder(UnmarshalJoinReply),
+	{"JoinReply", unmarshalFn(UnmarshalJoinReply),
 		JoinReply{OK: true, Epoch: 2, Tick: 99, Candidates: fuzzCandidates(), CloudStreamAddr: "10.0.0.1:7301"}},
-	{"PlayerAttach", handshakeDecoder(UnmarshalPlayerAttach),
+	{"PlayerAttach", unmarshalFn(UnmarshalPlayerAttach),
 		PlayerAttach{PlayerID: 42, QualityLevel: 4}},
-	{"AttachReply", handshakeDecoder(UnmarshalAttachReply),
+	{"AttachReply", unmarshalFn(UnmarshalAttachReply),
 		AttachReply{Reason: "at capacity"}},
-	{"ProbeReply", handshakeDecoder(UnmarshalProbeReply),
+	{"ProbeReply", unmarshalFn(UnmarshalProbeReply),
 		ProbeReply{Available: 5}},
-	{"StandbyHello", handshakeDecoder(UnmarshalStandbyHello),
+	{"StandbyHello", unmarshalFn(UnmarshalStandbyHello),
 		StandbyHello{Addr: "10.0.0.2:7301"}},
-	{"Resume", handshakeDecoder(UnmarshalResume),
+	{"Resume", unmarshalFn(UnmarshalResume),
 		Resume{Kind: ResumeSupernode, Epoch: 1, Tick: 77, Name: "sn-1", Capacity: 8, StreamAddr: "10.0.0.7:7000"}},
-	{"ResumeReply", handshakeDecoder(UnmarshalResumeReply),
+	{"ResumeReply", unmarshalFn(UnmarshalResumeReply),
 		ResumeReply{OK: true, Discard: true, Epoch: 2, Tick: 70, SupernodeID: 4, HasSnapshot: true,
 			Snapshot: fuzzSnapshot(), Candidates: fuzzCandidates(), StandbyAddr: "10.0.0.3:7301"}},
-	{"DatagramRequest", handshakeDecoder(UnmarshalDatagramRequest),
+	{"DatagramRequest", unmarshalFn(UnmarshalDatagramRequest),
 		DatagramRequest{PlayerID: 42}},
-	{"DatagramReply", handshakeDecoder(UnmarshalDatagramReply),
+	{"DatagramReply", unmarshalFn(UnmarshalDatagramReply),
 		DatagramReply{OK: true, Addr: "10.0.0.7:7001", Token: 0xfeedface, Epoch: 2}},
+	{"UpdateBatch", decodeFn(DecodeUpdateBatch),
+		UpdateBatch{Epoch: 2, Tick: 71, Deltas: fuzzDeltas()}},
+	{"CellBatch", decodeFn(DecodeCellBatch),
+		CellBatch{Epoch: 2, Tick: 71, Cell: 9, Keyframe: true, Deltas: fuzzDeltas()}},
+	{"InterestUpdate", decodeFn(DecodeInterestUpdate),
+		InterestUpdate{Gen: 3, CellSize: 64, Cells: []uint32{1, 2, 9}, Players: []int32{42}}},
+	{"QoEReport", unmarshalFn(UnmarshalQoEReport),
+		QoEReport{PlayerID: 42, Addr: "10.0.0.7:7000", Rating: 0.25, Stalled: true}},
+	{"CandidateUpdate", unmarshalFn(UnmarshalCandidateUpdate),
+		CandidateUpdate{Candidates: fuzzCandidates(), CloudStreamAddr: "10.0.0.1:7301", StandbyAddr: "10.0.0.2:7301"}},
+	{"ActionMsg", unmarshalFn(UnmarshalActionMsg),
+		ActionMsg{Action: virtualworld.Action{Player: 42, Kind: virtualworld.ActMove, TargetX: 120, TargetY: 80}}},
+	{"Heartbeat", unmarshalFn(UnmarshalHeartbeat),
+		Heartbeat{Seq: 17}},
+	{"HeartbeatAck", unmarshalFn(UnmarshalHeartbeatAck),
+		HeartbeatAck{Seq: 17, ReplicaTick: 70, Attached: 3}},
+	{"RateChange", unmarshalFn(UnmarshalRateChange),
+		RateChange{QualityLevel: 2}},
+}
+
+func fuzzDeltas() []virtualworld.Delta {
+	snap := fuzzSnapshot()
+	return []virtualworld.Delta{{ID: 1, Entity: snap.Entities[0]}, {ID: 2, Removed: true}}
 }
 
 func fuzzSnapshot() virtualworld.Snapshot {
@@ -60,13 +96,13 @@ func fuzzCandidates() []CandidateInfo {
 	return []CandidateInfo{{Addr: "10.0.0.7:7000", Load: 2, Capacity: 8, MeasuredRTTMs: -1, Score: 0.5}}
 }
 
-// FuzzHandshakeDecode throws arbitrary bytes at every handshake decoder:
+// FuzzHandshakeDecode throws arbitrary bytes at every decoder in the table:
 // garbage must be refused with an error, never a panic, and whatever does
 // decode must survive a re-encode — the bytes it marshals to decode again,
 // to a value that marshals to the same bytes. Values are compared through
 // their encoding because the coordinates may be NaN, which no == matches.
 func FuzzHandshakeDecode(f *testing.F) {
-	for i, d := range handshakeDecoders {
+	for i, d := range networkDecoders {
 		valid := d.seed.Marshal()
 		if _, err := d.decode(valid); err != nil {
 			f.Fatalf("%s: seed does not decode: %v", d.name, err)
@@ -77,7 +113,7 @@ func FuzzHandshakeDecode(f *testing.F) {
 	}
 	f.Add(uint8(1), bytes.Repeat([]byte{0xFF}, 64)) // hostile entity count
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
-		d := handshakeDecoders[int(which)%len(handshakeDecoders)]
+		d := networkDecoders[int(which)%len(networkDecoders)]
 		m, err := d.decode(data)
 		if err != nil {
 			return

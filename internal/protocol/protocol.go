@@ -117,64 +117,42 @@ const (
 	MsgCellBatch
 )
 
+// msgTypeNames is indexed by MsgType; slot 0 is no message.
+var msgTypeNames = [...]string{
+	MsgSupernodeHello:   "supernode-hello",
+	MsgSupernodeWelcome: "supernode-welcome",
+	MsgPlayerJoin:       "player-join",
+	MsgJoinReply:        "join-reply",
+	MsgAction:           "action",
+	MsgUpdateBatch:      "update-batch",
+	MsgPlayerAttach:     "player-attach",
+	MsgAttachReply:      "attach-reply",
+	MsgVideoFrame:       "video-frame",
+	MsgRateChange:       "rate-change",
+	MsgProbe:            "probe",
+	MsgProbeReply:       "probe-reply",
+	MsgBye:              "bye",
+	MsgHeartbeat:        "heartbeat",
+	MsgHeartbeatAck:     "heartbeat-ack",
+	MsgCandidateUpdate:  "candidate-update",
+	MsgQoEReport:        "qoe-report",
+	MsgStandbyHello:     "standby-hello",
+	MsgCheckpoint:       "checkpoint",
+	MsgLogEntry:         "log-entry",
+	MsgResume:           "resume",
+	MsgResumeReply:      "resume-reply",
+	MsgDatagramRequest:  "datagram-request",
+	MsgDatagramReply:    "datagram-reply",
+	MsgInterestUpdate:   "interest-update",
+	MsgCellBatch:        "cell-batch",
+}
+
 // String names the message type.
 func (t MsgType) String() string {
-	switch t {
-	case MsgSupernodeHello:
-		return "supernode-hello"
-	case MsgSupernodeWelcome:
-		return "supernode-welcome"
-	case MsgPlayerJoin:
-		return "player-join"
-	case MsgJoinReply:
-		return "join-reply"
-	case MsgAction:
-		return "action"
-	case MsgUpdateBatch:
-		return "update-batch"
-	case MsgPlayerAttach:
-		return "player-attach"
-	case MsgAttachReply:
-		return "attach-reply"
-	case MsgVideoFrame:
-		return "video-frame"
-	case MsgRateChange:
-		return "rate-change"
-	case MsgProbe:
-		return "probe"
-	case MsgProbeReply:
-		return "probe-reply"
-	case MsgBye:
-		return "bye"
-	case MsgHeartbeat:
-		return "heartbeat"
-	case MsgHeartbeatAck:
-		return "heartbeat-ack"
-	case MsgCandidateUpdate:
-		return "candidate-update"
-	case MsgQoEReport:
-		return "qoe-report"
-	case MsgStandbyHello:
-		return "standby-hello"
-	case MsgCheckpoint:
-		return "checkpoint"
-	case MsgLogEntry:
-		return "log-entry"
-	case MsgResume:
-		return "resume"
-	case MsgResumeReply:
-		return "resume-reply"
-	case MsgDatagramRequest:
-		return "datagram-request"
-	case MsgDatagramReply:
-		return "datagram-reply"
-	case MsgInterestUpdate:
-		return "interest-update"
-	case MsgCellBatch:
-		return "cell-batch"
-	default:
-		return "unknown"
+	if int(t) < len(msgTypeNames) && msgTypeNames[t] != "" {
+		return msgTypeNames[t]
 	}
+	return "unknown"
 }
 
 // Protocol limits.

@@ -3,7 +3,11 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -74,14 +78,41 @@ func TestFramingTruncatedStream(t *testing.T) {
 	}
 }
 
+// TestMsgTypeString: every Msg* constant protocol.go declares has a
+// non-empty name of its own, and nothing else does.
 func TestMsgTypeString(t *testing.T) {
-	for typ := MsgSupernodeHello; typ <= MsgQoEReport; typ++ {
-		if typ.String() == "unknown" {
-			t.Errorf("type %d unnamed", typ)
-		}
+	file, err := parser.ParseFile(token.NewFileSet(), "protocol.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if MsgType(200).String() != "unknown" {
-		t.Error("unknown type misnamed")
+	declared := 0
+	ast.Inspect(file, func(n ast.Node) bool {
+		if spec, ok := n.(*ast.ValueSpec); ok {
+			for _, name := range spec.Names {
+				if strings.HasPrefix(name.Name, "Msg") {
+					declared++
+				}
+			}
+		}
+		return true
+	})
+	if declared == 0 {
+		t.Fatal("found no Msg* constants in protocol.go; the scan is broken")
+	}
+	seen := make(map[string]MsgType)
+	for typ := MsgType(1); int(typ) <= declared; typ++ {
+		name := typ.String()
+		if name == "" || name == "unknown" {
+			t.Errorf("type %d unnamed", typ)
+		} else if prev, dup := seen[name]; dup {
+			t.Errorf("types %d and %d are both %q", prev, typ, name)
+		}
+		seen[name] = typ
+	}
+	for _, typ := range []MsgType{0, MsgType(declared + 1), 200} {
+		if typ.String() != "unknown" {
+			t.Errorf("undeclared type %d is named %q", typ, typ)
+		}
 	}
 }
 
