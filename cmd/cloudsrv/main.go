@@ -5,9 +5,10 @@
 //	cloudsrv -addr 127.0.0.1:7000 -npcs 8
 //
 // -tick is the idle tick period: the world only moves when a player acts,
-// so an input arms an early tick a third of the period after it arrives
-// and the periodic tick is what an idle world falls back to. The stats
-// line counts both (ticks) and the early ones alone (input).
+// so an input is applied at once — or, when a tick ran less than a tenth
+// of the period ago, when that tenth is up — and the periodic tick is what
+// an idle world falls back to. The stats line counts both (ticks), the
+// early ones alone (input) and the inputs they applied (actions).
 //
 // With -standby it instead runs a warm standby that follows the primary's
 // checkpoint/log stream and promotes itself (epoch+1, same listen
@@ -35,7 +36,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7000", "listen address")
-	tick := flag.Duration("tick", fognet.DefaultTickInterval, "idle world tick period; an input is applied at most a third of it after arrival")
+	tick := flag.Duration("tick", fognet.DefaultTickInterval, "idle world tick period; an input is applied at once, or a tenth of it after the previous tick")
 	npcs := flag.Int("npcs", 8, "NPCs to seed the world with")
 	hbInterval := flag.Duration("hb-interval", fognet.DefaultHeartbeatInterval, "supernode heartbeat interval")
 	hbMisses := flag.Int("hb-misses", fognet.DefaultHeartbeatMisses, "missed heartbeats before a supernode is evicted")
@@ -155,8 +156,8 @@ func runStandby(addr, primary string, promoteAfter, statsEvery time.Duration, cf
 
 func printCloudStats(cloud *fognet.CloudServer) {
 	s := cloud.Stats()
-	fmt.Printf("cloudsrv: epoch=%d ticks=%d input=%d supernodes=%d aoi=%d interest=%d keycells=%d players=%d entities=%d update=%0.1f kbit ckpts=%d standby=%v evictions=%d departures=%d qdrops=%d qoe=%d\n",
-		s.Epoch, s.Ticks, s.InputTicks, s.Supernodes, s.AoISupernodes, s.InterestUpdates, s.KeyframeCells,
+	fmt.Printf("cloudsrv: epoch=%d ticks=%d input=%d actions=%d supernodes=%d aoi=%d interest=%d keycells=%d players=%d entities=%d update=%0.1f kbit ckpts=%d standby=%v evictions=%d departures=%d qdrops=%d qoe=%d\n",
+		s.Epoch, s.Ticks, s.InputTicks, s.Actions, s.Supernodes, s.AoISupernodes, s.InterestUpdates, s.KeyframeCells,
 		s.Players, s.Entities, float64(s.UpdateBits)/1000,
 		s.Resilience.Checkpoints, s.StandbyAttached,
 		s.Resilience.Evictions, s.Resilience.Departures, s.Resilience.SendQueueDrops,

@@ -41,17 +41,18 @@ import (
 )
 
 // DefaultTickInterval is the idle world tick period (20 Hz): the metronome
-// an idle cloud ticks at, and the longest an input ever waits.
+// an idle cloud ticks at. An input waits a tenth of it at most.
 const DefaultTickInterval = 50 * time.Millisecond
 
-// inputWindowDivisor sets the input-armed clock: the action that makes the
-// pending queue non-empty is applied TickInterval/inputWindowDivisor later
-// at most, together with whatever else arrived inside that window. The
-// world only moves when a player acts, so a tick is purely a batching
-// window and running one sooner changes no game speed; the price is one
-// batch header per extra tick on full-world links (DESIGN.md, "Tick
-// pacing", has the window/latency/egress trade that picked 3).
-const inputWindowDivisor = 3
+// tickGapDivisor sets the input clock's rate limit: two ticks are never
+// less than TickInterval/tickGapDivisor apart, so an action is applied at
+// once when the cloud has been quiet that long and at most that much later
+// otherwise, together with whatever else arrived meanwhile. The world only
+// moves when a player acts, so a tick is purely a batching window and
+// running one sooner changes no game speed; the price is one batch header
+// per extra tick on every link (DESIGN.md, "Tick pacing", has the
+// gap/latency/egress line whose knee picked 10).
+const tickGapDivisor = 10
 
 // DefaultCheckpointEvery is the checkpoint cadence in metronome ticks:
 // with the default 20 Hz tick the standby receives a full world image once
@@ -81,7 +82,7 @@ type CloudConfig struct {
 	// Addr is the listen address ("127.0.0.1:0" for an ephemeral port).
 	Addr string
 	// TickInterval is the idle world tick period; an input is applied at
-	// most a third of it after arrival. Defaults to DefaultTickInterval.
+	// most a tenth of it after arrival. Defaults to DefaultTickInterval.
 	TickInterval time.Duration
 	// NPCs seeds the world with this many NPCs on a grid.
 	NPCs int
@@ -152,8 +153,8 @@ type CloudServer struct {
 	world *virtualworld.World
 	// pending holds the inputs queued since the last tick (guarded by mu);
 	// inputCh holds a token exactly while pending is non-empty and the tick
-	// loop has not yet armed its early timer for it: queueActionLocked
-	// fills it, tickOnce empties both under mu.
+	// loop has not yet ticked or armed its early timer for it:
+	// queueActionLocked fills it, tickOnce empties both under mu.
 	pending    []virtualworld.Action
 	inputCh    chan struct{}
 	supernodes map[uint32]*supernodeConn // guarded by mu
@@ -434,9 +435,13 @@ func (s *CloudServer) Shutdown() error {
 // Stats reports cloud-side counters.
 type CloudStats struct {
 	// Ticks is how many world ticks ran; InputTicks is how many of them
-	// the input-armed clock ran ahead of the metronome.
+	// the input clock ran ahead of the metronome; Actions is how many
+	// player actions they applied. Actions ÷ InputTicks is the occupancy
+	// of an early tick: it grows past the player count only when the rate
+	// limit is coalescing.
 	Ticks      int64
 	InputTicks int64
+	Actions    int64
 	// Tick is the authoritative world tick (it starts past zero on a
 	// restored server).
 	Tick uint64

@@ -14,17 +14,18 @@ import (
 
 // tickLoop advances the world and fans out update batches on two clocks.
 // The metronome ticks every TickInterval whether or not anything happened
-// and is the only tick an idle cloud runs. The input-armed clock is a
-// one-shot timer the first queued action starts: it runs the same tickOnce
-// a fraction of the interval later, so an input waits for a short
-// coalescing window instead of for the metronome. Whichever fires first
-// takes everything pending; a metronome tick disarms the early timer.
+// and is the only tick an idle cloud runs. The input clock is a rate limit,
+// not a delay: the action that makes pending non-empty runs the same
+// tickOnce at once when the previous tick, of either clock, is at least
+// minTickGap old, and otherwise when it will be — so a lone input waits for
+// nothing, a burst coalesces into one tick per gap, and early ticks are
+// bounded at tickGapDivisor per TickInterval however many players act.
 func (s *CloudServer) tickLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.TickInterval)
 	defer ticker.Stop()
-	window := s.cfg.TickInterval / inputWindowDivisor
-	early := time.NewTimer(window)
+	minTickGap := s.cfg.TickInterval / tickGapDivisor
+	early := time.NewTimer(minTickGap)
 	defer early.Stop()
 	// armed: early was Reset and its channel not yet received from. go.mod
 	// predates go 1.23, so a stopped timer that already fired keeps its
@@ -38,28 +39,38 @@ func (s *CloudServer) tickLoop() {
 		armed = false
 	}
 	disarm()
+	var lastTick time.Time
+	tick := func(metronome bool) {
+		lastTick = time.Now()
+		s.tickOnce(metronome)
+	}
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-s.inputCh:
-			if !armed {
-				early.Reset(window)
+			if armed {
+				continue
+			}
+			if wait := minTickGap - time.Since(lastTick); wait > 0 {
+				early.Reset(wait)
 				armed = true
+			} else {
+				tick(false)
 			}
 		case <-early.C:
 			armed = false
-			s.tickOnce(false)
+			tick(false)
 		case <-ticker.C:
 			disarm()
-			s.tickOnce(true)
+			tick(true)
 		}
 	}
 }
 
 // queueActionLocked is the one intake of player inputs, whichever link
 // they arrived on: an action naming no admitted avatar is refused, and the
-// one that makes pending non-empty arms the tick loop's early timer.
+// one that makes pending non-empty wakes the tick loop's input clock.
 // Caller holds mu.
 func (s *CloudServer) queueActionLocked(a virtualworld.Action) bool {
 	if s.world.Avatar(a.Player) == nil {
@@ -83,6 +94,7 @@ func (s *CloudServer) tickOnce(metronome bool) {
 	// Step copies its argument before use, so pending is truncated and
 	// reused. The arming token goes with it: this tick serves the inputs
 	// it announced.
+	s.stats.Actions += int64(len(s.pending))
 	deltas := s.world.Step(s.pending)
 	s.pending = s.pending[:0]
 	select {

@@ -365,6 +365,10 @@ type FogStats struct {
 	// AppliedDeltas / StaleDeltas are replica counters.
 	AppliedDeltas int
 	StaleDeltas   int
+	// UpdateDecodeErrors counts update and cell batches from the cloud
+	// that did not decode and were skipped: each is a hole in the replica
+	// until the entities it carried change again.
+	UpdateDecodeErrors int64
 	// InterestUpdatesSent counts AoI subscription reports sent upstream;
 	// InterestCells is the current footprint size in cells. Both are zero
 	// when AoI is off.
@@ -403,6 +407,12 @@ func (f *FogNode) Stats() FogStats {
 	return st
 }
 
+func (f *FogNode) noteUpdateDecodeError() {
+	f.mu.Lock()
+	f.stats.UpdateDecodeErrors++
+	f.mu.Unlock()
+}
+
 // updateLoop applies the cloud's update stream to the replica, answers
 // heartbeats, and — when the connection dies — reconnects with jittered
 // exponential backoff and resyncs the replica.
@@ -430,6 +440,7 @@ func (f *FogNode) updateLoop() {
 			switch typ {
 			case protocol.MsgUpdateBatch:
 				if berr := protocol.DecodeUpdateBatch(payload, &batch); berr != nil {
+					f.noteUpdateDecodeError()
 					continue
 				}
 				f.mu.Lock()
@@ -444,6 +455,7 @@ func (f *FogNode) updateLoop() {
 				f.refreshInterest()
 			case protocol.MsgCellBatch:
 				if berr := protocol.DecodeCellBatch(payload, &cellBatch); berr != nil {
+					f.noteUpdateDecodeError()
 					continue
 				}
 				f.mu.Lock()

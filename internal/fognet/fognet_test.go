@@ -11,6 +11,7 @@ import (
 	"cloudfog/internal/protocol"
 	"cloudfog/internal/rng"
 	"cloudfog/internal/selection"
+	"cloudfog/internal/virtualworld"
 )
 
 // startCloud creates a fast-ticking cloud server for tests.
@@ -897,5 +898,67 @@ func TestStallReportsDemoteSupernode(t *testing.T) {
 	}
 	if !(cands[1].Score < cands[0].Score) {
 		t.Errorf("stalled supernode not demoted by score: %+v", cands)
+	}
+}
+
+// An update batch that does not decode is skipped, but not silently: the
+// supernode counts it, keeps its replica as it was, and applies the next
+// good batch. The cloud here is a raw listener, so the torn bytes are exact.
+func TestFogCountsUndecodableUpdateBatches(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, aerr := ln.Accept()
+		if aerr != nil {
+			close(accepted)
+			return
+		}
+		if typ, _, rerr := protocol.ReadMessage(conn); rerr != nil || typ != protocol.MsgSupernodeHello {
+			t.Errorf("hello: type %d, err %v", typ, rerr)
+		}
+		npc := virtualworld.Entity{ID: 1, Kind: virtualworld.KindNPC, Owner: -1, X: 50, Y: 50, HP: 100, Version: 1}
+		welcome := protocol.SupernodeWelcome{SupernodeID: 1, Epoch: 1, Snapshot: virtualworld.Snapshot{
+			Tick: 5, Width: 400, Height: 300, Entities: []virtualworld.Entity{npc}}}
+		if werr := protocol.WriteMessage(conn, protocol.MsgSupernodeWelcome, welcome.Marshal()); werr != nil {
+			t.Errorf("welcome: %v", werr)
+		}
+		accepted <- conn
+	}()
+	fog, err := NewFogNode(FogConfig{Name: "fog-torn", CloudAddr: ln.Addr().String(), Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fog.Close()
+	conn, ok := <-accepted
+	if !ok {
+		t.Fatal("the supernode never connected")
+	}
+	defer conn.Close()
+
+	moved := virtualworld.Entity{ID: 1, Kind: virtualworld.KindNPC, Owner: -1, X: 60, Y: 50, HP: 100, Version: 2}
+	deltas := []virtualworld.Delta{{ID: 1, Entity: moved}}
+	send := func(typ protocol.MsgType, payload []byte) {
+		t.Helper()
+		if err := protocol.WriteMessage(conn, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := protocol.UpdateBatch{Epoch: 1, Tick: 6, Deltas: deltas}.Marshal()
+	send(protocol.MsgUpdateBatch, good[:len(good)-1])
+	waitFor(t, 5*time.Second, "the torn update batch counted", func() bool { return fog.Stats().UpdateDecodeErrors == 1 })
+	if st := fog.Stats(); st.ReplicaTick != 5 || st.AppliedDeltas != 0 {
+		t.Errorf("a torn batch moved the replica to tick %d, %d deltas applied", st.ReplicaTick, st.AppliedDeltas)
+	}
+	send(protocol.MsgUpdateBatch, good)
+	waitFor(t, 5*time.Second, "the good batch applied", func() bool { return fog.Stats().ReplicaTick == 6 })
+	cell := protocol.CellBatch{Epoch: 1, Tick: 7, Cell: virtualworld.CellNone, Deltas: deltas}.Marshal()
+	send(protocol.MsgCellBatch, append(cell, 0))
+	waitFor(t, 5*time.Second, "the torn cell batch counted", func() bool { return fog.Stats().UpdateDecodeErrors == 2 })
+	if st := fog.Stats(); st.ReplicaTick != 6 || st.AppliedDeltas != 1 || st.CellBatches != 0 {
+		t.Errorf("after both torn batches: tick %d, %d deltas applied, %d cell batches; want 6, 1, 0", st.ReplicaTick, st.AppliedDeltas, st.CellBatches)
 	}
 }

@@ -13,8 +13,12 @@ import (
 )
 
 // slowTick is a metronome slow enough to tell the two tick clocks apart on
-// a loaded box: the input window is 200 ms, the idle period 600 ms.
-const slowTick = 600 * time.Millisecond
+// a loaded box: the idle period is 600 ms, the least gap between two ticks
+// slowGap = 60 ms.
+const (
+	slowTick = 600 * time.Millisecond
+	slowGap  = slowTick / tickGapDivisor
+)
 
 // startPacedCloud starts a cloud for the tick-pacing tests: no NPCs, and a
 // heartbeat the protocol-level peers below never have to answer.
@@ -126,24 +130,36 @@ func (p *rawPlayer) emote(tag uint8) error {
 	return protocol.WriteMessage(p.conn, protocol.MsgAction, am.Marshal())
 }
 
-// streamInputs sends an input every few milliseconds — faster than either
-// tick clock — until the returned stop is called; stop waits for the sender.
-func (p *rawPlayer) streamInputs() (stop func()) {
+// streamInputs sends an input every period until the returned stop is
+// called; stop waits for the sender and reports how many inputs it sent.
+// Every input carries another pose tag, so each one changes the avatar.
+func (p *rawPlayer) streamInputs(every time.Duration) (stop func() int64) {
 	quit, done := make(chan struct{}), make(chan struct{})
+	var sent int64
 	go func() {
 		defer close(done)
+		pace := time.NewTicker(every)
+		defer pace.Stop()
 		for tag := uint8(2); ; tag++ {
 			select {
 			case <-quit:
 				return
-			case <-time.After(3 * time.Millisecond):
+			case <-pace.C:
 				if p.emote(tag) != nil {
 					return
 				}
+				sent++
 			}
 		}
 	}()
-	return func() { close(quit); <-done }
+	return func() int64 { close(quit); <-done; return sent }
+}
+
+// quiet waits until the tick that produced last is at least one gap old, so
+// that the next input finds the rate limit open.
+func quiet(t *testing.T, last batchObs) {
+	t.Helper()
+	waitFor(t, 2*slowTick, "a gap without a tick", func() bool { return time.Since(last.at) >= slowGap+slowGap/2 })
 }
 
 // joinAll admits n players and returns them with the batch that carried
@@ -166,50 +182,68 @@ func joinAll(t *testing.T, cloud *CloudServer, sink <-chan batchObs, n int) ([]*
 	return players, last
 }
 
-// (1) An input is applied one coalescing window after it arrives, in the
-// very next tick number, not at the metronome.
+// (1) An input into a quiet cloud is applied at once, in the very next
+// tick number; an input right behind a tick is applied one gap after that
+// tick — not sooner, and not at the metronome.
 func TestInputTickAppliesActionAfterWindow(t *testing.T) {
 	cloud := startPacedCloud(t, slowTick)
 	sink := startSink(t, cloud)
 	players, spawn := joinAll(t, cloud, sink, 1)
 
+	quiet(t, spawn)
 	sent := time.Now()
 	if err := players[0].emote(7); err != nil {
 		t.Fatal(err)
 	}
-	b := nextBatch(t, sink, 3*slowTick)
-	window := slowTick / inputWindowDivisor
-	if b.tick != spawn.tick+1 {
-		t.Errorf("action applied in tick %d, want %d", b.tick, spawn.tick+1)
+	first := nextBatch(t, sink, 3*slowTick)
+	if first.tick != spawn.tick+1 {
+		t.Errorf("action applied in tick %d, want %d", first.tick, spawn.tick+1)
 	}
-	if len(b.deltas) != 1 || b.deltas[0].Entity.State != 7 {
-		t.Errorf("batch %+v does not carry the emote", b.deltas)
+	if len(first.deltas) != 1 || first.deltas[0].Entity.State != 7 {
+		t.Errorf("batch %+v does not carry the emote", first.deltas)
 	}
-	if wait := b.at.Sub(sent); wait < window*8/10 || wait >= slowTick/2 {
-		t.Errorf("action waited %v for its tick, want about the %v window (metronome: %v)", wait, window, slowTick)
+	if wait := first.at.Sub(sent); wait >= slowGap {
+		t.Errorf("action into a quiet cloud waited %v for its tick, want well under the %v gap", wait, slowGap)
 	}
-	if st := cloud.Stats(); st.InputTicks != 1 {
-		t.Errorf("InputTicks = %d, want 1", st.InputTicks)
+
+	if err := players[0].emote(8); err != nil {
+		t.Fatal(err)
+	}
+	second := nextBatch(t, sink, 3*slowTick)
+	if second.tick != first.tick+1 || len(second.deltas) != 1 || second.deltas[0].Entity.State != 8 {
+		t.Errorf("tick %d carries %+v, want the second emote in tick %d", second.tick, second.deltas, first.tick+1)
+	}
+	if gap := second.at.Sub(first.at); gap < slowGap*8/10 || gap >= slowTick/2 {
+		t.Errorf("action behind a tick was applied %v after it, want about the %v gap (metronome: %v)", gap, slowGap, slowTick)
+	}
+	if st := cloud.Stats(); st.InputTicks != 2 || st.Actions != 2 {
+		t.Errorf("InputTicks = %d, Actions = %d, want 2 and 2", st.InputTicks, st.Actions)
 	}
 }
 
-// (2) Everything that arrives inside one window rides one tick.
+// (2) Everything that arrives inside one gap after a tick rides one tick.
 func TestInputTickCoalescesWindow(t *testing.T) {
 	cloud := startPacedCloud(t, slowTick)
 	sink := startSink(t, cloud)
 	players, spawn := joinAll(t, cloud, sink, 5)
 
+	// A tick that has only just run: the one a lone input gets at once.
+	quiet(t, spawn)
+	if err := players[0].emote(9); err != nil {
+		t.Fatal(err)
+	}
+	primer := nextBatch(t, sink, 3*slowTick)
 	for i, p := range players {
 		if err := p.emote(uint8(10 + i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	b := nextBatch(t, sink, 3*slowTick)
-	if b.tick != spawn.tick+1 || len(b.deltas) != len(players) {
-		t.Fatalf("tick %d carries %d deltas, want tick %d with %d", b.tick, len(b.deltas), spawn.tick+1, len(players))
+	if b.tick != primer.tick+1 || len(b.deltas) != len(players) {
+		t.Fatalf("tick %d carries %d deltas, want tick %d with %d", b.tick, len(b.deltas), primer.tick+1, len(players))
 	}
-	if st := cloud.Stats(); st.InputTicks != 1 {
-		t.Errorf("InputTicks = %d, want 1", st.InputTicks)
+	if st := cloud.Stats(); st.InputTicks != 2 || st.Actions != int64(1+len(players)) {
+		t.Errorf("InputTicks = %d, Actions = %d, want 2 and %d", st.InputTicks, st.Actions, 1+len(players))
 	}
 }
 
@@ -218,29 +252,50 @@ func TestInputTickCoalescesWindow(t *testing.T) {
 func TestInputTickMetronomePreempts(t *testing.T) {
 	cloud := startPacedCloud(t, slowTick)
 	sink := startSink(t, cloud)
-	players, spawn := joinAll(t, cloud, sink, 1)
+	players, last := joinAll(t, cloud, sink, 1)
 
-	// Three quarters into the period the window ends after the metronome.
-	waitFor(t, 2*slowTick, "the last quarter of the period", func() bool {
-		return time.Since(spawn.at) >= slowTick*3/4
-	})
-	if err := players[0].emote(9); err != nil {
-		t.Fatal(err)
-	}
-	b := nextBatch(t, sink, 3*slowTick)
-	if b.tick != spawn.tick+1 {
-		t.Errorf("action applied in tick %d, want %d", b.tick, spawn.tick+1)
+	// The timer is armed only for the gap behind an early tick, so that tick
+	// has to run less than a gap ahead of the metronome. The test aims for
+	// the middle of that stretch and, when it can tell from the counters
+	// that it missed, aims again one period later.
+	for attempt := 1; ; attempt++ {
+		before := cloud.Stats()
+		waitFor(t, 3*slowTick, "a metronome tick", func() bool {
+			st := cloud.Stats()
+			return st.Ticks-st.InputTicks > before.Ticks-before.InputTicks
+		})
+		metronome := time.Now()
+		before = cloud.Stats()
+		waitFor(t, 2*slowTick, "half a gap before the next metronome tick", func() bool {
+			return time.Since(metronome) >= slowTick-slowGap/2
+		})
+		// The first input ticks at once; the second, sent when that tick
+		// has run, arms the timer for a moment past the metronome's.
+		for tag := uint8(2 * attempt); tag <= uint8(2*attempt+1); tag++ {
+			if err := players[0].emote(tag); err != nil {
+				t.Fatal(err)
+			}
+			for last.deltas = nil; len(last.deltas) != 1 || last.deltas[0].Entity.State != tag; {
+				last = nextBatch(t, sink, 3*slowTick)
+			}
+		}
+		st := cloud.Stats()
+		if st.InputTicks-before.InputTicks == 1 && st.Ticks-before.Ticks == 2 {
+			t.Logf("attempt %d: one early tick, then the metronome took the second input", attempt)
+			break
+		}
+		if attempt == 8 {
+			t.Fatalf("no attempt put an input between an early tick and the metronome (last: %d ticks, %d early)",
+				st.Ticks-before.Ticks, st.InputTicks-before.InputTicks)
+		}
 	}
 	st := cloud.Stats()
-	if st.InputTicks != 0 {
-		t.Fatalf("the early timer ran the tick (InputTicks %d), the metronome was due first", st.InputTicks)
-	}
 	waitFor(t, 3*slowTick, "the tick after", func() bool { return cloud.Stats().Ticks > st.Ticks })
-	if gap := time.Since(b.at); gap < slowTick/2 {
+	if gap := time.Since(last.at); gap < slowTick/2 {
 		t.Errorf("a tick ran %v after the metronome's: the disarmed timer fired", gap)
 	}
-	if after := cloud.Stats(); after.InputTicks != 0 || after.Ticks != st.Ticks+1 {
-		t.Errorf("after the pre-empted window: %d ticks (%d early), want %d (0 early)", after.Ticks, after.InputTicks, st.Ticks+1)
+	if after := cloud.Stats(); after.InputTicks != st.InputTicks || after.Ticks != st.Ticks+1 {
+		t.Errorf("after the pre-empted timer: %d ticks (%d early), want 1 (0 early)", after.Ticks-st.Ticks, after.InputTicks-st.InputTicks)
 	}
 }
 
@@ -287,7 +342,7 @@ func TestInputTickOrderAcrossBothClocks(t *testing.T) {
 	player, _ := joinRaw(t, cloud, 5, 300, 300)
 	video, fr, _ := attachRaw(t, fog.StreamAddr(), 5)
 
-	stopInput := player.streamInputs()
+	stopInput := player.streamInputs(3 * time.Millisecond)
 	frameTicks := make(chan uint64, 4096) // every frame of the run: the reader never blocks
 	go func() {
 		defer close(frameTicks)
@@ -336,6 +391,83 @@ func TestInputTickOrderAcrossBothClocks(t *testing.T) {
 	}
 }
 
+// (6) The input clock is a rate limit: however fast one player acts, early
+// ticks come no closer than a gap apart, every action is applied, and the
+// ticks are numbered without a hole.
+func TestInputTickRateIsBounded(t *testing.T) {
+	cloud := startPacedCloud(t, slowTick)
+	sink := startSink(t, cloud)
+	players, spawn := joinAll(t, cloud, sink, 1)
+
+	quiet(t, spawn)
+	before := cloud.Stats()
+	start := time.Now()
+	stop := players[0].streamInputs(time.Millisecond)
+	waitFor(t, 10*time.Second, "twenty gaps of input", func() bool { return time.Since(start) >= 20*slowGap })
+	sent := stop()
+	waitFor(t, 3*slowTick, "every action applied", func() bool { return cloud.Stats().Actions-before.Actions == sent })
+	elapsed := time.Since(start)
+	after := cloud.Stats()
+	early := after.InputTicks - before.InputTicks
+
+	// One tick at once and one per whole gap since.
+	if most := int64(elapsed/slowGap) + 1; early > most || early < 10 {
+		t.Errorf("%d early ticks in %v of %d inputs, want 10 to %d (one per %v gap)", early, elapsed, sent, most, slowGap)
+	}
+	if ticks, numbers := after.Ticks-before.Ticks, int64(after.Tick-before.Tick); ticks != numbers {
+		t.Errorf("%d ticks advanced the tick number by %d", ticks, numbers)
+	}
+	// Every early tick carries the avatar's change; a metronome tick right
+	// behind one may have nothing to send.
+	waitFor(t, 3*slowTick, "the early ticks' batches", func() bool { return int64(len(sink)) >= early })
+	lastTick, batches, deltas := spawn.tick, int64(0), 0
+	for len(sink) > 0 {
+		b := <-sink
+		if b.tick <= lastTick {
+			t.Fatalf("supernode saw tick %d after %d", b.tick, lastTick)
+		}
+		lastTick, batches, deltas = b.tick, batches+1, deltas+len(b.deltas)
+	}
+	if batches < early || int64(deltas) != batches {
+		t.Errorf("supernode saw %d batches of %d deltas for %d early ticks, want one single-delta batch per busy tick", batches, deltas, early)
+	}
+}
+
+// TestTickWireCost pins what the rate limit's gap was chosen against: one
+// action's tick, through tickOnce, fanOut and the link's flush, costs a
+// supernode under fifty bytes with the frame header in, on the full-world
+// stream and on an AoI one, and a tick nothing happened in costs it none.
+func TestTickWireCost(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		aoi  bool
+		most int64
+	}{{"full-world", false, 48}, {"aoi", true, 52}} {
+		w := virtualworld.New(virtualworld.DefaultWidth, virtualworld.DefaultHeight)
+		avatar := w.SpawnAvatar(1, 100, 100)
+		geo := w.Grid().Geom()
+		var watching *interestSet
+		if tc.aoi {
+			watching = newInterestSet(1, geo.NumCells())
+			watching.add(geo.CellOf(avatar.X, avatar.Y))
+		}
+		f := newFanoutFixture(geo, nil, []*interestSet{watching})
+		f.serve(w)
+		sent := func() int64 { return f.s.links.updateBits.Load() / 8 }
+		f.inputTick(t, virtualworld.Action{Player: 1, Kind: virtualworld.ActEmote, StateTag: 3})
+		got := sent()
+		t.Logf("%s: %d bytes for a one-action tick", tc.name, got)
+		if got == 0 || got > tc.most {
+			t.Errorf("%s: a one-action tick puts %d bytes on the link, want 1 to %d", tc.name, got, tc.most)
+		}
+		f.s.tickOnce(true)
+		f.flushAll(t)
+		if idle := sent() - got; idle != 0 {
+			t.Errorf("%s: an idle metronome tick puts %d bytes on the link, want none", tc.name, idle)
+		}
+	}
+}
+
 // Checkpoints ride the metronome: under a steady input stream the cadence
 // is CheckpointEvery × TickInterval of wall time, early ticks only add log
 // entries, and the standby's replay of checkpoint + log — both kinds of
@@ -357,7 +489,7 @@ func TestInputTickCheckpointsRideMetronome(t *testing.T) {
 	defer sb.Close()
 	waitFor(t, 5*time.Second, "attach checkpoint", func() bool { return sb.Stats().Checkpoints >= 1 })
 	player, _ := joinRaw(t, cloud, 1, 200, 200)
-	defer player.streamInputs()()
+	defer player.streamInputs(3 * time.Millisecond)()
 
 	const periods = 20
 	metronome := func(st CloudStats) int64 { return st.Ticks - st.InputTicks }

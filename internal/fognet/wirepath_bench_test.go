@@ -68,16 +68,46 @@ func (f *fanoutFixture) link() *link {
 func (f *fanoutFixture) tick(tb testing.TB) int64 {
 	before := f.s.links.updateBits.Load()
 	f.s.fanOut(42, 1, f.geo, f.deltas, 0, f.standby, nil)
+	f.flushAll(tb)
+	if drops := f.s.links.queueDrops.Load(); drops != 0 {
+		tb.Fatalf("%d messages dropped at the send queue", drops)
+	}
+	return (f.s.links.updateBits.Load() - before) / 8
+}
+
+// serve gives the fixture what tickOnce needs on top of fanOut: a world, and
+// the registry it captures the links and their interest sets from.
+func (f *fanoutFixture) serve(w *virtualworld.World) {
+	f.s.cfg.CheckpointEvery = DefaultCheckpointEvery
+	f.s.world = w
+	f.s.supernodes = make(map[uint32]*supernodeConn)
+	for i, fs := range f.s.fanSNs {
+		fs.sn.interest = fs.interest
+		f.s.supernodes[uint32(i+1)] = fs.sn
+	}
+	f.s.standby = f.standby
+}
+
+// inputTick queues one action the way a connection's read loop does, runs
+// the early tick it asks for and flushes every link.
+func (f *fanoutFixture) inputTick(tb testing.TB, a virtualworld.Action) {
+	f.s.mu.Lock()
+	queued := f.s.queueActionLocked(a)
+	f.s.mu.Unlock()
+	if !queued {
+		tb.Fatal("action refused")
+	}
+	f.s.tickOnce(false)
+	f.flushAll(tb)
+}
+
+func (f *fanoutFixture) flushAll(tb testing.TB) {
 	for _, fs := range f.s.fanSNs {
 		f.flush(tb, fs.sn.link)
 	}
 	if f.standby != nil {
 		f.flush(tb, f.standby)
 	}
-	if drops := f.s.links.queueDrops.Load(); drops != 0 {
-		tb.Fatalf("%d messages dropped at the send queue", drops)
-	}
-	return (f.s.links.updateBits.Load() - before) / 8
 }
 
 func (f *fanoutFixture) flush(tb testing.TB, l *link) {
@@ -211,38 +241,23 @@ func TestTickFanoutSteadyStateAllocs(t *testing.T) {
 	}
 
 	// The same from the intake on: an action is queued and the early tick
-	// it arms steps the world, captures the links from the registry and
+	// it asks for steps the world, captures the links from the registry and
 	// fans out — tickOnce itself. World.Step returns a fresh delta slice by
 	// contract (callers keep batches), and that is the one allocation: the
 	// pending queue is reused from tick to tick.
-	f.s.cfg.CheckpointEvery = DefaultCheckpointEvery
-	f.s.world = virtualworld.New(virtualworld.DefaultWidth, virtualworld.DefaultHeight)
-	f.s.world.SpawnAvatar(1, 100, 100)
-	f.s.supernodes = make(map[uint32]*supernodeConn)
-	for i, fs := range f.s.fanSNs {
-		f.s.supernodes[uint32(i+1)] = fs.sn
-	}
-	f.s.standby = f.standby
+	w := virtualworld.New(virtualworld.DefaultWidth, virtualworld.DefaultHeight)
+	w.SpawnAvatar(1, 100, 100)
+	f.serve(w)
 	tag := uint8(0)
 	inputTick := func() {
 		tag++
-		f.s.mu.Lock()
-		queued := f.s.queueActionLocked(virtualworld.Action{Player: 1, Kind: virtualworld.ActEmote, StateTag: tag})
-		f.s.mu.Unlock()
-		if !queued {
-			t.Fatal("action refused")
-		}
-		f.s.tickOnce(false)
-		for _, fs := range f.s.fanSNs {
-			f.flush(t, fs.sn.link)
-		}
-		f.flush(t, f.standby)
+		f.inputTick(t, virtualworld.Action{Player: 1, Kind: virtualworld.ActEmote, StateTag: tag})
 	}
 	for i := 0; i < 8; i++ {
 		inputTick()
 	}
 	if n := testing.AllocsPerRun(64, inputTick); n != 1 {
-		t.Fatalf("an input-armed tick allocates %.1f/op in steady state, want 1 (Step's result)", n)
+		t.Fatalf("an input tick allocates %.1f/op in steady state, want 1 (Step's result)", n)
 	}
 	if st := f.s.stats; st.InputTicks != st.Ticks || st.Resilience.Checkpoints != 0 {
 		t.Fatalf("%d of %d ticks were input ticks, %d checkpoints; want all and none", st.InputTicks, st.Ticks, st.Resilience.Checkpoints)

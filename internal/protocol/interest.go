@@ -1,6 +1,10 @@
 package protocol
 
-import "cloudfog/internal/virtualworld"
+import (
+	"math"
+
+	"cloudfog/internal/virtualworld"
+)
 
 // This file encodes the interest-management messages of DESIGN.md §14:
 // fogs report their players' AoI footprint upstream (InterestUpdate) and
@@ -102,24 +106,17 @@ func (m CellBatch) Marshal() []byte { return m.AppendTo(nil) }
 // slice; with enough capacity it does not allocate.
 func (m CellBatch) AppendTo(buf []byte) []byte {
 	w := writer{buf: buf}
-	w.u64(m.Epoch)
-	w.u64(m.Tick)
-	w.u32(m.Cell)
+	w.uvarint(m.Epoch)
+	w.uvarint(m.Tick)
+	// Cell+1, wrapping, so that CellNone — every removal and session event
+	// rides it — is the one-byte zero.
+	w.uvarint(uint64(m.Cell + 1))
 	if m.Keyframe {
 		w.u8(1)
 	} else {
 		w.u8(0)
 	}
-	w.u32(uint32(len(m.Deltas)))
-	for _, d := range m.Deltas {
-		w.u32(uint32(d.ID))
-		if d.Removed {
-			w.u8(1)
-		} else {
-			w.u8(0)
-			putEntity(&w, d.Entity)
-		}
-	}
+	appendDeltas(&w, m.Deltas)
 	return w.buf
 }
 
@@ -128,22 +125,10 @@ func (m CellBatch) AppendTo(buf []byte) []byte {
 // error m holds partially decoded data and must not be used.
 func DecodeCellBatch(buf []byte, m *CellBatch) error {
 	r := &reader{buf: buf}
-	m.Epoch = r.u64()
-	m.Tick = r.u64()
-	m.Cell = r.u32()
+	m.Epoch = r.uvarint(math.MaxUint64)
+	m.Tick = r.uvarint(math.MaxUint64)
+	m.Cell = uint32(r.uvarint(math.MaxUint32)) - 1
 	m.Keyframe = r.u8() == 1
-	m.Deltas = m.Deltas[:0]
-	n := int(r.u32())
-	if n > MaxPayload/5 {
-		return ErrTooLarge
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		id := virtualworld.EntityID(r.u32())
-		if r.u8() == 1 {
-			m.Deltas = append(m.Deltas, virtualworld.Delta{ID: id, Removed: true})
-		} else {
-			m.Deltas = append(m.Deltas, virtualworld.Delta{ID: id, Entity: getEntity(r)})
-		}
-	}
+	m.Deltas = readDeltas(r, m.Deltas)
 	return r.finish()
 }

@@ -12,9 +12,10 @@
 //
 //	uint32 payload length | uint8 message type | payload
 //
-// Encoding is hand-rolled big-endian binary (stdlib only, no reflection on
-// the hot paths). Every message type has Marshal/Unmarshal pairs and a
-// round-trip test.
+// Encoding is hand-rolled binary (stdlib only, no reflection on the hot
+// paths): fixed-width big-endian everywhere except the per-tick update
+// batches, whose header and records use varints (delta.go). Every message
+// type has Marshal/Unmarshal pairs and a round-trip test.
 package protocol
 
 import (
@@ -167,6 +168,7 @@ const (
 var (
 	ErrTooLarge  = errors.New("protocol: payload exceeds MaxPayload")
 	ErrTruncated = errors.New("protocol: truncated payload")
+	errVarint    = errors.New("protocol: varint overflows 64 bits")
 )
 
 // WriteMessage frames and writes one message. It costs two Write calls and
@@ -220,6 +222,7 @@ func (w *writer) i32(v int32)  { w.u32(uint32(v)) }
 func (w *writer) f64(v float64) {
 	w.u64(math.Float64bits(v))
 }
+func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *writer) str(s string) {
 	w.u16(uint16(len(s)))
 	w.buf = append(w.buf, s...)
@@ -278,6 +281,27 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
+// uvarint reads one unsigned varint no larger than max. An encoding longer
+// than 64 bits or a value past max poisons the reader like a short read.
+func (r *reader) uvarint(max uint64) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	switch {
+	case n == 0:
+		r.err = ErrTruncated
+	case n < 0:
+		r.err = errVarint
+	case v > max:
+		r.err = fmt.Errorf("protocol: varint %d exceeds its field's range %d", v, max)
+	default:
+		r.off += n
+		return v
+	}
+	return 0
+}
+
 func (r *reader) i32() int32   { return int32(r.u32()) }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *reader) str() string {
@@ -328,7 +352,8 @@ func getEntity(r *reader) virtualworld.Entity {
 	}
 }
 
-// EntityWireBytes is the encoded size of one entity (for Λ accounting).
+// EntityWireBytes is the encoded size of one snapshot entity (welcome and
+// resume replies); update-batch records are variable-width, see delta.go.
 const EntityWireBytes = 4 + 1 + 4 + 8 + 8 + 8 + 2 + 1 + 4
 
 // --- messages ---------------------------------------------------------------
@@ -582,18 +607,9 @@ func (m UpdateBatch) Marshal() []byte { return m.AppendTo(nil) }
 // slice; with enough capacity it does not allocate.
 func (m UpdateBatch) AppendTo(buf []byte) []byte {
 	w := writer{buf: buf}
-	w.u64(m.Epoch)
-	w.u64(m.Tick)
-	w.u32(uint32(len(m.Deltas)))
-	for _, d := range m.Deltas {
-		w.u32(uint32(d.ID))
-		if d.Removed {
-			w.u8(1)
-		} else {
-			w.u8(0)
-			putEntity(&w, d.Entity)
-		}
-	}
+	w.uvarint(m.Epoch)
+	w.uvarint(m.Tick)
+	appendDeltas(&w, m.Deltas)
 	return w.buf
 }
 
@@ -602,21 +618,9 @@ func (m UpdateBatch) AppendTo(buf []byte) []byte {
 // m holds partially decoded data and must not be used.
 func DecodeUpdateBatch(buf []byte, m *UpdateBatch) error {
 	r := &reader{buf: buf}
-	m.Epoch = r.u64()
-	m.Tick = r.u64()
-	m.Deltas = m.Deltas[:0]
-	n := int(r.u32())
-	if n > MaxPayload/5 {
-		return ErrTooLarge
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		id := virtualworld.EntityID(r.u32())
-		if r.u8() == 1 {
-			m.Deltas = append(m.Deltas, virtualworld.Delta{ID: id, Removed: true})
-		} else {
-			m.Deltas = append(m.Deltas, virtualworld.Delta{ID: id, Entity: getEntity(r)})
-		}
-	}
+	m.Epoch = r.uvarint(math.MaxUint64)
+	m.Tick = r.uvarint(math.MaxUint64)
+	m.Deltas = readDeltas(r, m.Deltas)
 	return r.finish()
 }
 

@@ -2,11 +2,13 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -321,10 +323,10 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalRateChange(append(m.Marshal(), 0xEE)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	// A batch claiming absurdly many deltas must fail fast. The count
-	// field sits after the epoch and tick words.
-	huge := UpdateBatch{Tick: 1}.Marshal()
-	huge[16], huge[17], huge[18], huge[19] = 0xFF, 0xFF, 0xFF, 0xFF
+	// A batch claiming absurdly many deltas must fail fast. The count is
+	// the last field of an empty batch's encoding.
+	empty := UpdateBatch{Tick: 1}.Marshal()
+	huge := binary.AppendUvarint(empty[:len(empty)-1], math.MaxUint32)
 	if err := DecodeUpdateBatch(huge, new(UpdateBatch)); err == nil {
 		t.Error("hostile delta count accepted")
 	}
