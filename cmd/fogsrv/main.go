@@ -36,7 +36,7 @@ func main() {
 	dgramAddr := flag.String("dgram-addr", "",
 		"UDP listen address for -transport udp (default: stream host, ephemeral port)")
 	aoi := flag.Bool("aoi", false,
-		"subscribe to the cloud's interest-managed (AoI) update stream: report the cells attached players can see and receive per-cell batches instead of the full world")
+		"subscribe to the cloud's interest-managed (AoI) update stream: name the attached players and receive per-cell batches around their avatars instead of the full world")
 	flag.Parse()
 
 	if *transportFlag != "tcp" && *transportFlag != "udp" {
@@ -99,8 +99,7 @@ func run(name, cloudAddr, addr string, capacity int, frame, dialTimeout, statsEv
 				float64(s.VideoBits)/1000, s.AppliedDeltas, s.StaleDeltas, s.UpdateDecodeErrors,
 				s.Resilience.Reconnects, s.Resilience.Resumes, s.BufferedNow)
 			if aoi {
-				line += fmt.Sprintf(" aoi_cells=%d cell_batches=%d keyframes=%d",
-					s.InterestCells, s.CellBatches, s.KeyframesApplied)
+				line += fmt.Sprintf(" cell_batches=%d keyframes=%d", s.CellBatches, s.KeyframesApplied)
 			}
 			fmt.Println(line)
 		}

@@ -99,9 +99,10 @@ func run(id int, cloudAddr string, gameID int, adapt bool, duration, dialTimeout
 func printStats(player *fognet.PlayerClient, start time.Time) {
 	s := player.Stats()
 	elapsed := time.Since(start).Seconds()
-	fmt.Printf("playercli: %5.1fs frames=%d (%.1f fps) video=%.0f kbps L%d switches=%d errors=%d tick=%d migrations=%d fallbacks=%d stall=%dms qoe=%d dgrams=%d lost=%d stale=%d loss=%.3f\n",
+	fmt.Printf("playercli: %5.1fs frames=%d (%.1f fps) video=%.0f kbps L%d switches=%d errors=%d tick=%d migrations=%d fallbacks=%d stall=%dms qoe=%d dgrams=%d lost=%d stale=%d loss=%.3f buffered=%d rerouted=%d dropped=%d discarded=%d resumes=%d\n",
 		elapsed, s.Frames, float64(s.Frames)/elapsed,
 		float64(s.VideoBits)/elapsed/1000, s.Level, s.RateSwitches, s.DecodeErrors, s.LastTick,
 		s.Migrations, s.FallbackTransitions, s.StallMs, s.QoEReports,
-		s.DatagramFrames, s.DatagramLost, s.DatagramStale, s.LossEWMA)
+		s.DatagramFrames, s.DatagramLost, s.DatagramStale, s.LossEWMA,
+		s.BufferedActions, s.ReroutedActions, s.DroppedActions, s.DiscardedActions, s.CtrlResumes)
 }

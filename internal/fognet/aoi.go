@@ -1,63 +1,89 @@
 package fognet
 
 import (
-	"math/bits"
 	"slices"
-	"sync"
 
 	"cloudfog/internal/protocol"
 	"cloudfog/internal/render"
 	"cloudfog/internal/virtualworld"
 )
 
-// This file is the interest-management (AoI) layer of DESIGN.md §14. The
-// cloud keeps a per-supernode interest set — the grid cells the fog's
-// attached players can see, reported upstream via MsgInterestUpdate — and
-// the tick loop buckets each tick's deltas by grid cell once, encodes
-// each dirty cell once into a refcounted pooled payload, and enqueues it
-// only to the supernodes subscribed to that cell. Fan-out cost becomes
-// O(relevant deltas × subscribers), not O(world × supernodes). Supernodes
-// that never report interest stay on the legacy full-world MsgUpdateBatch
-// stream, so every pre-AoI client keeps working unmodified.
+// This file is the interest-management (AoI) layer of DESIGN.md §14. A fog
+// names its attached players upstream (MsgInterestUpdate); the cloud's tick
+// loop derives each such supernode's interest set — the grid cells around
+// those players' authoritative avatars — in the tick that moves them,
+// buckets the tick's deltas by grid cell once, encodes each dirty cell once
+// into a refcounted pooled payload, and enqueues it only to the supernodes
+// subscribed to that cell. Fan-out cost becomes O(relevant deltas ×
+// subscribers), not O(world × supernodes). Supernodes that never report
+// interest stay on the legacy full-world MsgUpdateBatch stream, so every
+// pre-AoI client keeps working unmodified.
 
-// aoiMargin is the hysteresis margin, in world units, added around a
-// player's viewport when a fog computes its interest footprint. Cells are
-// entered at viewport+margin and only dropped beyond viewport+2×margin, so
-// an avatar oscillating on a cell boundary does not flap its subscription
-// (and the keyframe traffic that comes with re-entry). A constant, not a
-// setting: the cloud widens a reported footprint by the same margin
-// (applyInterest), and the two tiers must agree on it.
+// aoiMargin is the hysteresis margin, in world units, around a player's
+// viewport: the tick loop enters a cell at viewport+margin around the
+// authoritative avatar and drops it only beyond viewport+2×margin, so an
+// avatar oscillating on a cell boundary does not flap its subscription (and
+// the keyframe traffic that comes with re-entry).
 const aoiMargin = 64.0
 
-// --- cloud side: per-supernode interest sets and per-tick bucketing ---------
+// --- the fog's part: naming its players ---------------------------------------
 
-// interestSet is one supernode's cell subscription: a bitmap over the
-// world grid. It is immutable once installed on a supernodeConn (updates
-// swap in a freshly built set under the cloud mutex), so the tick loop
-// may read a captured pointer after releasing the lock.
-type interestSet struct {
-	// gen is the fog-reported generation; updates that do not advance it
-	// are dropped, so a duplicated MsgInterestUpdate can never roll the
-	// subscription back.
-	gen   uint32
-	words []uint64
-	count int
-}
-
-func newInterestSet(gen uint32, numCells int) *interestSet {
-	return &interestSet{gen: gen, words: make([]uint64, (numCells+63)/64)}
-}
-
-func (is *interestSet) add(c uint32) {
-	w := int(c) / 64
-	if w >= len(is.words) {
+// reportInterest names the node's attached players to the cloud, which
+// derives the AoI subscription from their avatars; sent on every
+// (re)connect and attach-set change when cfg.AoI is set. Two sessions may
+// write their reports out of order: the cloud keeps the higher Gen, which
+// is the one built later.
+func (f *FogNode) reportInterest() {
+	if !f.cfg.AoI {
 		return
 	}
-	bit := uint64(1) << (uint(c) % 64)
-	if is.words[w]&bit == 0 {
-		is.words[w] |= bit
-		is.count++
+	f.mu.Lock()
+	conn := f.cloud
+	f.interestGen++
+	iu := protocol.InterestUpdate{Gen: f.interestGen, CellSize: f.replica.Grid().Geom().CellSize,
+		Players: make([]int32, 0, len(f.attached))}
+	for id := range f.attached {
+		iu.Players = append(iu.Players, id)
 	}
+	slices.Sort(iu.Players)
+	f.mu.Unlock()
+	f.cloudWMu.Lock()
+	err := sendInto(conn, f.cfg.WriteTimeout, &f.cloudBuf, protocol.MsgInterestUpdate, &iu)
+	f.cloudWMu.Unlock()
+	if err != nil {
+		return // the update loop's read side will observe the dead conn
+	}
+	f.mu.Lock()
+	f.stats.InterestUpdatesSent++
+	f.mu.Unlock()
+}
+
+// --- the cloud's part: interest sets and per-tick bucketing --------------------
+
+// interestSet is one supernode's cell subscription: a bitmap over the
+// world grid. It is tick-loop state, updated in place: only tickOnce writes
+// it, under mu, so fanOut reads it on the same goroutine after the unlock
+// and everyone else reads it under mu.
+type interestSet struct {
+	words []uint64
+}
+
+func newInterestSet(numCells int) *interestSet {
+	return &interestSet{words: make([]uint64, (numCells+63)/64)}
+}
+
+// add subscribes cell c and reports whether it is new to the set.
+func (is *interestSet) add(c uint32) bool {
+	w := int(c) / 64
+	if w >= len(is.words) {
+		return false
+	}
+	bit := uint64(1) << (uint(c) % 64)
+	if is.words[w]&bit != 0 {
+		return false
+	}
+	is.words[w] |= bit
+	return true
 }
 
 func (is *interestSet) has(c uint32) bool {
@@ -65,14 +91,7 @@ func (is *interestSet) has(c uint32) bool {
 	return w < len(is.words) && is.words[w]&(uint64(1)<<(uint(c)%64)) != 0
 }
 
-// fanSN is the tick loop's capture of one supernode and the interest set
-// it had when the tick started (nil = full-world).
-type fanSN struct {
-	sn       *supernodeConn
-	interest *interestSet
-}
-
-// keyItem is one pending cell-enter keyframe: supernode sn gains cell
+// keyItem is one cell-enter keyframe of this tick: supernode sn gained cell
 // cell, and keyDeltas[off:off+n] holds the cell's full entity state.
 type keyItem struct {
 	sn     *supernodeConn
@@ -213,266 +232,83 @@ func (p *aoiPlan) cellDeltas(i int) (uint32, []virtualworld.Delta) {
 	return r.cell, p.gather
 }
 
-// applyInterest installs a fog's reported AoI footprint on its connection
-// and schedules cell-enter keyframes for every newly gained cell. The
-// reported cell set is widened with the cells around each attached
-// player's authoritative avatar position: a fog that just gained a player
-// may only know a stale position for it (its replica last saw the avatar
-// when the welcome snapshot was cut), and the widening guarantees the
-// avatar's real surroundings flow even before the fog's view catches up.
+// applyInterest records a fog's interest report: the players whose
+// authoritative avatars the tick loop derives the supernode's subscription
+// from, starting with its next tick. A report cut on another grid (cell IDs
+// would map to the wrong rectangles) leaves the supernode on the full-world
+// stream; one that does not advance Gen is a duplicate or was overtaken by a
+// newer one; one from an unregistered supernode is too late.
 func (s *CloudServer) applyInterest(sn *supernodeConn, iu *protocol.InterestUpdate) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	geo := s.world.Grid().Geom()
-	if iu.CellSize != geo.CellSize {
-		// Geometry mismatch: cell IDs would map to the wrong rectangles.
-		// Leave the supernode on the full-world stream.
+	if iu.CellSize != s.world.Grid().Geom().CellSize || iu.Gen <= sn.interestGen || s.supernodes[sn.id] != sn {
 		return
 	}
-	if sn.interest != nil && iu.Gen <= sn.interest.gen {
-		return // duplicate or reordered update
-	}
-	ns := newInterestSet(iu.Gen, geo.NumCells())
-	for _, c := range iu.Cells {
-		ns.add(c)
-	}
-	halfW := render.ViewHalfWidth + aoiMargin
-	halfH := render.ViewHalfHeight + aoiMargin
-	for _, p := range iu.Players {
-		av := s.world.Avatar(int(p))
-		if av == nil {
-			continue
-		}
-		s.aoiCellScratch = geo.AppendCellsInRect(s.aoiCellScratch[:0],
-			av.X-halfW, av.Y-halfH, av.X+halfW, av.Y+halfH)
-		for _, c := range s.aoiCellScratch {
-			ns.add(c)
-		}
-	}
-	// Cell-enter keyframing: a gained cell is seeded with its full entity
-	// state on the next tick, so the fog's partial view of it starts
-	// complete instead of delta-only. The very first interest update
-	// keyframes every subscribed cell — the fog may have resumed with a
-	// replica that drifted while it was away, and a redundant keyframe is
-	// idempotent (entity versions discard stale state).
-	for w, word := range ns.words {
-		var oldw uint64
-		if sn.interest != nil && w < len(sn.interest.words) {
-			oldw = sn.interest.words[w]
-		}
-		added := word &^ oldw
-		for added != 0 {
-			b := bits.TrailingZeros64(added)
-			added &^= uint64(1) << b
-			sn.pendingKey = append(sn.pendingKey, uint32(w*64+b))
-		}
-	}
-	sn.interest = ns
+	sn.players = append(sn.players[:0], iu.Players...)
+	sn.interestGen = iu.Gen
 	s.stats.InterestUpdates++
 }
 
-// appendCellStateLocked appends a keyframe's payload — one delta per
-// entity currently in cell c, sorted by ID — to dst. Caller holds mu.
-func (s *CloudServer) appendCellStateLocked(dst []virtualworld.Delta, c uint32) []virtualworld.Delta {
+// recomputeInterestLocked is where every AoI subscription is decided: from
+// the authoritative avatars of sn's listed players, right after every Step.
+// A cell enters at viewport+aoiMargin around an avatar and stays while it
+// overlaps viewport+2×aoiMargin around one; every gained cell is keyframed
+// in this same tick. The first recompute gains every cell — a resumed fog's
+// replica may have drifted while it was away, and a redundant keyframe is
+// idempotent. The cost is a few cell-rect walks per listed player, well
+// under a microsecond each (DESIGN.md §14). Caller holds mu.
+func (s *CloudServer) recomputeInterestLocked(sn *supernodeConn, geo virtualworld.GridGeom) {
+	is := sn.interest
+	if is == nil {
+		is = newInterestSet(geo.NumCells())
+		sn.interest = is
+	}
+	if len(s.aoiKeep) != len(is.words) {
+		s.aoiKeep = make([]uint64, len(is.words))
+	} else {
+		clear(s.aoiKeep)
+	}
+	for _, p := range sn.players {
+		for _, c := range s.viewCellsLocked(geo, p, 2*aoiMargin) {
+			s.aoiKeep[c/64] |= 1 << (c % 64)
+		}
+	}
+	for w := range is.words {
+		is.words[w] &= s.aoiKeep[w]
+	}
+	for _, p := range sn.players {
+		for _, c := range s.viewCellsLocked(geo, p, aoiMargin) {
+			if is.add(c) {
+				s.keyframeLocked(sn, c)
+			}
+		}
+	}
+}
+
+// viewCellsLocked lists the cells a player's viewport grown by margin
+// covers around its authoritative avatar — none without an avatar — in
+// scratch the next call reuses. Caller holds mu.
+func (s *CloudServer) viewCellsLocked(geo virtualworld.GridGeom, player int32, margin float64) []uint32 {
+	s.aoiCellScratch = s.aoiCellScratch[:0]
+	if av := s.world.Avatar(int(player)); av != nil {
+		hw, hh := render.ViewHalfWidth+margin, render.ViewHalfHeight+margin
+		s.aoiCellScratch = geo.AppendCellsInRect(s.aoiCellScratch, av.X-hw, av.Y-hh, av.X+hw, av.Y+hh)
+	}
+	return s.aoiCellScratch
+}
+
+// keyframeLocked schedules a cell-enter keyframe for this tick's fan-out:
+// the cell's full post-Step entity population, sorted by ID, so the fog's
+// partial view of the cell starts complete instead of delta-only. Caller
+// holds mu.
+func (s *CloudServer) keyframeLocked(sn *supernodeConn, c uint32) {
+	off := int32(len(s.keyDeltas))
 	s.aoiIDScratch = s.world.Grid().AppendCell(s.aoiIDScratch[:0], c)
 	for _, id := range s.aoiIDScratch {
 		if e := s.world.Entity(id); e != nil {
-			dst = append(dst, virtualworld.Delta{ID: id, Entity: *e})
+			s.keyDeltas = append(s.keyDeltas, virtualworld.Delta{ID: id, Entity: *e})
 		}
 	}
-	return dst
-}
-
-// --- fog side: footprint computation with hysteresis ------------------------
-
-// fogInterest tracks the cells a fog node subscribes to. Field access
-// follows a two-lock discipline: state is mutated only while holding BOTH
-// sendMu and the node mutex (compute runs under the node mutex inside a
-// sendMu section), so holders of either lock may read it consistently —
-// Stats reads under the node mutex, the send path reads after releasing
-// it while still inside sendMu.
-type fogInterest struct {
-	// sendMu serializes whole refresh operations (recompute + send).
-	sendMu sync.Mutex
-	geo    virtualworld.GridGeom
-	ready  bool
-	gen    uint32
-	// cells/words are the current subscription (ascending list + bitmap).
-	cells []uint32
-	words []uint64
-	// players is the attached-player list sent with the last update.
-	players []int32
-	// lastTick/dirty gate recomputation: once per applied replica tick,
-	// or immediately when the attach set changes. sentOnce is whether any
-	// report reached the current cloud connection.
-	lastTick uint64
-	dirty    bool
-	sentOnce bool
-	// enterWords/keepWords/newCells/cellScratch are compute scratch;
-	// buf is the wire-encode scratch used under the cloud-write mutex.
-	enterWords  []uint64
-	keepWords   []uint64
-	newCells    []uint32
-	cellScratch []uint32
-	buf         []byte
-}
-
-// resetInterestLocked (re)arms the AoI tracker against a freshly seeded
-// replica: geometry from the replica's own grid, empty current
-// subscription (a new cloud connection starts unsubscribed), and a forced
-// recompute. Caller holds f.mu; the next refreshInterest sends.
-func (f *FogNode) resetInterestLocked() {
-	ai := f.aoi
-	if ai == nil {
-		return
-	}
-	ai.geo = f.replica.Grid().Geom()
-	ai.ready = true
-	ai.cells = ai.cells[:0]
-	for i := range ai.words {
-		ai.words[i] = 0
-	}
-	ai.dirty = true
-	ai.sentOnce = false
-}
-
-// computeInterestLocked recomputes the footprint from the replica's view
-// of the attached players' avatars, with enter/keep hysteresis: a cell is
-// entered when it overlaps a player's viewport grown by margin, and a
-// currently held cell is kept while it still overlaps the viewport grown
-// by 2×margin. Returns whether the subscription changed. Caller holds
-// f.mu (and, transitively, ai's sendMu — see refreshInterest).
-func (f *FogNode) computeInterestLocked() bool {
-	ai := f.aoi
-	nw := (ai.geo.NumCells() + 63) / 64
-	if len(ai.enterWords) != nw {
-		ai.enterWords = make([]uint64, nw)
-		ai.keepWords = make([]uint64, nw)
-	}
-	for i := 0; i < nw; i++ {
-		ai.enterWords[i] = 0
-		ai.keepWords[i] = 0
-	}
-	if len(ai.words) != nw {
-		ai.words = append(ai.words[:0], make([]uint64, nw)...)
-	}
-	ai.players = ai.players[:0]
-	for id := range f.attached {
-		ai.players = append(ai.players, id)
-	}
-	slices.Sort(ai.players)
-	enterW := render.ViewHalfWidth + aoiMargin
-	enterH := render.ViewHalfHeight + aoiMargin
-	keepW := render.ViewHalfWidth + 2*aoiMargin
-	keepH := render.ViewHalfHeight + 2*aoiMargin
-	mark := func(words []uint64, x, y, hw, hh float64) {
-		ai.cellScratch = ai.geo.AppendCellsInRect(ai.cellScratch[:0], x-hw, y-hh, x+hw, y+hh)
-		for _, c := range ai.cellScratch {
-			words[int(c)/64] |= uint64(1) << (uint(c) % 64)
-		}
-	}
-	for _, id := range ai.players {
-		x, y, ok := f.replica.AvatarPos(int(id))
-		if !ok {
-			// The avatar is not in the replica yet (spawn event still in
-			// flight — those are broadcast, so it will arrive). The cloud
-			// widens the set server-side from the player list meanwhile.
-			continue
-		}
-		mark(ai.enterWords, x, y, enterW, enterH)
-		mark(ai.keepWords, x, y, keepW, keepH)
-	}
-	changed := false
-	ai.newCells = ai.newCells[:0]
-	for w := 0; w < nw; w++ {
-		nword := ai.enterWords[w] | (ai.words[w] & ai.keepWords[w])
-		if nword != ai.words[w] {
-			changed = true
-		}
-		ai.enterWords[w] = nword
-		for word := nword; word != 0; {
-			b := bits.TrailingZeros64(word)
-			word &^= uint64(1) << b
-			ai.newCells = append(ai.newCells, uint32(w*64+b))
-		}
-	}
-	if !changed {
-		return false
-	}
-	ai.words, ai.enterWords = ai.enterWords, ai.words
-	ai.cells, ai.newCells = ai.newCells, ai.cells
-	ai.gen++
-	return true
-}
-
-// interestDirty marks the footprint stale (the attach set changed) so the
-// next refreshInterest recomputes regardless of replica tick. f.aoi is
-// set once before the node's goroutines start, so the nil check needs no
-// lock.
-func (f *FogNode) interestDirty() {
-	if f.aoi == nil {
-		return
-	}
-	f.mu.Lock()
-	f.aoi.dirty = true
-	f.mu.Unlock()
-}
-
-// refreshInterest recomputes the AoI footprint and, when it changed (or
-// was never reported on this connection), sends it upstream. Throttled to
-// once per applied replica tick unless the attach set is dirty. Safe for
-// concurrent callers (update loop and player sessions): sendMu serializes
-// the whole recompute+send, so the cells/players slices the encoder reads
-// after the node mutex is released cannot be swapped underneath it.
-func (f *FogNode) refreshInterest() {
-	ai := f.aoi
-	if ai == nil {
-		return
-	}
-	ai.sendMu.Lock()
-	defer ai.sendMu.Unlock()
-	f.mu.Lock()
-	conn := f.cloud
-	if !ai.ready || conn == nil {
-		f.mu.Unlock()
-		return
-	}
-	tick := f.replica.Tick()
-	if ai.sentOnce && !ai.dirty && tick == ai.lastTick {
-		f.mu.Unlock()
-		return
-	}
-	ai.dirty = false
-	ai.lastTick = tick
-	changed := f.computeInterestLocked()
-	if !changed && ai.sentOnce {
-		f.mu.Unlock()
-		return
-	}
-	if !changed {
-		// First report on this connection, even if the footprint is empty:
-		// it moves the supernode off the full-world stream. The generation
-		// still has to advance for the cloud to accept it.
-		ai.gen++
-	}
-	f.mu.Unlock()
-	iu := protocol.InterestUpdate{Gen: ai.gen, CellSize: ai.geo.CellSize,
-		Players: ai.players, Cells: ai.cells}
-	// The update shares the connection with heartbeat acks and forwarded
-	// actions; one writer at a time.
-	f.cloudWMu.Lock()
-	werr := sendInto(conn, f.cfg.WriteTimeout, &ai.buf, protocol.MsgInterestUpdate, &iu)
-	f.cloudWMu.Unlock()
-	if werr != nil {
-		return // the update loop's read side will observe the dead conn
-	}
-	f.noteInterestSent(ai)
-}
-
-// noteInterestSent records a successfully shipped interest report.
-func (f *FogNode) noteInterestSent(ai *fogInterest) {
-	f.mu.Lock()
-	ai.sentOnce = true
-	f.stats.InterestUpdatesSent++
-	f.mu.Unlock()
+	s.keyPlan = append(s.keyPlan, keyItem{sn: sn, cell: c, off: off, n: int32(len(s.keyDeltas)) - off})
+	s.stats.KeyframeCells++
 }

@@ -32,7 +32,7 @@ func newAoIFanoutFixture(total, visible int, world float64, aoi bool) *fanoutFix
 		if !aoi {
 			continue
 		}
-		sets[i] = newInterestSet(1, geo.NumCells())
+		sets[i] = newInterestSet(geo.NumCells())
 		cells = geo.AppendCellsInRect(cells[:0],
 			players[i].x-halfW, players[i].y-halfH, players[i].x+halfW, players[i].y+halfH)
 		for _, c := range cells {
@@ -122,7 +122,7 @@ func TestAoIFanoutSteadyStateAllocs(t *testing.T) {
 	quiet.deltas = append(quiet.deltas, virtualworld.Delta{ID: 1 << 20, Removed: true})
 	first := quiet.deltas[0].Entity
 	quiet.s.keyDeltas = quiet.deltas[:1]
-	quiet.s.keyPlan = []keyItem{{sn: quiet.s.fanSNs[0].sn, cell: quiet.geo.CellOf(first.X, first.Y), off: 0, n: 1}}
+	quiet.s.keyPlan = []keyItem{{sn: quiet.s.fanSNs[0], cell: quiet.geo.CellOf(first.X, first.Y), off: 0, n: 1}}
 	for _, f := range []*fanoutFixture{busy, quiet} {
 		// Convergence needs more warm-up than the single-payload fan-out
 		// test: the cycle keeps ~one pooled buffer per dirty cell, and

@@ -1,13 +1,17 @@
 package fognet
 
 import (
+	"maps"
 	"math"
+	"math/bits"
+	"net"
 	"testing"
 	"time"
 
 	"cloudfog/internal/faultnet"
 	"cloudfog/internal/game"
 	"cloudfog/internal/protocol"
+	"cloudfog/internal/render"
 	"cloudfog/internal/rng"
 	"cloudfog/internal/virtualworld"
 )
@@ -29,8 +33,31 @@ func startAoIFog(t *testing.T, cloud *CloudServer, name string, capacity int) *F
 	return fog
 }
 
+// subscribed is how many cells is holds.
+func subscribed(is *interestSet) int {
+	n := 0
+	for _, w := range is.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// cloudInterestCells is how many cells the cloud's interest sets hold, over
+// every supernode.
+func cloudInterestCells(c *CloudServer) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, sn := range c.supernodes {
+		if sn.interest != nil {
+			n += subscribed(sn.interest)
+		}
+	}
+	return n
+}
+
 // TestAoIEndToEndStreaming runs the full loop over the interest-managed
-// stream: the fog reports its footprint, the cloud switches it to per-cell
+// stream: the fog names its player, the cloud switches it to per-cell
 // batches (with a keyframe per gained cell), and the player still gets
 // frames that track the world.
 func TestAoIEndToEndStreaming(t *testing.T) {
@@ -63,8 +90,8 @@ func TestAoIEndToEndStreaming(t *testing.T) {
 	if fs.InterestUpdatesSent == 0 {
 		t.Error("no interest updates sent")
 	}
-	if fs.InterestCells == 0 {
-		t.Error("empty footprint with an attached player")
+	if cloudInterestCells(cloud) == 0 {
+		t.Error("empty interest set with an attached player")
 	}
 	if fs.CellBatches == 0 {
 		t.Error("no cell batches applied")
@@ -228,9 +255,9 @@ func FuzzAoIPartitionParity(f *testing.F) {
 }
 
 // TestAoIInterestSurvivesBlackhole is the chaos case: the fog's cloud link
-// blackholes mid-session while the player keeps moving, so the footprint
-// the cloud holds goes stale and interest updates vanish in flight. After
-// the fog reconnects, AoI must rearm from scratch — fresh report, fresh
+// blackholes mid-session while the player keeps moving, so the cell
+// batches of the cells the avatar walks into vanish in flight. After the
+// fog reconnects, AoI must rearm from scratch — fresh report, fresh
 // keyframes — and the replica must converge back to the authoritative
 // avatar position instead of serving stale-cell state.
 func TestAoIInterestSurvivesBlackhole(t *testing.T) {
@@ -262,11 +289,11 @@ func TestAoIInterestSurvivesBlackhole(t *testing.T) {
 	}
 	defer player.Close()
 	waitFor(t, 5*time.Second, "streaming with a footprint", func() bool {
-		fs := fog.Stats()
-		return fs.InterestCells > 0 && fs.KeyframesApplied > 0 && player.Stats().Frames > 3
+		return cloudInterestCells(cloud) > 0 && fog.Stats().KeyframesApplied > 0 && player.Stats().Frames > 3
 	})
 	sentBefore := fog.Stats().InterestUpdatesSent
 	keyframesBefore := fog.Stats().KeyframesApplied
+	keyCellsBefore := cloud.Stats().KeyframeCells
 
 	// Blackhole the fog↔cloud link. The player keeps acting (its control
 	// connection is separate), so the authoritative avatar walks away from
@@ -285,7 +312,8 @@ func TestAoIInterestSurvivesBlackhole(t *testing.T) {
 		fs := fog.Stats()
 		return fs.Resilience.Reconnects >= 1 &&
 			fs.InterestUpdatesSent > sentBefore &&
-			fs.KeyframesApplied > keyframesBefore
+			fs.KeyframesApplied > keyframesBefore &&
+			cloudInterestCells(cloud) > 0 && cloud.Stats().KeyframeCells > keyCellsBefore
 	})
 	// No stale-cell state reaches the player: the replica's avatar view
 	// reconverges to the authoritative position.
@@ -337,5 +365,193 @@ func TestAoIBackCompat(t *testing.T) {
 	// batches, so its applied-delta counter keeps climbing.
 	if ls.AppliedDeltas == 0 {
 		t.Error("legacy fog applied nothing")
+	}
+}
+
+// startInterestSink registers a supernode at the protocol level, names
+// players in one interest report, and from then on only reads: it returns
+// every cell batch it receives, in order.
+func startInterestSink(t *testing.T, cloud *CloudServer, players ...int32) <-chan protocol.CellBatch {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", cloud.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	hello := protocol.SupernodeHello{Name: "aoi-sink", Capacity: 1, StreamAddr: "127.0.0.1:1"}
+	if err := protocol.WriteMessage(conn, protocol.MsgSupernodeHello, hello.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	fr := protocol.NewFrameReader(conn)
+	if typ, _, err := fr.Next(); err != nil || typ != protocol.MsgSupernodeWelcome {
+		t.Fatalf("welcome: type %d, err %v", typ, err)
+	}
+	iu := protocol.InterestUpdate{Gen: 1, CellSize: virtualworld.DefaultCellSize, Players: players}
+	if err := protocol.WriteMessage(conn, protocol.MsgInterestUpdate, iu.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan protocol.CellBatch, 4096) // every batch a test can produce: the reader never blocks
+	go func() {
+		defer close(out)
+		for {
+			typ, payload, err := fr.Next()
+			if err != nil {
+				return // closed by the cleanup
+			}
+			if typ != protocol.MsgCellBatch {
+				continue
+			}
+			var cb protocol.CellBatch
+			if err := protocol.DecodeCellBatch(payload, &cb); err != nil {
+				t.Errorf("cell batch does not decode: %v", err)
+				return
+			}
+			out <- cb
+		}
+	}()
+	return out
+}
+
+// TestInterestFollowsAvatarWithoutReports pins where interest is decided: a
+// supernode names its player once, and from then on the cloud's tick loop
+// moves the subscription with the authoritative avatar. Every cell that
+// comes within viewport + margin of it arrives as a keyframe stamped with
+// the tick of the move that brought it into range, and no other does.
+func TestInterestFollowsAvatarWithoutReports(t *testing.T) {
+	const id, y = 7, 500.0
+	cloud := startPacedCloud(t, 50*time.Millisecond)
+	player, _ := joinRaw(t, cloud, id, 200, y)
+	sink := startInterestSink(t, cloud, id)
+
+	keyed := make(map[uint32]uint64)      // cell → tick of its keyframe
+	avatar := make(map[uint64]float64)    // tick → the avatar's x in it
+	var last virtualworld.Entity          // the avatar as last seen
+	awaitAvatar := func(version uint32) { // reads batches until the avatar reaches version
+		for last.Version < version {
+			var cb protocol.CellBatch
+			select {
+			case b, ok := <-sink:
+				if !ok {
+					t.Fatal("sink closed")
+				}
+				cb = b
+			case <-time.After(5 * time.Second):
+				t.Fatalf("no cell batch carries avatar version %d (last %+v)", version, last)
+			}
+			if cb.Keyframe {
+				if tick, dup := keyed[cb.Cell]; dup {
+					t.Errorf("cell %d keyframed in tick %d and again in %d", cb.Cell, tick, cb.Tick)
+				}
+				keyed[cb.Cell] = cb.Tick
+			}
+			for _, d := range cb.Deltas {
+				if e := d.Entity; !d.Removed && e.Kind == virtualworld.KindAvatar && e.Owner == id {
+					avatar[cb.Tick], last = e.X, e
+				}
+			}
+		}
+	}
+	awaitAvatar(1) // the report's keyframes carry it
+	for step := 0; step < 40; step++ {
+		move := protocol.ActionMsg{Action: virtualworld.Action{Player: id, Kind: virtualworld.ActMove, TargetX: 1000, TargetY: y}}
+		if err := protocol.WriteMessage(player.conn, protocol.MsgAction, move.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		awaitAvatar(last.Version + 1)
+	}
+
+	// A straight walk never re-enters a cell, so a cell is gained in the
+	// first tick whose enter rect around the avatar covers it.
+	geo := virtualworld.Geometry(virtualworld.DefaultWidth, virtualworld.DefaultHeight, virtualworld.DefaultCellSize)
+	want := make(map[uint32]uint64)
+	visited := make(map[uint32]bool)
+	for tick, x := range avatar {
+		visited[geo.CellOf(x, y)] = true
+		hw, hh := render.ViewHalfWidth+aoiMargin, render.ViewHalfHeight+aoiMargin
+		for _, c := range geo.AppendCellsInRect(nil, x-hw, y-hh, x+hw, y+hh) {
+			if first, seen := want[c]; !seen || tick < first {
+				want[c] = tick
+			}
+		}
+	}
+	if len(visited) < 5 {
+		t.Fatalf("the avatar walked through %d cells, want at least 5", len(visited))
+	}
+	if !maps.Equal(keyed, want) {
+		t.Errorf("keyframes (cell → tick) %v, want %v", keyed, want)
+	}
+	if n := cloud.Stats().InterestUpdates; n != 1 {
+		t.Errorf("the cloud accepted %d interest reports, want the one", n)
+	}
+}
+
+// TestInterestHysteresis pins the enter/keep rule on the tick path: an
+// avatar oscillating ±aoiMargin/2 around a cell boundary keyframes each
+// cell at its first entry only; walking past viewport + 2×margin drops a
+// cell, and walking back keyframes it exactly once more.
+func TestInterestHysteresis(t *testing.T) {
+	const y, mid = 512.0, 320.0 // mid is a cell boundary
+	w := virtualworld.New(virtualworld.DefaultWidth, virtualworld.DefaultHeight)
+	w.SpawnAvatar(1, mid-aoiMargin/2, y)
+	geo := w.Grid().Geom()
+	f := newFanoutFixture(geo, nil, []*interestSet{nil})
+	f.serve(w)
+	sn := f.report(t, 0, 1, 1)
+	keyed := make(map[uint32]int) // cell → keyframes sent
+	count := func() {
+		for _, k := range f.s.keyPlan {
+			keyed[k.cell]++
+		}
+	}
+	f.s.tickOnce(true) // the report's tick: every cell in range is gained
+	f.flushAll(t)
+	count()
+	if len(keyed) == 0 || sn.interest == nil {
+		t.Fatal("the report gained no cell")
+	}
+	step := func(x float64) {
+		f.inputTick(t, virtualworld.Action{Player: 1, Kind: virtualworld.ActMove, TargetX: x, TargetY: y})
+		count()
+	}
+
+	target, grewAt := mid+aoiMargin/2, -1
+	for i := 0; i < 40; i++ {
+		before := f.s.stats.KeyframeCells
+		step(target)
+		if f.s.stats.KeyframeCells != before {
+			if i >= 8 { // the first swing takes 8 ticks of MoveSpeed
+				t.Errorf("tick %d of the oscillation keyframed %d cells after the first swing", i, f.s.stats.KeyframeCells-before)
+			}
+			grewAt = i
+		}
+		if w.Avatar(1).X == target {
+			target = 2*mid - target
+		}
+	}
+	if grewAt < 0 {
+		t.Error("the oscillation never entered a new cell")
+	}
+	for c, n := range keyed {
+		if n != 1 {
+			t.Errorf("cell %d keyframed %d times while oscillating", c, n)
+		}
+	}
+
+	walkTo := func(x float64) {
+		for i := 0; w.Avatar(1).X != x; i++ {
+			if i == 100 {
+				t.Fatalf("avatar stuck at x=%v on its way to %v", w.Avatar(1).X, x)
+			}
+			step(x)
+		}
+	}
+	left := geo.CellOf(mid-3*aoiMargin-1, y) // held at both ends of the swing, by keep only at the far one
+	walkTo(600)
+	if sn.interest.has(left) {
+		t.Errorf("cell %d still subscribed beyond viewport + 2×margin", left)
+	}
+	walkTo(mid - aoiMargin/2)
+	if !sn.interest.has(left) || keyed[left] != 2 {
+		t.Errorf("cell %d: subscribed %v after walking back, keyframed %d times, want true and 2", left, sn.interest.has(left), keyed[left])
 	}
 }

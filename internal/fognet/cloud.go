@@ -190,16 +190,17 @@ type CloudServer struct {
 	// logEntry is the delta-log encode scratch; only the tick loop
 	// touches it.
 	logEntry checkpoint.LogEntry
-	// AoI fan-out state. aoi buckets each tick's deltas by grid cell;
-	// fanSNs, keyPlan, and keyDeltas are tick-loop capture/keyframe
-	// scratch, all reused across ticks so the steady-state fan-out
-	// allocates nothing. aoiIDScratch/aoiCellScratch back the keyframe
-	// and interest-widening lookups. Only keyframe gathering and the
-	// interest counters run under mu; the rest is tick-loop-owned.
+	// AoI fan-out state, all tick-loop-owned and reused across ticks so
+	// the steady-state fan-out allocates nothing. aoi buckets each tick's
+	// deltas by grid cell; fanSNs, keyPlan and keyDeltas are the capture
+	// and keyframes tickOnce builds under mu and fanOut reads after it;
+	// aoiKeep, aoiIDScratch and aoiCellScratch back the interest
+	// recompute and keyframe lookups.
 	aoi            aoiPlan
-	fanSNs         []fanSN
+	fanSNs         []*supernodeConn
 	keyPlan        []keyItem
 	keyDeltas      []virtualworld.Delta
+	aoiKeep        []uint64
 	aoiIDScratch   []virtualworld.EntityID
 	aoiCellScratch []uint32
 
@@ -463,7 +464,8 @@ type CloudStats struct {
 	// AoISupernodes is how many of them run interest-managed (cell-batch)
 	// streams; the rest get the legacy full-world stream.
 	AoISupernodes int
-	// InterestUpdates counts accepted AoI subscription changes.
+	// InterestUpdates counts accepted AoI interest reports: one per fog
+	// (re)connect and per attach or detach.
 	InterestUpdates int64
 	// KeyframeCells counts cell-enter keyframes sent.
 	KeyframeCells int64
@@ -476,11 +478,6 @@ type CloudStats struct {
 	FallbackBits int64
 	// FallbackPlayers is the number of live cloud-streamed sessions.
 	FallbackPlayers int
-	// FallbackFrames is the total frames the cloud rendered itself, and
-	// FallbackFullEncodes how many of them were encoded with every tile
-	// dirty (FogStats.FullEncodes, for the fallback stream).
-	FallbackFrames      int64
-	FallbackFullEncodes int64
 	// Resilience groups the failure-handling counters.
 	Resilience CloudResilience
 }

@@ -25,13 +25,16 @@ type supernodeConn struct {
 	// lastAttached is the player count from the latest heartbeat ack — the
 	// load the ladder ranking sorts by.
 	lastAttached int
-	// interest is the supernode's AoI cell subscription, nil until the fog
-	// reports one (nil = full-world stream). The set itself is immutable;
-	// updates swap the pointer.
+	// players and interestGen are the latest accepted interest report (Gen
+	// counts a fog's reports from 1, so 0 means the supernode never reported
+	// and stays on the full-world stream).
+	players     []int32
+	interestGen uint32
+	// interest is the supernode's AoI cell subscription, nil until a tick
+	// has recomputed it after the first report (nil = full-world stream).
+	// Only the tick loop writes it, in place, under mu; fanOut reads it on
+	// that goroutine after the unlock.
 	interest *interestSet
-	// pendingKey lists cells gained by the latest interest update, each
-	// owed a full-state keyframe on the next tick.
-	pendingKey []uint32
 }
 
 // handleConn reads the first message under the handshake deadline — a
@@ -236,13 +239,9 @@ func (c cloudFallback) unclaim(int32) {
 	c.s.mu.Unlock()
 }
 
-func (c cloudFallback) addFrame(bits int, fullEncode bool) {
+func (c cloudFallback) addFrame(bits int, _ bool) {
 	c.s.mu.Lock()
 	c.s.stats.FallbackBits += int64(bits)
-	c.s.stats.FallbackFrames++
-	if fullEncode {
-		c.s.stats.FallbackFullEncodes++
-	}
 	c.s.mu.Unlock()
 }
 

@@ -120,26 +120,18 @@ func (s *CloudServer) tickOnce(metronome bool) {
 	tick := s.world.Tick()
 	nextID := s.world.NextID()
 	geo := s.world.Grid().Geom()
-	// Capture the fan-out targets and each one's interest set into the
-	// reused scratch: after the unlock the tick loop reads only this
-	// capture (interest sets are immutable once installed).
-	s.fanSNs = s.fanSNs[:0]
-	for _, sn := range s.supernodes {
-		s.fanSNs = append(s.fanSNs, fanSN{sn: sn, interest: sn.interest})
-	}
-	// Gather pending cell-enter keyframes while the lock is held: the
-	// payload is the cell's current (post-Step) entity population, read
-	// straight off the world grid.
+	// Recompute the interest set of every supernode that reported interest
+	// from the post-Step world; each gained cell's keyframe joins this tick.
+	// Then capture the fan-out targets into the reused scratch that fanOut
+	// reads after the unlock.
 	s.keyPlan = s.keyPlan[:0]
 	s.keyDeltas = s.keyDeltas[:0]
-	for _, f := range s.fanSNs {
-		for _, c := range f.sn.pendingKey {
-			off := int32(len(s.keyDeltas))
-			s.keyDeltas = s.appendCellStateLocked(s.keyDeltas, c)
-			s.keyPlan = append(s.keyPlan, keyItem{sn: f.sn, cell: c, off: off, n: int32(len(s.keyDeltas)) - off})
-			s.stats.KeyframeCells++
+	s.fanSNs = s.fanSNs[:0]
+	for _, sn := range s.supernodes {
+		if sn.interestGen > 0 {
+			s.recomputeInterestLocked(sn, geo)
 		}
-		f.sn.pendingKey = f.sn.pendingKey[:0]
+		s.fanSNs = append(s.fanSNs, sn)
 	}
 	standby := s.standby
 	var ckpt *sharedPayload
@@ -156,7 +148,7 @@ func (s *CloudServer) tickOnce(metronome bool) {
 }
 
 // fanOut is the half of a tick that runs after the unlock: it encodes what
-// tickOnce captured — the standby's log entry and checkpoint, the pending
+// tickOnce captured — the standby's log entry and checkpoint, the tick's
 // cell keyframes in keyPlan/keyDeltas, then the tick's deltas as one
 // full-world batch for legacy supernodes and per-cell batches for the AoI
 // ones in fanSNs — and enqueues each payload to its recipients. It reads
@@ -195,8 +187,8 @@ func (s *CloudServer) fanOut(tick uint64, nextID virtualworld.EntityID, geo virt
 		return
 	}
 	aoiCount := 0
-	for _, f := range s.fanSNs {
-		if f.interest != nil {
+	for _, sn := range s.fanSNs {
+		if sn.interest != nil {
 			aoiCount++
 		}
 	}
@@ -207,11 +199,11 @@ func (s *CloudServer) fanOut(tick uint64, nextID virtualworld.EntityID, geo virt
 		batch := protocol.UpdateBatch{Epoch: s.epoch, Tick: tick, Deltas: deltas}
 		sp := newSharedPayload(n)
 		sp.buf.B = batch.AppendTo(sp.buf.B[:0])
-		for _, f := range s.fanSNs {
-			if f.interest != nil {
+		for _, sn := range s.fanSNs {
+			if sn.interest != nil {
 				continue
 			}
-			f.sn.enqueue(outMsg{typ: protocol.MsgUpdateBatch, payload: sp.buf.B, shared: sp})
+			sn.enqueue(outMsg{typ: protocol.MsgUpdateBatch, payload: sp.buf.B, shared: sp})
 		}
 	}
 	if aoiCount == 0 {
@@ -229,17 +221,17 @@ func (s *CloudServer) fanOut(tick uint64, nextID virtualworld.EntityID, geo virt
 			Cell: virtualworld.CellNone, Deltas: s.aoi.global}
 		sp := newSharedPayload(aoiCount)
 		sp.buf.B = gb.AppendTo(sp.buf.B[:0])
-		for _, f := range s.fanSNs {
-			if f.interest != nil {
-				f.sn.enqueue(outMsg{typ: protocol.MsgCellBatch, payload: sp.buf.B, shared: sp})
+		for _, sn := range s.fanSNs {
+			if sn.interest != nil {
+				sn.enqueue(outMsg{typ: protocol.MsgCellBatch, payload: sp.buf.B, shared: sp})
 			}
 		}
 	}
 	for i := 0; i < s.aoi.numDirty(); i++ {
 		cell := s.aoi.cell(i)
 		subs := 0
-		for _, f := range s.fanSNs {
-			if f.interest != nil && f.interest.has(cell) {
+		for _, sn := range s.fanSNs {
+			if sn.interest != nil && sn.interest.has(cell) {
 				subs++
 			}
 		}
@@ -250,9 +242,9 @@ func (s *CloudServer) fanOut(tick uint64, nextID virtualworld.EntityID, geo virt
 		cb := protocol.CellBatch{Epoch: s.epoch, Tick: tick, Cell: cell, Deltas: cd}
 		sp := newSharedPayload(subs)
 		sp.buf.B = cb.AppendTo(sp.buf.B[:0])
-		for _, f := range s.fanSNs {
-			if f.interest != nil && f.interest.has(cell) {
-				f.sn.enqueue(outMsg{typ: protocol.MsgCellBatch, payload: sp.buf.B, shared: sp})
+		for _, sn := range s.fanSNs {
+			if sn.interest != nil && sn.interest.has(cell) {
+				sn.enqueue(outMsg{typ: protocol.MsgCellBatch, payload: sp.buf.B, shared: sp})
 			}
 		}
 	}

@@ -68,11 +68,11 @@ type FogConfig struct {
 	// WrapDatagram, when set, wraps the UDP socket — the faultnet
 	// injection point for lossy-path chaos tests.
 	WrapDatagram transport.WrapDatagramFunc
-	// AoI enables interest management: the node reports the grid cells
-	// its attached players can see (plus a hysteresis margin) and the
-	// cloud sends per-cell batches for just those cells instead of the
-	// full-world update stream. Off by default — a node that never
-	// reports interest behaves exactly as before.
+	// AoI enables interest management: the node names its attached
+	// players to the cloud, which sends per-cell batches for just the
+	// cells around their avatars instead of the full-world update stream.
+	// Off by default — a node that never reports interest behaves exactly
+	// as before.
 	AoI bool
 }
 
@@ -124,15 +124,12 @@ type FogNode struct {
 	replica  *virtualworld.Replica
 	attached map[int32]struct{} // guarded by mu
 	// stats is the storage of the counters Stats reports; the replica,
-	// attach-set, AoI and datagram figures are filled in at snapshot
-	// time. Its Epoch is live state too: the authority epoch of the
-	// cloud currently followed.
+	// attach-set and datagram figures are filled in at snapshot time. Its
+	// Epoch is live state too: the authority epoch of the cloud currently
+	// followed.
 	stats FogStats // guarded by mu
-	// aoi is the interest-management tracker, nil unless cfg.AoI. The
-	// pointer itself is immutable — set before the node's goroutines
-	// start — so nil checks need no lock; its mutable fields have their
-	// own locking discipline (see fogInterest).
-	aoi *fogInterest
+	// interestGen numbers the interest reports (reportInterest).
+	interestGen uint32 // guarded by mu
 
 	// The failover view (next to stats.Epoch): the address of the cloud
 	// currently followed and the advertised standby. reconnect walks
@@ -145,10 +142,10 @@ type FogNode struct {
 	actionQ map[int32][]virtualworld.Action
 
 	// cloudWMu serializes writes on the cloud connection: heartbeat acks
-	// from the update loop and forwarded player actions from video
-	// sessions share it.
+	// from the update loop, and forwarded player actions and interest
+	// reports from video sessions share it.
 	cloudWMu sync.Mutex
-	actBuf   []byte // forward-path encode scratch; guarded by cloudWMu
+	cloudBuf []byte // action/interest encode scratch; guarded by cloudWMu
 
 	jitter *rng.Rand // reconnect jitter; drawn from under mu (backoffWait)
 
@@ -213,18 +210,15 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 	}
 	f.mu.Lock()
 	f.replica = virtualworld.NewReplica(welcome.Snapshot.Width, welcome.Snapshot.Height)
-	if cfg.AoI {
-		f.aoi = &fogInterest{}
-	}
 	f.adoptCloudLocked(conn, fr, cfg.CloudAddr, welcome)
 	f.mu.Unlock()
 
 	f.wg.Add(2)
 	go f.updateLoop()
 	go f.acceptLoop()
-	// Report the initial (typically empty) footprint so an idle node
-	// drops off the full-world stream right away.
-	f.refreshInterest()
+	// Report the initial (typically empty) attach set so an idle node drops
+	// off the full-world stream right away.
+	f.reportInterest()
 	return f, nil
 }
 
@@ -263,8 +257,8 @@ func (f *FogNode) dialCloud(addr string, resume bool) (net.Conn, *protocol.Frame
 // adoptCloudLocked binds the node to the cloud link dialCloud just
 // established: connection, identity, failover view, and a replica reseeded
 // from the reply's snapshot (stale state is dropped wholesale). The new
-// connection has no AoI subscription; the tracker is rearmed so the
-// footprint is recomputed and re-reported from scratch. Caller holds mu.
+// connection has no AoI subscription until the caller reports interest on
+// it. Caller holds mu.
 func (f *FogNode) adoptCloudLocked(conn net.Conn, fr *protocol.FrameReader, addr string, reply protocol.ResumeReply) {
 	f.cloud, f.cloudFR = conn, fr
 	f.id = reply.SupernodeID
@@ -272,7 +266,6 @@ func (f *FogNode) adoptCloudLocked(conn net.Conn, fr *protocol.FrameReader, addr
 	f.authority = addr
 	f.standbyAddr = reply.StandbyAddr
 	f.replica.Seed(reply.Snapshot)
-	f.resetInterestLocked()
 }
 
 // StreamAddr returns the address players connect to for video.
@@ -369,11 +362,9 @@ type FogStats struct {
 	// that did not decode and were skipped: each is a hole in the replica
 	// until the entities it carried change again.
 	UpdateDecodeErrors int64
-	// InterestUpdatesSent counts AoI subscription reports sent upstream;
-	// InterestCells is the current footprint size in cells. Both are zero
-	// when AoI is off.
+	// InterestUpdatesSent counts AoI interest reports sent upstream, one
+	// per (re)connect and per attach or detach; zero when AoI is off.
 	InterestUpdatesSent int64
-	InterestCells       int
 	// CellBatches / KeyframesApplied count the AoI update stream: per-cell
 	// delta batches applied, and how many of them were cell-enter
 	// keyframes.
@@ -395,9 +386,6 @@ func (f *FogNode) Stats() FogStats {
 	st.Attached = len(f.attached)
 	st.AppliedDeltas = f.replica.AppliedDeltas()
 	st.StaleDeltas = f.replica.StaleDeltas()
-	if f.aoi != nil {
-		st.InterestCells = len(f.aoi.cells)
-	}
 	if f.dgram != nil {
 		st.DatagramSessions = f.dgram.sessOpen.Load()
 		st.DatagramFrames = f.dgram.frames.Load()
@@ -452,7 +440,6 @@ func (f *FogNode) updateLoop() {
 				}
 				f.replica.Apply(batch.Tick, batch.Deltas)
 				f.mu.Unlock()
-				f.refreshInterest()
 			case protocol.MsgCellBatch:
 				if berr := protocol.DecodeCellBatch(payload, &cellBatch); berr != nil {
 					f.noteUpdateDecodeError()
@@ -463,7 +450,7 @@ func (f *FogNode) updateLoop() {
 				if cellBatch.Epoch > f.stats.Epoch {
 					f.stats.Epoch = cellBatch.Epoch
 				}
-				if cellBatch.Keyframe && f.aoi != nil && f.aoi.ready {
+				if cellBatch.Keyframe {
 					// Cell-enter seed: prune in-cell entities the batch does
 					// not mention, then apply its full population.
 					f.replica.ApplyCellKeyframe(cellBatch.Tick, cellBatch.Cell, cellBatch.Deltas)
@@ -475,7 +462,6 @@ func (f *FogNode) updateLoop() {
 				}
 				f.stats.CellBatches++
 				f.mu.Unlock()
-				f.refreshInterest()
 			case protocol.MsgHeartbeat:
 				hb, herr := protocol.UnmarshalHeartbeat(payload)
 				if herr != nil {
@@ -565,7 +551,7 @@ func (f *FogNode) reconnect() bool {
 			default:
 			}
 			f.flushActions()
-			f.refreshInterest()
+			f.reportInterest()
 			return true
 		}
 	}
@@ -604,7 +590,7 @@ func (f *FogNode) forwardAction(conn net.Conn, a virtualworld.Action) bool {
 	msg := protocol.ActionMsg{Action: a}
 	f.cloudWMu.Lock()
 	defer f.cloudWMu.Unlock()
-	return sendInto(conn, f.cfg.WriteTimeout, &f.actBuf, protocol.MsgAction, &msg) == nil
+	return sendInto(conn, f.cfg.WriteTimeout, &f.cloudBuf, protocol.MsgAction, &msg) == nil
 }
 
 // flushActions drains the outage-window buffers upstream after a
@@ -684,15 +670,12 @@ func (f *FogNode) servePlayer(conn net.Conn) {
 	if !ok {
 		return
 	}
-	// The attach set changed: the AoI footprint must cover the new
-	// player's surroundings before its first frames render.
-	f.interestDirty()
-	f.refreshInterest()
+	// The attach set changed, both ways: the cloud subscribes the node to
+	// the new player's surroundings, and drops them after it leaves.
+	f.reportInterest()
 	defer func() {
 		f.unclaim(attach.PlayerID)
-		// Departure shrinks the footprint (after hysteresis).
-		f.interestDirty()
-		f.refreshInterest()
+		f.reportInterest()
 	}()
 	runVideoSession(conn, fr, attach, f.cfg.FrameInterval, f.cfg.WriteTimeout, f, f.stop, &f.wg)
 }

@@ -408,3 +408,72 @@ func TestShutdownFlushesFinalCheckpoint(t *testing.T) {
 		t.Fatal("the supernode's link closed before MsgBye arrived")
 	}
 }
+
+// TestActionsRerouteThroughFog drives the outage-input path: a player whose
+// control link refuses writes sends its inputs over the video session and
+// the fog forwards them to the cloud; while the fog's own cloud link is down
+// too the fog buffers them, and it flushes them when it reconnects. The
+// links are stalled, not blackholed: a blackholed write succeeds, so
+// nothing would reroute.
+func TestActionsRerouteThroughFog(t *testing.T) {
+	const id = 51
+	cloud := startChaosCloud(t, nil)
+	fogInj := faultnet.NewInjector(faultnet.Profile{Seed: id})
+	fog, err := NewFogNode(FogConfig{
+		Name: "fog-reroute", CloudAddr: cloud.Addr(), Capacity: 4,
+		FrameInterval: 10 * time.Millisecond, Dial: fogInj.Dial,
+		ReconnectBackoff: 20 * time.Millisecond, WriteTimeout: 50 * time.Millisecond, Seed: id,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fog.Close()
+	playerInj := faultnet.NewInjector(faultnet.Profile{Seed: id + 1})
+	player, err := NewPlayerClient(PlayerConfig{
+		PlayerID: id, CloudAddr: cloud.Addr(), ActionInterval: 10 * time.Millisecond, Seed: id,
+		Dial: playerInj.Dial, WriteTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer player.Close()
+	waitFor(t, 5*time.Second, "streaming from the fog", func() bool {
+		return fog.Stats().Attached == 1 && player.Stats().Frames > 3
+	})
+
+	// Only the player's control link stalls: every input takes the fog.
+	playerInj.SetAddrMode(cloud.Addr(), faultnet.Stall)
+	waitFor(t, 5*time.Second, "a rerouted input at the cloud", func() bool {
+		return cloud.Stats().Resilience.ForwardedActions > 0
+	})
+	x0, y0, _ := cloudAvatarPos(cloud, id)
+	forwarded := cloud.Stats().Resilience.ForwardedActions
+	waitFor(t, 10*time.Second, "the avatar moving on rerouted inputs", func() bool {
+		x, y, ok := cloudAvatarPos(cloud, id)
+		return ok && (x != x0 || y != y0) && cloud.Stats().Resilience.ForwardedActions > forwarded
+	})
+	if ps, fs := player.Stats(), fog.Stats(); ps.ReroutedActions == 0 || fs.Resilience.ForwardedActions == 0 {
+		t.Fatalf("rerouted %d at the player, forwarded %d at the fog; want both > 0", ps.ReroutedActions, fs.Resilience.ForwardedActions)
+	}
+
+	// The fog's link stalls too: it buffers. The stall holds until the cloud
+	// has evicted the silent fog, so healing means a reconnect — the path
+	// that flushes the buffer.
+	fogInj.SetAddrMode(cloud.Addr(), faultnet.Stall)
+	waitFor(t, 5*time.Second, "the fog buffering, then evicted", func() bool {
+		return fog.Stats().BufferedNow > 0 && cloud.Stats().Resilience.Evictions > 0
+	})
+	held, before := fog.Stats(), cloud.Stats()
+	playerInj.SetAddrMode(cloud.Addr(), faultnet.Healthy)
+	fogInj.SetAddrMode(cloud.Addr(), faultnet.Healthy)
+	waitFor(t, 10*time.Second, "the buffered inputs forwarded and applied", func() bool {
+		fs, cs := fog.Stats(), cloud.Stats()
+		return fs.Resilience.Reconnects > 0 && fs.BufferedNow == 0 &&
+			fs.Resilience.ForwardedActions >= held.Resilience.ForwardedActions+int64(held.BufferedNow) &&
+			cs.Resilience.ForwardedActions >= before.Resilience.ForwardedActions+int64(held.BufferedNow)
+	})
+	if fs, ps := fog.Stats(), player.Stats(); fs.Resilience.BufferedActions == 0 || fs.Resilience.DroppedActions != 0 || ps.BufferedActions != 0 {
+		t.Errorf("fog buffered %d and dropped %d, player buffered %d: want the fog's bounded buffer to take every input",
+			fs.Resilience.BufferedActions, fs.Resilience.DroppedActions, ps.BufferedActions)
+	}
+}

@@ -448,7 +448,7 @@ func TestTickWireCost(t *testing.T) {
 		geo := w.Grid().Geom()
 		var watching *interestSet
 		if tc.aoi {
-			watching = newInterestSet(1, geo.NumCells())
+			watching = newInterestSet(geo.NumCells())
 			watching.add(geo.CellOf(avatar.X, avatar.Y))
 		}
 		f := newFanoutFixture(geo, nil, []*interestSet{watching})

@@ -54,7 +54,7 @@ func newFanoutFixture(geo virtualworld.GridGeom, deltas []virtualworld.Delta, se
 		deltas: deltas,
 	}
 	for _, is := range sets {
-		f.s.fanSNs = append(f.s.fanSNs, fanSN{sn: &supernodeConn{link: f.link()}, interest: is})
+		f.s.fanSNs = append(f.s.fanSNs, &supernodeConn{link: f.link(), interest: is})
 	}
 	return f
 }
@@ -76,16 +76,27 @@ func (f *fanoutFixture) tick(tb testing.TB) int64 {
 }
 
 // serve gives the fixture what tickOnce needs on top of fanOut: a world, and
-// the registry it captures the links and their interest sets from.
+// the registry it captures the links from.
 func (f *fanoutFixture) serve(w *virtualworld.World) {
 	f.s.cfg.CheckpointEvery = DefaultCheckpointEvery
 	f.s.world = w
 	f.s.supernodes = make(map[uint32]*supernodeConn)
-	for i, fs := range f.s.fanSNs {
-		fs.sn.interest = fs.interest
-		f.s.supernodes[uint32(i+1)] = fs.sn
+	for i, sn := range f.s.fanSNs {
+		sn.id = uint32(i + 1)
+		f.s.supernodes[sn.id] = sn
 	}
 	f.s.standby = f.standby
+}
+
+// report delivers an interest report naming players from the fixture's
+// supernode i, the way its read loop would.
+func (f *fanoutFixture) report(tb testing.TB, i int, gen uint32, players ...int32) *supernodeConn {
+	sn := f.s.fanSNs[i]
+	f.s.applyInterest(sn, &protocol.InterestUpdate{Gen: gen, CellSize: f.s.world.Grid().Geom().CellSize, Players: players})
+	if sn.interestGen != gen {
+		tb.Fatal("interest report refused")
+	}
+	return sn
 }
 
 // inputTick queues one action the way a connection's read loop does, runs
@@ -102,8 +113,8 @@ func (f *fanoutFixture) inputTick(tb testing.TB, a virtualworld.Action) {
 }
 
 func (f *fanoutFixture) flushAll(tb testing.TB) {
-	for _, fs := range f.s.fanSNs {
-		f.flush(tb, fs.sn.link)
+	for _, sn := range f.s.fanSNs {
+		f.flush(tb, sn.link)
 	}
 	if f.standby != nil {
 		f.flush(tb, f.standby)
@@ -244,22 +255,31 @@ func TestTickFanoutSteadyStateAllocs(t *testing.T) {
 	// it asks for steps the world, captures the links from the registry and
 	// fans out — tickOnce itself. World.Step returns a fresh delta slice by
 	// contract (callers keep batches), and that is the one allocation: the
-	// pending queue is reused from tick to tick.
+	// pending queue is reused from tick to tick. One more link is an AoI
+	// one whose listed player walks every tick, inside one cell: its
+	// interest set is recomputed in place each tick, and that costs nothing.
+	f.s.fanSNs = append(f.s.fanSNs, &supernodeConn{link: f.link()})
 	w := virtualworld.New(virtualworld.DefaultWidth, virtualworld.DefaultHeight)
 	w.SpawnAvatar(1, 100, 100)
 	f.serve(w)
-	tag := uint8(0)
+	aoi := f.report(t, len(f.s.fanSNs)-1, 1, 1)
+	step := 0
 	inputTick := func() {
-		tag++
-		f.inputTick(t, virtualworld.Action{Player: 1, Kind: virtualworld.ActEmote, StateTag: tag})
+		step++
+		f.inputTick(t, virtualworld.Action{Player: 1, Kind: virtualworld.ActMove, TargetX: 100 + float64(4*(step%2)), TargetY: 100})
 	}
 	for i := 0; i < 8; i++ {
 		inputTick()
 	}
+	keyframes := f.s.stats.KeyframeCells
 	if n := testing.AllocsPerRun(64, inputTick); n != 1 {
 		t.Fatalf("an input tick allocates %.1f/op in steady state, want 1 (Step's result)", n)
 	}
 	if st := f.s.stats; st.InputTicks != st.Ticks || st.Resilience.Checkpoints != 0 {
 		t.Fatalf("%d of %d ticks were input ticks, %d checkpoints; want all and none", st.InputTicks, st.Ticks, st.Resilience.Checkpoints)
+	}
+	if aoi.interest == nil || subscribed(aoi.interest) == 0 || keyframes == 0 || f.s.stats.KeyframeCells != keyframes {
+		t.Fatalf("AoI link: set %+v, %d keyframe cells at its report and %d after, want a set and no new keyframes",
+			aoi.interest, keyframes, f.s.stats.KeyframeCells)
 	}
 }

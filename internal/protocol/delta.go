@@ -31,11 +31,10 @@ func appendDeltas(w *writer, deltas []virtualworld.Delta) {
 	for i := range deltas {
 		d := &deltas[i]
 		w.uvarint(uint64(d.ID))
+		w.boolean(d.Removed)
 		if d.Removed {
-			w.u8(1)
 			continue
 		}
-		w.u8(0)
 		e := &d.Entity
 		w.u8(uint8(e.Kind))
 		owner := int32(e.Owner)
@@ -60,7 +59,7 @@ func readDeltas(r *reader, dst []virtualworld.Delta) []virtualworld.Delta {
 	}
 	for ; n > 0 && r.err == nil; n-- {
 		id := virtualworld.EntityID(r.uvarint(math.MaxUint32))
-		if r.u8() == 1 {
+		if r.boolean() {
 			dst = append(dst, virtualworld.Delta{ID: id, Removed: true})
 			continue
 		}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"cloudfog/internal/virtualworld"
@@ -65,7 +66,7 @@ var networkDecoders = []struct {
 	{"CellBatch", decodeFn(DecodeCellBatch),
 		CellBatch{Epoch: 2, Tick: 71, Cell: 9, Keyframe: true, Deltas: fuzzDeltas()}},
 	{"InterestUpdate", decodeFn(DecodeInterestUpdate),
-		InterestUpdate{Gen: 3, CellSize: 64, Cells: []uint32{1, 2, 9}, Players: []int32{42}}},
+		InterestUpdate{Gen: 3, CellSize: 64, Players: []int32{42}}},
 	{"QoEReport", unmarshalFn(UnmarshalQoEReport),
 		QoEReport{PlayerID: 42, Addr: "10.0.0.7:7000", Rating: 0.25, Stalled: true}},
 	{"CandidateUpdate", unmarshalFn(UnmarshalCandidateUpdate),
@@ -94,6 +95,52 @@ func fuzzSnapshot() virtualworld.Snapshot {
 
 func fuzzCandidates() []CandidateInfo {
 	return []CandidateInfo{{Addr: "10.0.0.7:7000", Load: 2, Capacity: 8, MeasuredRTTMs: -1, Score: 0.5}}
+}
+
+// seedBytesAtPR24 is the FNV-1a hash of every seed's encoding as PR 24's
+// encoders wrote it. InterestUpdate is missing on purpose: PR 25 dropped
+// its cell list.
+var seedBytesAtPR24 = map[string]uint64{
+	"SupernodeHello":   0x6c6d5c2b044e5d20,
+	"SupernodeWelcome": 0xadf52b903ecd684b,
+	"PlayerJoin":       0x9194bae6866a402b,
+	"JoinReply":        0xc50f4490ad689ca2,
+	"PlayerAttach":     0xe463efd924e0d059,
+	"AttachReply":      0x2e55021e86dd4309,
+	"ProbeReply":       0x8328307b4eb676e,
+	"StandbyHello":     0x830108b9fdc5de4a,
+	"Resume":           0x9d240e3a17fc1c73,
+	"ResumeReply":      0x74c936d70c9f3079,
+	"DatagramRequest":  0x4d255c7f9dcde7c7,
+	"DatagramReply":    0x44d97cf98164951e,
+	"UpdateBatch":      0x8d58c3a1362edbfb,
+	"CellBatch":        0x526764e878d9c130,
+	"QoEReport":        0x74df69014a459f,
+	"CandidateUpdate":  0x6ff4636ce23c3b5,
+	"ActionMsg":        0x797cbfa2ea536e7c,
+	"Heartbeat":        0x4d25657f9dcdf712,
+	"HeartbeatAck":     0xf34c32596ebc3a79,
+	"RateChange":       0xaf63bf4c8601bb45,
+}
+
+// TestNetworkSeedBytesPinned holds the wire bytes still: a refactor of an
+// encoder or of the helpers they share must write every seed exactly as
+// before.
+func TestNetworkSeedBytesPinned(t *testing.T) {
+	for _, d := range networkDecoders {
+		want, pinned := seedBytesAtPR24[d.name]
+		if !pinned {
+			if d.name != "InterestUpdate" {
+				t.Errorf("%s: no pinned hash", d.name)
+			}
+			continue
+		}
+		h := fnv.New64a()
+		h.Write(d.seed.Marshal())
+		if got := h.Sum64(); got != want {
+			t.Errorf("%s: seed encodes to FNV-1a %#x, want %#x", d.name, got, want)
+		}
+	}
 }
 
 // FuzzHandshakeDecode throws arbitrary bytes at every decoder in the table:

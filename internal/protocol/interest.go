@@ -7,29 +7,27 @@ import (
 )
 
 // This file encodes the interest-management messages of DESIGN.md §14:
-// fogs report their players' AoI footprint upstream (InterestUpdate) and
-// the cloud answers with per-cell slices of the Λ update stream
-// (CellBatch) instead of the full-world MsgUpdateBatch. Both follow the
-// PR 3 conventions: AppendTo append-encoders, DecodeInto decoders that
-// reuse the destination's slice capacity, arithmetic size accounting.
+// fogs name their attached players upstream (InterestUpdate) and the cloud
+// answers with per-cell slices of the Λ update stream (CellBatch) around
+// those players' avatars instead of the full-world MsgUpdateBatch. Both
+// follow the PR 3 conventions: AppendTo append-encoders, DecodeInto
+// decoders that reuse the destination's slice capacity, arithmetic size
+// accounting.
 
-// InterestUpdate is a supernode's AoI subscription: the set of grid cells
-// covering its attached players' viewports plus the hysteresis margin,
-// and the player IDs themselves so the cloud can widen the set with the
-// authoritative avatar positions (the fog's replica view of a player it
-// just gained may be stale).
+// InterestUpdate is a supernode's AoI report: the players it serves. The
+// cloud derives the subscribed cells from their authoritative avatars.
 type InterestUpdate struct {
-	// Gen is a fog-local generation counter; the cloud keeps the highest
-	// seen so a reordered/duplicated update can never roll the set back.
+	// Gen is a fog-local report counter starting at 1; the cloud keeps the
+	// highest seen so a reordered/duplicated report can never roll the
+	// player list back.
 	Gen uint32
-	// CellSize is the grid cell edge the footprint was computed with. A
-	// mismatch with the cloud's geometry voids the update (the supernode
-	// stays full-world) rather than mis-mapping cell IDs.
+	// CellSize is the cell edge of the fog's replica grid. A mismatch with
+	// the cloud's geometry voids the report (the supernode stays
+	// full-world) rather than letting keyframe cell IDs land on the wrong
+	// cells.
 	CellSize float64
 	// Players are the attached player IDs, ascending.
 	Players []int32
-	// Cells are the subscribed cell IDs, ascending.
-	Cells []uint32
 }
 
 // Marshal encodes the message.
@@ -45,15 +43,11 @@ func (m InterestUpdate) AppendTo(buf []byte) []byte {
 	for _, p := range m.Players {
 		w.i32(p)
 	}
-	w.u32(uint32(len(m.Cells)))
-	for _, c := range m.Cells {
-		w.u32(c)
-	}
 	return w.buf
 }
 
-// DecodeInterestUpdate decodes into m, reusing m.Players' and m.Cells'
-// capacity. On error m holds partially decoded data and must not be used.
+// DecodeInterestUpdate decodes into m, reusing m.Players' capacity. On
+// error m holds partially decoded data and must not be used.
 func DecodeInterestUpdate(buf []byte, m *InterestUpdate) error {
 	r := &reader{buf: buf}
 	m.Gen = r.u32()
@@ -65,14 +59,6 @@ func DecodeInterestUpdate(buf []byte, m *InterestUpdate) error {
 	}
 	for i := 0; i < np && r.err == nil; i++ {
 		m.Players = append(m.Players, r.i32())
-	}
-	m.Cells = m.Cells[:0]
-	nc := int(r.u32())
-	if nc > MaxPayload/4 {
-		return ErrTooLarge
-	}
-	for i := 0; i < nc && r.err == nil; i++ {
-		m.Cells = append(m.Cells, r.u32())
 	}
 	return r.finish()
 }
@@ -111,11 +97,7 @@ func (m CellBatch) AppendTo(buf []byte) []byte {
 	// Cell+1, wrapping, so that CellNone — every removal and session event
 	// rides it — is the one-byte zero.
 	w.uvarint(uint64(m.Cell + 1))
-	if m.Keyframe {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
+	w.boolean(m.Keyframe)
 	appendDeltas(&w, m.Deltas)
 	return w.buf
 }
@@ -128,7 +110,7 @@ func DecodeCellBatch(buf []byte, m *CellBatch) error {
 	m.Epoch = r.uvarint(math.MaxUint64)
 	m.Tick = r.uvarint(math.MaxUint64)
 	m.Cell = uint32(r.uvarint(math.MaxUint32)) - 1
-	m.Keyframe = r.u8() == 1
+	m.Keyframe = r.boolean()
 	m.Deltas = readDeltas(r, m.Deltas)
 	return r.finish()
 }

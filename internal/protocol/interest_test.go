@@ -9,17 +9,16 @@ import (
 func TestInterestUpdateRoundTrip(t *testing.T) {
 	cases := []InterestUpdate{
 		{},
-		{Gen: 1, CellSize: 64, Players: []int32{3}, Cells: []uint32{0, 1, 16, 17}},
-		{Gen: 9000, CellSize: 32.5, Players: []int32{-1, 0, 7, 2048}, Cells: []uint32{255}},
-		{Gen: 2, CellSize: 64, Cells: []uint32{virtualworld.CellNone}},
+		{Gen: 1, CellSize: 64, Players: []int32{3}},
+		{Gen: 9000, CellSize: 32.5, Players: []int32{-1, 0, 7, 2048}},
+		{Gen: 2, CellSize: 64},
 	}
 	for _, m := range cases {
 		var got InterestUpdate
 		if err := DecodeInterestUpdate(m.Marshal(), &got); err != nil {
 			t.Fatalf("unmarshal %+v: %v", m, err)
 		}
-		if got.Gen != m.Gen || got.CellSize != m.CellSize ||
-			len(got.Players) != len(m.Players) || len(got.Cells) != len(m.Cells) {
+		if got.Gen != m.Gen || got.CellSize != m.CellSize || len(got.Players) != len(m.Players) {
 			t.Fatalf("round trip %+v -> %+v", m, got)
 		}
 		for i := range m.Players {
@@ -27,16 +26,11 @@ func TestInterestUpdateRoundTrip(t *testing.T) {
 				t.Fatalf("players differ: %v vs %v", got.Players, m.Players)
 			}
 		}
-		for i := range m.Cells {
-			if got.Cells[i] != m.Cells[i] {
-				t.Fatalf("cells differ: %v vs %v", got.Cells, m.Cells)
-			}
-		}
 	}
 }
 
 func TestInterestUpdateTruncated(t *testing.T) {
-	buf := InterestUpdate{Gen: 1, CellSize: 64, Players: []int32{1, 2}, Cells: []uint32{3, 4}}.Marshal()
+	buf := InterestUpdate{Gen: 1, CellSize: 64, Players: []int32{1, 2}}.Marshal()
 	for i := 0; i < len(buf); i++ {
 		if err := DecodeInterestUpdate(buf[:i], new(InterestUpdate)); err == nil {
 			t.Fatalf("truncation at %d not detected", i)
@@ -110,8 +104,7 @@ func TestDecodeCellBatchSteadyStateAllocs(t *testing.T) {
 
 // TestDecodeInterestUpdateSteadyStateAllocs pins the cloud-side decode.
 func TestDecodeInterestUpdateSteadyStateAllocs(t *testing.T) {
-	payload := InterestUpdate{Gen: 4, CellSize: 64,
-		Players: []int32{1, 2, 3, 4}, Cells: []uint32{0, 1, 2, 3, 16, 17, 18, 19}}.Marshal()
+	payload := InterestUpdate{Gen: 4, CellSize: 64, Players: []int32{1, 2, 3, 4}}.Marshal()
 	var m InterestUpdate
 	if err := DecodeInterestUpdate(payload, &m); err != nil {
 		t.Fatal(err)

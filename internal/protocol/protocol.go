@@ -103,11 +103,10 @@ const (
 	// session token the player's hello datagram must echo. OK=false means
 	// the node does not offer datagram video and TCP streaming continues.
 	MsgDatagramReply
-	// MsgInterestUpdate reports a supernode's area-of-interest footprint
-	// to the cloud: the grid cells its attached players' viewports (plus
-	// hysteresis margin) cover. The cloud then narrows that supernode's
-	// update stream to the subscribed cells. A supernode that never sends
-	// one stays on the full-world stream (DESIGN.md §14).
+	// MsgInterestUpdate names a supernode's attached players to the cloud,
+	// which then narrows that supernode's update stream to the grid cells
+	// around their avatars. A supernode that never sends one stays on the
+	// full-world stream (DESIGN.md §14).
 	MsgInterestUpdate
 	// MsgCellBatch carries one tick's deltas for one grid cell to a
 	// subscribed supernode — the AoI-filtered replacement for
@@ -227,6 +226,13 @@ func (w *writer) str(s string) {
 	w.u16(uint16(len(s)))
 	w.buf = append(w.buf, s...)
 }
+func (w *writer) boolean(v bool) {
+	if v {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
 
 type reader struct {
 	buf []byte
@@ -313,6 +319,7 @@ func (r *reader) str() string {
 	r.off += n
 	return s
 }
+func (r *reader) boolean() bool { return r.u8() == 1 }
 
 func (r *reader) finish() error {
 	if r.err != nil {
@@ -355,6 +362,32 @@ func getEntity(r *reader) virtualworld.Entity {
 // EntityWireBytes is the encoded size of one snapshot entity (welcome and
 // resume replies); update-batch records are variable-width, see delta.go.
 const EntityWireBytes = 4 + 1 + 4 + 8 + 8 + 8 + 2 + 1 + 4
+
+// putSnapshot writes a full world image — tick, size, entity count, the
+// fixed-width entities — as the welcome and resume replies carry it.
+func putSnapshot(w *writer, s virtualworld.Snapshot) {
+	w.u64(s.Tick)
+	w.f64(s.Width)
+	w.f64(s.Height)
+	w.u32(uint32(len(s.Entities)))
+	for _, e := range s.Entities {
+		putEntity(w, e)
+	}
+}
+
+// getSnapshot reads what putSnapshot wrote; an entity count no payload can
+// hold poisons the reader with ErrTooLarge.
+func getSnapshot(r *reader) virtualworld.Snapshot {
+	s := virtualworld.Snapshot{Tick: r.u64(), Width: r.f64(), Height: r.f64()}
+	n := int(r.u32())
+	if n > MaxPayload/EntityWireBytes {
+		r.err = ErrTooLarge
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		s.Entities = append(s.Entities, getEntity(r))
+	}
+	return s
+}
 
 // --- messages ---------------------------------------------------------------
 
@@ -404,30 +437,14 @@ func (m SupernodeWelcome) Marshal() []byte {
 	w.u32(m.SupernodeID)
 	w.u64(m.Epoch)
 	w.str(m.StandbyAddr)
-	w.u64(m.Snapshot.Tick)
-	w.f64(m.Snapshot.Width)
-	w.f64(m.Snapshot.Height)
-	w.u32(uint32(len(m.Snapshot.Entities)))
-	for _, e := range m.Snapshot.Entities {
-		putEntity(w, e)
-	}
+	putSnapshot(w, m.Snapshot)
 	return w.buf
 }
 
 // UnmarshalSupernodeWelcome decodes the message.
 func UnmarshalSupernodeWelcome(buf []byte) (SupernodeWelcome, error) {
 	r := &reader{buf: buf}
-	m := SupernodeWelcome{SupernodeID: r.u32(), Epoch: r.u64(), StandbyAddr: r.str()}
-	m.Snapshot.Tick = r.u64()
-	m.Snapshot.Width = r.f64()
-	m.Snapshot.Height = r.f64()
-	n := int(r.u32())
-	if n > MaxPayload/EntityWireBytes {
-		return m, ErrTooLarge
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Snapshot.Entities = append(m.Snapshot.Entities, getEntity(r))
-	}
+	m := SupernodeWelcome{SupernodeID: r.u32(), Epoch: r.u64(), StandbyAddr: r.str(), Snapshot: getSnapshot(r)}
 	return m, r.finish()
 }
 
@@ -476,22 +493,33 @@ type CandidateInfo struct {
 	Score float64
 }
 
-func putCandidateInfo(w *writer, c CandidateInfo) {
-	w.str(c.Addr)
-	w.u16(c.Load)
-	w.u16(c.Capacity)
-	w.f64(c.MeasuredRTTMs)
-	w.f64(c.Score)
+// putCandidates writes a candidate list — count, then each candidate — as
+// the join and resume replies and the candidate update carry it.
+func putCandidates(w *writer, cs []CandidateInfo) {
+	w.u16(uint16(len(cs)))
+	for _, c := range cs {
+		w.str(c.Addr)
+		w.u16(c.Load)
+		w.u16(c.Capacity)
+		w.f64(c.MeasuredRTTMs)
+		w.f64(c.Score)
+	}
 }
 
-func getCandidateInfo(r *reader) CandidateInfo {
-	return CandidateInfo{
-		Addr:          r.str(),
-		Load:          r.u16(),
-		Capacity:      r.u16(),
-		MeasuredRTTMs: r.f64(),
-		Score:         r.f64(),
+// getCandidates reads what putCandidates wrote.
+func getCandidates(r *reader) []CandidateInfo {
+	var cs []CandidateInfo
+	n := int(r.u16())
+	for i := 0; i < n && r.err == nil; i++ {
+		cs = append(cs, CandidateInfo{
+			Addr:          r.str(),
+			Load:          r.u16(),
+			Capacity:      r.u16(),
+			MeasuredRTTMs: r.f64(),
+			Score:         r.f64(),
+		})
 	}
+	return cs
 }
 
 // JoinReply tells the player where to stream from.
@@ -521,17 +549,10 @@ type JoinReply struct {
 // Marshal encodes the message.
 func (m JoinReply) Marshal() []byte {
 	w := &writer{}
-	if m.OK {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
+	w.boolean(m.OK)
 	w.u64(m.Epoch)
 	w.u64(m.Tick)
-	w.u16(uint16(len(m.Candidates)))
-	for _, c := range m.Candidates {
-		putCandidateInfo(w, c)
-	}
+	putCandidates(w, m.Candidates)
 	w.str(m.CloudStreamAddr)
 	w.str(m.StandbyAddr)
 	w.str(m.Reason)
@@ -541,11 +562,7 @@ func (m JoinReply) Marshal() []byte {
 // UnmarshalJoinReply decodes the message.
 func UnmarshalJoinReply(buf []byte) (JoinReply, error) {
 	r := &reader{buf: buf}
-	m := JoinReply{OK: r.u8() == 1, Epoch: r.u64(), Tick: r.u64()}
-	n := int(r.u16())
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Candidates = append(m.Candidates, getCandidateInfo(r))
-	}
+	m := JoinReply{OK: r.boolean(), Epoch: r.u64(), Tick: r.u64(), Candidates: getCandidates(r)}
 	m.CloudStreamAddr = r.str()
 	m.StandbyAddr = r.str()
 	m.Reason = r.str()
@@ -659,11 +676,7 @@ type AttachReply struct {
 // Marshal encodes the message.
 func (m AttachReply) Marshal() []byte {
 	w := &writer{}
-	if m.OK {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
+	w.boolean(m.OK)
 	w.str(m.Reason)
 	return w.buf
 }
@@ -671,8 +684,7 @@ func (m AttachReply) Marshal() []byte {
 // UnmarshalAttachReply decodes the message.
 func UnmarshalAttachReply(buf []byte) (AttachReply, error) {
 	r := &reader{buf: buf}
-	m := AttachReply{OK: r.u8() == 1}
-	m.Reason = r.str()
+	m := AttachReply{OK: r.boolean(), Reason: r.str()}
 	return m, r.finish()
 }
 
@@ -772,10 +784,7 @@ func (m CandidateUpdate) Marshal() []byte { return m.AppendTo(nil) }
 // slice; with enough capacity it does not allocate.
 func (m CandidateUpdate) AppendTo(buf []byte) []byte {
 	w := writer{buf: buf}
-	w.u16(uint16(len(m.Candidates)))
-	for _, c := range m.Candidates {
-		putCandidateInfo(&w, c)
-	}
+	putCandidates(&w, m.Candidates)
 	w.str(m.CloudStreamAddr)
 	w.str(m.StandbyAddr)
 	return w.buf
@@ -784,13 +793,7 @@ func (m CandidateUpdate) AppendTo(buf []byte) []byte {
 // UnmarshalCandidateUpdate decodes the message.
 func UnmarshalCandidateUpdate(buf []byte) (CandidateUpdate, error) {
 	r := &reader{buf: buf}
-	var m CandidateUpdate
-	n := int(r.u16())
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Candidates = append(m.Candidates, getCandidateInfo(r))
-	}
-	m.CloudStreamAddr = r.str()
-	m.StandbyAddr = r.str()
+	m := CandidateUpdate{Candidates: getCandidates(r), CloudStreamAddr: r.str(), StandbyAddr: r.str()}
 	return m, r.finish()
 }
 
@@ -995,18 +998,9 @@ func (m ResumeReply) Marshal() []byte {
 	w.u64(m.Tick)
 	w.u32(m.SupernodeID)
 	if m.HasSnapshot {
-		w.u64(m.Snapshot.Tick)
-		w.f64(m.Snapshot.Width)
-		w.f64(m.Snapshot.Height)
-		w.u32(uint32(len(m.Snapshot.Entities)))
-		for _, e := range m.Snapshot.Entities {
-			putEntity(w, e)
-		}
+		putSnapshot(w, m.Snapshot)
 	}
-	w.u16(uint16(len(m.Candidates)))
-	for _, c := range m.Candidates {
-		putCandidateInfo(w, c)
-	}
+	putCandidates(w, m.Candidates)
 	w.str(m.CloudStreamAddr)
 	w.str(m.StandbyAddr)
 	w.str(m.Reason)
@@ -1025,21 +1019,9 @@ func UnmarshalResumeReply(buf []byte) (ResumeReply, error) {
 	m.Tick = r.u64()
 	m.SupernodeID = r.u32()
 	if m.HasSnapshot {
-		m.Snapshot.Tick = r.u64()
-		m.Snapshot.Width = r.f64()
-		m.Snapshot.Height = r.f64()
-		n := int(r.u32())
-		if n > MaxPayload/EntityWireBytes {
-			return m, ErrTooLarge
-		}
-		for i := 0; i < n && r.err == nil; i++ {
-			m.Snapshot.Entities = append(m.Snapshot.Entities, getEntity(r))
-		}
+		m.Snapshot = getSnapshot(r)
 	}
-	nc := int(r.u16())
-	for i := 0; i < nc && r.err == nil; i++ {
-		m.Candidates = append(m.Candidates, getCandidateInfo(r))
-	}
+	m.Candidates = getCandidates(r)
 	m.CloudStreamAddr = r.str()
 	m.StandbyAddr = r.str()
 	m.Reason = r.str()
@@ -1087,11 +1069,7 @@ type DatagramReply struct {
 // Marshal encodes the message.
 func (m DatagramReply) Marshal() []byte {
 	w := &writer{}
-	if m.OK {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
+	w.boolean(m.OK)
 	w.str(m.Addr)
 	w.u64(m.Token)
 	w.u64(m.Epoch)
@@ -1102,10 +1080,6 @@ func (m DatagramReply) Marshal() []byte {
 // UnmarshalDatagramReply decodes the message.
 func UnmarshalDatagramReply(buf []byte) (DatagramReply, error) {
 	r := &reader{buf: buf}
-	m := DatagramReply{OK: r.u8() == 1}
-	m.Addr = r.str()
-	m.Token = r.u64()
-	m.Epoch = r.u64()
-	m.Reason = r.str()
+	m := DatagramReply{OK: r.boolean(), Addr: r.str(), Token: r.u64(), Epoch: r.u64(), Reason: r.str()}
 	return m, r.finish()
 }

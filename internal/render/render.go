@@ -293,8 +293,8 @@ func zeroedBits(b []uint64, n int) []uint64 {
 }
 
 // ViewHalfWidth and ViewHalfHeight are the fixed viewport half-extents in
-// world units. The interest-management layer (fognet AoI) derives its grid
-// footprint from the same extents, so the subscribed cells always cover
+// world units. The cloud's interest management (fognet AoI) derives each
+// subscription from the same extents, so the subscribed cells always cover
 // what this renderer will draw.
 const (
 	ViewHalfWidth  = 120.0

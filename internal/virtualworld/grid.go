@@ -15,8 +15,8 @@ import (
 // that gains a cell is seeded with the cell's full state (DESIGN.md §14).
 
 // DefaultCellSize is the grid cell edge length in world units. It is a
-// protocol-visible constant: fogs derive their interest footprint with the
-// same geometry the cloud buckets deltas with, and an InterestUpdate
+// protocol-visible constant: a fog's replica indexes keyframed cells with
+// the same geometry the cloud buckets deltas with, and an InterestUpdate
 // carrying a different cell size is rejected (the supernode stays on the
 // full-world stream). 64 units ≈ half a viewport half-width, so a player
 // footprint is a handful of cells and one avatar step (MoveSpeed=8) can

@@ -90,8 +90,7 @@ func (r *Replica) removeEntity(id EntityID) {
 }
 
 // AvatarPos returns the position of a player's avatar in the replica, and
-// whether the replica knows it. This is what a fog derives its interest
-// footprint from: the replica's view of where its attached players are.
+// whether the replica knows it: where a fog centres a player's view.
 func (r *Replica) AvatarPos(player int) (x, y float64, ok bool) {
 	id, ok := r.byOwner[player]
 	if !ok {
