@@ -32,7 +32,7 @@ func main() {
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval (0 = silent)")
 	seed := flag.Uint64("seed", 1, "reconnect-jitter seed")
 	transportFlag := flag.String("transport", "tcp",
-		"video transport: tcp | udp (udp opens a datagram socket players can upgrade to; TCP stays the control path and the fallback)")
+		"video transport: tcp | udp (udp opens a datagram socket and grants it in every attach reply; a session's frames go to UDP once its player's hello lands, TCP stays the control path and the fallback)")
 	dgramAddr := flag.String("dgram-addr", "",
 		"UDP listen address for -transport udp (default: stream host, ephemeral port)")
 	aoi := flag.Bool("aoi", false,

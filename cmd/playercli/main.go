@@ -31,7 +31,7 @@ func main() {
 	selPolicy := flag.String("selection", "reputation", "failover-ladder ranking policy: random | reputation | global")
 	maxRTT := flag.Float64("max-rtt", 0, "drop candidates whose measured RTT exceeds this many ms (0 = no filter)")
 	transportFlag := flag.String("transport", "tcp",
-		"video transport: tcp | udp (udp requests the datagram upgrade after every supernode attach; TCP stays the control path and the fallback)")
+		"video transport: tcp | udp (udp takes the datagram path a supernode's attach reply grants, on every attach; TCP stays the control path and the fallback)")
 	flag.Parse()
 
 	policy, err := selection.ParsePolicy(*selPolicy)

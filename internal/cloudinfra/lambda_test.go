@@ -39,7 +39,7 @@ func TestUpdateStreamMatchesLambda(t *testing.T) {
 		}
 		deltas := w.Step(actions)
 		batch := protocol.UpdateBatch{Tick: w.Tick(), Deltas: deltas}
-		bits += len(batch.Marshal()) * 8
+		bits += len(batch.AppendTo(nil)) * 8
 	}
 	kbps := float64(bits) / seconds / 1000
 	t.Logf("measured update stream: %.1f kbps for %d active avatars", kbps, players)

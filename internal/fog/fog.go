@@ -292,7 +292,7 @@ func (sel *Selector) Select(player *netmodel.Endpoint, maxDelayMs float64,
 	out.RequestMs = sel.Model.PathRTTMs(player, sel.CloudEndpoint)
 
 	cands := sel.Manager.CandidatesFor(player.Loc)
-	list := make(selection.List, len(cands))
+	list := make([]selection.Candidate, len(cands))
 	for i, s := range cands {
 		list[i] = selection.Candidate{
 			ID:       s.ID,
@@ -314,8 +314,8 @@ func (sel *Selector) Select(player *netmodel.Endpoint, maxDelayMs float64,
 		scorer = book
 	}
 	pipe := selection.Pipeline{
-		Source: list,
-		Ranker: selection.PolicyRanker{Policy: sel.Policy, Scorer: scorer},
+		Candidates: list,
+		Ranker:     selection.PolicyRanker{Policy: sel.Policy, Scorer: scorer},
 	}
 	// Sequential capacity probing: one RTT per asked supernode.
 	res := pipe.Run(maxDelayMs, today, r, func(c selection.Candidate) bool {

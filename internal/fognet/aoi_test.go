@@ -154,7 +154,7 @@ func cloudAvatarPos(c *CloudServer, player int) (x, y float64, ok bool) {
 func applyCellBatchWire(t testing.TB, r *virtualworld.Replica, cb protocol.CellBatch) {
 	t.Helper()
 	var got protocol.CellBatch
-	if err := protocol.DecodeCellBatch(cb.Marshal(), &got); err != nil {
+	if err := protocol.DecodeCellBatch(cb.AppendTo(nil), &got); err != nil {
 		t.Fatalf("cell batch round trip: %v", err)
 	}
 	if got.Keyframe {
@@ -387,7 +387,7 @@ func startInterestSink(t *testing.T, cloud *CloudServer, players ...int32) <-cha
 		t.Fatalf("welcome: type %d, err %v", typ, err)
 	}
 	iu := protocol.InterestUpdate{Gen: 1, CellSize: virtualworld.DefaultCellSize, Players: players}
-	if err := protocol.WriteMessage(conn, protocol.MsgInterestUpdate, iu.Marshal()); err != nil {
+	if err := protocol.WriteMessage(conn, protocol.MsgInterestUpdate, iu.AppendTo(nil)); err != nil {
 		t.Fatal(err)
 	}
 	out := make(chan protocol.CellBatch, 4096) // every batch a test can produce: the reader never blocks
@@ -454,7 +454,7 @@ func TestInterestFollowsAvatarWithoutReports(t *testing.T) {
 	awaitAvatar(1) // the report's keyframes carry it
 	for step := 0; step < 40; step++ {
 		move := protocol.ActionMsg{Action: virtualworld.Action{Player: id, Kind: virtualworld.ActMove, TargetX: 1000, TargetY: y}}
-		if err := protocol.WriteMessage(player.conn, protocol.MsgAction, move.Marshal()); err != nil {
+		if err := protocol.WriteMessage(player.conn, protocol.MsgAction, move.AppendTo(nil)); err != nil {
 			t.Fatal(err)
 		}
 		awaitAvatar(last.Version + 1)

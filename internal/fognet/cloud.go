@@ -2,7 +2,8 @@
 // architecture: a cloud server that owns the authoritative virtual world,
 // fog nodes (supernodes) that replicate it and render/stream per-player
 // video, and thin player clients — the three tiers of Fig. 1 of the paper,
-// speaking internal/protocol over TCP.
+// speaking internal/protocol over TCP, with video optionally on UDP
+// datagrams (internal/transport) from supernode to player.
 //
 // The prototype is what a downstream adopter would run: the cloud ticks
 // the world and fans out compact update batches (the Λ stream), fog nodes

@@ -187,17 +187,19 @@ func (s *CloudServer) admitSupernode(conn net.Conn, fr *protocol.FrameReader, he
 func (s *CloudServer) serveFallbackStream(conn net.Conn, fr *protocol.FrameReader) {
 	defer conn.Close()
 	fb := cloudFallback{s}
-	attach, ok := serveAttach(conn, fr, s.tc, true, fb)
+	attach, _, ok := serveAttach(conn, fr, s.tc, true, fb)
 	if !ok {
 		return
 	}
-	defer fb.unclaim(attach.PlayerID)
-	runVideoSession(conn, fr, attach, DefaultFrameInterval, s.cfg.WriteTimeout, fb, s.stop, &s.wg)
+	defer fb.unclaim(attach.PlayerID, nil)
+	runVideoSession(conn, fr, attach, nil, DefaultFrameInterval, s.cfg.WriteTimeout, fb, s.stop, &s.wg)
 }
 
 // cloudFallback is the cloud as a sessionHost: it never refuses a session,
 // renders from the authoritative world, routes its egress into the cloud's
-// bandwidth accounting and never upgrades to datagrams.
+// bandwidth accounting and grants no datagram path — the last rung of the
+// ladder favors the transport that works everywhere over the one that
+// performs best.
 type cloudFallback struct{ s *CloudServer }
 
 // submitAction: the cloud is the authority, so rerouted inputs go straight
@@ -215,25 +217,16 @@ func (c cloudFallback) viewInto(dst *virtualworld.Snapshot, player int) virtualw
 	return c.s.world.ViewInto(dst, player, render.ViewHalfWidth, render.ViewHalfHeight)
 }
 
-// offerDatagram refuses: the last rung of the ladder favors the transport
-// that works everywhere over the one that performs best.
-func (c cloudFallback) offerDatagram() (protocol.DatagramReply, *dgramSession) {
-	//lint:ignore epochstamp refusal reply: OK=false carries no orderable state, the player stays on the TCP stream
-	return protocol.DatagramReply{Reason: "datagram video unavailable"}, nil
-}
-
-func (c cloudFallback) endDatagram(*dgramSession) {}
-
 func (c cloudFallback) freeSlots() int { return 1 << 15 } // effectively unbounded
 
-func (c cloudFallback) claim(int32) bool {
+func (c cloudFallback) claim(int32) (*dgramSession, bool) {
 	c.s.mu.Lock()
 	c.s.stats.FallbackPlayers++
 	c.s.mu.Unlock()
-	return true
+	return nil, true
 }
 
-func (c cloudFallback) unclaim(int32) {
+func (c cloudFallback) unclaim(int32, *dgramSession) {
 	c.s.mu.Lock()
 	c.s.stats.FallbackPlayers--
 	c.s.mu.Unlock()

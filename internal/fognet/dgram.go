@@ -14,14 +14,14 @@ import (
 )
 
 // fogDatagram owns a fog node's UDP video socket: one receive loop
-// registers player hellos, and every datagram-upgraded video session
+// registers player hellos, and every video session whose hello landed
 // sends its frames through the shared socket. Tokens authenticate
 // hellos — a datagram session is addressed to whoever proves knowledge
-// of the token the TCP reply carried, which is also how the fog learns
+// of the token the attach reply carried, which is also how the fog learns
 // the player's NAT-visible source address.
 type fogDatagram struct {
 	pc   transport.DatagramConn
-	addr string // advertised in MsgDatagramReply
+	addr string // advertised in every attach reply's grant
 
 	writeTimeout time.Duration
 
@@ -104,9 +104,10 @@ func (dg *fogDatagram) readLoop() {
 	}
 }
 
-// newSession registers a datagram session and returns the accepting
-// reply. The session is inert until the player's hello arrives.
-func (dg *fogDatagram) newSession(epoch uint64) (protocol.DatagramReply, *dgramSession) {
+// newSession registers a datagram session under the authority epoch its
+// frames will be stamped with. The session is inert until the player's
+// hello arrives.
+func (dg *fogDatagram) newSession(epoch uint64) *dgramSession {
 	dg.mu.Lock()
 	tok := uint64(dg.tokens.Int63())
 	for tok == 0 || dg.sessions[tok] != nil {
@@ -115,18 +116,10 @@ func (dg *fogDatagram) newSession(epoch uint64) (protocol.DatagramReply, *dgramS
 	sess := &dgramSession{dg: dg, token: tok, epoch: epoch}
 	dg.sessions[tok] = sess
 	dg.mu.Unlock()
-	return protocol.DatagramReply{
-		OK:    true,
-		Addr:  dg.addr,
-		Token: tok,
-		Epoch: epoch,
-	}, sess
+	return sess
 }
 
 func (dg *fogDatagram) drop(sess *dgramSession) {
-	if sess == nil {
-		return
-	}
 	dg.mu.Lock()
 	delete(dg.sessions, sess.token)
 	dg.mu.Unlock()
@@ -167,13 +160,18 @@ func (s *dgramSession) remote() (netip.AddrPort, bool) {
 	return s.raddr, s.ready
 }
 
+// grant is what the attach reply tells the player about the session.
+func (s *dgramSession) grant() protocol.DatagramGrant {
+	return protocol.DatagramGrant{Addr: s.dg.addr, Token: s.token, Epoch: s.epoch}
+}
+
 // sendFrame encodes one video frame into buf (per-frame header plus the
 // same EncodedFrame payload the TCP path carries) and sends it as a
-// single datagram. It reports whether the frame went out over UDP; false
-// (no hello yet, frame too large for a datagram, or a socket error)
-// means the caller must fall back to the TCP write for this frame. buf
-// is the session's pooled scratch: with enough capacity the whole path
-// is allocation-free.
+// single datagram. It reports whether the frame went out. Before the hello
+// there is nowhere to send it; after, a frame too large for a datagram or
+// refused by the socket is lost, its sequence number spent all the same so
+// that the receiver sees the gap. buf is the session's pooled scratch: with
+// enough capacity the whole path is allocation-free.
 func (s *dgramSession) sendFrame(buf []byte, ef *videocodec.EncodedFrame, tick uint64) ([]byte, bool) {
 	addr, ok := s.remote()
 	if !ok {
@@ -186,15 +184,12 @@ func (s *dgramSession) sendFrame(buf []byte, ef *videocodec.EncodedFrame, tick u
 		Seq:   s.seq,
 		Tick:  tick,
 	}
+	s.seq++
 	buf = hdr.AppendTo(buf[:0])
 	buf = ef.AppendTo(buf)
 	if len(buf) > transport.MaxDatagram {
-		// A frame too large for one datagram rides the reliable stream;
-		// the sequence number is not consumed, so the receiver sees no
-		// artificial gap.
 		return buf, false
 	}
-	s.seq++
 	if s.dg.writeTimeout > 0 {
 		s.dg.pc.SetWriteDeadline(time.Now().Add(s.dg.writeTimeout))
 	}
@@ -203,31 +198,4 @@ func (s *dgramSession) sendFrame(buf []byte, ef *videocodec.EncodedFrame, tick u
 	}
 	s.dg.frames.Add(1)
 	return buf, true
-}
-
-// offerDatagram implements sessionHost for the fog node: refuse when the
-// UDP path is disabled, otherwise register a session under the epoch of
-// the cloud currently followed.
-func (f *FogNode) offerDatagram() (protocol.DatagramReply, *dgramSession) {
-	if f.dgram == nil {
-		//lint:ignore epochstamp refusal reply: OK=false carries no orderable state, the player stays on the TCP stream
-		return protocol.DatagramReply{Reason: "datagram video disabled"}, nil
-	}
-	return f.dgram.newSession(f.currentEpoch())
-}
-
-// endDatagram implements sessionHost.
-func (f *FogNode) endDatagram(s *dgramSession) {
-	if f.dgram != nil {
-		f.dgram.drop(s)
-	}
-}
-
-// currentEpoch reports the authority epoch of the cloud currently
-// followed — stamped into datagram offers so a receiver can discard
-// frames from a pre-failover session wholesale.
-func (f *FogNode) currentEpoch() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats.Epoch
 }

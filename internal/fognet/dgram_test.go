@@ -50,7 +50,7 @@ func TestDatagramVideoEndToEnd(t *testing.T) {
 	}
 	defer player.Close()
 
-	// The upgrade must complete and the frames must actually ride UDP:
+	// The hello must land and the frames must actually ride UDP:
 	// session counted on both ends, datagram frames flowing, and the
 	// decoded stream depicting a recent world tick — proof the cloud →
 	// fog → UDP → decoder loop closed.
@@ -80,8 +80,8 @@ func TestDatagramVideoEndToEnd(t *testing.T) {
 
 func TestDatagramRefusedFallsBackToTCP(t *testing.T) {
 	cloud := startCloud(t)
-	// This fog never opened a UDP socket: the request must be refused and
-	// the session must keep streaming over TCP as if nothing happened.
+	// This fog never opened a UDP socket: its attach reply grants nothing
+	// and the session must keep streaming over TCP as if nothing happened.
 	startFog(t, cloud, "fog-1", 4)
 
 	player, err := NewPlayerClient(PlayerConfig{
@@ -102,14 +102,14 @@ func TestDatagramRefusedFallsBackToTCP(t *testing.T) {
 	})
 	s := player.Stats()
 	if s.DatagramSessions != 0 || s.DatagramFrames != 0 {
-		t.Errorf("refused upgrade still delivered datagrams: %+v", s)
+		t.Errorf("a session without a grant still delivered datagrams: %+v", s)
 	}
 }
 
 func TestDatagramCloudFallbackStaysTCP(t *testing.T) {
 	cloud := startCloud(t)
 	// No supernodes at all: the player lands on the cloud's own stream,
-	// which never upgrades — the request is not even sent.
+	// which grants no datagram path — no hello is even sent.
 	player, err := NewPlayerClient(PlayerConfig{
 		PlayerID:       33,
 		CloudAddr:      cloud.Addr(),
@@ -336,14 +336,71 @@ func TestAdaptationStepsDownAndRecoversUnderFaultnetLoss(t *testing.T) {
 	}
 }
 
-// rateChangeConn is a session connection that counts the MsgRateChange
-// frames written to it and swallows everything.
-type rateChangeConn struct {
-	discardNetConn
-	rateChanges int
+// TestDatagramOversizedFrameIsLost: once the player's hello has landed, a
+// frame too large for one datagram is a lost datagram like any other — its
+// sequence number spent, so the receiver's tracker counts the gap and the
+// gap rule asks for a keyframe — and nothing of it reaches the session's
+// TCP connection, which a datagram player no longer reads.
+func TestDatagramOversizedFrameIsLost(t *testing.T) {
+	fogEnd, playerEnd := transport.NewDatagramPipe(8)
+	defer fogEnd.Close()
+	defer playerEnd.Close()
+	dg := &fogDatagram{pc: fogEnd}
+	sess := &dgramSession{dg: dg, token: 7, epoch: 1}
+	sess.setRemote(netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), 2), dg)
+	sf := newStreamFixture(1, sess)
+	defer protocol.PutBuffer(sf.fs.out)
+	tcp := &countingConn{}
+	sf.fs.conn = tcp
+
+	sf.frame(t)
+	normal := sf.fs.ef
+	sf.fs.ef = videocodec.EncodedFrame{Type: videocodec.PFrame, Width: 288, Height: 216, Quant: 1,
+		Data: make([]byte, transport.MaxDatagram)}
+	if !sf.fs.send(false) {
+		t.Fatal("an oversized frame ended the session")
+	}
+	sf.fs.ef = normal
+	sf.frame(t)
+
+	var (
+		tr   transport.RecvTracker
+		hdr  transport.Header
+		seqs []uint64
+		buf  = make([]byte, transport.MaxDatagram)
+	)
+	for {
+		playerEnd.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		n, _, err := playerEnd.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			break // drained
+		}
+		if _, err := transport.ParseHeader(buf[:n], &hdr); err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, hdr.Seq)
+		tr.Track(hdr.Epoch, hdr.Seq)
+	}
+	if !slices.Equal(seqs, []uint64{0, 2}) {
+		t.Errorf("received sequence numbers %v, want [0 2]", seqs)
+	}
+	if lost := tr.Stats().Lost; lost != 1 {
+		t.Errorf("tracker counted %d lost, want 1", lost)
+	}
+	if tcp.writes != 0 {
+		t.Errorf("%d writes reached the session's TCP connection, want none", tcp.writes)
+	}
 }
 
-func (c *rateChangeConn) Write(b []byte) (int, error) {
+// countingConn is a session connection that counts the writes made to it,
+// and the MsgRateChange frames among them, and swallows everything.
+type countingConn struct {
+	discardNetConn
+	writes, rateChanges int
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes++
 	if len(b) > 4 && protocol.MsgType(b[4]) == protocol.MsgRateChange {
 		c.rateChanges++
 	}
@@ -395,7 +452,7 @@ func TestDatagramGapRule(t *testing.T) {
 				sender videocodec.Decoder // the sender's own reconstruction
 				want   render.Frame
 				ef     videocodec.EncodedFrame
-				conn   rateChangeConn
+				conn   countingConn
 				p      = &PlayerClient{cfg: PlayerConfig{WriteTimeout: time.Second}}
 				st     = videoRecvState{needKey: true} // as runDatagramVideo starts it
 				shown  []int

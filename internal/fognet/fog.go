@@ -55,11 +55,10 @@ type FogConfig struct {
 	// point for chaos tests.
 	Dial DialFunc
 	// Datagram enables the unreliable UDP video path: the node opens a
-	// UDP socket next to the stream listener and offers it to players
-	// that send MsgDatagramRequest after attaching. TCP stays the
-	// default and the fallback — a player that never requests (or whose
-	// hello never arrives) streams over the session connection exactly
-	// as before.
+	// UDP socket next to the stream listener and grants it in every
+	// attach reply. A session switches to datagrams when the player's
+	// hello lands; one whose hello never arrives streams over the session
+	// connection exactly as before.
 	Datagram bool
 	// DatagramAddr is the UDP listen address for the datagram video
 	// path. Defaults to the stream listener's host with an ephemeral
@@ -643,22 +642,31 @@ func (f *FogNode) freeSlots() int {
 	return f.cfg.Capacity - len(f.attached)
 }
 
-// claim implements sessionHost against the node's capacity.
-func (f *FogNode) claim(player int32) bool {
+// claim implements sessionHost against the node's capacity. With a UDP
+// socket it registers the slot's datagram session under the authority
+// epoch of the cloud currently followed, so a receiver can discard frames
+// of a pre-failover session wholesale.
+func (f *FogNode) claim(player int32) (*dgramSession, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.attached) >= f.cfg.Capacity {
-		return false
+		return nil, false
 	}
 	f.attached[player] = struct{}{}
-	return true
+	if f.dgram == nil {
+		return nil, true
+	}
+	return f.dgram.newSession(f.stats.Epoch), true
 }
 
 // unclaim implements sessionHost.
-func (f *FogNode) unclaim(player int32) {
+func (f *FogNode) unclaim(player int32, sess *dgramSession) {
 	f.mu.Lock()
 	delete(f.attached, player)
 	f.mu.Unlock()
+	if sess != nil {
+		f.dgram.drop(sess)
+	}
 }
 
 // servePlayer answers capacity probes and runs one player's video session.
@@ -666,7 +674,7 @@ func (f *FogNode) servePlayer(conn net.Conn) {
 	defer f.wg.Done()
 	defer conn.Close()
 	fr := protocol.NewFrameReader(conn)
-	attach, ok := serveAttach(conn, fr, f.tp.Config, false, f)
+	attach, sess, ok := serveAttach(conn, fr, f.tp.Config, false, f)
 	if !ok {
 		return
 	}
@@ -674,10 +682,10 @@ func (f *FogNode) servePlayer(conn net.Conn) {
 	// the new player's surroundings, and drops them after it leaves.
 	f.reportInterest()
 	defer func() {
-		f.unclaim(attach.PlayerID)
+		f.unclaim(attach.PlayerID, sess)
 		f.reportInterest()
 	}()
-	runVideoSession(conn, fr, attach, f.cfg.FrameInterval, f.cfg.WriteTimeout, f, f.stop, &f.wg)
+	runVideoSession(conn, fr, attach, sess, f.cfg.FrameInterval, f.cfg.WriteTimeout, f, f.stop, &f.wg)
 }
 
 // viewInto implements sessionHost over the replica.

@@ -947,7 +947,7 @@ func TestFogCountsUndecodableUpdateBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	good := protocol.UpdateBatch{Epoch: 1, Tick: 6, Deltas: deltas}.Marshal()
+	good := protocol.UpdateBatch{Epoch: 1, Tick: 6, Deltas: deltas}.AppendTo(nil)
 	send(protocol.MsgUpdateBatch, good[:len(good)-1])
 	waitFor(t, 5*time.Second, "the torn update batch counted", func() bool { return fog.Stats().UpdateDecodeErrors == 1 })
 	if st := fog.Stats(); st.ReplicaTick != 5 || st.AppliedDeltas != 0 {
@@ -955,7 +955,7 @@ func TestFogCountsUndecodableUpdateBatches(t *testing.T) {
 	}
 	send(protocol.MsgUpdateBatch, good)
 	waitFor(t, 5*time.Second, "the good batch applied", func() bool { return fog.Stats().ReplicaTick == 6 })
-	cell := protocol.CellBatch{Epoch: 1, Tick: 7, Cell: virtualworld.CellNone, Deltas: deltas}.Marshal()
+	cell := protocol.CellBatch{Epoch: 1, Tick: 7, Cell: virtualworld.CellNone, Deltas: deltas}.AppendTo(nil)
 	send(protocol.MsgCellBatch, append(cell, 0))
 	waitFor(t, 5*time.Second, "the torn cell batch counted", func() bool { return fog.Stats().UpdateDecodeErrors == 2 })
 	if st := fog.Stats(); st.ReplicaTick != 6 || st.AppliedDeltas != 1 || st.CellBatches != 0 {

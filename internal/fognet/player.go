@@ -64,12 +64,12 @@ type PlayerConfig struct {
 	// Dial, when set, replaces net.DialTimeout — the faultnet injection
 	// point for chaos tests.
 	Dial DialFunc
-	// Datagram requests the unreliable UDP video path after every attach
-	// to a supernode: frames arrive as datagrams with stale-frame drop
-	// while the TCP session keeps carrying control (rate changes,
-	// rerouted actions, bye). TCP remains the fallback — a refusal or a
-	// failed hello handshake leaves the session streaming exactly as
-	// before. The cloud's own stream is never upgraded.
+	// Datagram takes the unreliable UDP video path that a supernode's
+	// attach reply grants: once the hello lands, frames arrive as
+	// datagrams with stale-frame drop while the TCP session carries
+	// control alone (rate changes, rerouted actions, bye). TCP remains the
+	// fallback — no grant or a failed hello handshake leaves the session
+	// streaming exactly as before. The cloud's own stream grants none.
 	Datagram bool
 	// WrapDatagram, when set, wraps the player's UDP socket — the
 	// faultnet injection point for lossy-path chaos tests.
@@ -217,7 +217,7 @@ func NewPlayerClient(cfg PlayerConfig) (*PlayerClient, error) {
 	p.mu.Lock()
 	p.adoptCtrlLocked(cfg.CloudAddr, reply)
 	p.mu.Unlock()
-	video, videoFR, err := p.attachToAny(p.ladder())
+	video, videoFR, grant, err := p.attachToAny(p.ladder())
 	if err != nil {
 		cloud.Close()
 		return nil, err
@@ -234,7 +234,7 @@ func NewPlayerClient(cfg PlayerConfig) (*PlayerClient, error) {
 	p.wg.Add(3)
 	go p.actionLoop(r)
 	go p.cloudLoop(cloudFR)
-	go p.videoLoop(videoFR)
+	go p.videoLoop(videoFR, grant)
 	return p, nil
 }
 
@@ -272,9 +272,7 @@ func buildLadder(cands []protocol.CandidateInfo, rtts map[string]float64,
 			Score:    c.Score,
 		}
 	}
-	if maxRTTMs > 0 {
-		sel = selection.FilterByDelay(sel, maxRTTMs/2)
-	}
+	sel = selection.FilterByDelay(sel, maxRTTMs/2)
 	ranker := selection.PolicyRanker{Policy: policy} // nil Scorer: cloud scores stand
 	ranker.Rank(sel, 0, r)
 	out := make([]string, 0, len(sel)+1)
@@ -299,23 +297,24 @@ func (p *PlayerClient) noteRTT(addr string, ms float64) {
 
 // attachToAny walks the ladder and attaches to the first address that
 // accepts (the sequential capacity probing of §3.2.2).
-func (p *PlayerClient) attachToAny(addrs []string) (net.Conn, *protocol.FrameReader, error) {
+func (p *PlayerClient) attachToAny(addrs []string) (net.Conn, *protocol.FrameReader, protocol.DatagramGrant, error) {
 	for _, addr := range addrs {
-		if conn, fr, err := p.attachTo(addr); err == nil {
-			return conn, fr, nil
+		if conn, fr, grant, err := p.attachTo(addr); err == nil {
+			return conn, fr, grant, nil
 		}
 	}
-	return nil, nil, fmt.Errorf("fognet: no supernode accepted player %d (candidates: %d)",
+	return nil, nil, protocol.DatagramGrant{}, fmt.Errorf("fognet: no supernode accepted player %d (candidates: %d)",
 		p.cfg.PlayerID, len(addrs))
 }
 
 // attachTo dials one rung of the ladder and runs the asking side of
-// serveAttach on it. Each step is a deadlined exchange, so a hung
-// supernode costs at most the dial timeout plus two handshake timeouts.
-func (p *PlayerClient) attachTo(addr string) (net.Conn, *protocol.FrameReader, error) {
+// serveAttach on it, returning the session's datagram grant with the
+// connection. Each step is a deadlined exchange, so a hung supernode costs
+// at most the dial timeout plus two handshake timeouts.
+func (p *PlayerClient) attachTo(addr string) (net.Conn, *protocol.FrameReader, protocol.DatagramGrant, error) {
 	conn, err := p.tp.Dial(addr)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, protocol.DatagramGrant{}, err
 	}
 	fr := protocol.NewFrameReader(conn)
 	// Probe for capacity first; the probe round-trip doubles as the
@@ -336,34 +335,23 @@ func (p *PlayerClient) attachTo(addr string) (net.Conn, *protocol.FrameReader, e
 		attach := protocol.PlayerAttach{PlayerID: p.cfg.PlayerID, QualityLevel: uint8(level)}
 		body, err = exchange(conn, fr, p.tp.Config.HandshakeTimeout, protocol.MsgPlayerAttach, attach.Marshal(), protocol.MsgAttachReply)
 	}
+	var ack protocol.AttachReply
 	if err == nil {
-		var ack protocol.AttachReply
 		if ack, err = protocol.UnmarshalAttachReply(body); err == nil && !ack.OK {
 			err = fmt.Errorf("%s refused the attach: %s", addr, ack.Reason)
 		}
 	}
-	p.mu.Lock()
-	isCloud := addr == p.cloudAddr
-	p.mu.Unlock()
-	if err == nil && p.cfg.Datagram && !isCloud {
-		// Ask for the UDP video path; the reply arrives on the stream and
-		// the video loop completes (or abandons) the upgrade. Frames keep
-		// flowing over TCP until the hello lands, so a refusal costs
-		// nothing.
-		req := protocol.DatagramRequest{PlayerID: p.cfg.PlayerID}
-		err = sendMsg(conn, p.cfg.WriteTimeout, protocol.MsgDatagramRequest, req.Marshal())
-	}
 	if err != nil {
 		conn.Close()
-		return nil, nil, err
+		return nil, nil, protocol.DatagramGrant{}, err
 	}
 	p.mu.Lock()
-	if isCloud {
+	if addr == p.cloudAddr {
 		p.stats.FallbackTransitions++
 	}
 	p.servingAddr = addr
 	p.mu.Unlock()
-	return conn, fr, nil
+	return conn, fr, ack.Datagram, nil
 }
 
 // Close leaves the game and waits for the client's goroutines.
@@ -441,9 +429,9 @@ type PlayerStats struct {
 	ReroutedActions  int64
 	DroppedActions   int64
 	DiscardedActions int64
-	// DatagramSessions counts completed UDP upgrades (hello acknowledged
-	// by a first frame); DatagramFrames is the subset of Frames that
-	// arrived as datagrams.
+	// DatagramSessions counts streams that went over to UDP (hello
+	// acknowledged by a first frame); DatagramFrames is the subset of
+	// Frames that arrived as datagrams.
 	DatagramSessions int64
 	DatagramFrames   int64
 	// DatagramStale / DatagramDuplicates / DatagramLost /
@@ -455,9 +443,9 @@ type PlayerStats struct {
 	DatagramDuplicates int64
 	DatagramLost       int64
 	DatagramReordered  int64
-	// DatagramFallbacks counts upgrade attempts that ended back on TCP:
-	// refusals from the serving node and hello handshakes that never
-	// completed.
+	// DatagramFallbacks counts supernode streams that stayed on TCP
+	// although datagrams were asked for: attach replies without a grant
+	// and hello handshakes that never completed.
 	DatagramFallbacks int64
 	// LossEWMA is the smoothed datagram loss fraction feeding the QoE
 	// rating (zero while streaming over TCP).
@@ -487,8 +475,9 @@ func (p *PlayerClient) reportQoE(addr string, rating float64, stalled, fallback 
 		Stalled:  stalled,
 		Fallback: fallback,
 	}
+	var buf []byte
 	p.cloudMu.Lock()
-	err := sendMsg(p.cloud, p.cfg.WriteTimeout, protocol.MsgQoEReport, rep.Marshal())
+	err := sendInto(p.cloud, p.cfg.WriteTimeout, &buf, protocol.MsgQoEReport, &rep)
 	p.cloudMu.Unlock()
 	if err == nil {
 		p.mu.Lock()
@@ -856,18 +845,19 @@ func (p *PlayerClient) sendRateChange(st *videoRecvState, conn net.Conn, level g
 // videoLoop receives and decodes the video stream, and drives the
 // receiver-driven adaptation: the observed delivery rate feeds the buffer
 // model, and level switches go back to the supernode as RateChange. Every
-// read carries the stall-detector deadline; a silent or broken stream
-// triggers the failover ladder. A MsgDatagramReply hands the stream to
-// the UDP receive loop; it hands back when the upgrade fizzles (keep
-// reading the same TCP stream) or when the datagram path stalls
-// (migrate, like any other failure).
+// stream, the first and each one a migration opens, picks its transport
+// once: with cfg.Datagram set, a supernode's stream goes to the UDP
+// receive loop with the grant its attach reply carried, and stays on TCP
+// only when there was no grant or the hello never landed. Every read
+// carries the stall-detector deadline; a silent or broken stream, on
+// either transport, triggers the failover ladder.
 //
 // The 30 fps receive path is the thin client's hot loop, so it reuses
 // everything: the frame reader's connection buffer, the EncodedFrame
 // whose Data aliases that buffer (consumed before the next read), the
 // decoder's internal reference frame, and the output frame whose pixels
 // alias decoder memory. Steady state allocates nothing per frame.
-func (p *PlayerClient) videoLoop(fr *protocol.FrameReader) {
+func (p *PlayerClient) videoLoop(fr *protocol.FrameReader, grant protocol.DatagramGrant) {
 	defer p.wg.Done()
 	st := videoRecvState{start: time.Now()}
 	st.windowStart = st.start
@@ -876,59 +866,54 @@ func (p *PlayerClient) videoLoop(fr *protocol.FrameReader) {
 	p.lastFrameAt = st.start
 	p.mu.Unlock()
 	for {
-		conn.SetReadDeadline(time.Now().Add(p.cfg.VideoReadTimeout))
-		typ, payload, err := fr.Next()
-		if err != nil {
-			// The serving supernode failed, left, or went silent:
-			// migrate down the ladder (§3.2.2). No game state
-			// transfers — the cloud holds it all — so the stream
-			// resumes with a fresh decoder.
-			var ok bool
-			if conn, fr, ok = p.migrate(&st.dec); !ok {
-				return
-			}
-			continue
-		}
-		switch typ {
-		case protocol.MsgVideoFrame:
-			p.decodeFrame(&st, payload, false)
-			p.maybeAdapt(&st, conn, nil)
-		case protocol.MsgDatagramReply:
-			rep, derr := protocol.UnmarshalDatagramReply(payload)
-			if derr != nil || !rep.OK {
-				p.mu.Lock()
-				p.stats.DatagramFallbacks++
-				p.mu.Unlock()
-				continue // refused: the TCP stream simply continues
-			}
-			switch p.runDatagramVideo(conn, rep, &st) {
+		p.mu.Lock()
+		onCloud := p.servingAddr == p.cloudAddr
+		p.mu.Unlock()
+		overTCP := true
+		if p.cfg.Datagram && !onCloud {
+			switch p.runDatagramVideo(conn, grant, &st) {
 			case dgClosed:
 				return
 			case dgStall:
-				var ok bool
-				if conn, fr, ok = p.migrate(&st.dec); !ok {
-					return
-				}
+				overTCP = false
 			case dgNoUpgrade:
-				// The hello never registered, so the fog still streams
-				// over this TCP connection; keep reading it.
+				// No grant, or the hello never registered: the fog streams
+				// over this TCP connection.
 				p.mu.Lock()
 				p.stats.DatagramFallbacks++
 				p.mu.Unlock()
 			}
+		}
+		for overTCP {
+			conn.SetReadDeadline(time.Now().Add(p.cfg.VideoReadTimeout))
+			typ, payload, err := fr.Next()
+			if err != nil {
+				break
+			}
+			if typ == protocol.MsgVideoFrame {
+				p.decodeFrame(&st, payload, false)
+				p.maybeAdapt(&st, conn, nil)
+			}
+		}
+		// The serving supernode failed, left, or went silent: migrate down
+		// the ladder (§3.2.2). No game state transfers — the cloud holds it
+		// all — so the stream resumes with a fresh decoder.
+		var ok bool
+		if conn, fr, grant, ok = p.migrate(&st.dec); !ok {
+			return
 		}
 	}
 }
 
 // migrate walks the failover ladder after the serving connection failed,
-// retrying with jittered backoff, and returns the new connection and its
-// frame reader. It reports false when the client is closing or the ladder stays dry. It
-// opens a stall, which the first frame decoded afterwards closes. The
-// failed supernode is reported to the cloud's reputation book (rating 0,
-// stalled), and again with the fallback flag if the migration ends on the
-// cloud's own stream — every escape to the expensive rung demotes whoever
-// caused it.
-func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, *protocol.FrameReader, bool) {
+// retrying with jittered backoff, and returns the new connection, its
+// frame reader and its datagram grant. It reports false when the client is
+// closing or the ladder stays dry. It opens a stall, which the first frame
+// decoded afterwards closes. The failed supernode is reported to the
+// cloud's reputation book (rating 0, stalled), and again with the fallback
+// flag if the migration ends on the cloud's own stream — every escape to
+// the expensive rung demotes whoever caused it.
+func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, *protocol.FrameReader, protocol.DatagramGrant, bool) {
 	p.mu.Lock()
 	p.stalled = true
 	failed := p.servingAddr
@@ -943,10 +928,10 @@ func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, *protocol.Fra
 	for attempt := 0; attempt < migrateAttempts; attempt++ {
 		select {
 		case <-p.stop:
-			return nil, nil, false
+			return nil, nil, protocol.DatagramGrant{}, false
 		default:
 		}
-		conn, fr, err := p.attachToAny(p.ladder())
+		conn, fr, grant, err := p.attachToAny(p.ladder())
 		if err == nil {
 			p.mu.Lock()
 			old := p.video
@@ -961,13 +946,13 @@ func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, *protocol.Fra
 				old.Close()
 			}
 			*dec = videocodec.Decoder{} // the new stream starts with an I-frame
-			return conn, fr, true
+			return conn, fr, grant, true
 		}
 		// The ladder may be mid-refresh (the cloud broadcasts after an
 		// eviction); back off with deterministic jitter and retry.
 		if !backoffWait(p.stop, &p.mu, p.jitter, &backoff, DefaultMigrateBackoffMax) {
-			return nil, nil, false
+			return nil, nil, protocol.DatagramGrant{}, false
 		}
 	}
-	return nil, nil, false
+	return nil, nil, protocol.DatagramGrant{}, false
 }

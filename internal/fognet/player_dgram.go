@@ -12,8 +12,9 @@ import (
 )
 
 // dgHelloAttempts bounds how many hellos the player sends before
-// abandoning the upgrade and staying on TCP. Hellos are datagrams too —
-// any one of them can be lost — so the handshake is repeat-until-frame.
+// abandoning the datagram path and staying on TCP. Hellos are datagrams
+// too — any one of them can be lost — so the handshake is
+// repeat-until-frame.
 const dgHelloAttempts = 8
 
 // dgResult is how a datagram video session ended.
@@ -25,17 +26,18 @@ const (
 	// dgStall: the datagram stream went silent past VideoReadTimeout;
 	// treat it like any other stream failure and migrate.
 	dgStall
-	// dgNoUpgrade: the hello handshake never completed, so the fog never
-	// switched away from TCP; resume reading the existing stream.
+	// dgNoUpgrade: there was no grant, or the hello handshake never
+	// completed, so the fog never switched away from TCP; read the
+	// session's TCP stream.
 	dgNoUpgrade
 )
 
 // runDatagramVideo is the player's unreliable video path: it opens a UDP
-// socket, helloes the fog's datagram endpoint with the offered token
+// socket, helloes the fog's datagram endpoint with the granted token
 // until the first frame arrives, then receives frames until the client
 // closes or the stream stalls. conn is the session's TCP connection,
-// which keeps carrying control (rate changes out, nothing expected in)
-// for the duration.
+// which carries control alone (rate changes out, nothing read) for the
+// duration.
 //
 // Ordering discipline: every datagram is classified by the RecvTracker —
 // only Fresh frames are delivered, so a frame older than one already
@@ -44,8 +46,8 @@ const (
 // only when the frame before it was decoded too. The tracker's window
 // accounting feeds the adaptation controller the loss fraction TCP would
 // have hidden.
-func (p *PlayerClient) runDatagramVideo(conn net.Conn, rep protocol.DatagramReply, st *videoRecvState) dgResult {
-	raddr, aerr := netip.ParseAddrPort(rep.Addr)
+func (p *PlayerClient) runDatagramVideo(conn net.Conn, grant protocol.DatagramGrant, st *videoRecvState) dgResult {
+	raddr, aerr := netip.ParseAddrPort(grant.Addr)
 	if aerr != nil {
 		return dgNoUpgrade
 	}
@@ -99,7 +101,7 @@ func (p *PlayerClient) runDatagramVideo(conn net.Conn, rep protocol.DatagramRepl
 	// handleDatagram classifies and (when fresh) decodes one datagram.
 	handleDatagram := func(n int) {
 		payload, perr := transport.ParseHeader(buf[:n], &hdr)
-		if perr != nil || hdr.Kind != transport.DgramFrame || hdr.Token != rep.Token {
+		if perr != nil || hdr.Kind != transport.DgramFrame || hdr.Token != grant.Token {
 			return
 		}
 		switch tr.Track(hdr.Epoch, hdr.Seq) {
@@ -119,7 +121,7 @@ func (p *PlayerClient) runDatagramVideo(conn net.Conn, rep protocol.DatagramRepl
 	}
 
 	//lint:ignore epochstamp hello carries identity only; Seq/Tick are per-frame stamps the session assigns after upgrade
-	hello := transport.Header{Kind: transport.DgramHello, Token: rep.Token, Epoch: rep.Epoch}
+	hello := transport.Header{Kind: transport.DgramHello, Token: grant.Token, Epoch: grant.Epoch}
 	helloBuf := hello.AppendTo(make([]byte, 0, transport.HeaderLen))
 	attemptInterval := p.cfg.VideoReadTimeout / 4
 	for attempt := 0; attempt < dgHelloAttempts && !established; attempt++ {

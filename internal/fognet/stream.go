@@ -19,10 +19,12 @@ type sessionHost interface {
 	// freeSlots answers a capacity probe, claim takes a slot for the
 	// player (false means at capacity) and unclaim gives it back: a fog
 	// node counts attached players against its capacity, the cloud's
-	// fallback stream never refuses.
+	// fallback stream never refuses. A fog node with a UDP socket
+	// registers the session's datagram grant with the slot and unclaim
+	// releases it; elsewhere the session is nil and streams over TCP only.
 	freeSlots() int
-	claim(player int32) bool
-	unclaim(player int32)
+	claim(player int32) (*dgramSession, bool)
+	unclaim(player int32, sess *dgramSession)
 	// viewInto fills a session-owned snapshot with what one player can
 	// see and returns the viewport it was cut to: a fog node reads its
 	// replica, the cloud the authoritative world. Either holds its lock
@@ -40,26 +42,20 @@ type sessionHost interface {
 	// authoritative world directly. Returns false when the action was
 	// dropped.
 	submitAction(a virtualworld.Action) bool
-	// offerDatagram registers a datagram upgrade over the fog node's UDP
-	// socket and returns the reply to send plus the live session handle;
-	// reply.OK false means refusal (nil handle), which is all the cloud
-	// ever answers — its rung of the ladder stays TCP-only. endDatagram
-	// releases the session when the video session ends.
-	offerDatagram() (protocol.DatagramReply, *dgramSession)
-	endDatagram(*dgramSession)
 }
 
 // serveAttach is the serving side of the probe→attach handshake that
 // opens every video session, on a fog node and on the cloud's fallback
 // stream alike: each MsgProbe is answered with the free slots, and the
-// MsgPlayerAttach that follows claims one. probed says the caller's
+// MsgPlayerAttach that follows claims one; the reply carries the slot's
+// datagram grant when the host has one. probed says the caller's
 // dispatch already consumed the opening MsgProbe (the cloud tells its
 // peers apart by their first message). The read deadline is armed once
 // for the whole handshake, not per message: a peer that keeps probing and
 // never attaches is cut off when it runs out. On success the player holds
-// a slot the caller must unclaim.
+// a slot, and its datagram session, that the caller must unclaim.
 func serveAttach(conn net.Conn, fr *protocol.FrameReader, tc transport.Config,
-	probed bool, host sessionHost) (protocol.PlayerAttach, bool) {
+	probed bool, host sessionHost) (protocol.PlayerAttach, *dgramSession, bool) {
 	var attach protocol.PlayerAttach
 	conn.SetReadDeadline(time.Now().Add(tc.HandshakeTimeout))
 	for ; ; probed = false {
@@ -67,32 +63,36 @@ func serveAttach(conn net.Conn, fr *protocol.FrameReader, tc transport.Config,
 		if !probed {
 			var err error
 			if typ, payload, err = fr.Next(); err != nil {
-				return attach, false
+				return attach, nil, false
 			}
 		}
 		switch typ {
 		case protocol.MsgProbe:
 			reply := protocol.ProbeReply{Available: host.freeSlots()}
 			if sendMsg(conn, tc.WriteTimeout, protocol.MsgProbeReply, reply.Marshal()) != nil {
-				return attach, false
+				return attach, nil, false
 			}
 		case protocol.MsgPlayerAttach:
 			var err error
 			if attach, err = protocol.UnmarshalPlayerAttach(payload); err != nil {
-				return attach, false
+				return attach, nil, false
 			}
-			reply := protocol.AttachReply{OK: host.claim(attach.PlayerID)}
-			if !reply.OK {
+			sess, ok := host.claim(attach.PlayerID)
+			reply := protocol.AttachReply{OK: ok}
+			switch {
+			case !ok:
 				reply.Reason = "at capacity"
+			case sess != nil:
+				reply.Datagram = sess.grant()
 			}
 			err = sendMsg(conn, tc.WriteTimeout, protocol.MsgAttachReply, reply.Marshal())
-			if reply.OK && err != nil {
-				host.unclaim(attach.PlayerID)
+			if ok && err != nil {
+				host.unclaim(attach.PlayerID, sess)
 			}
 			conn.SetReadDeadline(time.Time{})
-			return attach, reply.OK && err == nil
+			return attach, sess, ok && err == nil
 		default:
-			return attach, false
+			return attach, nil, false
 		}
 	}
 }
@@ -100,14 +100,12 @@ func serveAttach(conn net.Conn, fr *protocol.FrameReader, tc transport.Config,
 // runVideoSession streams rendered, encoded frames for one attached player
 // until the connection breaks, a Bye arrives, or stop closes. It handles
 // the receiver-driven RateChange messages of §3.3 (one that repeats the
-// current level asks for a keyframe) and the optional
-// datagram upgrade: a MsgDatagramRequest is answered (host.offerDatagram
-// grants or refuses) on the session connection, and once the
-// player's hello registers, frames ride UDP while this connection keeps
-// carrying control. Every frame write carries writeTimeout as a deadline,
-// so a player that stops reading cannot pin the session goroutine. The
-// caller owns conn and ran serveAttach on it; wg tracks the internal
-// reader goroutine.
+// current level asks for a keyframe). With a datagram session (sess, the
+// grant the attach reply carried) frames ride UDP from the moment the
+// player's hello lands, and this connection carries control alone. Every
+// frame write carries writeTimeout as a deadline, so a player that stops
+// reading cannot pin the session goroutine. The caller owns conn and sess
+// and ran serveAttach on them; wg tracks the internal reader goroutine.
 //
 // The 30 fps loop is the fog tier's hot path; frameStream.sendFrame is
 // one iteration of it.
@@ -115,6 +113,7 @@ func runVideoSession(
 	conn net.Conn,
 	fr *protocol.FrameReader,
 	attach protocol.PlayerAttach,
+	sess *dgramSession,
 	frameInterval time.Duration,
 	writeTimeout time.Duration,
 	host sessionHost,
@@ -125,11 +124,10 @@ func runVideoSession(
 	if level < 1 || level > game.NumQualityLevels {
 		level = 3
 	}
-	// Rate-change and datagram-request messages arrive asynchronously
-	// with the frame clock; the frame loop owns all writes on conn, so
-	// the reader only signals.
+	// Rate changes arrive asynchronously with the frame clock; the frame
+	// loop owns the encoder and all writes on conn, so the reader only
+	// signals.
 	rateCh := make(chan game.QualityLevel, 1)
-	dgramCh := make(chan struct{}, 1)
 	readDone := make(chan struct{})
 	wg.Add(1)
 	go func() {
@@ -157,15 +155,6 @@ func runVideoSession(
 					continue
 				}
 				host.submitAction(am.Action)
-			case protocol.MsgDatagramRequest:
-				req, derr := protocol.UnmarshalDatagramRequest(payload)
-				if derr != nil || req.PlayerID != playerID {
-					continue
-				}
-				select {
-				case dgramCh <- struct{}{}:
-				default:
-				}
 			case protocol.MsgBye:
 				return
 			}
@@ -174,12 +163,7 @@ func runVideoSession(
 
 	out := protocol.GetBuffer()
 	defer protocol.PutBuffer(out)
-	fs := newFrameStream(conn, playerID, level, writeTimeout, host, out)
-	defer func() {
-		if fs.sess != nil {
-			host.endDatagram(fs.sess)
-		}
-	}()
+	fs := newFrameStream(conn, playerID, level, writeTimeout, host, sess, out)
 	// A player that migrated, resumed or fell back here is already in the
 	// world this host renders from: its first frame need not wait for the
 	// frame clock. A fresh joiner attaches before its spawn delta can have
@@ -206,15 +190,6 @@ func runVideoSession(
 				// request: the player lost a datagram and has no
 				// reference for the P-frames that follow it.
 				fs.encoder.ForceKeyframe()
-			}
-		case <-dgramCh:
-			//lint:ignore epochstamp refusal of a second request: overwritten by the host's answer to the first
-			reply := protocol.DatagramReply{Reason: "datagram video unavailable"}
-			if fs.sess == nil {
-				reply, fs.sess = host.offerDatagram()
-			}
-			if sendMsg(conn, writeTimeout, protocol.MsgDatagramReply, reply.Marshal()) != nil {
-				return
 			}
 		case <-ticker.C:
 			if !fs.sendFrame() {
@@ -246,16 +221,16 @@ type frameStream struct {
 	view     virtualworld.Snapshot
 	ef       videocodec.EncodedFrame
 	out      *protocol.Buffer
-	// sess is the live datagram upgrade, nil until a request is granted;
-	// dgramLive flips when the player's hello lands and frames actually
-	// switch to UDP.
+	// sess is the datagram session the attach reply granted, nil when none
+	// was; dgramLive flips when the player's hello lands, and from then on
+	// every frame of the session is a datagram.
 	sess      *dgramSession
 	dgramLive bool
 }
 
 func newFrameStream(conn net.Conn, playerID int32, level game.QualityLevel, writeTimeout time.Duration,
-	host sessionHost, out *protocol.Buffer) *frameStream {
-	fs := &frameStream{conn: conn, playerID: int(playerID), writeTimeout: writeTimeout, host: host, out: out}
+	host sessionHost, sess *dgramSession, out *protocol.Buffer) *frameStream {
+	fs := &frameStream{conn: conn, playerID: int(playerID), writeTimeout: writeTimeout, host: host, sess: sess, out: out}
 	fs.setLevel(level)
 	fs.frame = render.NewFrame(fs.renderer.Resolution())
 	return fs
@@ -286,9 +261,9 @@ func (fs *frameStream) sendFrame() bool {
 	if fs.sess != nil && !fs.dgramLive {
 		if _, ok := fs.sess.remote(); ok {
 			// The hello landed: this frame is the first to ride
-			// UDP. Restart the GOP so the receiver — which read
-			// none of the TCP frames in flight during the
-			// handshake — decodes from the very first datagram.
+			// UDP. Restart the GOP so the receiver — which reads
+			// none of the TCP frames sent before it — decodes
+			// from the very first datagram.
 			fs.dgramLive = true
 			fs.encoder.ForceKeyframe()
 		}
@@ -296,18 +271,23 @@ func (fs *frameStream) sendFrame() bool {
 	fs.renderer.RenderInto(fs.view, vp, fs.frame)
 	fullBefore := fs.encoder.FullEncodes()
 	fs.encoder.EncodeInto(fs.frame, &fs.ef)
-	full := fs.encoder.FullEncodes() != fullBefore
-	if fs.sess != nil {
+	return fs.send(fs.encoder.FullEncodes() != fullBefore)
+}
+
+// send puts the encoded frame on the session's one video transport: the
+// TCP connection until the player's hello lands, a datagram from then on.
+// A datagram that cannot go out — too large, or refused by the socket — is
+// a lost frame and nothing else: its sequence number is spent, so the
+// player's gap rule asks for a keyframe and §3.3's controller sees the
+// loss. full says the encoder worked through every tile. It reports false
+// when the TCP connection broke.
+func (fs *frameStream) send(full bool) bool {
+	if fs.dgramLive {
 		var sent bool
-		fs.out.B, sent = fs.sess.sendFrame(fs.out.B, &fs.ef, fs.view.Tick)
-		if sent {
-			fs.host.addFrame(fs.ef.SizeBits(), full)
+		if fs.out.B, sent = fs.sess.sendFrame(fs.out.B, &fs.ef, fs.view.Tick); !sent {
 			return true
 		}
-		// No hello yet, oversized frame, or a socket error:
-		// this frame rides the reliable stream instead.
-	}
-	if sendInto(fs.conn, fs.writeTimeout, &fs.out.B, protocol.MsgVideoFrame, &fs.ef) != nil {
+	} else if sendInto(fs.conn, fs.writeTimeout, &fs.out.B, protocol.MsgVideoFrame, &fs.ef) != nil {
 		return false
 	}
 	fs.host.addFrame(fs.ef.SizeBits(), full)

@@ -127,7 +127,7 @@ func joinRaw(t *testing.T, cloud *CloudServer, id int, x, y float64) (*rawPlayer
 // tick shows as exactly one delta for this player's avatar.
 func (p *rawPlayer) emote(tag uint8) error {
 	am := protocol.ActionMsg{Action: virtualworld.Action{Player: p.id, Kind: virtualworld.ActEmote, StateTag: tag}}
-	return protocol.WriteMessage(p.conn, protocol.MsgAction, am.Marshal())
+	return protocol.WriteMessage(p.conn, protocol.MsgAction, am.AppendTo(nil))
 }
 
 // streamInputs sends an input every period until the returned stop is

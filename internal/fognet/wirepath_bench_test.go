@@ -180,7 +180,7 @@ func newStreamFixture(level game.QualityLevel, sess *dgramSession) *streamFixtur
 	}
 	fog := &FogNode{replica: virtualworld.NewReplica(1024, 1024)}
 	fog.replica.Seed(w.Snapshot())
-	fs := newFrameStream(discardNetConn{}, 1, level, time.Second, fog, protocol.GetBuffer())
+	fs := newFrameStream(discardNetConn{}, 1, level, time.Second, fog, sess, protocol.GetBuffer())
 	fs.sess = sess
 	return &streamFixture{fog: fog, fs: fs, avatar: avatar}
 }

@@ -7,31 +7,12 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// BenchmarkUpdateBatchMarshal measures encoding one 100-delta update batch
-// — the cloud's per-supernode per-tick serialization cost.
-func BenchmarkUpdateBatchMarshal(b *testing.B) {
-	batch := UpdateBatch{Tick: 1}
-	for i := 0; i < 100; i++ {
-		batch.Deltas = append(batch.Deltas, virtualworld.Delta{
-			ID: virtualworld.EntityID(i + 1),
-			Entity: virtualworld.Entity{
-				ID: virtualworld.EntityID(i + 1), Kind: virtualworld.KindAvatar,
-				Owner: i, X: float64(i), Y: float64(i), HP: 100, Version: uint32(i),
-			},
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch.Marshal()
-	}
-}
-
-// BenchmarkUpdateBatchAppendTo measures the append-style encode into a
-// warm buffer — the zero-allocation replacement for Marshal on the
-// cloud's per-tick path.
+// BenchmarkUpdateBatchAppendTo measures encoding one 100-delta update
+// batch into a warm buffer — the cloud's per-supernode per-tick
+// serialization cost, allocation-free.
 func BenchmarkUpdateBatchAppendTo(b *testing.B) {
 	batch := benchBatch(100)
-	buf := make([]byte, 0, len(batch.Marshal()))
+	buf := make([]byte, 0, len(batch.AppendTo(nil)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,7 +24,7 @@ func BenchmarkUpdateBatchAppendTo(b *testing.B) {
 // zero-allocation decode on the supernode's
 // apply loop.
 func BenchmarkUpdateBatchDecodeInto(b *testing.B) {
-	payload := benchBatch(100).Marshal()
+	payload := benchBatch(100).AppendTo(nil)
 	var m UpdateBatch
 	// Warm m.Deltas to steady-state capacity: the first decode's slice
 	// growth is a one-time cost per connection, not a per-op one, and
@@ -61,8 +42,8 @@ func BenchmarkUpdateBatchDecodeInto(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteMessage is the legacy wire path — Marshal, then a framed
-// WriteMessage (two Write calls, fresh header and payload per message).
+// BenchmarkWriteMessage is the legacy wire path — encode into a fresh
+// slice, then a framed WriteMessage (two Write calls, fresh header and payload per message).
 // It is the baseline the append-path benchmarks below are measured
 // against.
 func BenchmarkWriteMessage(b *testing.B) {
@@ -70,7 +51,7 @@ func BenchmarkWriteMessage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteMessage(io.Discard, MsgUpdateBatch, batch.Marshal()); err != nil {
+		if err := WriteMessage(io.Discard, MsgUpdateBatch, batch.AppendTo(nil)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +62,7 @@ func BenchmarkWriteMessage(b *testing.B) {
 // Write. Steady state must be 0 allocs/op.
 func BenchmarkAppendFrame(b *testing.B) {
 	batch := benchBatch(100)
-	buf := make([]byte, 0, len(batch.Marshal())+HeaderLen)
+	buf := make([]byte, 0, len(batch.AppendTo(nil))+HeaderLen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -99,7 +80,7 @@ func BenchmarkAppendFrame(b *testing.B) {
 // BenchmarkReadMessage is the legacy receive path: a fresh header and
 // payload allocation per message.
 func BenchmarkReadMessage(b *testing.B) {
-	stream, err := AppendFrame(nil, MsgUpdateBatch, benchBatch(100).Marshal())
+	stream, err := AppendFrame(nil, MsgUpdateBatch, benchBatch(100).AppendTo(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,7 +98,7 @@ func BenchmarkReadMessage(b *testing.B) {
 // buffer per connection, reused across messages. Steady state must be
 // 0 allocs/op.
 func BenchmarkFrameReader(b *testing.B) {
-	stream, err := AppendFrame(nil, MsgUpdateBatch, benchBatch(100).Marshal())
+	stream, err := AppendFrame(nil, MsgUpdateBatch, benchBatch(100).AppendTo(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -138,7 +119,7 @@ func BenchmarkFrameReader(b *testing.B) {
 // the cloud's per-cell per-tick serialization cost under AoI fan-out.
 func BenchmarkCellBatchAppendTo(b *testing.B) {
 	batch := CellBatch{Tick: 1, Cell: 7, Deltas: benchBatch(20).Deltas}
-	buf := make([]byte, 0, len(batch.Marshal()))
+	buf := make([]byte, 0, len(batch.AppendTo(nil)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -148,7 +129,7 @@ func BenchmarkCellBatchAppendTo(b *testing.B) {
 
 // BenchmarkCellBatchDecodeInto measures the fog-side per-cell decode.
 func BenchmarkCellBatchDecodeInto(b *testing.B) {
-	payload := CellBatch{Tick: 1, Cell: 7, Deltas: benchBatch(20).Deltas}.Marshal()
+	payload := CellBatch{Tick: 1, Cell: 7, Deltas: benchBatch(20).Deltas}.AppendTo(nil)
 	var m CellBatch
 	if err := DecodeCellBatch(payload, &m); err != nil { // warm capacity
 		b.Fatal(err)

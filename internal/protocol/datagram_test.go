@@ -2,12 +2,15 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 )
 
+// TestDatagramRequestRoundTrip: a granted attach carries the grant whole.
 func TestDatagramRequestRoundTrip(t *testing.T) {
-	m := DatagramRequest{PlayerID: 4711}
-	got, err := UnmarshalDatagramRequest(m.Marshal())
+	m := AttachReply{OK: true, Datagram: DatagramGrant{Addr: "127.0.0.1:9999", Token: 0xfeedface, Epoch: 3}}
+	got, err := UnmarshalAttachReply(m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,13 +19,16 @@ func TestDatagramRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDatagramReplyRoundTrip: every shape of attach reply round-trips, the
+// ones without a grant included.
 func TestDatagramReplyRoundTrip(t *testing.T) {
-	for _, m := range []DatagramReply{
-		{OK: true, Addr: "127.0.0.1:9999", Token: 0xfeedface, Epoch: 3},
-		{OK: false, Reason: "datagram video disabled"},
+	for _, m := range []AttachReply{
+		{OK: true, Datagram: DatagramGrant{Addr: "127.0.0.1:9999", Token: 0xfeedface, Epoch: 3}},
+		{OK: true},
+		{OK: false, Reason: "at capacity"},
 		{},
 	} {
-		got, err := UnmarshalDatagramReply(m.Marshal())
+		got, err := UnmarshalAttachReply(m.Marshal())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,22 +38,29 @@ func TestDatagramReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDatagramUnmarshalRejectsTruncated: an attach reply cut anywhere, or
+// whose grant Addr claims more bytes than follow, is refused.
 func TestDatagramUnmarshalRejectsTruncated(t *testing.T) {
-	full := DatagramReply{OK: true, Addr: "x", Reason: "y"}.Marshal()
+	full := AttachReply{OK: true, Reason: "y", Datagram: DatagramGrant{Addr: "x", Token: 1, Epoch: 2}}.Marshal()
 	for i := 0; i < len(full); i++ {
-		if _, err := UnmarshalDatagramReply(full[:i]); err == nil {
+		if _, err := UnmarshalAttachReply(full[:i]); err == nil {
 			t.Errorf("truncation at %d accepted", i)
 		}
 	}
-	if _, err := UnmarshalDatagramRequest(nil); err == nil {
-		t.Error("empty request accepted")
+	// OK, an empty Reason, then an Addr length of 65535 over one byte.
+	hostile := []byte{1, 0, 0, 0xFF, 0xFF, 'x', 0, 0, 0}
+	if _, err := UnmarshalAttachReply(hostile); !errors.Is(err, ErrTruncated) {
+		t.Errorf("hostile Addr length: err %v, want ErrTruncated", err)
 	}
 }
 
+// TestDatagramMsgTypeNames: the datagram path has no message of its own —
+// its grant rides the attach reply.
 func TestDatagramMsgTypeNames(t *testing.T) {
-	if MsgDatagramRequest.String() != "datagram-request" ||
-		MsgDatagramReply.String() != "datagram-reply" {
-		t.Error("missing String() names for datagram messages")
+	for typ := MsgType(1); typ.String() != "unknown"; typ++ {
+		if strings.HasPrefix(typ.String(), "datagram") {
+			t.Errorf("type %d is %q", typ, typ)
+		}
 	}
 }
 
@@ -60,7 +73,7 @@ func FuzzStreamFramingParity(f *testing.F) {
 	f.Add(uint8(MsgVideoFrame), []byte("frame"))
 	f.Add(uint8(MsgBye), []byte{})
 	f.Add(uint8(MsgCheckpoint), bytes.Repeat([]byte{0xA5}, 1024))
-	f.Add(uint8(MsgDatagramReply), DatagramReply{OK: true, Addr: "a"}.Marshal())
+	f.Add(uint8(MsgAttachReply), AttachReply{OK: true, Datagram: DatagramGrant{Addr: "a"}}.Marshal())
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		appended, err := AppendFrame(nil, MsgType(typ), payload)
 		if err != nil {

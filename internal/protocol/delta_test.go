@@ -79,7 +79,7 @@ func TestDeltaRecordLossless(t *testing.T) {
 	check := func(what string, epoch, tick uint64, cell uint32, keyframe bool, deltas []virtualworld.Delta) {
 		t.Helper()
 		ub := UpdateBatch{Epoch: epoch, Tick: tick, Deltas: deltas}
-		enc := ub.Marshal()
+		enc := ub.AppendTo(nil)
 		var gotU UpdateBatch
 		if err := DecodeUpdateBatch(enc, &gotU); err != nil {
 			t.Fatalf("%s: update batch: %v", what, err)
@@ -88,12 +88,12 @@ func TestDeltaRecordLossless(t *testing.T) {
 			t.Errorf("%s: update batch header %d/%d, want %d/%d", what, gotU.Epoch, gotU.Tick, epoch, tick)
 		}
 		sameDeltas(t, what+": update batch", gotU.Deltas, deltas)
-		if !bytes.Equal(gotU.Marshal(), enc) {
+		if !bytes.Equal(gotU.AppendTo(nil), enc) {
 			t.Errorf("%s: update batch re-encodes differently", what)
 		}
 
 		cb := CellBatch{Epoch: epoch, Tick: tick, Cell: cell, Keyframe: keyframe, Deltas: deltas}
-		enc = cb.Marshal()
+		enc = cb.AppendTo(nil)
 		var gotC CellBatch
 		if err := DecodeCellBatch(enc, &gotC); err != nil {
 			t.Fatalf("%s: cell batch: %v", what, err)
@@ -102,7 +102,7 @@ func TestDeltaRecordLossless(t *testing.T) {
 			t.Errorf("%s: cell batch header %+v", what, gotC)
 		}
 		sameDeltas(t, what+": cell batch", gotC.Deltas, deltas)
-		if !bytes.Equal(gotC.Marshal(), enc) {
+		if !bytes.Equal(gotC.AppendTo(nil), enc) {
 			t.Errorf("%s: cell batch re-encodes differently", what)
 		}
 	}
@@ -118,7 +118,7 @@ func TestDeltaRecordLossless(t *testing.T) {
 
 	// The sentinel cell and a quiet world's small numbers are what the
 	// format is shaped for: one byte each.
-	if n := len(CellBatch{Epoch: 1, Tick: 100, Cell: virtualworld.CellNone}.Marshal()); n != 5 {
+	if n := len(CellBatch{Epoch: 1, Tick: 100, Cell: virtualworld.CellNone}.AppendTo(nil)); n != 5 {
 		t.Errorf("empty CellNone batch is %d bytes, want 5", n)
 	}
 }
@@ -131,7 +131,7 @@ func TestDeltaRecordHostile(t *testing.T) {
 	// A record up to and including its kind, and what follows its varints.
 	head := append(uv(nil, 7), 0, byte(virtualworld.KindNPC))
 	tail := make([]byte, 8+8+8+2+1)
-	whole := UpdateBatch{Deltas: edgeDeltas()}.Marshal()[2:] // behind epoch and tick
+	whole := UpdateBatch{Deltas: edgeDeltas()}.AppendTo(nil)[2:] // behind epoch and tick
 	for _, tc := range []struct {
 		name    string
 		records []byte // what follows the batch header: the count, then the records

@@ -8,22 +8,25 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// marshaler is what every message is.
-type marshaler interface{ Marshal() []byte }
+// encode is the tests' one encoder for a message of any type: AppendTo(nil)
+// for the messages that have it, Marshal for the handshakes.
+func encode(m any) []byte {
+	if a, ok := m.(Appender); ok {
+		return a.AppendTo(nil)
+	}
+	return m.(interface{ Marshal() []byte }).Marshal()
+}
 
 // unmarshalFn adapts one typed Unmarshal function to the table.
-func unmarshalFn[M marshaler](unmarshal func([]byte) (M, error)) func([]byte) (marshaler, error) {
-	return func(b []byte) (marshaler, error) { return unmarshal(b) }
+func unmarshalFn[M any](unmarshal func([]byte) (M, error)) func([]byte) (any, error) {
+	return func(b []byte) (any, error) { return unmarshal(b) }
 }
 
 // decodeFn adapts a Decode function, which fills a message the caller
 // reuses, to the table.
-func decodeFn[M any, P interface {
-	*M
-	marshaler
-}](decode func([]byte, P) error) func([]byte) (marshaler, error) {
-	return func(b []byte) (marshaler, error) {
-		m := P(new(M))
+func decodeFn[M any](decode func([]byte, *M) error) func([]byte) (any, error) {
+	return func(b []byte) (any, error) {
+		m := new(M)
 		return m, decode(b, m)
 	}
 }
@@ -33,8 +36,8 @@ func decodeFn[M any, P interface {
 // admitted connection — each with one valid seed message.
 var networkDecoders = []struct {
 	name   string
-	decode func([]byte) (marshaler, error)
-	seed   marshaler
+	decode func([]byte) (any, error)
+	seed   any
 }{
 	{"SupernodeHello", unmarshalFn(UnmarshalSupernodeHello),
 		SupernodeHello{Name: "sn-1", Capacity: 8, StreamAddr: "10.0.0.7:7000"}},
@@ -47,7 +50,7 @@ var networkDecoders = []struct {
 	{"PlayerAttach", unmarshalFn(UnmarshalPlayerAttach),
 		PlayerAttach{PlayerID: 42, QualityLevel: 4}},
 	{"AttachReply", unmarshalFn(UnmarshalAttachReply),
-		AttachReply{Reason: "at capacity"}},
+		AttachReply{OK: true, Datagram: DatagramGrant{Addr: "10.0.0.7:7001", Token: 0xfeedface, Epoch: 2}}},
 	{"ProbeReply", unmarshalFn(UnmarshalProbeReply),
 		ProbeReply{Available: 5}},
 	{"StandbyHello", unmarshalFn(UnmarshalStandbyHello),
@@ -57,10 +60,6 @@ var networkDecoders = []struct {
 	{"ResumeReply", unmarshalFn(UnmarshalResumeReply),
 		ResumeReply{OK: true, Discard: true, Epoch: 2, Tick: 70, SupernodeID: 4, HasSnapshot: true,
 			Snapshot: fuzzSnapshot(), Candidates: fuzzCandidates(), StandbyAddr: "10.0.0.3:7301"}},
-	{"DatagramRequest", unmarshalFn(UnmarshalDatagramRequest),
-		DatagramRequest{PlayerID: 42}},
-	{"DatagramReply", unmarshalFn(UnmarshalDatagramReply),
-		DatagramReply{OK: true, Addr: "10.0.0.7:7001", Token: 0xfeedface, Epoch: 2}},
 	{"UpdateBatch", decodeFn(DecodeUpdateBatch),
 		UpdateBatch{Epoch: 2, Tick: 71, Deltas: fuzzDeltas()}},
 	{"CellBatch", decodeFn(DecodeCellBatch),
@@ -97,24 +96,22 @@ func fuzzCandidates() []CandidateInfo {
 	return []CandidateInfo{{Addr: "10.0.0.7:7000", Load: 2, Capacity: 8, MeasuredRTTMs: -1, Score: 0.5}}
 }
 
-// seedBytesAtPR24 is the FNV-1a hash of every seed's encoding as PR 24's
-// encoders wrote it. InterestUpdate is missing on purpose: PR 25 dropped
-// its cell list.
-var seedBytesAtPR24 = map[string]uint64{
+// pinnedSeedBytes is the FNV-1a hash of every seed's encoding. A hash
+// changes only with the format of its message, and says why beside it.
+var pinnedSeedBytes = map[string]uint64{
 	"SupernodeHello":   0x6c6d5c2b044e5d20,
 	"SupernodeWelcome": 0xadf52b903ecd684b,
 	"PlayerJoin":       0x9194bae6866a402b,
 	"JoinReply":        0xc50f4490ad689ca2,
 	"PlayerAttach":     0xe463efd924e0d059,
-	"AttachReply":      0x2e55021e86dd4309,
+	"AttachReply":      0x2276a38cad29a30e, // grew the datagram grant; the seed is now a granted attach
 	"ProbeReply":       0x8328307b4eb676e,
 	"StandbyHello":     0x830108b9fdc5de4a,
 	"Resume":           0x9d240e3a17fc1c73,
 	"ResumeReply":      0x74c936d70c9f3079,
-	"DatagramRequest":  0x4d255c7f9dcde7c7,
-	"DatagramReply":    0x44d97cf98164951e,
 	"UpdateBatch":      0x8d58c3a1362edbfb,
 	"CellBatch":        0x526764e878d9c130,
+	"InterestUpdate":   0xaa2472b29902e5ad,
 	"QoEReport":        0x74df69014a459f,
 	"CandidateUpdate":  0x6ff4636ce23c3b5,
 	"ActionMsg":        0x797cbfa2ea536e7c,
@@ -128,15 +125,13 @@ var seedBytesAtPR24 = map[string]uint64{
 // before.
 func TestNetworkSeedBytesPinned(t *testing.T) {
 	for _, d := range networkDecoders {
-		want, pinned := seedBytesAtPR24[d.name]
+		want, pinned := pinnedSeedBytes[d.name]
 		if !pinned {
-			if d.name != "InterestUpdate" {
-				t.Errorf("%s: no pinned hash", d.name)
-			}
+			t.Errorf("%s: no pinned hash", d.name)
 			continue
 		}
 		h := fnv.New64a()
-		h.Write(d.seed.Marshal())
+		h.Write(encode(d.seed))
 		if got := h.Sum64(); got != want {
 			t.Errorf("%s: seed encodes to FNV-1a %#x, want %#x", d.name, got, want)
 		}
@@ -150,27 +145,29 @@ func TestNetworkSeedBytesPinned(t *testing.T) {
 // their encoding because the coordinates may be NaN, which no == matches.
 func FuzzHandshakeDecode(f *testing.F) {
 	for i, d := range networkDecoders {
-		valid := d.seed.Marshal()
+		valid := encode(d.seed)
 		if _, err := d.decode(valid); err != nil {
 			f.Fatalf("%s: seed does not decode: %v", d.name, err)
 		}
 		f.Add(uint8(i), valid)
 		f.Add(uint8(i), valid[:len(valid)/2])
+		f.Add(uint8(i), valid[:len(valid)-1]) // the last field one byte short
 		f.Add(uint8(i), append(valid, 0))
 	}
-	f.Add(uint8(1), bytes.Repeat([]byte{0xFF}, 64)) // hostile entity count
+	f.Add(uint8(1), bytes.Repeat([]byte{0xFF}, 64))            // hostile entity count
+	f.Add(uint8(5), []byte{1, 0, 0, 0xFF, 0xFF, 'x', 0, 0, 0}) // hostile grant Addr length
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		d := networkDecoders[int(which)%len(networkDecoders)]
 		m, err := d.decode(data)
 		if err != nil {
 			return
 		}
-		enc := m.Marshal()
+		enc := encode(m)
 		again, err := d.decode(enc)
 		if err != nil {
 			t.Fatalf("%s: re-encoding of a decoded message does not decode: %v", d.name, err)
 		}
-		if !bytes.Equal(again.Marshal(), enc) {
+		if !bytes.Equal(encode(again), enc) {
 			t.Fatalf("%s: value changed across a re-encode", d.name)
 		}
 	})

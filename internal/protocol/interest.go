@@ -30,9 +30,6 @@ type InterestUpdate struct {
 	Players []int32
 }
 
-// Marshal encodes the message.
-func (m InterestUpdate) Marshal() []byte { return m.AppendTo(nil) }
-
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
 func (m InterestUpdate) AppendTo(buf []byte) []byte {
@@ -84,9 +81,6 @@ type CellBatch struct {
 	// by ID.
 	Deltas []virtualworld.Delta
 }
-
-// Marshal encodes the message.
-func (m CellBatch) Marshal() []byte { return m.AppendTo(nil) }
 
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.

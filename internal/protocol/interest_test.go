@@ -15,7 +15,7 @@ func TestInterestUpdateRoundTrip(t *testing.T) {
 	}
 	for _, m := range cases {
 		var got InterestUpdate
-		if err := DecodeInterestUpdate(m.Marshal(), &got); err != nil {
+		if err := DecodeInterestUpdate(m.AppendTo(nil), &got); err != nil {
 			t.Fatalf("unmarshal %+v: %v", m, err)
 		}
 		if got.Gen != m.Gen || got.CellSize != m.CellSize || len(got.Players) != len(m.Players) {
@@ -30,7 +30,7 @@ func TestInterestUpdateRoundTrip(t *testing.T) {
 }
 
 func TestInterestUpdateTruncated(t *testing.T) {
-	buf := InterestUpdate{Gen: 1, CellSize: 64, Players: []int32{1, 2}}.Marshal()
+	buf := InterestUpdate{Gen: 1, CellSize: 64, Players: []int32{1, 2}}.AppendTo(nil)
 	for i := 0; i < len(buf); i++ {
 		if err := DecodeInterestUpdate(buf[:i], new(InterestUpdate)); err == nil {
 			t.Fatalf("truncation at %d not detected", i)
@@ -59,7 +59,7 @@ func TestCellBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 64} {
 		m := testCellBatch(n)
 		var got CellBatch
-		if err := DecodeCellBatch(m.Marshal(), &got); err != nil {
+		if err := DecodeCellBatch(m.AppendTo(nil), &got); err != nil {
 			t.Fatalf("unmarshal n=%d: %v", n, err)
 		}
 		if got.Epoch != m.Epoch || got.Tick != m.Tick || got.Cell != m.Cell ||
@@ -75,7 +75,7 @@ func TestCellBatchRoundTrip(t *testing.T) {
 }
 
 func TestCellBatchTruncated(t *testing.T) {
-	buf := testCellBatch(3).Marshal()
+	buf := testCellBatch(3).AppendTo(nil)
 	for i := 0; i < len(buf); i++ {
 		if err := DecodeCellBatch(buf[:i], new(CellBatch)); err == nil {
 			t.Fatalf("truncation at %d not detected", i)
@@ -87,7 +87,7 @@ func TestCellBatchTruncated(t *testing.T) {
 // at zero allocations once the delta slice capacity is warm — the same
 // bar DecodeUpdateBatch holds.
 func TestDecodeCellBatchSteadyStateAllocs(t *testing.T) {
-	payload := testCellBatch(64).Marshal()
+	payload := testCellBatch(64).AppendTo(nil)
 	var m CellBatch
 	if err := DecodeCellBatch(payload, &m); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestDecodeCellBatchSteadyStateAllocs(t *testing.T) {
 
 // TestDecodeInterestUpdateSteadyStateAllocs pins the cloud-side decode.
 func TestDecodeInterestUpdateSteadyStateAllocs(t *testing.T) {
-	payload := InterestUpdate{Gen: 4, CellSize: 64, Players: []int32{1, 2, 3, 4}}.Marshal()
+	payload := InterestUpdate{Gen: 4, CellSize: 64, Players: []int32{1, 2, 3, 4}}.AppendTo(nil)
 	var m InterestUpdate
 	if err := DecodeInterestUpdate(payload, &m); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,8 @@
 // Encoding is hand-rolled binary (stdlib only, no reflection on the hot
 // paths): fixed-width big-endian everywhere except the per-tick update
 // batches, whose header and records use varints (delta.go). Every message
-// type has Marshal/Unmarshal pairs and a round-trip test.
+// type has one encoder — AppendTo for the messages an admitted connection
+// carries, Marshal for the handshakes — one decoder and a round-trip test.
 package protocol
 
 import (
@@ -39,7 +40,8 @@ const (
 	MsgSupernodeWelcome
 	// MsgPlayerJoin asks the cloud to admit a player.
 	MsgPlayerJoin
-	// MsgJoinReply returns the player's serving supernode address.
+	// MsgJoinReply returns the ranked candidate ladder the player probes,
+	// with the cloud's own stream endpoint as its last rung.
 	MsgJoinReply
 	// MsgAction carries a player input to the cloud.
 	MsgAction
@@ -47,7 +49,8 @@ const (
 	MsgUpdateBatch
 	// MsgPlayerAttach attaches a player session to a supernode.
 	MsgPlayerAttach
-	// MsgAttachReply acknowledges the attach.
+	// MsgAttachReply acknowledges the attach, granting the datagram video
+	// path when the supernode has one.
 	MsgAttachReply
 	// MsgVideoFrame carries one encoded video frame to a player.
 	MsgVideoFrame
@@ -95,14 +98,6 @@ const (
 	// MsgResumeReply answers a resume with the authoritative epoch/tick
 	// and whatever the resuming peer needs to reconverge.
 	MsgResumeReply
-	// MsgDatagramRequest asks the serving node, on an attached video
-	// session, to move the video stream to the unreliable datagram
-	// transport (-transport udp). Control traffic stays on this stream.
-	MsgDatagramRequest
-	// MsgDatagramReply answers with the node's datagram endpoint and the
-	// session token the player's hello datagram must echo. OK=false means
-	// the node does not offer datagram video and TCP streaming continues.
-	MsgDatagramReply
 	// MsgInterestUpdate names a supernode's attached players to the cloud,
 	// which then narrows that supernode's update stream to the grid cells
 	// around their avatars. A supernode that never sends one stays on the
@@ -141,8 +136,6 @@ var msgTypeNames = [...]string{
 	MsgLogEntry:         "log-entry",
 	MsgResume:           "resume",
 	MsgResumeReply:      "resume-reply",
-	MsgDatagramRequest:  "datagram-request",
-	MsgDatagramReply:    "datagram-reply",
 	MsgInterestUpdate:   "interest-update",
 	MsgCellBatch:        "cell-batch",
 }
@@ -575,9 +568,6 @@ type ActionMsg struct {
 	Action virtualworld.Action
 }
 
-// Marshal encodes the message.
-func (m ActionMsg) Marshal() []byte { return m.AppendTo(nil) }
-
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
 func (m ActionMsg) AppendTo(buf []byte) []byte {
@@ -616,9 +606,6 @@ type UpdateBatch struct {
 	// Deltas are the changed entities.
 	Deltas []virtualworld.Delta
 }
-
-// Marshal encodes the message.
-func (m UpdateBatch) Marshal() []byte { return m.AppendTo(nil) }
 
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
@@ -671,6 +658,21 @@ type AttachReply struct {
 	OK bool
 	// Reason explains a rejection.
 	Reason string
+	// Datagram is the session's grant of the unreliable video path; the
+	// zero grant (no Addr) means the session streams over TCP only.
+	Datagram DatagramGrant
+}
+
+// DatagramGrant opens the datagram video path of one attached session
+// (-transport udp). Until the player's hello datagram lands the session
+// streams over its TCP connection; from then on every frame is a datagram.
+type DatagramGrant struct {
+	// Addr is the node's datagram ("udp host:port") endpoint.
+	Addr string
+	// Token is the session token the hello and every frame header carry.
+	Token uint64
+	// Epoch is the authority epoch the frame headers are stamped with.
+	Epoch uint64
 }
 
 // Marshal encodes the message.
@@ -678,6 +680,9 @@ func (m AttachReply) Marshal() []byte {
 	w := &writer{}
 	w.boolean(m.OK)
 	w.str(m.Reason)
+	w.str(m.Datagram.Addr)
+	w.u64(m.Datagram.Token)
+	w.u64(m.Datagram.Epoch)
 	return w.buf
 }
 
@@ -685,6 +690,7 @@ func (m AttachReply) Marshal() []byte {
 func UnmarshalAttachReply(buf []byte) (AttachReply, error) {
 	r := &reader{buf: buf}
 	m := AttachReply{OK: r.boolean(), Reason: r.str()}
+	m.Datagram = DatagramGrant{Addr: r.str(), Token: r.u64(), Epoch: r.u64()}
 	return m, r.finish()
 }
 
@@ -693,9 +699,6 @@ type RateChange struct {
 	// QualityLevel is the requested Table 2 level (1..5).
 	QualityLevel uint8
 }
-
-// Marshal encodes the message.
-func (m RateChange) Marshal() []byte { return []byte{m.QualityLevel} }
 
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
@@ -713,9 +716,6 @@ type Heartbeat struct {
 	// Seq is the monotonically increasing heartbeat sequence number.
 	Seq uint32
 }
-
-// Marshal encodes the message.
-func (m Heartbeat) Marshal() []byte { return m.AppendTo(nil) }
 
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
@@ -742,9 +742,6 @@ type HeartbeatAck struct {
 	// Attached is the supernode's current player count.
 	Attached uint16
 }
-
-// Marshal encodes the message.
-func (m HeartbeatAck) Marshal() []byte { return m.AppendTo(nil) }
 
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
@@ -776,9 +773,6 @@ type CandidateUpdate struct {
 	// refreshed so players always know where to resume.
 	StandbyAddr string
 }
-
-// Marshal encodes the message.
-func (m CandidateUpdate) Marshal() []byte { return m.AppendTo(nil) }
 
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
@@ -817,9 +811,6 @@ type QoEReport struct {
 	// own stream — the expensive outcome the fog tier exists to avoid.
 	Fallback bool
 }
-
-// Marshal encodes the message.
-func (m QoEReport) Marshal() []byte { return m.AppendTo(nil) }
 
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
@@ -1025,61 +1016,5 @@ func UnmarshalResumeReply(buf []byte) (ResumeReply, error) {
 	m.CloudStreamAddr = r.str()
 	m.StandbyAddr = r.str()
 	m.Reason = r.str()
-	return m, r.finish()
-}
-
-// DatagramRequest asks the serving node to move the attached video
-// session's frames onto the unreliable datagram transport.
-type DatagramRequest struct {
-	// PlayerID must match the attached player (the session's owner).
-	PlayerID int32
-}
-
-// Marshal encodes the message.
-func (m DatagramRequest) Marshal() []byte {
-	w := &writer{}
-	w.i32(m.PlayerID)
-	return w.buf
-}
-
-// UnmarshalDatagramRequest decodes the message.
-func UnmarshalDatagramRequest(buf []byte) (DatagramRequest, error) {
-	r := &reader{buf: buf}
-	m := DatagramRequest{PlayerID: r.i32()}
-	return m, r.finish()
-}
-
-// DatagramReply answers a DatagramRequest. When OK, Addr is the node's
-// datagram endpoint, Token identifies the session (the player's hello
-// datagram and every frame header echo it), and Epoch stamps the stream's
-// authority epoch. When !OK the session keeps streaming over TCP.
-type DatagramReply struct {
-	// OK reports whether datagram video is offered.
-	OK bool
-	// Addr is the node's datagram ("udp host:port") endpoint.
-	Addr string
-	// Token is the session token frames and hellos carry.
-	Token uint64
-	// Epoch is the authority epoch the frame headers will be stamped with.
-	Epoch uint64
-	// Reason explains a refusal.
-	Reason string
-}
-
-// Marshal encodes the message.
-func (m DatagramReply) Marshal() []byte {
-	w := &writer{}
-	w.boolean(m.OK)
-	w.str(m.Addr)
-	w.u64(m.Token)
-	w.u64(m.Epoch)
-	w.str(m.Reason)
-	return w.buf
-}
-
-// UnmarshalDatagramReply decodes the message.
-func UnmarshalDatagramReply(buf []byte) (DatagramReply, error) {
-	r := &reader{buf: buf}
-	m := DatagramReply{OK: r.boolean(), Addr: r.str(), Token: r.u64(), Epoch: r.u64(), Reason: r.str()}
 	return m, r.finish()
 }

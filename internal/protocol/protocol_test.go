@@ -181,7 +181,7 @@ func TestActionRoundTripProperty(t *testing.T) {
 			TargetEntity: virtualworld.EntityID(target),
 			StateTag:     tag,
 		}}
-		got, err := UnmarshalActionMsg(m.Marshal())
+		got, err := UnmarshalActionMsg(m.AppendTo(nil))
 		return err == nil && got == m
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -204,7 +204,7 @@ func TestUpdateBatchRoundTrip(t *testing.T) {
 		},
 	}
 	var got UpdateBatch
-	if err := DecodeUpdateBatch(m.Marshal(), &got); err != nil {
+	if err := DecodeUpdateBatch(m.AppendTo(nil), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Tick != 99 || len(got.Deltas) != 3 {
@@ -220,7 +220,7 @@ func TestUpdateBatchRoundTrip(t *testing.T) {
 func TestUpdateBatchEmpty(t *testing.T) {
 	m := UpdateBatch{Tick: 3}
 	var got UpdateBatch
-	err := DecodeUpdateBatch(m.Marshal(), &got)
+	err := DecodeUpdateBatch(m.AppendTo(nil), &got)
 	if err != nil || got.Tick != 3 || len(got.Deltas) != 0 {
 		t.Errorf("empty batch: %+v, %v", got, err)
 	}
@@ -241,7 +241,7 @@ func TestPlayerAttachAndReplyRoundTrip(t *testing.T) {
 
 func TestRateChangeRoundTrip(t *testing.T) {
 	m := RateChange{QualityLevel: 2}
-	got, err := UnmarshalRateChange(m.Marshal())
+	got, err := UnmarshalRateChange(m.AppendTo(nil))
 	if err != nil || got != m {
 		t.Errorf("round trip: %+v, %v", got, err)
 	}
@@ -257,12 +257,12 @@ func TestProbeReplyRoundTrip(t *testing.T) {
 
 func TestHeartbeatRoundTrip(t *testing.T) {
 	m := Heartbeat{Seq: 77}
-	got, err := UnmarshalHeartbeat(m.Marshal())
+	got, err := UnmarshalHeartbeat(m.AppendTo(nil))
 	if err != nil || got != m {
 		t.Errorf("round trip: %+v, %v", got, err)
 	}
 	a := HeartbeatAck{Seq: 77, ReplicaTick: 123456, Attached: 6}
-	gotA, err := UnmarshalHeartbeatAck(a.Marshal())
+	gotA, err := UnmarshalHeartbeatAck(a.AppendTo(nil))
 	if err != nil || gotA != a {
 		t.Errorf("ack round trip: %+v, %v", gotA, err)
 	}
@@ -276,7 +276,7 @@ func TestCandidateUpdateRoundTrip(t *testing.T) {
 		},
 		CloudStreamAddr: "10.0.0.9:7000",
 	}
-	got, err := UnmarshalCandidateUpdate(m.Marshal())
+	got, err := UnmarshalCandidateUpdate(m.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestCandidateUpdateRoundTrip(t *testing.T) {
 	}
 	// An empty ladder (all supernodes gone) still round-trips.
 	empty := CandidateUpdate{CloudStreamAddr: "c:1"}
-	got, err = UnmarshalCandidateUpdate(empty.Marshal())
+	got, err = UnmarshalCandidateUpdate(empty.AppendTo(nil))
 	if err != nil || len(got.Candidates) != 0 || got.CloudStreamAddr != "c:1" {
 		t.Errorf("empty round trip: %+v, %v", got, err)
 	}
@@ -298,7 +298,7 @@ func TestQoEReportRoundTrip(t *testing.T) {
 		{PlayerID: -2, Addr: "f:1", Rating: 0, Stalled: true},
 		{PlayerID: 9, Addr: "f:2", Rating: 0.25, Stalled: true, Fallback: true},
 	} {
-		got, err := UnmarshalQoEReport(m.Marshal())
+		got, err := UnmarshalQoEReport(m.AppendTo(nil))
 		if err != nil || got != m {
 			t.Errorf("round trip: %+v -> %+v, %v", m, got, err)
 		}
@@ -320,12 +320,12 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	// Trailing bytes are an error, not silently ignored.
 	m := RateChange{QualityLevel: 1}
-	if _, err := UnmarshalRateChange(append(m.Marshal(), 0xEE)); err == nil {
+	if _, err := UnmarshalRateChange(append(m.AppendTo(nil), 0xEE)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	// A batch claiming absurdly many deltas must fail fast. The count is
 	// the last field of an empty batch's encoding.
-	empty := UpdateBatch{Tick: 1}.Marshal()
+	empty := UpdateBatch{Tick: 1}.AppendTo(nil)
 	huge := binary.AppendUvarint(empty[:len(empty)-1], math.MaxUint32)
 	if err := DecodeUpdateBatch(huge, new(UpdateBatch)); err == nil {
 		t.Error("hostile delta count accepted")

@@ -92,7 +92,7 @@ func TestEpochStamps(t *testing.T) {
 
 	ub := UpdateBatch{Epoch: 9, Tick: 77}
 	var gb UpdateBatch
-	err = DecodeUpdateBatch(ub.Marshal(), &gb)
+	err = DecodeUpdateBatch(ub.AppendTo(nil), &gb)
 	if err != nil || gb.Epoch != 9 || gb.Tick != 77 {
 		t.Errorf("update batch stamps: %+v, %v", gb, err)
 	}
@@ -104,7 +104,7 @@ func TestEpochStamps(t *testing.T) {
 	}
 
 	cu := CandidateUpdate{CloudStreamAddr: "c:1", StandbyAddr: "s:2"}
-	gc, err := UnmarshalCandidateUpdate(cu.Marshal())
+	gc, err := UnmarshalCandidateUpdate(cu.AppendTo(nil))
 	if err != nil || gc.StandbyAddr != "s:2" {
 		t.Errorf("candidate update stamps: %+v, %v", gc, err)
 	}

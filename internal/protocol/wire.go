@@ -38,9 +38,9 @@ import (
 // (uint32 payload length + uint8 message type).
 const HeaderLen = headerLen
 
-// Appender is a message with an append-style encoder. All hot-path
-// messages (UpdateBatch, Heartbeat/Ack, ActionMsg, CandidateUpdate,
-// QoEReport, RateChange) implement it, as does videocodec.EncodedFrame.
+// Appender is a message with an append-style encoder. Every message an
+// admitted connection carries implements it as its only encoder, as does
+// videocodec.EncodedFrame.
 type Appender interface {
 	// AppendTo appends the encoded message to buf and returns the
 	// extended slice.

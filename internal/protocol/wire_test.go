@@ -27,37 +27,20 @@ func testBatch(n int) UpdateBatch {
 	return batch
 }
 
-// TestAppendToMatchesMarshal pins the append encoders to the Marshal wire
-// format, byte for byte.
+// TestAppendToMatchesMarshal: an append encoder writes a message the same
+// whatever it appends to — onto a used buffer exactly the bytes it
+// marshals to on its own, AppendTo(nil) — and leaves what was there intact.
 func TestAppendToMatchesMarshal(t *testing.T) {
-	batch := testBatch(25)
-	for name, pair := range map[string][2][]byte{
-		"update-batch":  {batch.Marshal(), batch.AppendTo(nil)},
-		"heartbeat":     {Heartbeat{Seq: 9}.Marshal(), Heartbeat{Seq: 9}.AppendTo(nil)},
-		"heartbeat-ack": {HeartbeatAck{Seq: 9, ReplicaTick: 77, Attached: 3}.Marshal(), HeartbeatAck{Seq: 9, ReplicaTick: 77, Attached: 3}.AppendTo(nil)},
-		"action": {
-			ActionMsg{Action: virtualworld.Action{Player: 4, Kind: virtualworld.ActMove, TargetX: 1, TargetY: 2}}.Marshal(),
-			ActionMsg{Action: virtualworld.Action{Player: 4, Kind: virtualworld.ActMove, TargetX: 1, TargetY: 2}}.AppendTo(nil),
-		},
-		"candidate-update": {
-			CandidateUpdate{Candidates: []CandidateInfo{{Addr: "a:1", Load: 1, Capacity: 2, MeasuredRTTMs: -1, Score: 0.5}}, CloudStreamAddr: "c:1"}.Marshal(),
-			CandidateUpdate{Candidates: []CandidateInfo{{Addr: "a:1", Load: 1, Capacity: 2, MeasuredRTTMs: -1, Score: 0.5}}, CloudStreamAddr: "c:1"}.AppendTo(nil),
-		},
-		"qoe-report": {
-			QoEReport{PlayerID: 3, Addr: "f:1", Rating: 0.5, Stalled: true}.Marshal(),
-			QoEReport{PlayerID: 3, Addr: "f:1", Rating: 0.5, Stalled: true}.AppendTo(nil),
-		},
-		"rate-change": {RateChange{QualityLevel: 4}.Marshal(), RateChange{QualityLevel: 4}.AppendTo(nil)},
-	} {
-		if !bytes.Equal(pair[0], pair[1]) {
-			t.Errorf("%s: AppendTo differs from Marshal\n  marshal: %x\n  append:  %x", name, pair[0], pair[1])
+	for _, d := range networkDecoders {
+		a, ok := d.seed.(Appender)
+		if !ok {
+			continue // a handshake message: Marshal is its one encoder
 		}
-	}
-	// Appending onto an existing prefix leaves the prefix intact.
-	prefix := []byte{0xAA, 0xBB}
-	out := batch.AppendTo(prefix)
-	if !bytes.Equal(out[:2], prefix) || !bytes.Equal(out[2:], batch.Marshal()) {
-		t.Error("AppendTo corrupted the buffer prefix")
+		prefix := []byte{0xAA, 0xBB}
+		out := a.AppendTo(append(make([]byte, 0, 4096), prefix...))
+		if !bytes.Equal(out[:2], prefix) || !bytes.Equal(out[2:], a.AppendTo(nil)) {
+			t.Errorf("%s: AppendTo onto a prefix\n  got  %x\n  want %x%x", d.name, out, prefix, a.AppendTo(nil))
+		}
 	}
 }
 
@@ -79,7 +62,7 @@ func TestAppendFrameMatchesWriteMessage(t *testing.T) {
 	// AppendMessage (in-place encode + patched length) produces the same
 	// frame as AppendFrame over a pre-marshalled payload.
 	batch := testBatch(10)
-	viaPayload, err := AppendFrame(nil, MsgUpdateBatch, batch.Marshal())
+	viaPayload, err := AppendFrame(nil, MsgUpdateBatch, batch.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +106,10 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 		typ     MsgType
 		payload []byte
 	}{
-		{MsgUpdateBatch, batch.Marshal()},
-		{MsgHeartbeat, Heartbeat{Seq: 1}.Marshal()},
+		{MsgUpdateBatch, batch.AppendTo(nil)},
+		{MsgHeartbeat, Heartbeat{Seq: 1}.AppendTo(nil)},
 		{MsgBye, nil},
-		{MsgUpdateBatch, testBatch(3).Marshal()},
+		{MsgUpdateBatch, testBatch(3).AppendTo(nil)},
 	}
 	for _, m := range msgs {
 		if stream, err = AppendFrame(stream, m.typ, m.payload); err != nil {
@@ -188,11 +171,11 @@ func (rs *repeatStream) Read(p []byte) (int, error) {
 // steady state: after the internal buffer has grown to fit the largest
 // message, Next must not allocate.
 func TestFrameReaderSteadyStateAllocs(t *testing.T) {
-	stream, err := AppendFrame(nil, MsgUpdateBatch, testBatch(100).Marshal())
+	stream, err := AppendFrame(nil, MsgUpdateBatch, testBatch(100).AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err = AppendFrame(stream, MsgHeartbeat, Heartbeat{Seq: 5}.Marshal())
+	stream, err = AppendFrame(stream, MsgHeartbeat, Heartbeat{Seq: 5}.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +204,7 @@ func TestAppendEncoderAllocs(t *testing.T) {
 	// interface would allocate per call; a pointer to an already-escaped
 	// value does not.
 	batch := testBatch(100)
-	buf := make([]byte, 0, len(batch.Marshal())+HeaderLen)
+	buf := make([]byte, 0, len(batch.AppendTo(nil))+HeaderLen)
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
 		buf, err = AppendMessage(buf[:0], MsgUpdateBatch, &batch)
@@ -250,7 +233,7 @@ func TestAppendEncoderAllocs(t *testing.T) {
 // TestDecodeUpdateBatchSteadyStateAllocs pins the reusable decode: with a
 // warm Deltas slice, DecodeUpdateBatch must not allocate.
 func TestDecodeUpdateBatchSteadyStateAllocs(t *testing.T) {
-	payload := testBatch(100).Marshal()
+	payload := testBatch(100).AppendTo(nil)
 	var m UpdateBatch
 	if err := DecodeUpdateBatch(payload, &m); err != nil {
 		t.Fatal(err)
@@ -285,7 +268,7 @@ func TestBufferPool(t *testing.T) {
 // accepts must re-encode to the identical bytes, and the reader must agree
 // with the legacy ReadMessage.
 func FuzzReadMessage(f *testing.F) {
-	seed1, _ := AppendFrame(nil, MsgUpdateBatch, testBatch(5).Marshal())
+	seed1, _ := AppendFrame(nil, MsgUpdateBatch, testBatch(5).AppendTo(nil))
 	seed2, _ := AppendFrame(nil, MsgBye, nil)
 	seed2, _ = AppendFrame(seed2, MsgHeartbeat, []byte{0, 0, 0, 9})
 	f.Add(seed1)

@@ -6,7 +6,7 @@
 // Two consumers delegate to it. The simulator's player-side procedure
 // (internal/fog.Selector) runs the full Pipeline against the cloud-side
 // registry with modeled RTTs; the networked prototype (internal/fognet)
-// uses the same Ranker on both ends of the wire — the cloud ranks the
+// uses the same PolicyRanker on both ends of the wire — the cloud ranks the
 // failover ladder it pushes to players by its live QoE book, and players
 // re-rank it with their measured RTTs before probing. Neither side carries
 // its own ranking logic.
@@ -35,8 +35,8 @@ type Candidate struct {
 	// RTTMs is the measured or modeled round trip to the candidate;
 	// negative means unmeasured.
 	RTTMs float64
-	// Score is the candidate's reputation score. A Ranker with a Scorer
-	// overwrites it; otherwise the embedded value ranks.
+	// Score is the candidate's reputation score. A PolicyRanker with a
+	// Scorer overwrites it; otherwise the embedded value ranks.
 	Score float64
 }
 
@@ -94,13 +94,6 @@ type Scorer interface {
 	Score(supernodeID, today int) float64
 }
 
-// Ranker orders candidates in probing preference.
-type Ranker interface {
-	// Rank reorders cands in place, best candidate first, using r for the
-	// tie-break shuffle.
-	Rank(cands []Candidate, today int, r *rng.Rand)
-}
-
 // PolicyRanker ranks by one of the §3.2 policies. With a Scorer, candidate
 // scores are refreshed from it before sorting; without one the embedded
 // Candidate.Score values rank (the prototype's player side, which ranks by
@@ -110,7 +103,8 @@ type PolicyRanker struct {
 	Scorer Scorer
 }
 
-// Rank implements Ranker. Every policy shuffles first so that candidates
+// Rank reorders cands in place, best candidate first, using r for the
+// tie-break shuffle. Every policy shuffles first so that candidates
 // with equal keys — in particular score-0 unknowns — are probed in random
 // order: a deterministic tie-break would herd every player onto the same
 // supernode. The subsequent sort is stable, preserving the shuffle among
@@ -140,30 +134,19 @@ func (pr PolicyRanker) Rank(cands []Candidate, today int, r *rng.Rand) {
 	})
 }
 
-// FilterByDelay keeps the candidates whose one-way transmission delay
-// RTT/2 is within maxOneWayMs — the L_max filter of §3.2.1. Unmeasured
-// candidates (negative RTT) pass. The input slice is not modified.
+// FilterByDelay returns the candidates whose one-way transmission delay
+// RTT/2 is within maxOneWayMs — the L_max filter of §3.2.1 — in a new
+// slice; the input is not modified. Unmeasured candidates (negative RTT)
+// pass, and a non-positive bound passes every candidate.
 func FilterByDelay(cands []Candidate, maxOneWayMs float64) []Candidate {
 	out := make([]Candidate, 0, len(cands))
 	for _, c := range cands {
-		if c.RTTMs < 0 || c.RTTMs/2 <= maxOneWayMs {
+		if maxOneWayMs <= 0 || c.RTTMs < 0 || c.RTTMs/2 <= maxOneWayMs {
 			out = append(out, c)
 		}
 	}
 	return out
 }
-
-// CandidateSource supplies the candidate list a selection runs over — the
-// cloud's answer to a player's request in §3.2.1.
-type CandidateSource interface {
-	Candidates() []Candidate
-}
-
-// List is a fixed CandidateSource.
-type List []Candidate
-
-// Candidates implements CandidateSource.
-func (l List) Candidates() []Candidate { return l }
 
 // ProbeFunc asks one candidate whether it accepts the player (one RTT of
 // sequential probing in §3.2.2); it reports acceptance.
@@ -185,29 +168,25 @@ type Outcome struct {
 	PingMs float64
 }
 
-// Pipeline is the full §3.2 procedure: fetch candidates, filter by delay,
-// rank by policy, probe sequentially.
+// Pipeline is the full §3.2 procedure: take the cloud's candidate list,
+// filter by delay, rank by policy, probe sequentially.
 type Pipeline struct {
-	Source CandidateSource
-	Ranker Ranker
+	// Candidates is the cloud's answer to the player's request (§3.2.1).
+	Candidates []Candidate
+	Ranker     PolicyRanker
 }
 
 // Run executes the pipeline. Candidates above the one-way delay bound are
-// dropped (a non-positive bound disables the filter); the rest are ranked
-// and probed in order until probe accepts one. A nil probe accepts the
-// first-ranked candidate.
+// dropped (FilterByDelay); the rest are ranked and probed in order until
+// probe accepts one. A nil probe accepts the first-ranked candidate.
 func (p Pipeline) Run(maxOneWayMs float64, today int, r *rng.Rand, probe ProbeFunc) Outcome {
 	out := Outcome{}
-	fetched := p.Source.Candidates()
-	qualified := make([]Candidate, 0, len(fetched))
-	for _, c := range fetched {
+	for _, c := range p.Candidates {
 		if c.RTTMs > out.PingMs {
 			out.PingMs = c.RTTMs // pings run in parallel; slowest dominates
 		}
-		if maxOneWayMs <= 0 || c.RTTMs < 0 || c.RTTMs/2 <= maxOneWayMs {
-			qualified = append(qualified, c)
-		}
 	}
+	qualified := FilterByDelay(p.Candidates, maxOneWayMs)
 	out.Candidates = len(qualified)
 	if len(qualified) == 0 {
 		return out

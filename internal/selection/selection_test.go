@@ -100,12 +100,15 @@ func TestFilterByDelay(t *testing.T) {
 			t.Errorf("candidate above the delay bound survived: %+v", c)
 		}
 	}
+	if got := FilterByDelay(cands, 0); len(got) != len(cands) {
+		t.Errorf("a zero bound filtered to %d of %d candidates", len(got), len(cands))
+	}
 }
 
 func TestPipelineProbesSequentially(t *testing.T) {
 	cands := candN(6)
 	probed := []int{}
-	out := Pipeline{Source: List(cands), Ranker: PolicyRanker{Policy: PolicyRandom}}.
+	out := Pipeline{Candidates: cands, Ranker: PolicyRanker{Policy: PolicyRandom}}.
 		Run(100, 0, rng.New(9), func(c Candidate) bool {
 			probed = append(probed, c.ID)
 			return len(probed) == 3 // first two refuse
@@ -119,7 +122,7 @@ func TestPipelineProbesSequentially(t *testing.T) {
 }
 
 func TestPipelineAllRefuse(t *testing.T) {
-	out := Pipeline{Source: List(candN(3)), Ranker: PolicyRanker{Policy: PolicyRandom}}.
+	out := Pipeline{Candidates: candN(3), Ranker: PolicyRanker{Policy: PolicyRandom}}.
 		Run(100, 0, rng.New(2), func(Candidate) bool { return false })
 	if out.OK || out.Probed != 3 {
 		t.Errorf("refusal run: %+v", out)
@@ -127,7 +130,7 @@ func TestPipelineAllRefuse(t *testing.T) {
 }
 
 func TestPipelineDelayFilterEmpty(t *testing.T) {
-	out := Pipeline{Source: List(candN(3)), Ranker: PolicyRanker{Policy: PolicyRandom}}.
+	out := Pipeline{Candidates: candN(3), Ranker: PolicyRanker{Policy: PolicyRandom}}.
 		Run(1, 0, rng.New(2), nil) // every RTT/2 > 1ms
 	if out.OK || out.Candidates != 0 {
 		t.Errorf("delay filter leaked: %+v", out)

@@ -9,8 +9,8 @@ import (
 
 // MaxDatagram bounds one datagram including its header. It stays under
 // the conventional UDP payload ceiling (65507 bytes on IPv4); a video
-// frame that would exceed it is sent over the session's TCP stream
-// instead of being fragmented.
+// frame that would exceed it is dropped, a lost datagram, rather than
+// fragmented.
 const MaxDatagram = 64 << 10
 
 // DatagramConn is the unreliable, message-oriented half of the seam: the
@@ -52,7 +52,7 @@ func ListenDatagram(addr string) (*net.UDPConn, error) {
 // Datagram kinds.
 const (
 	// DgramHello announces the receiver: the player sends it to the fog's
-	// datagram socket after the TCP-side offer, and its source address is
+	// datagram socket its attach reply granted, and its source address is
 	// where the session's frames will be sent. Repeated until the first
 	// frame arrives (hellos are datagrams too — they can be lost).
 	DgramHello uint8 = 1
@@ -72,8 +72,8 @@ var ErrBadKind = errors.New("transport: unknown datagram kind")
 
 // Header is the per-datagram header of the unreliable video path.
 //
-// Token identifies the session (minted by the sender during the TCP-side
-// offer, echoed by the receiver's hello) so a datagram socket serving
+// Token identifies the session (minted by the sender in the TCP attach
+// reply, echoed by the receiver's hello) so a datagram socket serving
 // many players can route without trusting source addresses alone. Epoch
 // is the cloud authority epoch the sender streams under, and Seq is the
 // per-session datagram sequence — together they give the receiver a

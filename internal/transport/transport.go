@@ -44,7 +44,7 @@ type Config struct {
 	// WriteTimeout bounds any single protocol write.
 	WriteTimeout time.Duration
 	// HandshakeTimeout bounds each message of a session-establishing
-	// exchange (registration, probe/attach, resume, datagram offer).
+	// exchange (registration, probe/attach, resume).
 	HandshakeTimeout time.Duration
 }
 
