@@ -94,8 +94,8 @@ func run(name, cloudAddr, addr string, capacity int, frame, dialTimeout, statsEv
 			return nil
 		case <-tickCh:
 			s := fog.Stats()
-			line := fmt.Sprintf("fogsrv %q: epoch=%d tick=%d attached=%d frames=%d full_encodes=%d dgrams=%d video=%0.1f kbit applied=%d stale=%d update_decode_errs=%d reconnects=%d resumes=%d buffered=%d",
-				name, s.Epoch, s.ReplicaTick, s.Attached, s.Frames, s.FullEncodes, s.DatagramFrames,
+			line := fmt.Sprintf("fogsrv %q: epoch=%d tick=%d attached=%d frames=%d early=%d full_encodes=%d dgrams=%d video=%0.1f kbit applied=%d stale=%d update_decode_errs=%d reconnects=%d resumes=%d buffered=%d",
+				name, s.Epoch, s.ReplicaTick, s.Attached, s.Frames, s.EarlyFrames, s.FullEncodes, s.DatagramFrames,
 				float64(s.VideoBits)/1000, s.AppliedDeltas, s.StaleDeltas, s.UpdateDecodeErrors,
 				s.Resilience.Reconnects, s.Resilience.Resumes, s.BufferedNow)
 			if aoi {

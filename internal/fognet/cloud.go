@@ -153,9 +153,9 @@ type CloudServer struct {
 	mu    sync.Mutex
 	world *virtualworld.World
 	// pending holds the inputs queued since the last tick (guarded by mu);
-	// inputCh holds a token exactly while pending is non-empty and the tick
-	// loop has not yet ticked or armed its early timer for it:
-	// queueActionLocked fills it, tickOnce empties both under mu.
+	// inputCh holds a token only while pending or sessionDeltas is
+	// non-empty: wakeTickLocked fills it, for an action or a join's spawn,
+	// and tickOnce empties all three under mu.
 	pending    []virtualworld.Action
 	inputCh    chan struct{}
 	supernodes map[uint32]*supernodeConn // guarded by mu

@@ -187,19 +187,20 @@ func (s *CloudServer) admitSupernode(conn net.Conn, fr *protocol.FrameReader, he
 func (s *CloudServer) serveFallbackStream(conn net.Conn, fr *protocol.FrameReader) {
 	defer conn.Close()
 	fb := cloudFallback{s}
-	attach, _, ok := serveAttach(conn, fr, s.tc, true, fb)
+	attach, sl, ok := serveAttach(conn, fr, s.tc, true, fb)
 	if !ok {
 		return
 	}
-	defer fb.unclaim(attach.PlayerID, nil)
-	runVideoSession(conn, fr, attach, nil, DefaultFrameInterval, s.cfg.WriteTimeout, fb, s.stop, &s.wg)
+	defer fb.unclaim(attach.PlayerID, sl)
+	runVideoSession(conn, fr, attach, sl, DefaultFrameInterval, s.cfg.WriteTimeout, fb, s.stop, &s.wg)
 }
 
 // cloudFallback is the cloud as a sessionHost: it never refuses a session,
 // renders from the authoritative world, routes its egress into the cloud's
 // bandwidth accounting and grants no datagram path — the last rung of the
 // ladder favors the transport that works everywhere over the one that
-// performs best.
+// performs best. Its slots carry no wake channel either: a fallback session
+// runs on the frame clock alone.
 type cloudFallback struct{ s *CloudServer }
 
 // submitAction: the cloud is the authority, so rerouted inputs go straight
@@ -219,20 +220,20 @@ func (c cloudFallback) viewInto(dst *virtualworld.Snapshot, player int) virtualw
 
 func (c cloudFallback) freeSlots() int { return 1 << 15 } // effectively unbounded
 
-func (c cloudFallback) claim(int32) (*dgramSession, bool) {
+func (c cloudFallback) claim(int32) (slot, bool) {
 	c.s.mu.Lock()
 	c.s.stats.FallbackPlayers++
 	c.s.mu.Unlock()
-	return nil, true
+	return slot{}, true
 }
 
-func (c cloudFallback) unclaim(int32, *dgramSession) {
+func (c cloudFallback) unclaim(int32, slot) {
 	c.s.mu.Lock()
 	c.s.stats.FallbackPlayers--
 	c.s.mu.Unlock()
 }
 
-func (c cloudFallback) addFrame(bits int, _ bool) {
+func (c cloudFallback) addFrame(bits int, _, _ bool) {
 	c.s.mu.Lock()
 	c.s.stats.FallbackBits += int64(bits)
 	c.s.mu.Unlock()
@@ -318,8 +319,11 @@ func (s *CloudServer) admitPlayer(conn net.Conn, fr *protocol.FrameReader, join 
 		av := s.world.SpawnAvatar(int(id), join.SpawnX, join.SpawnY) // a surviving avatar is returned untouched
 		if req == nil || !survived {
 			// The spawn is a membership change the next tick's delta stream
-			// (and the standby's log) must carry.
+			// (and the standby's log) must carry. A join is an input: the
+			// spawn rides an early tick, not the metronome, so the joiner's
+			// supernode holds its avatar by the time the joiner attaches.
 			s.sessionDeltas = append(s.sessionDeltas, virtualworld.Delta{ID: av.ID, Entity: *av})
+			s.wakeTickLocked()
 		}
 		old = s.players[id]
 		s.players[id] = pl

@@ -78,12 +78,19 @@ func (s *CloudServer) queueActionLocked(a virtualworld.Action) bool {
 	}
 	s.pending = append(s.pending, a)
 	if len(s.pending) == 1 {
-		select {
-		case s.inputCh <- struct{}{}:
-		default: // a token is already waiting for the loop
-		}
+		s.wakeTickLocked()
 	}
 	return true
+}
+
+// wakeTickLocked puts the input clock's token on inputCh, for an action
+// (queueActionLocked) or a join's spawn (admitPlayer) the next tick must
+// carry. Caller holds mu, under which tickOnce takes the token back.
+func (s *CloudServer) wakeTickLocked() {
+	select {
+	case s.inputCh <- struct{}{}:
+	default: // a token is already waiting for the loop
+	}
 }
 
 // tickOnce runs one world tick — numbered, logged and fanned out the same

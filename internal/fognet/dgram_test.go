@@ -357,7 +357,7 @@ func TestDatagramOversizedFrameIsLost(t *testing.T) {
 	normal := sf.fs.ef
 	sf.fs.ef = videocodec.EncodedFrame{Type: videocodec.PFrame, Width: 288, Height: 216, Quant: 1,
 		Data: make([]byte, transport.MaxDatagram)}
-	if !sf.fs.send(false) {
+	if !sf.fs.send(false, false) {
 		t.Fatal("an oversized frame ended the session")
 	}
 	sf.fs.ef = normal

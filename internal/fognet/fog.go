@@ -116,12 +116,15 @@ type FogNode struct {
 	// dgram is the UDP video path, nil unless cfg.Datagram is set.
 	dgram *fogDatagram
 
-	mu       sync.Mutex
-	cloud    net.Conn
-	cloudFR  *protocol.FrameReader // cloud's one frame reader, swapped with it
-	id       uint32
-	replica  *virtualworld.Replica
-	attached map[int32]struct{} // guarded by mu
+	mu      sync.Mutex
+	cloud   net.Conn
+	cloudFR *protocol.FrameReader // cloud's one frame reader, swapped with it
+	id      uint32
+	replica *virtualworld.Replica
+	// attached is the attach set: each streaming player's session wake
+	// channel (slot.wake), signalled by the update loop when a batch
+	// changes that player's avatar.
+	attached map[int32]chan struct{} // guarded by mu
 	// stats is the storage of the counters Stats reports; the replica,
 	// attach-set and datagram figures are filled in at snapshot time. Its
 	// Epoch is live state too: the authority epoch of the cloud currently
@@ -185,7 +188,7 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 		cfg:       cfg,
 		tp:        tp,
 		listener:  ln,
-		attached:  make(map[int32]struct{}),
+		attached:  make(map[int32]chan struct{}),
 		actionQ:   make(map[int32][]virtualworld.Action),
 		authority: cfg.CloudAddr,
 		jitter:    rng.New(cfg.Seed).SplitNamed("fog-reconnect-" + cfg.Name),
@@ -333,6 +336,10 @@ type FogStats struct {
 	Attached int
 	// Frames is the total video frames streamed.
 	Frames int64
+	// EarlyFrames counts the frames a session sent because its player's
+	// avatar changed, ahead of the frame clock; the rest of Frames are
+	// clock frames (and first frames at attach).
+	EarlyFrames int64
 	// VideoBits is the total video egress.
 	VideoBits int64
 	// FullEncodes counts the frames whose encoder could not use the
@@ -438,6 +445,7 @@ func (f *FogNode) updateLoop() {
 					f.stats.Epoch = batch.Epoch
 				}
 				f.replica.Apply(batch.Tick, batch.Deltas)
+				f.wakeOwnersLocked(batch.Deltas)
 				f.mu.Unlock()
 			case protocol.MsgCellBatch:
 				if berr := protocol.DecodeCellBatch(payload, &cellBatch); berr != nil {
@@ -459,6 +467,7 @@ func (f *FogNode) updateLoop() {
 					// bucket (removals, session events) — apply as-is.
 					f.replica.Apply(cellBatch.Tick, cellBatch.Deltas)
 				}
+				f.wakeOwnersLocked(cellBatch.Deltas)
 				f.stats.CellBatches++
 				f.mu.Unlock()
 			case protocol.MsgHeartbeat:
@@ -504,6 +513,24 @@ func (f *FogNode) updateLoop() {
 		}
 		if !f.reconnect() {
 			return // closing
+		}
+	}
+}
+
+// wakeOwnersLocked signals the session of every attached player whose
+// avatar a batch just applied changed — its own action, a spawn, a hit, or
+// a cell keyframe that carries it — so the frame showing it need not wait
+// for the frame clock. A session already signalled keeps its one token;
+// an NPC costs one compare. Caller holds mu.
+func (f *FogNode) wakeOwnersLocked(deltas []virtualworld.Delta) {
+	for i := range deltas {
+		d := &deltas[i]
+		if d.Removed || d.Entity.Owner < 0 {
+			continue
+		}
+		select {
+		case f.attached[int32(d.Entity.Owner)] <- struct{}{}:
+		default: // not attached here (a nil channel), or a wake is already pending
 		}
 	}
 }
@@ -642,30 +669,35 @@ func (f *FogNode) freeSlots() int {
 	return f.cfg.Capacity - len(f.attached)
 }
 
-// claim implements sessionHost against the node's capacity. With a UDP
-// socket it registers the slot's datagram session under the authority
-// epoch of the cloud currently followed, so a receiver can discard frames
-// of a pre-failover session wholesale.
-func (f *FogNode) claim(player int32) (*dgramSession, bool) {
+// claim implements sessionHost against the node's capacity: the slot's
+// wake channel joins the attach set. With a UDP socket it registers the
+// slot's datagram session under the authority epoch of the cloud currently
+// followed, so a receiver can discard frames of a pre-failover session
+// wholesale.
+func (f *FogNode) claim(player int32) (slot, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.attached) >= f.cfg.Capacity {
-		return nil, false
+		return slot{}, false
 	}
-	f.attached[player] = struct{}{}
-	if f.dgram == nil {
-		return nil, true
+	sl := slot{wake: make(chan struct{}, 1)}
+	f.attached[player] = sl.wake
+	if f.dgram != nil {
+		sl.dgram = f.dgram.newSession(f.stats.Epoch)
 	}
-	return f.dgram.newSession(f.stats.Epoch), true
+	return sl, true
 }
 
-// unclaim implements sessionHost.
-func (f *FogNode) unclaim(player int32, sess *dgramSession) {
+// unclaim implements sessionHost. A player attached twice keeps its entry
+// until the session that claimed it last ends.
+func (f *FogNode) unclaim(player int32, sl slot) {
 	f.mu.Lock()
-	delete(f.attached, player)
+	if f.attached[player] == sl.wake {
+		delete(f.attached, player)
+	}
 	f.mu.Unlock()
-	if sess != nil {
-		f.dgram.drop(sess)
+	if sl.dgram != nil {
+		f.dgram.drop(sl.dgram)
 	}
 }
 
@@ -674,7 +706,7 @@ func (f *FogNode) servePlayer(conn net.Conn) {
 	defer f.wg.Done()
 	defer conn.Close()
 	fr := protocol.NewFrameReader(conn)
-	attach, sess, ok := serveAttach(conn, fr, f.tp.Config, false, f)
+	attach, sl, ok := serveAttach(conn, fr, f.tp.Config, false, f)
 	if !ok {
 		return
 	}
@@ -682,10 +714,10 @@ func (f *FogNode) servePlayer(conn net.Conn) {
 	// the new player's surroundings, and drops them after it leaves.
 	f.reportInterest()
 	defer func() {
-		f.unclaim(attach.PlayerID, sess)
+		f.unclaim(attach.PlayerID, sl)
 		f.reportInterest()
 	}()
-	runVideoSession(conn, fr, attach, sess, f.cfg.FrameInterval, f.cfg.WriteTimeout, f, f.stop, &f.wg)
+	runVideoSession(conn, fr, attach, sl, f.cfg.FrameInterval, f.cfg.WriteTimeout, f, f.stop, &f.wg)
 }
 
 // viewInto implements sessionHost over the replica.
@@ -696,9 +728,12 @@ func (f *FogNode) viewInto(dst *virtualworld.Snapshot, player int) virtualworld.
 }
 
 // addFrame implements sessionHost.
-func (f *FogNode) addFrame(bits int, fullEncode bool) {
+func (f *FogNode) addFrame(bits int, fullEncode, early bool) {
 	f.mu.Lock()
 	f.stats.Frames++
+	if early {
+		f.stats.EarlyFrames++
+	}
 	f.stats.VideoBits += int64(bits)
 	if fullEncode {
 		f.stats.FullEncodes++

@@ -193,7 +193,7 @@ func (sf *streamFixture) frame(tb testing.TB) {
 	sf.fog.mu.Lock()
 	sf.fog.replica.Apply(uint64(sf.avatar.Version), []virtualworld.Delta{{ID: sf.avatar.ID, Entity: sf.avatar}})
 	sf.fog.mu.Unlock()
-	if !sf.fs.sendFrame() {
+	if !sf.fs.sendFrame(false) {
 		tb.Fatal("frame not sent")
 	}
 }
