@@ -165,9 +165,9 @@ type Config struct {
 	// Workers sizes the streaming-evaluation worker pool (parallel.go): a
 	// positive value is the pool size (1 runs on the caller's goroutine),
 	// anything else means GOMAXPROCS. Seeded outputs are bit-identical
-	// across all settings. The pool stays because it measured 1.24–1.41×
-	// over one worker on two cores (DESIGN.md §15); the serial part that
-	// caps it, and the next simulator hot spot, is fog.Manager.CandidatesFor.
+	// across all settings. The pool stays because it measured 1.26–2.00×
+	// (median 1.49) over one worker on two cores (DESIGN.md §15); the serial
+	// parts that cap it are the join path and assignment.Assign.
 	Workers int
 }
 

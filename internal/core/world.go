@@ -267,7 +267,7 @@ func (s *System) buildFog(idAlloc func() int) {
 	}
 
 	// Policies live in internal/selection, the §3.2 engine shared with the
-	// live fognet prototype; fog re-exports them for compatibility.
+	// live fognet prototype.
 	policy := selection.PolicyRandom
 	if cfg.Strategies.Reputation {
 		policy = selection.PolicyReputation

@@ -38,3 +38,38 @@ func BenchmarkSelectorSelect(b *testing.B) {
 		m.Disconnect(player.ID, out.Supernode.ID)
 	}
 }
+
+// BenchmarkCandidatesFor measures the cloud's candidate lookup on a
+// registry shaped like the simulator's (core.buildFog at sim_fog_50k):
+// 5,000 registered supernodes, 60 % around metros and 40 % spread
+// uniformly, the first 3,000 active, and one active supernode in four full.
+func BenchmarkCandidatesFor(b *testing.B) {
+	m := NewManager(netmodel.NewModel(netmodel.Params{}, 1))
+	r := rng.New(2)
+	placer := geo.NewPlacer(nil)
+	for i := 0; i < 5000; i++ {
+		loc := placer.PlacePlayer(r)
+		if r.Bool(0.4) {
+			loc = placer.PlaceUniform(r)
+		}
+		ep := netmodel.NewSupernodeEndpoint(100+i, loc, r)
+		sn := NewSupernode(ep, netmodel.SupernodeCapacity(r, 15, 60))
+		sn.Active = i < 3000
+		m.Register(sn)
+		for p := 0; sn.Active && i%4 == 0 && sn.Available() > 0; p++ {
+			m.Connect(p, sn.ID)
+		}
+	}
+	players := make([]geo.Point, 1024)
+	for i := range players {
+		players[i] = placer.PlacePlayer(r)
+	}
+	m.CandidatesFor(players[0]) // builds the index, as the first join does
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(m.CandidatesFor(players[i%len(players)])) != DefaultCandidateListSize {
+			b.Fatal("short candidate list")
+		}
+	}
+}

@@ -99,10 +99,15 @@ func (s *Supernode) PerStreamKbps() float64 {
 type Manager struct {
 	model      *netmodel.Model
 	supernodes map[int]*Supernode
-	// ordered mirrors the registry as a slice sorted by ID: the scan-heavy
-	// paths (candidate discovery on every join, active counts) iterate it
-	// instead of the map, which is both faster and order-deterministic.
+	// ordered mirrors the registry as a slice sorted by ID: whole-registry
+	// passes (active counts, All, building the grid) iterate it instead of the
+	// map, which is both faster and order-deterministic.
 	ordered []*Supernode
+	// grid indexes ordered by location for CandidatesFor. Register drops
+	// it and the next query rebuilds it; nothing else touches it, because a
+	// registered supernode's Endpoint.Loc never changes (re-Register one to
+	// move it).
+	grid *cellGrid
 	// CandidateListSize is how many physically-close supernodes the cloud
 	// returns to a joining player.
 	CandidateListSize int
@@ -137,6 +142,7 @@ func (m *Manager) Register(s *Supernode) {
 		m.ordered[i] = s
 	}
 	m.supernodes[s.ID] = s
+	m.grid = nil
 }
 
 // Get returns the supernode with the given ID, or nil.
@@ -198,45 +204,20 @@ func (m *Manager) Disconnect(playerID, supernodeID int) {
 
 // CandidatesFor returns up to CandidateListSize active supernodes with
 // available capacity, physically closest to the given location — the
-// cloud's answer to a joining player's request (§3.2.1).
+// cloud's answer to a joining player's request (§3.2.1). The list is
+// ordered by (distance, ID), a total order, so it is a pure function of the
+// registry's state. The first call after a Register builds the location
+// index, so, like every Manager method, it must not run concurrently with
+// another.
 func (m *Manager) CandidatesFor(loc geo.Point) []*Supernode {
-	// Bounded top-k selection instead of a full sort: the candidate list is
-	// tiny (k = CandidateListSize) while the supernode pool is not, and this
-	// runs on every join. `top` is kept sorted by (distance, ID) — the same
-	// total order the full sort used — so the result is identical and, being
-	// unique under that order, independent of map iteration order.
-	type cand struct {
-		s *Supernode
-		d float64
-	}
 	k := m.CandidateListSize
 	if k <= 0 {
 		return nil
 	}
-	top := make([]cand, 0, k)
-	for _, s := range m.ordered {
-		if s.Available() <= 0 {
-			continue
-		}
-		d := geo.Distance(loc, s.Endpoint.Loc)
-		if len(top) == k {
-			last := top[k-1]
-			if d > last.d || (d == last.d && s.ID > last.s.ID) {
-				continue
-			}
-		}
-		i := len(top)
-		if i < k {
-			top = top[:i+1]
-		} else {
-			i = k - 1
-		}
-		for i > 0 && (d < top[i-1].d || (d == top[i-1].d && s.ID < top[i-1].s.ID)) {
-			top[i] = top[i-1]
-			i--
-		}
-		top[i] = cand{s: s, d: d}
+	if m.grid == nil {
+		m.grid = newCellGrid(m.ordered)
 	}
+	top := m.grid.nearest(loc, make([]candidate, 0, k))
 	out := make([]*Supernode, len(top))
 	for i, c := range top {
 		out[i] = c.s

@@ -1,6 +1,7 @@
 package fog
 
 import (
+	"math"
 	"testing"
 
 	"cloudfog/internal/geo"
@@ -303,4 +304,283 @@ func TestSelectorGlobalReputationShufflesUnknowns(t *testing.T) {
 	if len(first) < 3 {
 		t.Errorf("unknown candidates herd onto %v under global reputation", first)
 	}
+}
+
+// scanCandidates is CandidatesFor as a linear scan of every registered
+// supernode: the reference the grid index must reproduce exactly.
+func scanCandidates(m *Manager, loc geo.Point) []*Supernode {
+	// Bounded top-k selection instead of a full sort: the candidate list is
+	// tiny (k = CandidateListSize) while the supernode pool is not, and this
+	// runs on every join. `top` is kept sorted by (distance, ID) — the same
+	// total order the full sort used — so the result is identical and, being
+	// unique under that order, independent of map iteration order.
+	type cand struct {
+		s *Supernode
+		d float64
+	}
+	k := m.CandidateListSize
+	if k <= 0 {
+		return nil
+	}
+	top := make([]cand, 0, k)
+	for _, s := range m.ordered {
+		if s.Available() <= 0 {
+			continue
+		}
+		d := geo.Distance(loc, s.Endpoint.Loc)
+		if len(top) == k {
+			last := top[k-1]
+			if d > last.d || (d == last.d && s.ID > last.s.ID) {
+				continue
+			}
+		}
+		i := len(top)
+		if i < k {
+			top = top[:i+1]
+		} else {
+			i = k - 1
+		}
+		for i > 0 && (d < top[i-1].d || (d == top[i-1].d && s.ID < top[i-1].s.ID)) {
+			top[i] = top[i-1]
+			i--
+		}
+		top[i] = cand{s: s, d: d}
+	}
+	out := make([]*Supernode, len(top))
+	for i, c := range top {
+		out[i] = c.s
+	}
+	return out
+}
+
+// matchesScan reports whether CandidatesFor and the scan agree at q.
+func matchesScan(t testing.TB, m *Manager, q geo.Point) bool {
+	t.Helper()
+	got, want := m.CandidatesFor(q), scanCandidates(m, q)
+	same := len(got) == len(want)
+	for i := 0; same && i < len(got); i++ {
+		same = got[i] == want[i]
+	}
+	if !same {
+		ids := func(l []*Supernode) []int {
+			out := make([]int, len(l))
+			for i, s := range l {
+				out[i] = s.ID
+			}
+			return out
+		}
+		t.Errorf("k=%d q=%v: CandidatesFor %v, scan %v", m.CandidateListSize, q, ids(got), ids(want))
+	}
+	return same
+}
+
+// registerAt registers a supernode with the given ID and capacity at loc.
+func registerAt(m *Manager, id int, loc geo.Point, capacity int, r *rng.Rand) *Supernode {
+	sn := NewSupernode(netmodel.NewSupernodeEndpoint(id, loc, r), capacity)
+	m.Register(sn)
+	return sn
+}
+
+// fill connects players to sn until it has no slot left.
+func fill(m *Manager, sn *Supernode) {
+	for p := 0; sn.Available() > 0; p++ {
+		m.Connect(1_000_000+p, sn.ID)
+	}
+}
+
+func TestCandidatesForMatchesScan(t *testing.T) {
+	placer := geo.NewPlacer(nil)
+	planeQueries := func(r *rng.Rand) []geo.Point {
+		qs := []geo.Point{
+			{X: -500, Y: -500}, {X: geo.PlaneWidthKm + 900, Y: geo.PlaneHeightKm / 2},
+			{X: 1e6, Y: -1e6}, {X: -1e6, Y: 1e6}, {X: 0, Y: geo.PlaneHeightKm + 1},
+		}
+		for i := 0; i < 60; i++ {
+			qs = append(qs, placer.PlacePlayer(r), placer.PlaceUniform(r))
+		}
+		return qs
+	}
+	check := func(t *testing.T, m *Manager, qs []geo.Point, ks ...int) {
+		t.Helper()
+		for _, k := range ks {
+			m.CandidateListSize = k
+			for _, q := range qs {
+				if !matchesScan(t, m, q) {
+					return
+				}
+			}
+		}
+	}
+
+	t.Run("metro and uniform, inactive and full", func(t *testing.T) {
+		r := rng.New(11)
+		m := NewManager(netmodel.NewModel(netmodel.Params{}, 1))
+		for i := 0; i < 1500; i++ {
+			loc := placer.PlacePlayer(r)
+			if r.Bool(0.4) {
+				loc = placer.PlaceUniform(r)
+			}
+			sn := registerAt(m, 10+i, loc, 1+r.Intn(4), r)
+			sn.Active = i < 900
+			if i%4 == 0 {
+				fill(m, sn)
+			}
+		}
+		check(t, m, planeQueries(r), 8, 1, 40)
+	})
+
+	t.Run("one metro, queries outside its bounding box", func(t *testing.T) {
+		r := rng.New(12)
+		m := NewManager(netmodel.NewModel(netmodel.Params{}, 1))
+		for i := 0; i < 400; i++ {
+			loc := geo.Point{X: r.Normal(4100, 60), Y: r.Normal(1900, 60)}
+			registerAt(m, 10+i, loc, 2, r)
+		}
+		check(t, m, planeQueries(r), 8, 3)
+	})
+
+	t.Run("duplicate locations tie on distance", func(t *testing.T) {
+		r := rng.New(13)
+		m := NewManager(netmodel.NewModel(netmodel.Params{}, 1))
+		sites := make([]geo.Point, 12)
+		for i := range sites {
+			sites[i] = placer.PlaceUniform(r)
+		}
+		// IDs are registered in a shuffled order, so ties are not broken by
+		// registration order.
+		for _, i := range r.Perm(300) {
+			registerAt(m, 10+i, sites[i%len(sites)], 1, r)
+		}
+		qs := append(planeQueries(r), sites...)
+		// Equidistant from two sites: every supernode at both ties.
+		qs = append(qs, geo.Point{X: (sites[0].X + sites[1].X) / 2, Y: (sites[0].Y + sites[1].Y) / 2})
+		check(t, m, qs, 8, 25, 1)
+	})
+
+	t.Run("degenerate extents", func(t *testing.T) {
+		r := rng.New(14)
+		for _, line := range []func(i int) geo.Point{
+			func(int) geo.Point { return geo.Point{X: 700, Y: 700} },
+			func(i int) geo.Point { return geo.Point{X: float64(i) * 13, Y: 700} },
+			func(i int) geo.Point { return geo.Point{X: 700, Y: float64(i*i) * 0.01} },
+		} {
+			m := NewManager(netmodel.NewModel(netmodel.Params{}, 1))
+			for i := 0; i < 50; i++ {
+				registerAt(m, 10+i, line(i), 1, r)
+			}
+			check(t, m, planeQueries(r), 8, 60)
+		}
+	})
+
+	t.Run("k beyond available, k zero, single supernode", func(t *testing.T) {
+		r := rng.New(15)
+		m := NewManager(netmodel.NewModel(netmodel.Params{}, 1))
+		check(t, m, planeQueries(r), 8, 0)
+		registerAt(m, 7, geo.Point{X: 2000, Y: 1000}, 1, r)
+		check(t, m, planeQueries(r), 8, 1, 0)
+		for i := 0; i < 20; i++ {
+			sn := registerAt(m, 100+i, placer.PlaceUniform(r), 1, r)
+			sn.Active = i%3 != 0
+		}
+		check(t, m, planeQueries(r), 0, 50)
+		if got := len(m.CandidatesFor(geo.Point{X: 2000, Y: 1000})); got != 1+13 {
+			t.Errorf("k=50 over 14 available returned %d", got)
+		}
+	})
+
+	t.Run("Register replaces an ID at a new location", func(t *testing.T) {
+		r := rng.New(16)
+		m := NewManager(netmodel.NewModel(netmodel.Params{}, 1))
+		for i := 0; i < 200; i++ {
+			registerAt(m, 10+i, placer.PlacePlayer(r), 2, r)
+		}
+		qs := planeQueries(r)
+		check(t, m, qs, 8)
+		far := geo.Point{X: 10, Y: 2790}
+		for _, id := range []int{10, 105, 209} {
+			registerAt(m, id, far, 2, r)
+			check(t, m, qs, 8)
+		}
+		if got := m.CandidatesFor(far); len(got) == 0 || got[0].ID != 10 {
+			t.Errorf("moved supernodes not found at their new location: %v", got)
+		}
+	})
+
+	t.Run("Deactivate and Activate between queries", func(t *testing.T) {
+		r := rng.New(17)
+		m := NewManager(netmodel.NewModel(netmodel.Params{}, 1))
+		for i := 0; i < 300; i++ {
+			registerAt(m, 10+i, placer.PlacePlayer(r), 2, r)
+		}
+		qs := planeQueries(r)
+		for round := 0; round < 5; round++ {
+			for _, i := range r.Perm(300)[:60] {
+				if round%2 == 0 {
+					m.Deactivate(10 + i)
+				} else {
+					m.Activate(10 + i)
+				}
+			}
+			check(t, m, qs, 8)
+		}
+	})
+}
+
+// FuzzCandidatesForMatchesScan compares CandidatesFor with the scan over
+// registries the fuzzer lays out: three bytes per supernode give its cell
+// on a 256×256 lattice of pitch unit and its state, so ties on distance,
+// coincident points, lines and single points all come up.
+func FuzzCandidatesForMatchesScan(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 10, 10, 0, 250, 3, 1, 10, 10, 2}, 17.5, 3.0, -4.0, uint8(2), uint64(1))
+	f.Add([]byte{128, 128, 8, 127, 127, 8, 0, 0, 4, 5, 200, 12}, 7750.0, 1e6, -1e6, uint8(8), uint64(2))
+	f.Add([]byte{1, 2, 0}, 0.0, 0.0, 0.0, uint8(1), uint64(3))
+	f.Fuzz(func(t *testing.T, raw []byte, unit, qx, qy float64, k uint8, seed uint64) {
+		const limit = 1e6
+		// Coordinates are finite and within ±limit: a lattice index is at
+		// most 128 (plus jitter below 1) in magnitude.
+		if math.IsNaN(unit) || math.Abs(unit) > limit/129 ||
+			math.IsNaN(qx) || math.Abs(qx) > limit || math.IsNaN(qy) || math.Abs(qy) > limit {
+			t.Skip()
+		}
+		r := rng.New(seed)
+		m := NewManager(netmodel.NewModel(netmodel.Params{}, 1))
+		m.CandidateListSize = int(k % 24)
+		var ids []int
+		for i := 0; i+2 < len(raw) && i < 3*400; i += 3 {
+			state := raw[i+2]
+			x, y := float64(int8(raw[i])), float64(int8(raw[i+1]))
+			if state&8 != 0 {
+				x, y = x+r.Float64(), y+r.Float64()
+			}
+			id := len(ids) + 1
+			if state&4 != 0 && len(ids) > 0 {
+				id = ids[int(state>>4)%len(ids)] // re-register an ID elsewhere
+			} else {
+				ids = append(ids, id)
+			}
+			sn := registerAt(m, id, geo.Point{X: x * unit, Y: y * unit}, 1+int(state>>6), r)
+			sn.Active = state&1 == 0
+			if state&2 != 0 {
+				fill(m, sn)
+			}
+		}
+		q := geo.Point{X: qx, Y: qy}
+		if !matchesScan(t, m, q) {
+			return
+		}
+		// Flip some supernodes' state between queries; the index stays.
+		for i, id := range ids {
+			if int(seed>>(i%64))&1 == 1 {
+				if m.Get(id).Active {
+					m.Deactivate(id)
+				} else {
+					m.Activate(id)
+				}
+			}
+		}
+		matchesScan(t, m, q)
+		if len(ids) > 0 {
+			matchesScan(t, m, m.Get(ids[0]).Endpoint.Loc)
+		}
+	})
 }
