@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"cloudfog/internal/fognet"
-	"cloudfog/internal/selection"
 )
 
 func main() {
@@ -41,27 +40,22 @@ func main() {
 	hbInterval := flag.Duration("hb-interval", fognet.DefaultHeartbeatInterval, "supernode heartbeat interval")
 	hbMisses := flag.Int("hb-misses", fognet.DefaultHeartbeatMisses, "missed heartbeats before a supernode is evicted")
 	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval (0 = silent)")
-	selPolicy := flag.String("selection", "reputation", "candidate-ladder ranking policy: random | reputation | global")
 	seed := flag.Uint64("seed", 1, "ladder tie-break shuffle seed")
 	ckptEvery := flag.Int("checkpoint-every", fognet.DefaultCheckpointEvery, "tick periods between checkpoints streamed to the standby")
 	standby := flag.String("standby", "", "run as warm standby following this primary address")
 	promoteAfter := flag.Duration("promote-after", fognet.DefaultPromoteAfter, "standby: silence on the primary's stream before promotion")
 	flag.Parse()
 
-	policy, err := selection.ParsePolicy(*selPolicy)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := fognet.CloudConfig{
 		Addr:              *addr,
 		TickInterval:      *tick,
 		NPCs:              *npcs,
 		HeartbeatInterval: *hbInterval,
 		HeartbeatMisses:   *hbMisses,
-		SelectionPolicy:   policy,
 		Seed:              *seed,
 		CheckpointEvery:   *ckptEvery,
 	}
+	var err error
 	if *standby != "" {
 		err = runStandby(*addr, *standby, *promoteAfter, *statsEvery, cfg)
 	} else {
@@ -77,8 +71,8 @@ func runPrimary(cfg fognet.CloudConfig, statsEvery time.Duration) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cloudsrv: listening on %s (tick %v, %d NPCs, selection %v)\n",
-		cloud.Addr(), cfg.TickInterval, cfg.NPCs, cfg.SelectionPolicy)
+	fmt.Printf("cloudsrv: listening on %s (tick %v, %d NPCs)\n",
+		cloud.Addr(), cfg.TickInterval, cfg.NPCs)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -195,11 +195,11 @@ func TestReplayReproducesPrimary(t *testing.T) {
 	step(nil, virtualworld.Action{Player: 1, Kind: virtualworld.ActMove, TargetX: 30, TargetY: 30})
 	step(nil) // empty tick: still logged (liveness)
 	av := w.SpawnAvatar(7, 66, 66)
-	step([]virtualworld.Delta{{ID: av.ID, Entity: *av}},
+	step([]virtualworld.Delta{{ID: av.ID, Entity: av}},
 		virtualworld.Action{Player: 2, Kind: virtualworld.ActEmote, StateTag: 3})
-	gone := w.Avatar(1).ID
+	gone, _ := w.Avatar(1)
 	w.RemovePlayer(1)
-	step([]virtualworld.Delta{{ID: gone, Removed: true}})
+	step([]virtualworld.Delta{{ID: gone.ID, Removed: true}})
 
 	// A stale entry from an older epoch must be ignored.
 	log = append(log, LogEntry{Epoch: 4, Tick: w.Tick() + 1, NextID: 1})

@@ -290,7 +290,7 @@ func (s *CloudServer) recomputeInterestLocked(sn *supernodeConn, geo virtualworl
 // scratch the next call reuses. Caller holds mu.
 func (s *CloudServer) viewCellsLocked(geo virtualworld.GridGeom, player int32, margin float64) []uint32 {
 	s.aoiCellScratch = s.aoiCellScratch[:0]
-	if av := s.world.Avatar(int(player)); av != nil {
+	if av, ok := s.world.Avatar(int(player)); ok {
 		hw, hh := render.ViewHalfWidth+margin, render.ViewHalfHeight+margin
 		s.aoiCellScratch = geo.AppendCellsInRect(s.aoiCellScratch, av.X-hw, av.Y-hh, av.X+hw, av.Y+hh)
 	}
@@ -305,8 +305,8 @@ func (s *CloudServer) keyframeLocked(sn *supernodeConn, c uint32) {
 	off := int32(len(s.keyDeltas))
 	s.aoiIDScratch = s.world.Grid().AppendCell(s.aoiIDScratch[:0], c)
 	for _, id := range s.aoiIDScratch {
-		if e := s.world.Entity(id); e != nil {
-			s.keyDeltas = append(s.keyDeltas, virtualworld.Delta{ID: id, Entity: *e})
+		if e, ok := s.world.Entity(id); ok {
+			s.keyDeltas = append(s.keyDeltas, virtualworld.Delta{ID: id, Entity: e})
 		}
 	}
 	s.keyPlan = append(s.keyPlan, keyItem{sn: sn, cell: c, off: off, n: int32(len(s.keyDeltas)) - off})

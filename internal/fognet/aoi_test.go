@@ -132,10 +132,10 @@ func TestAoIReplicaTracksAvatar(t *testing.T) {
 			return false
 		}
 		fog.mu.Lock()
-		rx, ry, rok := fog.replica.AvatarPos(9)
+		ra, rok := fog.replica.Avatar(9)
 		fog.mu.Unlock()
 		// Within a couple of ticks of movement (MoveSpeed 8/tick).
-		return rok && math.Abs(rx-ax) < 32 && math.Abs(ry-ay) < 32
+		return rok && math.Abs(ra.X-ax) < 32 && math.Abs(ra.Y-ay) < 32
 	})
 }
 
@@ -143,10 +143,8 @@ func TestAoIReplicaTracksAvatar(t *testing.T) {
 func cloudAvatarPos(c *CloudServer, player int) (x, y float64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if a := c.world.Avatar(player); a != nil {
-		return a.X, a.Y, true
-	}
-	return 0, 0, false
+	a, ok := c.world.Avatar(player)
+	return a.X, a.Y, ok
 }
 
 // decodeCellBatchInto round-trips a cell batch through the wire encoding
@@ -323,9 +321,9 @@ func TestAoIInterestSurvivesBlackhole(t *testing.T) {
 			return false
 		}
 		fog.mu.Lock()
-		rx, ry, rok := fog.replica.AvatarPos(41)
+		ra, rok := fog.replica.Avatar(41)
 		fog.mu.Unlock()
-		return rok && math.Abs(rx-ax) < 32 && math.Abs(ry-ay) < 32
+		return rok && math.Abs(ra.X-ax) < 32 && math.Abs(ra.Y-ay) < 32
 	})
 }
 
@@ -513,6 +511,10 @@ func TestInterestHysteresis(t *testing.T) {
 		f.inputTick(t, virtualworld.Action{Player: 1, Kind: virtualworld.ActMove, TargetX: x, TargetY: y})
 		count()
 	}
+	avatarX := func() float64 {
+		a, _ := w.Avatar(1)
+		return a.X
+	}
 
 	target, grewAt := mid+aoiMargin/2, -1
 	for i := 0; i < 40; i++ {
@@ -524,7 +526,7 @@ func TestInterestHysteresis(t *testing.T) {
 			}
 			grewAt = i
 		}
-		if w.Avatar(1).X == target {
+		if avatarX() == target {
 			target = 2*mid - target
 		}
 	}
@@ -538,9 +540,9 @@ func TestInterestHysteresis(t *testing.T) {
 	}
 
 	walkTo := func(x float64) {
-		for i := 0; w.Avatar(1).X != x; i++ {
+		for i := 0; avatarX() != x; i++ {
 			if i == 100 {
-				t.Fatalf("avatar stuck at x=%v on its way to %v", w.Avatar(1).X, x)
+				t.Fatalf("avatar stuck at x=%v on its way to %v", avatarX(), x)
 			}
 			step(x)
 		}

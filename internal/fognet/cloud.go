@@ -104,11 +104,6 @@ type CloudConfig struct {
 	// WrapConn, when set, wraps every accepted connection — the faultnet
 	// injection point for chaos tests.
 	WrapConn func(net.Conn) net.Conn
-	// SelectionPolicy ranks the candidate ladders pushed to players
-	// (§3.2 via internal/selection). Defaults to
-	// selection.PolicyReputation, scoring supernodes by the cloud's live
-	// QoE book.
-	SelectionPolicy selection.Policy
 	// Seed drives the deterministic tie-break shuffle of the ladder
 	// ranking.
 	Seed uint64
@@ -162,6 +157,10 @@ type CloudServer struct {
 	nextSNID   uint32
 	players    map[int32]*link // guarded by mu
 	hbSeq      uint32
+	// attached is the fallback attach set: each cloud-streamed session's
+	// wake channel (slot.wake), signalled by tickOnce when a tick changes
+	// that player's avatar.
+	attached map[int32]chan struct{} // guarded by mu
 	// stats is the storage of the counters Stats reports; the world,
 	// membership and immutable figures and the two hot-path atomics are
 	// filled in at snapshot time.
@@ -273,9 +272,6 @@ func NewCloudServer(cfg CloudConfig) (*CloudServer, error) {
 	if cfg.SendQueueLen <= 0 {
 		cfg.SendQueueLen = DefaultSendQueueLen
 	}
-	if cfg.SelectionPolicy == 0 {
-		cfg.SelectionPolicy = selection.PolicyReputation
-	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = DefaultCheckpointEvery
 	}
@@ -335,6 +331,7 @@ func NewCloudServer(cfg CloudConfig) (*CloudServer, error) {
 		world:        world,
 		supernodes:   make(map[uint32]*supernodeConn),
 		players:      make(map[int32]*link),
+		attached:     make(map[int32]chan struct{}),
 		resumable:    resumable,
 		nextSNID:     1,
 		book:         book,
@@ -342,7 +339,7 @@ func NewCloudServer(cfg CloudConfig) (*CloudServer, error) {
 		// Address IDs are allocated densely and never freed, so the
 		// restored allocator position is exactly the table size.
 		nextAddrID: len(addrIDs),
-		ranker:     selection.PolicyRanker{Policy: cfg.SelectionPolicy, Scorer: optimisticScorer{book}},
+		ranker:     selection.PolicyRanker{Policy: selection.PolicyReputation, Scorer: optimisticScorer{book}},
 		rankRand:   rankRand,
 		started:    time.Now(),
 		inputCh:    make(chan struct{}, 1),

@@ -199,17 +199,18 @@ func (s *CloudServer) serveFallbackStream(conn net.Conn, fr *protocol.FrameReade
 // renders from the authoritative world, routes its egress into the cloud's
 // bandwidth accounting and grants no datagram path — the last rung of the
 // ladder favors the transport that works everywhere over the one that
-// performs best. Its slots carry no wake channel either: a fallback session
-// runs on the frame clock alone.
+// performs best. Its slots' wake channels join the cloud's attach set, so
+// a tick that changes a fallback player's avatar wakes its session as a
+// batch does on a fog.
 type cloudFallback struct{ s *CloudServer }
 
 // submitAction: the cloud is the authority, so rerouted inputs go straight
 // into the pending queue (the video-session reader already verified the
 // sender).
-func (c cloudFallback) submitAction(a virtualworld.Action) bool {
+func (c cloudFallback) submitAction(a virtualworld.Action) {
 	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.s.queueActionLocked(a)
+	c.s.queueActionLocked(a)
+	c.s.mu.Unlock()
 }
 
 func (c cloudFallback) viewInto(dst *virtualworld.Snapshot, player int) virtualworld.Viewport {
@@ -220,15 +221,22 @@ func (c cloudFallback) viewInto(dst *virtualworld.Snapshot, player int) virtualw
 
 func (c cloudFallback) freeSlots() int { return 1 << 15 } // effectively unbounded
 
-func (c cloudFallback) claim(int32) (slot, bool) {
+func (c cloudFallback) claim(player int32) (slot, bool) {
+	sl := slot{wake: make(chan struct{}, 1)}
 	c.s.mu.Lock()
+	c.s.attached[player] = sl.wake
 	c.s.stats.FallbackPlayers++
 	c.s.mu.Unlock()
-	return slot{}, true
+	return sl, true
 }
 
-func (c cloudFallback) unclaim(int32, slot) {
+// unclaim: as on a fog, a player attached twice keeps its entry until the
+// session that claimed it last ends.
+func (c cloudFallback) unclaim(player int32, sl slot) {
 	c.s.mu.Lock()
+	if c.s.attached[player] == sl.wake {
+		delete(c.s.attached, player)
+	}
 	c.s.stats.FallbackPlayers--
 	c.s.mu.Unlock()
 }
@@ -305,7 +313,7 @@ func (s *CloudServer) admitPlayer(conn net.Conn, fr *protocol.FrameReader, join 
 	pl := s.newLink(conn)
 	var old *link
 	s.mu.Lock()
-	survived := s.world.Avatar(int(id)) != nil
+	_, survived := s.world.Avatar(int(id))
 	known := req == nil || survived || s.resumable[id]
 	if known {
 		if req != nil {
@@ -322,7 +330,7 @@ func (s *CloudServer) admitPlayer(conn net.Conn, fr *protocol.FrameReader, join 
 			// (and the standby's log) must carry. A join is an input: the
 			// spawn rides an early tick, not the metronome, so the joiner's
 			// supernode holds its avatar by the time the joiner attaches.
-			s.sessionDeltas = append(s.sessionDeltas, virtualworld.Delta{ID: av.ID, Entity: *av})
+			s.sessionDeltas = append(s.sessionDeltas, virtualworld.Delta{ID: av.ID, Entity: av})
 			s.wakeTickLocked()
 		}
 		old = s.players[id]
@@ -392,7 +400,7 @@ func (s *CloudServer) dropPlayer(id int32, pl *link) {
 	s.mu.Lock()
 	if s.players[id] == pl {
 		delete(s.players, id)
-		if av := s.world.Avatar(int(id)); av != nil {
+		if av, ok := s.world.Avatar(int(id)); ok {
 			// The departure is a membership change the delta stream and
 			// the standby's log must carry.
 			s.sessionDeltas = append(s.sessionDeltas, virtualworld.Delta{ID: av.ID, Removed: true})

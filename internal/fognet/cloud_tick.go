@@ -73,7 +73,7 @@ func (s *CloudServer) tickLoop() {
 // one that makes pending non-empty wakes the tick loop's input clock.
 // Caller holds mu.
 func (s *CloudServer) queueActionLocked(a virtualworld.Action) bool {
-	if s.world.Avatar(a.Player) == nil {
+	if _, ok := s.world.Avatar(a.Player); !ok {
 		return false
 	}
 	s.pending = append(s.pending, a)
@@ -120,6 +120,7 @@ func (s *CloudServer) tickOnce(metronome bool) {
 		deltas = s.tickDeltas
 		s.sessionDeltas = s.sessionDeltas[:0]
 	}
+	wakeOwners(s.attached, deltas)
 	s.stats.Ticks++
 	if !metronome {
 		s.stats.InputTicks++

@@ -102,7 +102,7 @@ type FogResilience struct {
 
 // maxBufferedActionsPerPlayer bounds each player's outage-window action
 // queue on the fog node; beyond it the oldest intent is the one worth
-// keeping least, so new arrivals are dropped and counted.
+// keeping least, so it is dropped (and counted) to make room.
 const maxBufferedActionsPerPlayer = 64
 
 // FogNode is one supernode: it replicates the world and renders/streams
@@ -445,7 +445,7 @@ func (f *FogNode) updateLoop() {
 					f.stats.Epoch = batch.Epoch
 				}
 				f.replica.Apply(batch.Tick, batch.Deltas)
-				f.wakeOwnersLocked(batch.Deltas)
+				wakeOwners(f.attached, batch.Deltas)
 				f.mu.Unlock()
 			case protocol.MsgCellBatch:
 				if berr := protocol.DecodeCellBatch(payload, &cellBatch); berr != nil {
@@ -467,7 +467,7 @@ func (f *FogNode) updateLoop() {
 					// bucket (removals, session events) — apply as-is.
 					f.replica.Apply(cellBatch.Tick, cellBatch.Deltas)
 				}
-				f.wakeOwnersLocked(cellBatch.Deltas)
+				wakeOwners(f.attached, cellBatch.Deltas)
 				f.stats.CellBatches++
 				f.mu.Unlock()
 			case protocol.MsgHeartbeat:
@@ -513,24 +513,6 @@ func (f *FogNode) updateLoop() {
 		}
 		if !f.reconnect() {
 			return // closing
-		}
-	}
-}
-
-// wakeOwnersLocked signals the session of every attached player whose
-// avatar a batch just applied changed — its own action, a spawn, a hit, or
-// a cell keyframe that carries it — so the frame showing it need not wait
-// for the frame clock. A session already signalled keeps its one token;
-// an NPC costs one compare. Caller holds mu.
-func (f *FogNode) wakeOwnersLocked(deltas []virtualworld.Delta) {
-	for i := range deltas {
-		d := &deltas[i]
-		if d.Removed || d.Entity.Owner < 0 {
-			continue
-		}
-		select {
-		case f.attached[int32(d.Entity.Owner)] <- struct{}{}:
-		default: // not attached here (a nil channel), or a wake is already pending
 		}
 	}
 }
@@ -588,7 +570,7 @@ func (f *FogNode) reconnect() bool {
 // is down sent an input over its video session. The fog forwards it
 // upstream immediately when its own cloud link is up, and otherwise
 // buffers it (bounded per player) for the outage window.
-func (f *FogNode) submitAction(a virtualworld.Action) bool {
+func (f *FogNode) submitAction(a virtualworld.Action) {
 	f.mu.Lock()
 	conn := f.cloud
 	f.mu.Unlock()
@@ -596,18 +578,17 @@ func (f *FogNode) submitAction(a virtualworld.Action) bool {
 		f.mu.Lock()
 		f.stats.Resilience.ForwardedActions++
 		f.mu.Unlock()
-		return true
+		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	q := f.actionQ[int32(a.Player)]
 	if len(q) >= maxBufferedActionsPerPlayer {
+		q = append(q[:0], q[1:]...)
 		f.stats.Resilience.DroppedActions++
-		return false
 	}
 	f.actionQ[int32(a.Player)] = append(q, a)
 	f.stats.Resilience.BufferedActions++
-	return true
 }
 
 // forwardAction frames and writes one action upstream under the shared

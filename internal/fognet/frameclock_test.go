@@ -2,12 +2,14 @@ package fognet
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 
 	"cloudfog/internal/game"
 	"cloudfog/internal/protocol"
 	"cloudfog/internal/videocodec"
+	"cloudfog/internal/virtualworld"
 )
 
 // The session frame clock's wake rule (runVideoSession): a change to the
@@ -316,4 +318,92 @@ func TestOwnInputFrameHoldsLevel(t *testing.T) {
 		t.Error("the player's actions sent no early frame: the controller saw no extra frames")
 	}
 	t.Logf("%d frames, %d early, %.0f kbps at level %d", frames, early, kbps, st.Level)
+}
+
+// attachFallbackRaw opens a cloud-streamed session at the protocol level:
+// the probe that tells the cloud a video session from its other peers, then
+// the attach, at the cheapest quality level.
+func attachFallbackRaw(t *testing.T, cloud *CloudServer, id int32) (net.Conn, *protocol.FrameReader) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", cloud.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	fr := protocol.NewFrameReader(conn)
+	if _, err := exchange(conn, fr, 5*time.Second, protocol.MsgProbe, nil, protocol.MsgProbeReply); err != nil {
+		t.Fatal(err)
+	}
+	at := protocol.PlayerAttach{PlayerID: id, QualityLevel: 1}
+	payload, err := exchange(conn, fr, 5*time.Second, protocol.MsgPlayerAttach, at.Marshal(), protocol.MsgAttachReply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack, aerr := protocol.UnmarshalAttachReply(payload); aerr != nil || !ack.OK {
+		t.Fatalf("attach refused: %+v, err %v", ack, aerr)
+	}
+	return conn, fr
+}
+
+// A cloud-streamed session answers its own player as a fog's does: the
+// tick that applies the player's input wakes the session, so the frame
+// showing it leaves at once rather than at the frame clock's next tick.
+func TestFallbackOwnInputFrameAnswersAction(t *testing.T) {
+	cloud := startPacedCloud(t, DefaultTickInterval)
+	sink := startSink(t, cloud)
+	player, _ := joinRaw(t, cloud, 9, 300, 300)
+	video, fr := attachFallbackRaw(t, cloud, 9)
+	frames := recordFrames(video, fr)
+	const emotes = 8
+	gap := DefaultFrameInterval / frameGapDivisor
+	var waits []time.Duration
+	for tag := uint8(1); tag <= emotes; tag++ {
+		// Act on a fresh frame's heels, past the rate limit and well before
+		// the clock's next frame.
+		for len(frames) > 0 {
+			<-frames
+		}
+		last := nextFrame(t, frames, time.Second)
+		time.Sleep(time.Until(last.at.Add(gap + gap/2)))
+		sent := time.Now()
+		if err := player.emote(tag); err != nil {
+			t.Fatal(err)
+		}
+		var landed batchObs
+		for landed.deltas = nil; len(landed.deltas) != 1 || landed.deltas[0].Entity.State != tag; {
+			landed = nextBatch(t, sink, time.Second)
+		}
+		for last = nextFrame(t, frames, time.Second); last.tick < landed.tick; {
+			last = nextFrame(t, frames, time.Second)
+		}
+		waits = append(waits, last.at.Sub(sent))
+	}
+	slices.Sort(waits)
+	t.Logf("emote→frame: %v", waits)
+	if median := waits[emotes/2]; median >= DefaultFrameInterval/4 {
+		t.Errorf("median emote→frame %v, want under a quarter of the %v frame period", median, DefaultFrameInterval)
+	}
+}
+
+// With the cloud link down, a fog buffers a player's inputs up to the
+// per-player bound and then drops the oldest: inputs age poorly, so the
+// newest are the ones worth sending once the link is back.
+func TestOutageBufferDropsOldest(t *testing.T) {
+	f := &FogNode{actionQ: make(map[int32][]virtualworld.Action)}
+	const sent = maxBufferedActionsPerPlayer + 6
+	for i := 0; i < sent; i++ {
+		f.submitAction(virtualworld.Action{Player: 7, Kind: virtualworld.ActMove, TargetX: float64(i)})
+	}
+	q := f.actionQ[7]
+	if len(q) != maxBufferedActionsPerPlayer {
+		t.Fatalf("queue holds %d actions, want %d", len(q), maxBufferedActionsPerPlayer)
+	}
+	for i, a := range q {
+		if want := float64(sent - maxBufferedActionsPerPlayer + i); a.TargetX != want {
+			t.Fatalf("queue[%d] is action %v, want %v: not the last %d in order", i, a.TargetX, want, maxBufferedActionsPerPlayer)
+		}
+	}
+	if d := f.stats.Resilience.DroppedActions; d != 6 {
+		t.Errorf("DroppedActions = %d, want 6", d)
+	}
 }

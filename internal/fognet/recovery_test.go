@@ -319,9 +319,9 @@ func TestPrimaryFailoverResume(t *testing.T) {
 	// Zero lost durable state: the avatar the session owned is alive on
 	// the promoted authority.
 	promoted.mu.Lock()
-	av := promoted.world.Avatar(1)
+	_, ok := promoted.world.Avatar(1)
 	promoted.mu.Unlock()
-	if av == nil {
+	if !ok {
 		t.Fatal("player 1's avatar did not survive the failover")
 	}
 

@@ -37,21 +37,40 @@ type sessionHost interface {
 	// session — the outage escape hatch: a player whose cloud control
 	// link is down routes actions through its serving supernode, which
 	// forwards them upstream immediately or buffers them (bounded) until
-	// its own cloud link recovers. The cloud's fallback sessions feed the
-	// authoritative world directly. Returns false when the action was
-	// dropped.
-	submitAction(a virtualworld.Action) bool
+	// its own cloud link recovers, dropping the player's oldest buffered
+	// input when its queue is full. The cloud's fallback sessions feed the
+	// authoritative world directly.
+	submitAction(a virtualworld.Action)
 }
 
 // slot is what a claim hands the session it admits. dgram is the datagram
 // session registered with the slot when the host has a UDP socket (nil
 // elsewhere: the session streams over TCP only); unclaim releases it. wake
-// is the session's cap-1 wake channel, signalled when the player's own
-// avatar changes in the world the host renders from; it is nil on the
-// cloud's fallback, whose sessions keep the pure frame clock.
+// is the session's cap-1 wake channel, signalled (wakeOwners) when the
+// player's own avatar changes in the world the host renders from.
 type slot struct {
 	dgram *dgramSession
 	wake  chan struct{}
+}
+
+// wakeOwners signals, in a host's attach set, the session of every player
+// whose avatar deltas changed — its own action, a spawn, a hit, or a cell
+// keyframe that carries it — so the frame showing it need not wait for the
+// frame clock: a fog calls it for each batch it applies to its replica,
+// the cloud for each tick of its world. A session already signalled keeps
+// its one token; an NPC costs one compare. Caller holds the lock that
+// guards attached.
+func wakeOwners(attached map[int32]chan struct{}, deltas []virtualworld.Delta) {
+	for i := range deltas {
+		d := &deltas[i]
+		if d.Removed || d.Entity.Owner < 0 {
+			continue
+		}
+		select {
+		case attached[int32(d.Entity.Owner)] <- struct{}{}:
+		default: // not attached here (a nil channel), or a wake is already pending
+		}
+	}
 }
 
 // serveAttach is the serving side of the probe→attach handshake that
@@ -223,8 +242,7 @@ func runVideoSession(
 	// or fell back here — gets its first frame with the attach. A fresh
 	// joiner usually attaches before its spawn has arrived; a frame now
 	// would be centred on the middle of the world, so it waits for the
-	// spawn, whose delta wakes the session (or, on the cloud's fallback,
-	// for the frame clock).
+	// spawn, whose delta wakes the session.
 	host.viewInto(&fs.view, fs.playerID)
 	if fs.viewHasAvatar() && !frame(false) {
 		return

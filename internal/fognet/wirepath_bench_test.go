@@ -173,7 +173,7 @@ type streamFixture struct {
 
 func newStreamFixture(level game.QualityLevel, sess *dgramSession) *streamFixture {
 	w := virtualworld.New(1024, 1024)
-	avatar := *w.SpawnAvatar(1, 500, 500)
+	avatar := w.SpawnAvatar(1, 500, 500)
 	r := rng.New(5)
 	for i := 0; i < 2000; i++ {
 		w.SpawnNPC(r.Uniform(0, 1024), r.Uniform(0, 1024))

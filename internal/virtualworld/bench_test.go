@@ -117,11 +117,12 @@ func BenchmarkReplicaView20k(b *testing.B) {
 // every iteration does the merge walk and changes the replica.
 func BenchmarkCellKeyframe20k(b *testing.B) {
 	w, rep := world20k()
-	a := w.Avatar(1)
+	a, _ := w.Avatar(1)
 	c := w.Grid().Geom().CellOf(a.X, a.Y)
 	var full []Delta
 	for _, id := range w.Grid().AppendCell(nil, c) {
-		full = append(full, Delta{ID: id, Entity: *w.Entity(id)})
+		e, _ := w.Entity(id)
+		full = append(full, Delta{ID: id, Entity: e})
 	}
 	if len(full) < 2 {
 		b.Fatalf("cell %d holds %d entities", c, len(full))

@@ -65,11 +65,11 @@ func TestGeometryAppendCellsInRect(t *testing.T) {
 	}
 }
 
-// rebuiltGrid indexes a world's entities from scratch — the reference the
-// incrementally maintained grid must match bit-for-bit.
-func rebuiltGrid(w *World) *Grid {
-	g := NewGrid(w.Grid().Geom())
-	for _, e := range w.Entities() {
+// rebuiltGrid indexes a snapshot's entities from scratch — the reference
+// the incrementally maintained grid must match bit-for-bit.
+func rebuiltGrid(s Snapshot) *Grid {
+	g := NewGrid(Geometry(s.Width, s.Height, DefaultCellSize))
+	for _, e := range s.Entities {
 		g.Insert(e.ID, e.X, e.Y)
 	}
 	return g
@@ -78,7 +78,8 @@ func rebuiltGrid(w *World) *Grid {
 // TestGridIncrementalMatchesRebuild drives a world through every mutation
 // path — spawns, moves, combat kills, pickups, respawns, logouts — and
 // checks after each tick that the incrementally maintained index equals a
-// from-scratch rebuild.
+// from-scratch rebuild. A replica fed the same ticks' deltas, as a fog is,
+// must hold the same state and the same index, tick by tick.
 func TestGridIncrementalMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := New(0, 0)
@@ -90,6 +91,8 @@ func TestGridIncrementalMatchesRebuild(t *testing.T) {
 		npcs = append(npcs, w.SpawnNPC(rng.Float64()*DefaultWidth, rng.Float64()*DefaultHeight).ID)
 		items = append(items, w.SpawnItem(rng.Float64()*DefaultWidth, rng.Float64()*DefaultHeight).ID)
 	}
+	rep := NewReplica(0, 0)
+	rep.Seed(w.Snapshot())
 	for tick := 0; tick < 200; tick++ {
 		var actions []Action
 		for p := 0; p < 12; p++ {
@@ -107,13 +110,26 @@ func TestGridIncrementalMatchesRebuild(t *testing.T) {
 				actions = append(actions, Action{Player: p, Kind: ActEmote, StateTag: uint8(tick)})
 			}
 		}
-		w.Step(actions)
+		deltas := w.Step(actions)
+		rep.Apply(w.Tick(), deltas)
 		if tick == 100 {
+			// A leave and a rejoin, carried as the cloud's session deltas.
+			gone, _ := w.Avatar(3)
 			w.RemovePlayer(3)
-			w.SpawnAvatar(3, 10, 10)
+			back := w.SpawnAvatar(3, 10, 10)
+			rep.Apply(w.Tick(), []Delta{{ID: gone.ID, Removed: true}, {ID: back.ID, Entity: back}})
 		}
-		if got, want := w.Grid().Digest(), rebuiltGrid(w).Digest(); got != want {
+		snap := w.Snapshot()
+		if got, want := w.Grid().Digest(), rebuiltGrid(snap).Digest(); got != want {
 			t.Fatalf("tick %d: incremental grid digest %x != rebuilt %x", tick, got, want)
+		}
+		if rs := rep.Snapshot(); !rs.Equal(snap) || rs.Tick != snap.Tick {
+			t.Fatalf("tick %d: replica (tick %d, %d entities) differs from the world (tick %d, %d entities)",
+				tick, rs.Tick, len(rs.Entities), snap.Tick, len(snap.Entities))
+		}
+		if got, want := rep.Grid().Digest(), w.Grid().Digest(); got != want || got != rebuiltGrid(rep.Snapshot()).Digest() {
+			t.Fatalf("tick %d: replica grid digest %x, world %x, rebuilt from the replica %x",
+				tick, got, want, rebuiltGrid(rep.Snapshot()).Digest())
 		}
 		if w.Grid().Len() != w.NumEntities() {
 			t.Fatalf("tick %d: grid has %d entities, world has %d", tick, w.Grid().Len(), w.NumEntities())
@@ -148,9 +164,10 @@ func TestRestoreRebuildsGridBitIdentical(t *testing.T) {
 	}
 	// SetEntity/RemoveEntity (delta-log replay) keep the index in step too.
 	e := w.SpawnNPC(500, 500)
-	restored.SetEntity(*e)
+	restored.SetEntity(e)
 	w.Step([]Action{{Player: 0, Kind: ActMove, TargetX: 0, TargetY: 0}})
-	restored.SetEntity(*w.Avatar(0))
+	av, _ := w.Avatar(0)
+	restored.SetEntity(av)
 	restored.SetTick(w.Tick())
 	w.RemoveEntity(e.ID)
 	restored.RemoveEntity(e.ID)
@@ -190,18 +207,18 @@ func TestGridAppendCellSorted(t *testing.T) {
 	}
 }
 
-func TestReplicaAvatarPos(t *testing.T) {
+func TestReplicaAvatar(t *testing.T) {
 	r := NewReplica(0, 0)
-	if _, _, ok := r.AvatarPos(4); ok {
+	if _, ok := r.Avatar(4); ok {
 		t.Fatal("empty replica reports an avatar")
 	}
 	r.Apply(1, []Delta{{ID: 2, Entity: Entity{ID: 2, Kind: KindAvatar, Owner: 4, X: 100, Y: 200, Version: 1}}})
-	x, y, ok := r.AvatarPos(4)
-	if !ok || x != 100 || y != 200 {
-		t.Fatalf("AvatarPos = (%g,%g,%v), want (100,200,true)", x, y, ok)
+	a, ok := r.Avatar(4)
+	if !ok || a.ID != 2 || a.X != 100 || a.Y != 200 {
+		t.Fatalf("Avatar = (%+v, %v), want entity 2 at (100,200)", a, ok)
 	}
 	r.Apply(2, []Delta{{ID: 2, Removed: true}})
-	if _, _, ok := r.AvatarPos(4); ok {
+	if _, ok := r.Avatar(4); ok {
 		t.Fatal("removed avatar still reported")
 	}
 }

@@ -54,8 +54,8 @@ func TestRestoreBitIdentical(t *testing.T) {
 		}
 	}
 	a1, a2 := w.SpawnAvatar(9, 1, 1), r.SpawnAvatar(9, 1, 1)
-	if *a1 != *a2 {
-		t.Fatalf("post-restore spawn diverged: %+v vs %+v", *a1, *a2)
+	if a1 != a2 {
+		t.Fatalf("post-restore spawn diverged: %+v vs %+v", a1, a2)
 	}
 }
 
@@ -63,7 +63,7 @@ func TestSetEntityRemoveEntityMaintainIndexes(t *testing.T) {
 	w := New(0, 0)
 	av := Entity{ID: 7, Kind: KindAvatar, Owner: 3, X: 1, Y: 2, HP: 50, Version: 4}
 	w.SetEntity(av)
-	if got := w.Avatar(3); got == nil || got.ID != 7 {
+	if got, ok := w.Avatar(3); !ok || got.ID != 7 {
 		t.Fatalf("owner index not maintained: %+v", got)
 	}
 	if w.NextID() != 8 {
@@ -73,14 +73,14 @@ func TestSetEntityRemoveEntityMaintainIndexes(t *testing.T) {
 	av.HP = 10
 	av.Version = 9
 	w.SetEntity(av)
-	if got := w.Entity(7); got.HP != 10 || got.Version != 9 {
+	if got, _ := w.Entity(7); got.HP != 10 || got.Version != 9 {
 		t.Fatalf("overwrite lost state: %+v", got)
 	}
 	w.RemoveEntity(7)
-	if w.Avatar(3) != nil {
+	if _, ok := w.Avatar(3); ok {
 		t.Fatal("owner index kept a removed avatar")
 	}
-	if w.Entity(7) != nil {
+	if _, ok := w.Entity(7); ok {
 		t.Fatal("entity survived removal")
 	}
 	// Removing a non-existent ID is a no-op.

@@ -29,47 +29,27 @@ func (g *Grid) appendViewCells(dst []uint32, v Viewport) []uint32 {
 		v.CenterX+v.HalfWidth+viewPad, v.CenterY+v.HalfHeight+viewPad)
 }
 
-// ViewInto fills dst with the player's view of the replica — only the
-// entities inside a halfWidth×halfHeight viewport centred on the player's
-// avatar (the world centre when the replica does not know the avatar),
-// sorted by ID — reusing dst.Entities' backing array, and returns that
-// viewport. dst carries the replica's tick and world dimensions, so it is
-// exactly Snapshot() with everything the viewport cannot see left out:
-// rendering either yields the same frame. Once dst and the replica's
-// scratch have grown to the view's size this allocates nothing.
-func (r *Replica) ViewInto(dst *Snapshot, player int, halfWidth, halfHeight float64) Viewport {
-	v := Viewport{CenterX: r.width / 2, CenterY: r.height / 2, HalfWidth: halfWidth, HalfHeight: halfHeight}
-	if x, y, ok := r.AvatarPos(player); ok {
-		v.CenterX, v.CenterY = x, y
-	}
-	dst.Tick, dst.Width, dst.Height = r.tick, r.width, r.height
-	dst.Entities = dst.Entities[:0]
-	r.viewCells = r.grid.appendViewCells(r.viewCells[:0], v)
-	for _, c := range r.viewCells {
-		for _, id := range r.grid.cells[c] {
-			if e := r.entities[id]; v.Contains(e.X, e.Y) {
-				dst.Entities = append(dst.Entities, e)
-			}
-		}
-	}
-	slices.SortFunc(dst.Entities, cmpEntityID)
-	return v
-}
-
-// ViewInto is Replica.ViewInto over the authoritative world: the cloud's
-// fallback video sessions render from it.
-func (w *World) ViewInto(dst *Snapshot, player int, halfWidth, halfHeight float64) Viewport {
-	v := Viewport{CenterX: w.width / 2, CenterY: w.height / 2, HalfWidth: halfWidth, HalfHeight: halfHeight}
-	if a := w.Avatar(player); a != nil {
+// ViewInto fills dst with the player's view — only the entities inside a
+// halfWidth×halfHeight viewport centred on the player's avatar (the world
+// centre when the avatar is unknown), sorted by ID — reusing
+// dst.Entities' backing array, and returns that viewport. dst carries the
+// tick and world dimensions, so it is exactly Snapshot() with everything
+// the viewport cannot see left out: rendering either yields the same
+// frame. Once dst and the store's scratch have grown to the view's size
+// this allocates nothing. A fog's video sessions read it off the replica,
+// the cloud's fallback sessions off the authoritative world.
+func (s *store) ViewInto(dst *Snapshot, player int, halfWidth, halfHeight float64) Viewport {
+	v := Viewport{CenterX: s.width / 2, CenterY: s.height / 2, HalfWidth: halfWidth, HalfHeight: halfHeight}
+	if a, ok := s.Avatar(player); ok {
 		v.CenterX, v.CenterY = a.X, a.Y
 	}
-	dst.Tick, dst.Width, dst.Height = w.tick, w.width, w.height
+	dst.Tick, dst.Width, dst.Height = s.tick, s.width, s.height
 	dst.Entities = dst.Entities[:0]
-	w.viewCells = w.grid.appendViewCells(w.viewCells[:0], v)
-	for _, c := range w.viewCells {
-		for _, id := range w.grid.cells[c] {
-			if e := w.entities[id]; v.Contains(e.X, e.Y) {
-				dst.Entities = append(dst.Entities, *e)
+	s.viewCells = s.grid.appendViewCells(s.viewCells[:0], v)
+	for _, c := range s.viewCells {
+		for _, id := range s.grid.cells[c] {
+			if e := s.entities[id]; v.Contains(e.X, e.Y) {
+				dst.Entities = append(dst.Entities, e)
 			}
 		}
 	}

@@ -302,8 +302,7 @@ func FuzzWorldViewParity(f *testing.F) {
 				id := vw.EntityID(viewNumAvatars + 1 + r.Intn(120))
 				if r.Intn(2) == 0 {
 					w.RemoveEntity(id)
-				} else if old := w.Entity(id); old != nil {
-					e := *old
+				} else if e, ok := w.Entity(id); ok {
 					e.X, e.Y = g.pos()
 					e.Version++
 					w.SetEntity(e)

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // World dimensions, in abstract world units.
@@ -140,139 +139,67 @@ const (
 	MaxHP = 100
 )
 
-// World is the authoritative game state. It is not safe for concurrent
+// World is the authoritative game state: the store, driven by the game
+// rules and owning the entity ID allocator. It is not safe for concurrent
 // use; the cloud serializes ticks per shard.
 type World struct {
-	width, height float64
-	entities      map[EntityID]*Entity
-	byOwner       map[int]EntityID
-	nextID        EntityID
-	tick          uint64
-	// grid is the uniform spatial index over entity positions, maintained
-	// incrementally at every mutation site (spawn, move, despawn, restore)
-	// so interest-managed fan-out never rebuilds it per tick. It is pure
-	// derived state: checkpoints don't carry it, Restore re-derives it.
-	grid *Grid
+	store
+	nextID EntityID
 	// Per-tick scratch, reused across Steps: the player-sorted action
 	// copy, the IDs touched and despawned this tick (duplicates allowed
 	// until the final sort), and the owned-avatar scan of the respawn
-	// pass. viewCells backs ViewInto.
+	// pass.
 	actScratch []Action
 	changedIDs []EntityID
 	removedIDs []EntityID
 	ownedIDs   []EntityID
-	viewCells  []uint32
 }
 
 // New creates an empty world of the given size (non-positive dimensions
 // take the defaults).
 func New(width, height float64) *World {
-	if width <= 0 {
-		width = DefaultWidth
-	}
-	if height <= 0 {
-		height = DefaultHeight
-	}
-	return &World{
-		width:    width,
-		height:   height,
-		entities: make(map[EntityID]*Entity),
-		byOwner:  make(map[int]EntityID),
-		nextID:   1,
-		grid:     NewGrid(Geometry(width, height, DefaultCellSize)),
-	}
+	return &World{store: newStore(width, height, 0), nextID: 1}
 }
-
-// Grid returns the world's spatial index. Callers must treat it as
-// read-only; it is maintained by the world's own mutation paths.
-func (w *World) Grid() *Grid { return w.grid }
-
-// Size returns the world dimensions.
-func (w *World) Size() (width, height float64) { return w.width, w.height }
-
-// Tick returns the current tick number.
-func (w *World) Tick() uint64 { return w.tick }
-
-// NumEntities returns the entity count.
-func (w *World) NumEntities() int { return len(w.entities) }
 
 // clampPos keeps a position on the plane.
 func (w *World) clampPos(x, y float64) (float64, float64) {
 	return math.Max(0, math.Min(w.width, x)), math.Max(0, math.Min(w.height, y))
 }
 
+// spawn gives e the next entity ID and version 1, clamps it onto the plane
+// and stores it.
+func (w *World) spawn(e Entity) Entity {
+	e.ID, e.Version = w.nextID, 1
+	e.X, e.Y = w.clampPos(e.X, e.Y)
+	w.nextID++
+	w.put(e)
+	return e
+}
+
 // SpawnAvatar creates (or returns the existing) avatar for a player at the
 // given position.
-func (w *World) SpawnAvatar(player int, x, y float64) *Entity {
-	if id, ok := w.byOwner[player]; ok {
-		return w.entities[id]
+func (w *World) SpawnAvatar(player int, x, y float64) Entity {
+	if a, ok := w.Avatar(player); ok {
+		return a
 	}
-	x, y = w.clampPos(x, y)
-	e := &Entity{
-		ID:    w.nextID,
-		Kind:  KindAvatar,
-		Owner: player,
-		X:     x, Y: y,
-		HP:      MaxHP,
-		Version: 1,
-	}
-	w.nextID++
-	w.entities[e.ID] = e
-	w.byOwner[player] = e.ID
-	w.grid.Insert(e.ID, e.X, e.Y)
-	return e
+	return w.spawn(Entity{Kind: KindAvatar, Owner: player, X: x, Y: y, HP: MaxHP})
 }
 
 // SpawnNPC creates an NPC at the given position.
-func (w *World) SpawnNPC(x, y float64) *Entity {
-	x, y = w.clampPos(x, y)
-	e := &Entity{ID: w.nextID, Kind: KindNPC, Owner: -1, X: x, Y: y, HP: MaxHP, Version: 1}
-	w.nextID++
-	w.entities[e.ID] = e
-	w.grid.Insert(e.ID, e.X, e.Y)
-	return e
+func (w *World) SpawnNPC(x, y float64) Entity {
+	return w.spawn(Entity{Kind: KindNPC, Owner: -1, X: x, Y: y, HP: MaxHP})
 }
 
 // SpawnItem creates an item at the given position.
-func (w *World) SpawnItem(x, y float64) *Entity {
-	x, y = w.clampPos(x, y)
-	e := &Entity{ID: w.nextID, Kind: KindItem, Owner: -1, X: x, Y: y, Version: 1}
-	w.nextID++
-	w.entities[e.ID] = e
-	w.grid.Insert(e.ID, e.X, e.Y)
-	return e
+func (w *World) SpawnItem(x, y float64) Entity {
+	return w.spawn(Entity{Kind: KindItem, Owner: -1, X: x, Y: y})
 }
 
 // RemovePlayer despawns a player's avatar (logout).
 func (w *World) RemovePlayer(player int) {
 	if id, ok := w.byOwner[player]; ok {
-		if e := w.entities[id]; e != nil {
-			w.grid.Remove(id, e.X, e.Y)
-		}
-		delete(w.entities, id)
-		delete(w.byOwner, player)
+		w.drop(id)
 	}
-}
-
-// Avatar returns the player's avatar, or nil.
-func (w *World) Avatar(player int) *Entity {
-	if id, ok := w.byOwner[player]; ok {
-		return w.entities[id]
-	}
-	return nil
-}
-
-// Entity returns the entity with the given ID, or nil.
-func (w *World) Entity(id EntityID) *Entity { return w.entities[id] }
-
-// Entities returns all entities sorted by ID (deterministic order).
-func (w *World) Entities() []*Entity {
-	out := make([]*Entity, 0, len(w.entities))
-	for _, e := range w.entities {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Delta records one entity change produced by a tick.
@@ -297,45 +224,43 @@ func (w *World) Step(actions []Action) []Delta {
 	slices.SortStableFunc(sorted, func(a, b Action) int { return cmp.Compare(a.Player, b.Player) })
 
 	for _, a := range sorted {
-		actor := w.Avatar(a.Player)
-		if actor == nil || actor.HP <= 0 {
+		actor, ok := w.Avatar(a.Player)
+		if !ok || actor.HP <= 0 {
 			continue
 		}
 		switch a.Kind {
 		case ActMove:
-			if w.applyMove(actor, a.TargetX, a.TargetY) {
+			if w.applyMove(&actor, a.TargetX, a.TargetY) {
 				changed = append(changed, actor.ID)
 			}
 		case ActAttack:
-			if victim := w.applyAttack(actor, a.TargetEntity); victim != nil {
+			if victim, ok := w.applyAttack(&actor, a.TargetEntity); ok {
 				changed = append(changed, actor.ID, victim.ID)
 				if victim.HP <= 0 && victim.Kind == KindNPC {
-					w.grid.Remove(victim.ID, victim.X, victim.Y)
-					delete(w.entities, victim.ID)
+					w.drop(victim.ID)
 					removed = append(removed, victim.ID)
 				}
 			}
 		case ActPickUp:
-			if item := w.applyPickUp(actor, a.TargetEntity); item != nil {
+			if item, ok := w.applyPickUp(&actor, a.TargetEntity); ok {
 				changed = append(changed, actor.ID)
 				removed = append(removed, item.ID)
 			}
 		case ActEmote:
 			actor.State = a.StateTag
 			actor.Version++
+			w.put(actor)
 			changed = append(changed, actor.ID)
 		}
 	}
 
 	// Respawn dead avatars at the origin corner with full HP.
 	for _, id := range w.sortedOwnedIDs() {
-		e := w.entities[id]
-		if e != nil && e.Kind == KindAvatar && e.HP <= 0 {
-			ox, oy := e.X, e.Y
+		if e, ok := w.entities[id]; ok && e.Kind == KindAvatar && e.HP <= 0 {
 			e.HP = MaxHP
 			e.X, e.Y = w.clampPos(8, 8)
 			e.Version++
-			w.grid.Move(e.ID, ox, oy, e.X, e.Y)
+			w.put(e)
 			changed = append(changed, e.ID)
 		}
 	}
@@ -351,8 +276,8 @@ func (w *World) Step(actions []Action) []Delta {
 	slices.Sort(removed)
 	deltas := make([]Delta, 0, len(changed)+len(removed))
 	for _, id := range changed {
-		if e := w.entities[id]; e != nil {
-			deltas = append(deltas, Delta{ID: id, Entity: *e})
+		if e, ok := w.entities[id]; ok {
+			deltas = append(deltas, Delta{ID: id, Entity: e})
 		}
 	}
 	for _, id := range removed {
@@ -374,6 +299,8 @@ func (w *World) sortedOwnedIDs() []EntityID {
 	return ids
 }
 
+// applyMove steps the actor copy toward the target and stores it; it
+// reports false, storing nothing, when the actor is already there.
 func (w *World) applyMove(actor *Entity, tx, ty float64) bool {
 	tx, ty = w.clampPos(tx, ty)
 	dx, dy := tx-actor.X, ty-actor.Y
@@ -382,64 +309,48 @@ func (w *World) applyMove(actor *Entity, tx, ty float64) bool {
 		return false
 	}
 	step := math.Min(MoveSpeed, dist)
-	ox, oy := actor.X, actor.Y
 	// Re-clamp: dx/dist*step can overshoot a world edge by one ulp.
 	actor.X, actor.Y = w.clampPos(actor.X+dx/dist*step, actor.Y+dy/dist*step)
 	actor.Facing = math.Atan2(dy, dx)
 	actor.Version++
-	w.grid.Move(actor.ID, ox, oy, actor.X, actor.Y)
+	w.put(*actor)
 	return true
 }
 
-func (w *World) applyAttack(actor *Entity, target EntityID) *Entity {
-	victim := w.entities[target]
-	if victim == nil || victim.ID == actor.ID || victim.Kind == KindItem {
-		return nil
+// applyAttack strikes the target from the actor copy and stores both; it
+// returns the struck victim, or false when the strike cannot land.
+func (w *World) applyAttack(actor *Entity, target EntityID) (Entity, bool) {
+	victim, ok := w.entities[target]
+	if !ok || victim.ID == actor.ID || victim.Kind == KindItem {
+		return Entity{}, false
 	}
 	if math.Hypot(victim.X-actor.X, victim.Y-actor.Y) > AttackRange {
-		return nil
+		return Entity{}, false
 	}
 	victim.HP -= AttackDamage
 	victim.Version++
 	actor.State = 1 // attacking pose
 	actor.Version++
-	return victim
+	w.put(victim)
+	w.put(*actor)
+	return victim, true
 }
 
-func (w *World) applyPickUp(actor *Entity, target EntityID) *Entity {
-	item := w.entities[target]
-	if item == nil || item.Kind != KindItem {
-		return nil
+// applyPickUp collects the target item into the actor copy: the item is
+// dropped and the actor stored. It returns the item, or false when it is
+// out of reach or not an item.
+func (w *World) applyPickUp(actor *Entity, target EntityID) (Entity, bool) {
+	item, ok := w.entities[target]
+	if !ok || item.Kind != KindItem {
+		return Entity{}, false
 	}
 	if math.Hypot(item.X-actor.X, item.Y-actor.Y) > PickUpRange {
-		return nil
+		return Entity{}, false
 	}
-	w.grid.Remove(item.ID, item.X, item.Y)
-	delete(w.entities, item.ID)
+	w.drop(item.ID)
 	actor.Version++
-	return item
-}
-
-// Snapshot is an immutable copy of the world at a tick, for replicas and
-// renderers.
-type Snapshot struct {
-	// Tick is the world tick the snapshot was taken at.
-	Tick uint64
-	// Width, Height are the world dimensions.
-	Width, Height float64
-	// Entities are copies, sorted by ID.
-	Entities []Entity
-}
-
-// Snapshot captures the current world state.
-func (w *World) Snapshot() Snapshot {
-	es := w.Entities()
-	out := Snapshot{Tick: w.tick, Width: w.width, Height: w.height,
-		Entities: make([]Entity, len(es))}
-	for i, e := range es {
-		out.Entities[i] = *e
-	}
-	return out
+	w.put(*actor)
+	return item, true
 }
 
 // String renders a summary.

@@ -31,7 +31,7 @@ func TestSpawnAvatarIdempotent(t *testing.T) {
 	if a != b {
 		t.Error("second spawn created a new avatar")
 	}
-	if w.Avatar(1) != a {
+	if got, ok := w.Avatar(1); !ok || got != a {
 		t.Error("Avatar lookup broken")
 	}
 	if a.HP != MaxHP || a.Kind != KindAvatar || a.Owner != 1 {
@@ -51,7 +51,8 @@ func TestRemovePlayer(t *testing.T) {
 	w := New(100, 100)
 	a := w.SpawnAvatar(1, 10, 10)
 	w.RemovePlayer(1)
-	if w.Avatar(1) != nil || w.Entity(a.ID) != nil {
+	_, hasAvatar := w.Avatar(1)
+	if _, hasEntity := w.Entity(a.ID); hasAvatar || hasEntity {
 		t.Error("avatar not removed")
 	}
 	w.RemovePlayer(1) // idempotent
@@ -64,6 +65,7 @@ func TestMoveStepsTowardTarget(t *testing.T) {
 	if len(deltas) != 1 || deltas[0].ID != a.ID {
 		t.Fatalf("deltas = %+v", deltas)
 	}
+	a, _ = w.Avatar(1)
 	if a.X != 100+MoveSpeed || a.Y != 100 {
 		t.Errorf("avatar at %v,%v after one move tick", a.X, a.Y)
 	}
@@ -72,6 +74,7 @@ func TestMoveStepsTowardTarget(t *testing.T) {
 	}
 	// Target closer than MoveSpeed: arrive exactly.
 	w.Step([]Action{{Player: 1, Kind: ActMove, TargetX: a.X + 2, TargetY: 100}})
+	a, _ = w.Avatar(1)
 	if a.X != 100+MoveSpeed+2 {
 		t.Errorf("short move overshot: %v", a.X)
 	}
@@ -84,6 +87,7 @@ func TestMoveNoOpProducesNoDelta(t *testing.T) {
 	if len(deltas) != 0 {
 		t.Errorf("no-op move produced deltas: %+v", deltas)
 	}
+	a, _ = w.Avatar(1)
 	if a.Version != 1 {
 		t.Errorf("version bumped: %d", a.Version)
 	}
@@ -94,6 +98,7 @@ func TestAttackInRange(t *testing.T) {
 	w.SpawnAvatar(1, 50, 50)
 	victim := w.SpawnAvatar(2, 60, 50)
 	deltas := w.Step([]Action{{Player: 1, Kind: ActAttack, TargetEntity: victim.ID}})
+	victim, _ = w.Avatar(2)
 	if victim.HP != MaxHP-AttackDamage {
 		t.Errorf("victim HP = %d", victim.HP)
 	}
@@ -107,6 +112,7 @@ func TestAttackOutOfRange(t *testing.T) {
 	w.SpawnAvatar(1, 10, 10)
 	victim := w.SpawnAvatar(2, 400, 400)
 	deltas := w.Step([]Action{{Player: 1, Kind: ActAttack, TargetEntity: victim.ID}})
+	victim, _ = w.Avatar(2)
 	if victim.HP != MaxHP || len(deltas) != 0 {
 		t.Error("out-of-range attack landed")
 	}
@@ -133,7 +139,7 @@ func TestKilledNPCDespawns(t *testing.T) {
 	for i := 0; i < hits; i++ {
 		lastDeltas = w.Step([]Action{{Player: 1, Kind: ActAttack, TargetEntity: npc.ID}})
 	}
-	if w.Entity(npc.ID) != nil {
+	if _, ok := w.Entity(npc.ID); ok {
 		t.Fatal("dead NPC still present")
 	}
 	foundRemoval := false
@@ -155,6 +161,7 @@ func TestKilledAvatarRespawns(t *testing.T) {
 	for i := 0; i < hits; i++ {
 		w.Step([]Action{{Player: 1, Kind: ActAttack, TargetEntity: victim.ID}})
 	}
+	victim, _ = w.Avatar(2)
 	if victim.HP != MaxHP {
 		t.Errorf("avatar not respawned: HP=%d", victim.HP)
 	}
@@ -169,7 +176,7 @@ func TestPickUp(t *testing.T) {
 	item := w.SpawnItem(55, 50)
 	far := w.SpawnItem(150, 150)
 	deltas := w.Step([]Action{{Player: 1, Kind: ActPickUp, TargetEntity: item.ID}})
-	if w.Entity(item.ID) != nil {
+	if _, ok := w.Entity(item.ID); ok {
 		t.Error("item not collected")
 	}
 	foundRemoval := false
@@ -190,6 +197,7 @@ func TestEmote(t *testing.T) {
 	w := New(100, 100)
 	a := w.SpawnAvatar(1, 50, 50)
 	w.Step([]Action{{Player: 1, Kind: ActEmote, StateTag: 7}})
+	a, _ = w.Avatar(1)
 	if a.State != 7 {
 		t.Errorf("state = %d", a.State)
 	}
@@ -205,7 +213,7 @@ func TestDeadOrMissingActorIgnored(t *testing.T) {
 func TestStepDeterministicOrder(t *testing.T) {
 	// Two attack actions submitted in different orders must resolve
 	// identically (sorted by player ID).
-	build := func() (*World, *Entity) {
+	build := func() (*World, Entity) {
 		w := New(200, 200)
 		w.SpawnAvatar(1, 50, 50)
 		w.SpawnAvatar(2, 55, 50)
@@ -222,6 +230,8 @@ func TestStepDeterministicOrder(t *testing.T) {
 		{Player: 1, Kind: ActAttack, TargetEntity: npc2.ID},
 		{Player: 2, Kind: ActAttack, TargetEntity: npc2.ID},
 	})
+	npc1, _ = w1.Entity(npc1.ID)
+	npc2, _ = w2.Entity(npc2.ID)
 	if npc1.HP != npc2.HP {
 		t.Errorf("order-dependent outcome: %d vs %d", npc1.HP, npc2.HP)
 	}
@@ -241,6 +251,7 @@ func TestVersionsMonotoneProperty(t *testing.T) {
 				Player: 1, Kind: ActMove,
 				TargetX: float64(m), TargetY: float64(255 - m),
 			}})
+			a, _ = w.Avatar(1)
 			if a.Version < lastVersion {
 				return false
 			}
@@ -262,6 +273,7 @@ func TestPositionsStayInWorldProperty(t *testing.T) {
 				Player: 1, Kind: ActMove,
 				TargetX: float64(tgt), TargetY: float64(-tgt),
 			}})
+			a, _ = w.Avatar(1)
 			if a.X < 0 || a.X > 200 || a.Y < 0 || a.Y > 200 {
 				return false
 			}
@@ -286,15 +298,15 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func TestEntitiesSorted(t *testing.T) {
+func TestSnapshotSorted(t *testing.T) {
 	w := New(100, 100)
 	w.SpawnNPC(1, 1)
 	w.SpawnAvatar(1, 2, 2)
 	w.SpawnItem(3, 3)
-	es := w.Entities()
+	es := w.Snapshot().Entities
 	for i := 1; i < len(es); i++ {
 		if es[i].ID <= es[i-1].ID {
-			t.Fatal("Entities not sorted")
+			t.Fatal("Snapshot not sorted")
 		}
 	}
 }
@@ -310,6 +322,7 @@ func TestMoveStaysInWorld(t *testing.T) {
 	a := w.SpawnAvatar(1, 100, 100)
 	for i, tgt := range targets {
 		w.Step([]Action{{Player: 1, Kind: ActMove, TargetX: tgt, TargetY: -tgt}})
+		a, _ = w.Avatar(1)
 		if a.X < 0 || a.X > 200 || a.Y < 0 || a.Y > 200 {
 			t.Fatalf("after move %d (target %v,%v) avatar left the world: (%v, %v)", i, tgt, -tgt, a.X, a.Y)
 		}
@@ -326,33 +339,33 @@ func oracleStep(w *World, actions []Action) []Delta {
 	sorted := append([]Action(nil), actions...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Player < sorted[j].Player })
 	for _, a := range sorted {
-		actor := w.Avatar(a.Player)
-		if actor == nil || actor.HP <= 0 {
+		actor, ok := w.Avatar(a.Player)
+		if !ok || actor.HP <= 0 {
 			continue
 		}
 		switch a.Kind {
 		case ActMove:
-			if w.applyMove(actor, a.TargetX, a.TargetY) {
+			if w.applyMove(&actor, a.TargetX, a.TargetY) {
 				changed[actor.ID] = true
 			}
 		case ActAttack:
-			if victim := w.applyAttack(actor, a.TargetEntity); victim != nil {
+			if victim, ok := w.applyAttack(&actor, a.TargetEntity); ok {
 				changed[actor.ID] = true
 				changed[victim.ID] = true
 				if victim.HP <= 0 && victim.Kind == KindNPC {
-					w.grid.Remove(victim.ID, victim.X, victim.Y)
-					delete(w.entities, victim.ID)
+					w.drop(victim.ID)
 					removed[victim.ID] = true
 				}
 			}
 		case ActPickUp:
-			if item := w.applyPickUp(actor, a.TargetEntity); item != nil {
+			if item, ok := w.applyPickUp(&actor, a.TargetEntity); ok {
 				changed[actor.ID] = true
 				removed[item.ID] = true
 			}
 		case ActEmote:
 			actor.State = a.StateTag
 			actor.Version++
+			w.put(actor)
 			changed[actor.ID] = true
 		}
 	}
@@ -362,20 +375,19 @@ func oracleStep(w *World, actions []Action) []Delta {
 	}
 	sort.Slice(owned, func(i, j int) bool { return owned[i] < owned[j] })
 	for _, id := range owned {
-		e := w.entities[id]
-		if e != nil && e.Kind == KindAvatar && e.HP <= 0 {
-			ox, oy := e.X, e.Y
+		e, ok := w.entities[id]
+		if ok && e.Kind == KindAvatar && e.HP <= 0 {
 			e.HP = MaxHP
 			e.X, e.Y = w.clampPos(8, 8)
 			e.Version++
-			w.grid.Move(e.ID, ox, oy, e.X, e.Y)
+			w.put(e)
 			changed[e.ID] = true
 		}
 	}
 	deltas := make([]Delta, 0, len(changed)+len(removed))
-	for _, e := range w.Entities() {
+	for _, e := range w.Snapshot().Entities {
 		if changed[e.ID] && !removed[e.ID] {
-			deltas = append(deltas, Delta{ID: e.ID, Entity: *e})
+			deltas = append(deltas, Delta{ID: e.ID, Entity: e})
 		}
 	}
 	rm := make([]EntityID, 0, len(removed))
@@ -408,7 +420,7 @@ func TestStepDeltasMatchOracle(t *testing.T) {
 		}
 		ref := Restore(w.Snapshot(), w.NextID())
 		kind := map[EntityID]EntityKind{}
-		for _, e := range w.Entities() {
+		for _, e := range w.Snapshot().Entities {
 			kind[e.ID] = e.Kind
 		}
 		var kills, pickups, respawns, emotes int
@@ -422,8 +434,8 @@ func TestStepDeltasMatchOracle(t *testing.T) {
 				a.Kind = []ActionKind{ActMove, ActAttack, ActAttack, ActPickUp, ActEmote}[r.Intn(5)]
 				if a.Kind != ActMove && a.Kind != ActEmote && r.Intn(2) == 0 {
 					// Aim at something in reach, so fights actually finish.
-					if me := w.Avatar(a.Player); me != nil {
-						for _, e := range w.Entities() {
+					if me, ok := w.Avatar(a.Player); ok {
+						for _, e := range w.Snapshot().Entities {
 							if e.ID != me.ID && math.Hypot(e.X-me.X, e.Y-me.Y) <= PickUpRange {
 								a.TargetEntity = e.ID
 								break
@@ -435,7 +447,8 @@ func TestStepDeltasMatchOracle(t *testing.T) {
 			}
 			hpBefore := map[int]int16{}
 			for p := 1; p <= players; p++ {
-				hpBefore[p] = w.Avatar(p).HP
+				av, _ := w.Avatar(p)
+				hpBefore[p] = av.HP
 			}
 			got := w.Step(actions)
 			want := oracleStep(ref, actions)
