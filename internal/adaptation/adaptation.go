@@ -179,7 +179,7 @@ func (c *Controller) Level() game.QualityLevel { return c.level }
 
 // BitrateKbps returns the current encoding bitrate.
 func (c *Controller) BitrateKbps() float64 {
-	return game.MustQuality(c.level).BitrateKbps
+	return game.BitrateKbps(c.level)
 }
 
 // BufferedSegments returns r, the number of whole segments currently
@@ -254,7 +254,7 @@ func (c *Controller) Observe(nowSec, downloadKbps float64) Decision {
 	// quality up only to drain it again (oscillation), which the paper's
 	// consecutive-estimate rule aims to prevent.
 	canSustainNext := c.level >= c.cfg.MaxLevel ||
-		downloadKbps >= game.MustQuality(c.level+1).BitrateKbps
+		downloadKbps >= game.BitrateKbps(c.level+1)
 	lossy := c.Lossy()
 	switch {
 	case r > c.UpThreshold() && c.level < c.cfg.MaxLevel && canSustainNext && !lossy:

@@ -90,6 +90,7 @@ func Assign(g *social.Graph, cfg Config, r *rng.Rand) (*Result, error) {
 	// Step 5–6: randomized swap refinement.
 	gammaPre := res.Modularity
 	consecutiveMisses := 0
+	var moves []move
 	for it := 0; it < cfg.H1 && consecutiveMisses < cfg.H2; it++ {
 		res.Iterations++
 		ca := r.Intn(cfg.Servers)
@@ -105,15 +106,16 @@ func Assign(g *social.Graph, cfg Config, r *rng.Rand) (*Result, error) {
 			continue
 		}
 		// Swap the communities of n_i + F(i) and n_j + F(j).
-		moved := swapBalls(g, community, ni, ca, nj, cb)
+		moves = swapBalls(g, community, ni, ca, nj, cb, moves[:0])
 		gammaCur := social.Modularity(g, community, cfg.Servers)
 		if gammaCur > gammaPre {
 			gammaPre = gammaCur
 			consecutiveMisses = 0
 		} else {
-			// Miss: roll back.
-			for player, prev := range moved {
-				community[player] = prev
+			// Miss: roll back, newest move first, so a player moved twice
+			// ends where it started.
+			for k := len(moves) - 1; k >= 0; k-- {
+				community[moves[k].player] = moves[k].from
 			}
 			consecutiveMisses++
 			res.Misses++
@@ -130,7 +132,8 @@ func Assign(g *social.Graph, cfg Config, r *rng.Rand) (*Result, error) {
 // polish runs size-capped label propagation: each player follows its
 // friend-majority community when that community is below 150% of the
 // average size. The cap prevents the propagation from collapsing everyone
-// onto a handful of servers (servers have finite capacity).
+// onto a handful of servers (servers have finite capacity). Every label in
+// community must lie in [0, z).
 func polish(g *social.Graph, community []int, z, sweeps int) {
 	n := g.N()
 	if n == 0 || z < 2 {
@@ -142,19 +145,29 @@ func polish(g *social.Graph, community []int, z, sweeps int) {
 	}
 	sizes := make([]int, z)
 	for _, c := range community {
-		if c >= 0 && c < z {
-			sizes[c]++
-		}
+		sizes[c]++
 	}
+	// Friend counts per community, dense, with a touched list so clearing
+	// costs O(friends) rather than O(z).
+	counts := make([]int, z)
+	var touched []int
 	for s := 0; s < sweeps; s++ {
 		moved := 0
 		for i := 0; i < n; i++ {
-			counts := make(map[int]int)
+			touched = touched[:0]
 			for _, f := range g.Friends(i) {
-				counts[community[f]]++
+				c := community[f]
+				if counts[c] == 0 {
+					touched = append(touched, c)
+				}
+				counts[c]++
 			}
+			// Winner: most friends, smallest community on ties — a strict
+			// total order, so the scan order does not matter.
 			best, bestN := community[i], counts[community[i]]
-			for c, cnt := range counts {
+			for _, c := range touched {
+				cnt := counts[c]
+				counts[c] = 0
 				if c == community[i] || sizes[c] >= maxSize {
 					continue
 				}
@@ -242,19 +255,26 @@ func greedySeed(g *social.Graph, z int, r *rng.Rand) []int {
 	// Stragglers (left over after the last community filled): each joins
 	// the community holding most of its friends, falling back to
 	// round-robin for the friendless.
+	counts := make([]int, z)
+	var touched []int
 	c := 0
 	for i := 0; i < n; i++ {
 		if community[i] >= 0 {
 			continue
 		}
-		counts := make(map[int]int)
+		touched = touched[:0]
 		for _, f := range g.Friends(i) {
-			if community[f] >= 0 {
-				counts[community[f]]++
+			if cf := community[f]; cf >= 0 {
+				if counts[cf] == 0 {
+					touched = append(touched, cf)
+				}
+				counts[cf]++
 			}
 		}
 		best, bestN := -1, 0
-		for comm, cnt := range counts {
+		for _, comm := range touched {
+			cnt := counts[comm]
+			counts[comm] = 0
 			if cnt > bestN || (cnt == bestN && comm < best) {
 				best, bestN = comm, cnt
 			}
@@ -287,25 +307,26 @@ func randMember(community []int, c int, r *rng.Rand) int {
 	return chosen
 }
 
+// move records one player's community before swapBalls moved it.
+type move struct{ player, from int }
+
 // swapBalls moves n_i and its friends to cb and n_j and its friends to ca,
-// returning the previous community of every moved player for rollback.
-func swapBalls(g *social.Graph, community []int, ni, ca, nj, cb int) map[int]int {
-	moved := make(map[int]int)
-	move := func(p, to int) {
-		if _, ok := moved[p]; !ok {
-			moved[p] = community[p]
-		}
+// appending every move to log (a player may appear twice) for rollback in
+// reverse order.
+func swapBalls(g *social.Graph, community []int, ni, ca, nj, cb int, log []move) []move {
+	put := func(p, to int) {
+		log = append(log, move{p, community[p]})
 		community[p] = to
 	}
-	move(ni, cb)
+	put(ni, cb)
 	for _, f := range g.Friends(ni) {
-		move(f, cb)
+		put(f, cb)
 	}
-	move(nj, ca)
+	put(nj, ca)
 	for _, f := range g.Friends(nj) {
-		move(f, ca)
+		put(f, ca)
 	}
-	return moved
+	return log
 }
 
 // Random assigns each player to a uniformly random server; this is the

@@ -1,6 +1,8 @@
 package assignment
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +217,198 @@ func TestAssignDeterministic(t *testing.T) {
 	for i := range a.Community {
 		if a.Community[i] != b.Community[i] {
 			t.Fatal("assignment not deterministic under equal seeds")
+		}
+	}
+}
+
+// polishOracle is the map-per-vertex polish that polish replaced. It
+// reports how many times the size cap turned a better community away.
+func polishOracle(g *social.Graph, community []int, z, sweeps int) (capped int) {
+	n := g.N()
+	if n == 0 || z < 2 {
+		return 0
+	}
+	maxSize := 3 * n / (2 * z)
+	if maxSize < 2 {
+		maxSize = 2
+	}
+	sizes := make([]int, z)
+	for _, c := range community {
+		if c >= 0 && c < z {
+			sizes[c]++
+		}
+	}
+	for s := 0; s < sweeps; s++ {
+		moved := 0
+		for i := 0; i < n; i++ {
+			counts := make(map[int]int)
+			for _, f := range g.Friends(i) {
+				counts[community[f]]++
+			}
+			best, bestN := community[i], counts[community[i]]
+			for c, cnt := range counts {
+				if c == community[i] {
+					continue
+				}
+				if sizes[c] >= maxSize {
+					if cnt > counts[community[i]] {
+						capped++
+					}
+					continue
+				}
+				if cnt > bestN || (cnt == bestN && c < best) {
+					best, bestN = c, cnt
+				}
+			}
+			if best != community[i] {
+				sizes[community[i]]--
+				sizes[best]++
+				community[i] = best
+				moved++
+			}
+		}
+		if moved == 0 {
+			break
+		}
+	}
+	return capped
+}
+
+// swapBallsOracle is the map-returning swapBalls that swapBalls replaced.
+func swapBallsOracle(g *social.Graph, community []int, ni, ca, nj, cb int) map[int]int {
+	moved := make(map[int]int)
+	move := func(p, to int) {
+		if _, ok := moved[p]; !ok {
+			moved[p] = community[p]
+		}
+		community[p] = to
+	}
+	move(ni, cb)
+	for _, f := range g.Friends(ni) {
+		move(f, cb)
+	}
+	move(nj, ca)
+	for _, f := range g.Friends(nj) {
+		move(f, ca)
+	}
+	return moved
+}
+
+// assignOracle is Assign's refinement and polish run through the oracles.
+func assignOracle(g *social.Graph, cfg Config, r *rng.Rand) (res *Result, capped int) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		panic(err)
+	}
+	community := greedySeed(g, cfg.Servers, r)
+	res = &Result{Community: community}
+	res.GreedyModularity = social.Modularity(g, community, cfg.Servers)
+	res.Modularity = res.GreedyModularity
+	if cfg.SkipRefinement || cfg.Servers < 2 || g.N() < 2 {
+		return res, 0
+	}
+	gammaPre := res.Modularity
+	consecutiveMisses := 0
+	for it := 0; it < cfg.H1 && consecutiveMisses < cfg.H2; it++ {
+		res.Iterations++
+		ca := r.Intn(cfg.Servers)
+		cb := r.Intn(cfg.Servers)
+		if ca == cb {
+			cb = (cb + 1) % cfg.Servers
+		}
+		ni := randMember(community, ca, r)
+		nj := randMember(community, cb, r)
+		if ni < 0 || nj < 0 {
+			consecutiveMisses++
+			res.Misses++
+			continue
+		}
+		moved := swapBallsOracle(g, community, ni, ca, nj, cb)
+		gammaCur := social.Modularity(g, community, cfg.Servers)
+		if gammaCur > gammaPre {
+			gammaPre = gammaCur
+			consecutiveMisses = 0
+		} else {
+			for player, prev := range moved {
+				community[player] = prev
+			}
+			consecutiveMisses++
+			res.Misses++
+		}
+	}
+	res.Modularity = gammaPre
+	if cfg.PolishSweeps > 0 {
+		capped = polishOracle(g, community, cfg.Servers, cfg.PolishSweeps)
+		res.Modularity = social.Modularity(g, community, cfg.Servers)
+	}
+	return res, capped
+}
+
+// TestAssignMatchesMapOracle pins Assign to the map-based polish and
+// swapBalls bit for bit: same communities, iterations and misses, and the
+// same Γ bits, on seeded graphs — one of them with polish's size cap
+// binding.
+func TestAssignMatchesMapOracle(t *testing.T) {
+	cases := []struct {
+		name    string
+		n, z    int
+		seed    uint64
+		cfg     social.GenerateConfig
+		wantCap bool
+		h1, h2  int
+	}{
+		{name: "guilds", n: 1000, z: 40, seed: 1},
+		{name: "big guilds cap binds", n: 600, z: 20, seed: 2, wantCap: true,
+			cfg: social.GenerateConfig{Skew: 1.5, GuildSizeMin: 50, GuildSizeMax: 200}},
+		{name: "stragglers", n: 997, z: 13, seed: 3, h1: 200, h2: 40},
+		{name: "peersim shape", n: 3000, z: 250, seed: 4,
+			cfg: social.GenerateConfig{Skew: 1.5}},
+		{name: "sparse", n: 400, z: 7, seed: 5,
+			cfg: social.GenerateConfig{Skew: 1.5, MaxFriends: 3, InGuildProbability: 0.3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gc := tc.cfg
+			if gc.Skew == 0 {
+				gc = social.GenerateConfig{Skew: 1.5, GuildSizeMin: 20, GuildSizeMax: 30}
+			}
+			gc.N = tc.n
+			g := social.Generate(gc, rng.New(tc.seed))
+			cfg := Config{Servers: tc.z, H1: tc.h1, H2: tc.h2}
+			got, err := Assign(g, cfg, rng.New(tc.seed+100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, capped := assignOracle(g, cfg, rng.New(tc.seed+100))
+			if tc.wantCap && capped == 0 {
+				t.Fatal("polish's size cap never bound; the case does not test it")
+			}
+			if !slices.Equal(got.Community, want.Community) {
+				t.Error("Community differs from the oracle")
+			}
+			if got.Iterations != want.Iterations || got.Misses != want.Misses {
+				t.Errorf("iterations/misses = %d/%d, oracle %d/%d",
+					got.Iterations, got.Misses, want.Iterations, want.Misses)
+			}
+			if math.Float64bits(got.Modularity) != math.Float64bits(want.Modularity) ||
+				math.Float64bits(got.GreedyModularity) != math.Float64bits(want.GreedyModularity) {
+				t.Errorf("Γ = %v (greedy %v), oracle %v (greedy %v)",
+					got.Modularity, got.GreedyModularity, want.Modularity, want.GreedyModularity)
+			}
+		})
+	}
+}
+
+// TestGreedySeedLabelsInRange: polish indexes dense per-community arrays by
+// label, so greedySeed must leave every player in [0, z), stragglers and
+// friendless players included.
+func TestGreedySeedLabelsInRange(t *testing.T) {
+	for _, tc := range []struct{ n, z int }{{997, 13}, {50, 7}, {10, 40}, {400, 1}} {
+		g := social.Generate(social.GenerateConfig{N: tc.n, Skew: 1.5, MaxFriends: 2}, rng.New(uint64(tc.n)))
+		for i, c := range greedySeed(g, tc.z, rng.New(9)) {
+			if c < 0 || c >= tc.z {
+				t.Fatalf("n=%d z=%d: player %d has label %d", tc.n, tc.z, i, c)
+			}
 		}
 	}
 }

@@ -30,3 +30,16 @@ func BenchmarkModularity(b *testing.B) {
 		social.Modularity(g, community, 50)
 	}
 }
+
+// BenchmarkAssign50k is one weekly reassignment at sim_fog_50k's scale:
+// 50,000 players on PeerSim's 250 servers (5 datacenters × 50).
+func BenchmarkAssign50k(b *testing.B) {
+	g := social.Generate(social.GenerateConfig{N: 50000, Skew: 1.5}, rng.New(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Assign(g, Config{Servers: 250}, rng.New(2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

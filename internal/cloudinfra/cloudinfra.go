@@ -41,12 +41,12 @@ type Server struct {
 	ID int
 	// Datacenter is the owning datacenter's ID.
 	Datacenter int
-	// Players is the set of player IDs currently allocated to the server.
-	Players map[int]struct{}
+
+	load int // players allocated to the server
 }
 
 // Load returns the number of players allocated to the server.
-func (s *Server) Load() int { return len(s.Players) }
+func (s *Server) Load() int { return s.load }
 
 // Datacenter is one cloud datacenter.
 type Datacenter struct {
@@ -62,7 +62,9 @@ type Datacenter struct {
 type Cloud struct {
 	datacenters []*Datacenter
 	servers     []*Server // flattened, indexed by Server.ID
-	byPlayer    map[int]*Server
+	// byPlayer is indexed by player ID (nil: unallocated); it grows to the
+	// largest ID ever allocated.
+	byPlayer []*Server
 }
 
 // New builds a cloud of nDatacenters datacenters (placed on the standard
@@ -77,7 +79,7 @@ func New(nDatacenters, serversPerDC int, idAlloc func() int) (*Cloud, error) {
 		return nil, fmt.Errorf("cloudinfra: need at least one server per datacenter, got %d", serversPerDC)
 	}
 	sites := geo.DatacenterSites(nDatacenters)
-	c := &Cloud{byPlayer: make(map[int]*Server)}
+	c := &Cloud{}
 	serverID := 0
 	for i, site := range sites {
 		dc := &Datacenter{
@@ -85,7 +87,7 @@ func New(nDatacenters, serversPerDC int, idAlloc func() int) (*Cloud, error) {
 			Endpoint: netmodel.NewDatacenterEndpoint(idAlloc(), site),
 		}
 		for j := 0; j < serversPerDC; j++ {
-			s := &Server{ID: serverID, Datacenter: i, Players: make(map[int]struct{})}
+			s := &Server{ID: serverID, Datacenter: i}
 			serverID++
 			dc.Servers = append(dc.Servers, s)
 			c.servers = append(c.servers, s)
@@ -126,38 +128,53 @@ func (c *Cloud) AssignPlayerToServer(playerID, serverID int) error {
 	if s == nil {
 		return fmt.Errorf("cloudinfra: no server %d", serverID)
 	}
-	c.RemovePlayer(playerID)
-	s.Players[playerID] = struct{}{}
-	c.byPlayer[playerID] = s
+	if playerID < 0 {
+		return fmt.Errorf("cloudinfra: negative player ID %d", playerID)
+	}
+	c.place(playerID, s)
 	return nil
 }
 
 // AssignPlayerRandom allocates a player to a uniformly random server of the
 // given datacenter — the baseline assignment of Fig. 12 and the rule for
-// friendless newcomers.
+// friendless newcomers. It panics on a negative player ID.
 func (c *Cloud) AssignPlayerRandom(playerID int, dc *Datacenter, r *rng.Rand) *Server {
 	s := dc.Servers[r.Intn(len(dc.Servers))]
-	c.RemovePlayer(playerID)
-	s.Players[playerID] = struct{}{}
-	c.byPlayer[playerID] = s
+	c.place(playerID, s)
 	return s
 }
 
-// ServerOf returns the server the player is allocated to, or nil.
-func (c *Cloud) ServerOf(playerID int) *Server { return c.byPlayer[playerID] }
+// place moves the player onto s; a negative player ID panics.
+func (c *Cloud) place(playerID int, s *Server) {
+	c.RemovePlayer(playerID)
+	if playerID >= len(c.byPlayer) {
+		c.byPlayer = append(c.byPlayer, make([]*Server, playerID+1-len(c.byPlayer))...)
+	}
+	c.byPlayer[playerID] = s
+	s.load++
+}
+
+// ServerOf returns the server the player is allocated to, or nil (also for
+// a negative or never-allocated ID).
+func (c *Cloud) ServerOf(playerID int) *Server {
+	if playerID < 0 || playerID >= len(c.byPlayer) {
+		return nil
+	}
+	return c.byPlayer[playerID]
+}
 
 // RemovePlayer deallocates the player, if allocated.
 func (c *Cloud) RemovePlayer(playerID int) {
-	if s, ok := c.byPlayer[playerID]; ok {
-		delete(s.Players, playerID)
-		delete(c.byPlayer, playerID)
+	if s := c.ServerOf(playerID); s != nil {
+		s.load--
+		c.byPlayer[playerID] = nil
 	}
 }
 
 // SameServer reports whether two players are allocated to the same server.
 func (c *Cloud) SameServer(a, b int) bool {
-	sa, sb := c.byPlayer[a], c.byPlayer[b]
-	return sa != nil && sa == sb
+	sa := c.ServerOf(a)
+	return sa != nil && sa == c.ServerOf(b)
 }
 
 // UpdateBandwidthKbps returns the total cloud egress spent on supernode

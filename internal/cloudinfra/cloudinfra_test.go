@@ -106,6 +106,32 @@ func TestAssignRemoveAndSameServer(t *testing.T) {
 	if c.SameServer(100, 101) {
 		t.Error("unassigned players share a server")
 	}
+
+	// IDs past the end of the player index: unknown until assigned, and
+	// assigning one grows the index without disturbing the others.
+	if c.ServerOf(5000) != nil || c.SameServer(8, 5000) {
+		t.Error("player past the index end has a server")
+	}
+	if err := c.AssignPlayerToServer(5000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !c.SameServer(8, 5000) || c.ServerOf(4999) != nil || c.Server(0).Load() != 2 {
+		t.Error("growing the player index broke the allocation")
+	}
+	// A negative ID is never allocated and cannot be.
+	if c.ServerOf(-1) != nil || c.SameServer(-1, -1) || c.SameServer(-1, 8) {
+		t.Error("negative player ID has a server")
+	}
+	if err := c.AssignPlayerToServer(-1, 0); err == nil {
+		t.Error("negative player ID accepted")
+	}
+	c.RemovePlayer(-1)
+	// Removing a player that was never allocated changes no load.
+	c.RemovePlayer(42)
+	c.RemovePlayer(1 << 20)
+	if c.Server(0).Load() != 2 || c.Server(5).Load() != 1 {
+		t.Errorf("loads after no-op removals = %d, %d", c.Server(0).Load(), c.Server(5).Load())
+	}
 }
 
 func TestAssignPlayerRandom(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"cloudfog/internal/cloudinfra"
@@ -186,7 +185,7 @@ func (s *System) buildWorld() error {
 		Skew: 1.5,
 	}, s.rBuild.SplitNamed("social"))
 	// The graph is immutable after Generate: freeze each player's friend
-	// list, sorted, so the hot interaction path never allocates or sorts.
+	// list (Friends is already ascending) as int32s for the hot paths.
 	s.friends = make([][]int32, cfg.Players)
 	for i := 0; i < cfg.Players; i++ {
 		fs := s.graph.Friends(i)
@@ -194,7 +193,6 @@ func (s *System) buildWorld() error {
 		for j, f := range fs {
 			out[j] = int32(f)
 		}
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 		s.friends[i] = out
 	}
 	// Implicit friendships: co-play within the recent week (§3.4).

@@ -10,10 +10,10 @@ import (
 	"cloudfog/internal/selection"
 )
 
-// BenchmarkSelectorSelect measures the §3.2 selection hot path: candidate
-// fetch, delay filter, reputation ranking, and sequential probing against a
-// 64-supernode registry.
-func BenchmarkSelectorSelect(b *testing.B) {
+// selectFixture is the §3.2 selection hot path's setup: a 64-supernode
+// registry, a reputation-policy Selector, one player and a partly rated
+// book.
+func selectFixture() (*Selector, *netmodel.Endpoint, *reputation.Book, *rng.Rand) {
 	model := netmodel.NewModel(netmodel.Params{}, 1)
 	m := NewManager(model)
 	r := rng.New(2)
@@ -28,6 +28,14 @@ func BenchmarkSelectorSelect(b *testing.B) {
 	for i := 0; i < 16; i++ {
 		book.Rate(100+i, 0.5+float64(i)/64, 0)
 	}
+	return sel, player, book, r
+}
+
+// BenchmarkSelectorSelect measures the §3.2 selection hot path: candidate
+// fetch, delay filter, reputation ranking, and sequential probing against a
+// 64-supernode registry.
+func BenchmarkSelectorSelect(b *testing.B) {
+	sel, player, book, r := selectFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -35,7 +43,7 @@ func BenchmarkSelectorSelect(b *testing.B) {
 		if out.Supernode == nil {
 			b.Fatal("selection failed")
 		}
-		m.Disconnect(player.ID, out.Supernode.ID)
+		sel.Manager.Disconnect(player.ID, out.Supernode.ID)
 	}
 }
 

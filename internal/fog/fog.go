@@ -210,19 +210,28 @@ func (m *Manager) Disconnect(playerID, supernodeID int) {
 // index, so, like every Manager method, it must not run concurrently with
 // another.
 func (m *Manager) CandidatesFor(loc geo.Point) []*Supernode {
-	k := m.CandidateListSize
-	if k <= 0 {
-		return nil
-	}
-	if m.grid == nil {
-		m.grid = newCellGrid(m.ordered)
-	}
-	top := m.grid.nearest(loc, make([]candidate, 0, k))
+	top := m.nearest(loc, nil)
 	out := make([]*Supernode, len(top))
 	for i, c := range top {
 		out[i] = c.s
 	}
 	return out
+}
+
+// nearest is CandidatesFor into top's storage (reallocated when its
+// capacity is not CandidateListSize).
+func (m *Manager) nearest(loc geo.Point, top []candidate) []candidate {
+	k := m.CandidateListSize
+	if k <= 0 {
+		return top[:0]
+	}
+	if m.grid == nil {
+		m.grid = newCellGrid(m.ordered)
+	}
+	if cap(top) != k {
+		top = make([]candidate, 0, k)
+	}
+	return m.grid.nearest(loc, top[:0])
 }
 
 // Selection is the outcome of a player's supernode-selection procedure,
@@ -247,7 +256,9 @@ type Selection struct {
 // TotalMs returns the player-join latency: request + ping tests + probes.
 func (sel Selection) TotalMs() float64 { return sel.RequestMs + sel.PingMs + sel.ProbeMs }
 
-// Selector runs the player-side selection procedure.
+// Selector runs the player-side selection procedure. It keeps scratch
+// buffers between calls, so, like Manager, it is not safe for concurrent
+// use.
 type Selector struct {
 	Manager *Manager
 	Model   *netmodel.Model
@@ -257,6 +268,10 @@ type Selector struct {
 	Policy selection.Policy
 	// Global is consulted only under PolicyGlobalReputation.
 	Global *reputation.GlobalBook
+
+	top  []candidate
+	list []selection.Candidate
+	rtt  *rng.Rand // reseeded per RTT draw (netmodel.PathRTTMsR)
 }
 
 // Select runs §3.2's procedure for the player: fetch candidates from the
@@ -269,19 +284,23 @@ type Selector struct {
 func (sel *Selector) Select(player *netmodel.Endpoint, maxDelayMs float64,
 	book *reputation.Book, today int, r *rng.Rand) Selection {
 
-	out := Selection{}
-	out.RequestMs = sel.Model.PathRTTMs(player, sel.CloudEndpoint)
-
-	cands := sel.Manager.CandidatesFor(player.Loc)
-	list := make([]selection.Candidate, len(cands))
-	for i, s := range cands {
-		list[i] = selection.Candidate{
-			ID:       s.ID,
-			Load:     s.Load(),
-			Capacity: s.Capacity,
-			RTTMs:    sel.Model.PathRTTMs(player, s.Endpoint),
-		}
+	if sel.rtt == nil {
+		sel.rtt = rng.New(0)
 	}
+	out := Selection{}
+	out.RequestMs = sel.Model.PathRTTMsR(sel.rtt, player, sel.CloudEndpoint)
+
+	sel.top = sel.Manager.nearest(player.Loc, sel.top)
+	list := sel.list[:0]
+	for _, c := range sel.top {
+		list = append(list, selection.Candidate{
+			ID:       c.s.ID,
+			Load:     c.s.Load(),
+			Capacity: c.s.Capacity,
+			RTTMs:    sel.Model.PathRTTMsR(sel.rtt, player, c.s.Endpoint),
+		})
+	}
+	sel.list = list
 	var scorer selection.Scorer
 	switch sel.Policy {
 	case selection.PolicyGlobalReputation:

@@ -253,6 +253,66 @@ func TestSelectorNilBookSafe(t *testing.T) {
 	}
 }
 
+// TestSelectAllocs bounds Selector.Select's steady state at 4 allocations:
+// the candidate, top-k and RTT scratch are reused, and what is left belongs
+// to selection.Pipeline.Run (the filtered copy and the ranker).
+func TestSelectAllocs(t *testing.T) {
+	sel, player, book, r := selectFixture()
+	allocs := testing.AllocsPerRun(100, func() {
+		out := sel.Select(player, 200, book, 0, r)
+		if out.Supernode == nil {
+			t.Fatal("selection failed")
+		}
+		sel.Manager.Disconnect(player.ID, out.Supernode.ID)
+	})
+	if allocs > 4 {
+		t.Errorf("Select allocates %v times per call, want <= 4", allocs)
+	}
+}
+
+// TestSelectScratchReuseMatchesFresh runs one Selector over many players
+// and registries of changing availability, and requires each outcome to
+// equal a fresh Selector's on an identical registry, with every RTT equal
+// to netmodel's PathRTTMs.
+func TestSelectScratchReuseMatchesFresh(t *testing.T) {
+	dc := netmodel.NewDatacenterEndpoint(9999, geo.Point{X: 4000, Y: 1950})
+	mA, model, r := newTestManager(t, 30)
+	mB, _, _ := newTestManager(t, 30)
+	shared := &Selector{Manager: mA, Model: model, CloudEndpoint: dc, Policy: selection.PolicyReputation}
+	book := reputation.NewBook(reputation.DefaultLambda)
+	rA, rB := rng.New(7), rng.New(7)
+	chosen := 0
+	for i := 0; i < 200; i++ {
+		player := playerAt(10+i, 900+float64(i%17)*20, 900+float64(i%13)*25, r)
+		if i%5 == 0 {
+			mA.CandidateListSize = 3 + i%7 // the top-k buffer must follow
+			mB.CandidateListSize = mA.CandidateListSize
+		}
+		got := shared.Select(player, 40+float64(i%4)*30, book, 0, rA)
+		fresh := &Selector{Manager: mB, Model: model, CloudEndpoint: dc, Policy: selection.PolicyReputation}
+		want := fresh.Select(player, 40+float64(i%4)*30, book, 0, rB)
+		gotID, wantID := -1, -1
+		if got.Supernode != nil {
+			gotID = got.Supernode.ID
+			book.Rate(gotID, float64(i%10)/10, 0)
+			chosen++
+		}
+		if want.Supernode != nil {
+			wantID = want.Supernode.ID
+		}
+		if gotID != wantID || got.RequestMs != want.RequestMs || got.PingMs != want.PingMs ||
+			got.ProbeMs != want.ProbeMs || got.Probed != want.Probed || got.Candidates != want.Candidates {
+			t.Fatalf("player %d: reused %+v (sn %d), fresh %+v (sn %d)", i, got, gotID, want, wantID)
+		}
+		if got.RequestMs != model.PathRTTMs(player, dc) {
+			t.Fatalf("player %d: RequestMs %v, PathRTTMs %v", i, got.RequestMs, model.PathRTTMs(player, dc))
+		}
+	}
+	if chosen == 0 || chosen == 200 {
+		t.Errorf("%d of 200 selections connected; want both outcomes covered", chosen)
+	}
+}
+
 func TestAllSortedAndNumActive(t *testing.T) {
 	m, _, _ := newTestManager(t, 5)
 	all := m.All()

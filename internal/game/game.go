@@ -67,6 +67,11 @@ func MustQuality(level QualityLevel) Quality {
 	return q
 }
 
+// BitrateKbps returns the encoding bitrate at the given level — the same
+// value as MustQuality(level).BitrateKbps, without copying the rung. It
+// panics on an out-of-range level.
+func BitrateKbps(level QualityLevel) float64 { return ladder[level-1].BitrateKbps }
+
 // Game is one MMOG title hosted on CloudFog. The paper defines five games,
 // one per quality level / latency requirement of Table 2.
 type Game struct {

@@ -76,6 +76,24 @@ func TestMustQualityPanics(t *testing.T) {
 	MustQuality(0)
 }
 
+func TestBitrateKbpsMatchesLadder(t *testing.T) {
+	for level := QualityLevel(1); level <= NumQualityLevels; level++ {
+		if got, want := BitrateKbps(level), MustQuality(level).BitrateKbps; got != want {
+			t.Errorf("BitrateKbps(%d) = %v, ladder %v", level, got, want)
+		}
+	}
+	for _, level := range []QualityLevel{0, NumQualityLevels + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BitrateKbps(%d) did not panic", level)
+				}
+			}()
+			BitrateKbps(level)
+		}()
+	}
+}
+
 func TestCatalog(t *testing.T) {
 	games := Catalog()
 	if len(games) != NumQualityLevels {

@@ -5,25 +5,23 @@
 package social
 
 import (
-	"sort"
+	"slices"
 
 	"cloudfog/internal/rng"
 )
 
-// Graph is an undirected friendship graph over players 0..N-1.
+// Graph is an undirected friendship graph over players 0..N-1. Each
+// player's friend list is kept sorted ascending, so lookups binary-search
+// and Friends hands out the stored list without copying or sorting.
 type Graph struct {
 	n   int
-	adj []map[int]struct{}
+	adj [][]int
 	m   int // number of edges
 }
 
 // NewGraph creates an empty graph over n players.
 func NewGraph(n int) *Graph {
-	adj := make([]map[int]struct{}, n)
-	for i := range adj {
-		adj[i] = make(map[int]struct{})
-	}
-	return &Graph{n: n, adj: adj}
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // N returns the number of players.
@@ -38,11 +36,13 @@ func (g *Graph) AddEdge(u, v int) bool {
 	if u == v || u < 0 || v < 0 || u >= g.n || v >= g.n {
 		return false
 	}
-	if _, ok := g.adj[u][v]; ok {
+	i, found := slices.BinarySearch(g.adj[u], v)
+	if found {
 		return false
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
+	g.adj[u] = slices.Insert(g.adj[u], i, v)
+	j, _ := slices.BinarySearch(g.adj[v], u)
+	g.adj[v] = slices.Insert(g.adj[v], j, u)
 	g.m++
 	return true
 }
@@ -52,21 +52,15 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	_, ok := g.adj[u][v]
-	return ok
+	_, found := slices.BinarySearch(g.adj[u], v)
+	return found
 }
 
 // Friends returns F(i): the friend set of player i, in ascending ID order.
 // The deterministic order matters: simulation results must be reproducible
-// from a seed, and map iteration order is not.
-func (g *Graph) Friends(i int) []int {
-	out := make([]int, 0, len(g.adj[i]))
-	for v := range g.adj[i] {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
+// from a seed. The slice is the graph's own storage, valid until the next
+// AddEdge; callers must not modify it.
+func (g *Graph) Friends(i int) []int { return g.adj[i] }
 
 // Degree returns the number of friends of player i.
 func (g *Graph) Degree(i int) int { return len(g.adj[i]) }
@@ -234,13 +228,9 @@ func (c *CoPlayRecorder) ImplicitFriends(u, v, today int) bool {
 // AugmentGraph returns a copy of g with implicit-friendship edges added for
 // every recorded pair exceeding the threshold as of today.
 func (c *CoPlayRecorder) AugmentGraph(g *Graph, today int) *Graph {
-	out := NewGraph(g.N())
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Friends(u) {
-			if u < v {
-				out.AddEdge(u, v)
-			}
-		}
+	out := &Graph{n: g.n, adj: make([][]int, g.n), m: g.m}
+	for u, fs := range g.adj {
+		out.adj[u] = slices.Clone(fs)
 	}
 	for k := range c.counts {
 		if c.ImplicitFriends(k[0], k[1], today) {

@@ -2,6 +2,8 @@ package social
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -234,5 +236,142 @@ func TestAugmentGraph(t *testing.T) {
 	}
 	if g.HasEdge(2, 3) {
 		t.Error("AugmentGraph mutated the original")
+	}
+}
+
+// mapGraph is the map-per-vertex graph Graph replaced, kept as the oracle
+// for the sorted-adjacency form.
+type mapGraph struct {
+	n   int
+	adj []map[int]struct{}
+	m   int
+}
+
+func newMapGraph(n int) *mapGraph {
+	adj := make([]map[int]struct{}, n)
+	for i := range adj {
+		adj[i] = make(map[int]struct{})
+	}
+	return &mapGraph{n: n, adj: adj}
+}
+
+func (g *mapGraph) AddEdge(u, v int) bool {
+	if u == v || u < 0 || v < 0 || u >= g.n || v >= g.n {
+		return false
+	}
+	if _, ok := g.adj[u][v]; ok {
+		return false
+	}
+	g.adj[u][v] = struct{}{}
+	g.adj[v][u] = struct{}{}
+	g.m++
+	return true
+}
+
+func (g *mapGraph) HasEdge(u, v int) bool {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		return false
+	}
+	_, ok := g.adj[u][v]
+	return ok
+}
+
+func (g *mapGraph) Friends(i int) []int {
+	out := make([]int, 0, len(g.adj[i]))
+	for v := range g.adj[i] {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// augment is AugmentGraph over the oracle: re-add every edge, then the
+// recorder's implicit friendships.
+func (g *mapGraph) augment(c *CoPlayRecorder, today int) *mapGraph {
+	out := newMapGraph(g.n)
+	for u := 0; u < g.n; u++ {
+		for _, v := range g.Friends(u) {
+			if u < v {
+				out.AddEdge(u, v)
+			}
+		}
+	}
+	for k := range c.counts {
+		if c.ImplicitFriends(k[0], k[1], today) {
+			out.AddEdge(k[0], k[1])
+		}
+	}
+	return out
+}
+
+// sameGraph fails t unless g and o hold the same edges, degrees and count.
+func sameGraph(t *testing.T, g *Graph, o *mapGraph) {
+	t.Helper()
+	if g.N() != o.n || g.NumEdges() != o.m {
+		t.Fatalf("N/NumEdges = %d/%d, oracle %d/%d", g.N(), g.NumEdges(), o.n, o.m)
+	}
+	for i := 0; i < o.n; i++ {
+		if g.Degree(i) != len(o.adj[i]) {
+			t.Fatalf("Degree(%d) = %d, oracle %d", i, g.Degree(i), len(o.adj[i]))
+		}
+		if got, want := g.Friends(i), o.Friends(i); !slices.Equal(got, want) {
+			t.Fatalf("Friends(%d) = %v, oracle %v", i, got, want)
+		}
+	}
+}
+
+// FuzzGraphMatchesMapOracle replays a random op sequence on Graph and on
+// the map-based oracle — AddEdge (self-loops, duplicates and out-of-range
+// IDs included), HasEdge, co-play records and AugmentGraph — and requires
+// every answer and the full adjacency to agree after each op.
+func FuzzGraphMatchesMapOracle(f *testing.F) {
+	f.Add(uint8(5), []byte{0, 0, 1, 0, 1, 0, 0, 2, 2, 1, 0, 1, 3, 2, 3, 3, 2, 3, 3, 3, 2, 4, 0, 0})
+	f.Add(uint8(1), []byte{0, 0, 0, 0, 255, 3, 1, 0, 200})
+	f.Add(uint8(40), []byte{0, 39, 0, 0, 0, 39, 0, 38, 39, 1, 39, 38, 4, 0, 0, 0, 5, 6})
+	f.Fuzz(func(t *testing.T, size uint8, ops []byte) {
+		n := int(size % 48)
+		g, o := NewGraph(n), newMapGraph(n)
+		rec := NewCoPlayRecorder(1, 7)
+		// id maps a byte onto [-2, n+2): in range mostly, out of range on
+		// both sides sometimes.
+		id := func(b byte) int { return int(b)%(n+4) - 2 }
+		for len(ops) >= 3 {
+			op, a, b := ops[0], id(ops[1]), id(ops[2])
+			ops = ops[3:]
+			switch op % 4 {
+			case 0:
+				if got, want := g.AddEdge(a, b), o.AddEdge(a, b); got != want {
+					t.Fatalf("AddEdge(%d, %d) = %v, oracle %v", a, b, got, want)
+				}
+			case 1:
+				if got, want := g.HasEdge(a, b), o.HasEdge(a, b); got != want {
+					t.Fatalf("HasEdge(%d, %d) = %v, oracle %v", a, b, got, want)
+				}
+			case 2:
+				rec.Record(a, b, int(op/4)%3)
+			case 3:
+				today := int(op/4) % 9
+				ag, ao := rec.AugmentGraph(g, today), o.augment(rec, today)
+				sameGraph(t, g, o) // the original is left alone
+				g, o = ag, ao
+			}
+			sameGraph(t, g, o)
+		}
+	})
+}
+
+func TestFriendsDoesNotAllocate(t *testing.T) {
+	g := Generate(GenerateConfig{N: 500, Skew: 1.5}, rng.New(3))
+	var sum int
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < g.N(); i++ {
+			sum += len(g.Friends(i))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Friends allocates %v times per sweep, want 0", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("graph has no edges")
 	}
 }
