@@ -84,3 +84,40 @@ func TestSpawnArrivalsAllocs(t *testing.T) {
 		t.Errorf("spawnArrivals allocates %v times per subcycle, want 0", allocs)
 	}
 }
+
+// TestJoinSteadyStateAllocs pins a warm CloudFog join — game choice,
+// sticky server assignment, supernode selection, route memo, controller
+// reset — and the leave that undoes it at zero allocations.
+func TestJoinSteadyStateAllocs(t *testing.T) {
+	cfg := quickConfig(ModeCloudFog)
+	cfg.Strategies = AllStrategies()
+	cfg.AlwaysOn = true
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(2, 0) // sticky server assignments, rated supernodes, warm scratch
+	r := sys.rRun.SplitNamed("alloc-test")
+	clock := sim.Clock{Cycle: 2, Subcycle: 1}
+	// Half the population online gives the game choice friends to follow.
+	for i := 0; i < len(sys.players); i += 2 {
+		sys.join(sys.players[i], clock, true, r)
+	}
+	fogServed := 0
+	for _, id := range []int{1, 51, 101, 151, 201, 251} {
+		p := sys.players[id]
+		allocs := testing.AllocsPerRun(50, func() {
+			sys.join(p, clock, true, r)
+			if sys.ps.src[p.ID] == srcSupernode {
+				fogServed++
+			}
+			sys.leave(p, clock, true)
+		})
+		if allocs != 0 {
+			t.Errorf("join+leave of player %d allocates %v times, want 0", id, allocs)
+		}
+	}
+	if fogServed == 0 {
+		t.Error("no join was served by a supernode")
+	}
+}

@@ -19,7 +19,7 @@ import (
 //     independently, possibly concurrently, writing into that player's
 //     private evalResult slot. Compute touches only per-player state and
 //     draws randomness exclusively from hash-keyed decision streams
-//     (decisionRand, netmodel.CongestionFactor), which depend on
+//     (decisionKey, netmodel.CongestionFactorR), which depend on
 //     (seed, player, cycle, subcycle) alone — never on execution order.
 //  2. apply: a single goroutine walks players in ascending index — the
 //     canonical schedule — committing each result's shared-state effects
@@ -53,6 +53,11 @@ type evalResult struct {
 }
 
 // evalScratch is worker-local scratch reused across players and subcycles.
+// The workers' scratch sits side by side in System.workerScratch, and each
+// worker rewrites its friends header for every player, so the trailing pad
+// keeps neighbours off one cache line: without it the two workers of a
+// 50k-player run lost about a sixth of the run to the line bouncing
+// between their cores.
 type evalScratch struct {
 	// friends buffers the online-friends filter (onlineFriends).
 	friends []int32
@@ -63,6 +68,8 @@ type evalScratch struct {
 	// (partner choice, congestion factor): reseeded before every use, so it
 	// carries no state between players and stays worker-local.
 	keyed *rng.Rand
+
+	_ [64]byte
 }
 
 // ensureHist lazily allocates the worker-local latency histogram: one

@@ -28,6 +28,11 @@ type playerStore struct {
 	cdnServer []int32
 	// dc is the player's nearest datacenter index (static after build).
 	dc []int32
+	// dcRTT is the round trip to that datacenter, drawn once at build.
+	dcRTT []float64
+	// route is the path to the current video source, set by join and
+	// migrate whenever src changes and read by linkForR.
+	route []route
 	// session is the player's play schedule for the current cycle.
 	session []workload.Session
 	// meter accumulates the current session's streaming quality.
@@ -42,6 +47,16 @@ type playerStore struct {
 	handles []*Player
 }
 
+// route memoises the parts of a player's delivery link that depend only on
+// the (source, player) endpoint pair. netmodel's path RTT is a pure
+// function of the pair, so one draw per session serves every subcycle;
+// what changes per subcycle (congestion, the source's per-stream share)
+// stays in linkForR.
+type route struct {
+	oneWayMs    float64
+	pathCapKbps float64
+}
+
 func newPlayerStore(capacity int) *playerStore {
 	return &playerStore{
 		online:    make([]bool, 0, capacity),
@@ -49,6 +64,8 @@ func newPlayerStore(capacity int) *playerStore {
 		supernode: make([]int32, 0, capacity),
 		cdnServer: make([]int32, 0, capacity),
 		dc:        make([]int32, 0, capacity),
+		dcRTT:     make([]float64, 0, capacity),
+		route:     make([]route, 0, capacity),
 		session:   make([]workload.Session, 0, capacity),
 		meter:     make([]streaming.Meter, 0, capacity),
 		ctrl:      make([]adaptation.Controller, 0, capacity),
@@ -67,6 +84,8 @@ func (ps *playerStore) alloc(p *Player) int {
 	ps.supernode = append(ps.supernode, 0)
 	ps.cdnServer = append(ps.cdnServer, 0)
 	ps.dc = append(ps.dc, 0)
+	ps.dcRTT = append(ps.dcRTT, 0)
+	ps.route = append(ps.route, route{})
 	ps.session = append(ps.session, workload.Session{})
 	ps.meter = append(ps.meter, streaming.Meter{})
 	ps.ctrl = append(ps.ctrl, adaptation.Controller{})

@@ -8,6 +8,7 @@ import (
 	"cloudfog/internal/assignment"
 	"cloudfog/internal/cloudinfra"
 	"cloudfog/internal/geo"
+	"cloudfog/internal/netmodel"
 	"cloudfog/internal/provisioning"
 	"cloudfog/internal/rng"
 	"cloudfog/internal/sim"
@@ -209,7 +210,8 @@ func (s *System) join(p *Player, clock sim.Clock, measured bool, r *rng.Rand) {
 	// The choice draws from a stream keyed by (player, day) so that the
 	// game mix evolves identically across compared systems — otherwise
 	// herding noise would dominate cross-system comparisons.
-	rGame := s.decisionRand("game", p.ID, clock.Cycle, clock.Subcycle)
+	rGame := s.joinRand
+	rGame.Reseed(s.decisionKey("game", p.ID, clock.Cycle, clock.Subcycle))
 	friendGames := s.friendGameScratch[:0]
 	if !rGame.Bool(0.2) {
 		s.joinFriends = s.onlineFriends(p.ID, s.joinFriends)
@@ -217,14 +219,16 @@ func (s *System) join(p *Player, clock sim.Clock, measured bool, r *rng.Rand) {
 			friendGames = append(friendGames, s.players[f].Game.ID)
 		}
 	}
-	p.Game = workload.ChooseGame(friendGames, s.games, rGame)
+	p.Game = workload.ChooseGame(friendGames, s.games, rGame, s.gameCounts)
 	s.friendGameScratch = friendGames
 
 	// State-server assignment inside the player's datacenter.
 	s.assignStateServer(p, r)
 
-	// Video source selection.
-	dcEp := s.cloud.Datacenters()[ps.dc[p.ID]].Endpoint
+	// Video source selection. Every branch sets the session's route from an
+	// RTT already in hand: the datacenter's from build, a supernode's from
+	// the selector's delay test, a CDN server's from the one draw here.
+	dcRTT := ps.dcRTT[p.ID]
 	var joinMs float64
 	switch s.cfg.Mode {
 	case ModeCloudFog:
@@ -232,7 +236,7 @@ func (s *System) join(p *Player, clock sim.Clock, measured bool, r *rng.Rand) {
 		// supernode is never worth using when the player's own datacenter
 		// path is already faster.
 		lmax := p.Game.LatencyRequirementMs * lMaxFactor
-		if dcOneWay := s.model.OneWayMs(p.Endpoint, dcEp); dcOneWay < lmax {
+		if dcOneWay := dcRTT / 2; dcOneWay < lmax {
 			lmax = dcOneWay
 		}
 		sel := s.selector.Select(p.Endpoint, lmax, p.Book, clock.Day(), r)
@@ -240,10 +244,12 @@ func (s *System) join(p *Player, clock sim.Clock, measured bool, r *rng.Rand) {
 		if sel.Supernode != nil {
 			ps.src[p.ID] = srcSupernode
 			ps.supernode[p.ID] = int32(sel.Supernode.ID)
-			joinMs += s.model.PathRTTMs(p.Endpoint, sel.Supernode.Endpoint)
+			joinMs += sel.RTTMs
+			s.setRoute(p, sel.Supernode.Endpoint, sel.RTTMs)
 		} else {
 			ps.src[p.ID] = srcCloud
-			joinMs += s.model.PathRTTMs(p.Endpoint, dcEp)
+			joinMs += dcRTT
+			s.setCloudRoute(p)
 		}
 	case ModeCDN:
 		srv := s.nearestCDNWithCapacity(p.Endpoint.Loc)
@@ -252,20 +258,25 @@ func (s *System) join(p *Player, clock sim.Clock, measured bool, r *rng.Rand) {
 		// player's own datacenter path; players out of reach stay on the
 		// cloud ("not all users in CDN are able to connect to a nearby
 		// server due to the shortage of servers").
-		if srv != nil &&
-			s.model.PathRTTMs(p.Endpoint, srv.Endpoint)/2 <= p.Game.LatencyRequirementMs*lMaxFactor &&
-			s.model.PathRTTMs(p.Endpoint, srv.Endpoint) <= s.model.PathRTTMs(p.Endpoint, dcEp) {
+		var srvRTT float64
+		if srv != nil {
+			srvRTT = s.model.PathRTTMsR(s.joinRand, p.Endpoint, srv.Endpoint)
+		}
+		if srv != nil && srvRTT/2 <= p.Game.LatencyRequirementMs*lMaxFactor && srvRTT <= dcRTT {
 			ps.src[p.ID] = srcCDN
 			ps.cdnServer[p.ID] = int32(srv.Index)
-			srv.players[p.ID] = struct{}{}
-			joinMs = s.model.PathRTTMs(p.Endpoint, srv.Endpoint) * 2
+			srv.load++
+			joinMs = srvRTT * 2
+			s.setRoute(p, srv.Endpoint, srvRTT)
 		} else {
 			ps.src[p.ID] = srcCloud
-			joinMs = s.model.PathRTTMs(p.Endpoint, dcEp) * 2
+			joinMs = dcRTT * 2
+			s.setCloudRoute(p)
 		}
 	default:
 		ps.src[p.ID] = srcCloud
-		joinMs = s.model.PathRTTMs(p.Endpoint, dcEp) * 2
+		joinMs = dcRTT * 2
+		s.setCloudRoute(p)
 	}
 
 	// Encoding-rate controller: receiver-driven adaptation is a CloudFog
@@ -300,7 +311,7 @@ func (s *System) leave(p *Player, clock sim.Clock, measured bool) {
 		s.fogMgr.Disconnect(p.ID, int(ps.supernode[p.ID]))
 	}
 	if src == srcCDN {
-		delete(s.cdn[ps.cdnServer[p.ID]].players, p.ID)
+		s.cdn[ps.cdnServer[p.ID]].load--
 	}
 	if measured && meter.Observed() {
 		cont := meter.Continuity()
@@ -342,8 +353,8 @@ func (s *System) migrate(p *Player, clock sim.Clock, measured bool, r *rng.Rand)
 		p.Book.Rate(int(ps.supernode[p.ID]), meter.Continuity(), clock.Day())
 	}
 	lmax := p.Game.LatencyRequirementMs * lMaxFactor
-	dcEp := s.cloud.Datacenters()[ps.dc[p.ID]].Endpoint
-	if dcOneWay := s.model.OneWayMs(p.Endpoint, dcEp); dcOneWay < lmax {
+	dcRTT := ps.dcRTT[p.ID]
+	if dcOneWay := dcRTT / 2; dcOneWay < lmax {
 		lmax = dcOneWay
 	}
 	sel := s.selector.Select(p.Endpoint, lmax, p.Book, clock.Day(), r)
@@ -354,10 +365,12 @@ func (s *System) migrate(p *Player, clock sim.Clock, measured bool, r *rng.Rand)
 		// The candidate list is already known; migration pays the delay
 		// tests, capacity probes, and the reconnect round trip. No game
 		// state transfers: the cloud holds it all.
-		migrationMs = sel.PingMs + sel.ProbeMs + s.model.PathRTTMs(p.Endpoint, sel.Supernode.Endpoint)
+		migrationMs = sel.PingMs + sel.ProbeMs + sel.RTTMs
+		s.setRoute(p, sel.Supernode.Endpoint, sel.RTTMs)
 	} else {
 		ps.src[p.ID] = srcCloud
-		migrationMs = sel.RequestMs + sel.PingMs + sel.ProbeMs + s.model.PathRTTMs(p.Endpoint, dcEp)
+		migrationMs = sel.RequestMs + sel.PingMs + sel.ProbeMs + dcRTT
+		s.setCloudRoute(p)
 	}
 	if measured {
 		s.metrics.MigrationMs.Add(migrationMs)
@@ -635,7 +648,7 @@ func (s *System) applyFixedPool(cycle int, measured bool) {
 // computeEval evaluates player i's delivery quality for one subcycle and
 // fills out. It mutates only player-i state (rate controller, session
 // meter) plus the worker-local scratch, and draws randomness only from
-// hash-keyed decision streams (decisionRand, CongestionFactor) — never
+// hash-keyed decision streams (decisionKey, CongestionFactorR) — never
 // from shared generators — so shards can run concurrently without
 // changing any seeded output. Shared-state effects
 // (metric accumulation, co-play recording, egress sums) are described in
@@ -645,7 +658,7 @@ func (s *System) applyFixedPool(cycle int, measured bool) {
 func (s *System) computeEval(i int, clock sim.Clock, measured bool, sc *evalScratch, out *evalResult) {
 	ps := s.ps
 	p := s.players[i]
-	link, _ := s.linkForR(p, clock, sc.ensureKeyed())
+	link := s.linkForR(p, clock, sc.ensureKeyed())
 	commMs, partner, record := s.interactionCommMs(p, clock, sc)
 
 	// Let the rate controller settle against this subcycle's conditions.
@@ -717,44 +730,49 @@ func (s *System) applyEval(i int, clock sim.Clock, measured bool, res *evalResul
 	}
 }
 
+// setRoute memoises the route from the player's new video source src,
+// given the pair's round trip rttMs. netmodel.PathRTTMs is symmetric in its
+// endpoints to the bit, so an RTT drawn player→source equals the
+// source→player draw the link used to make.
+func (s *System) setRoute(p *Player, src *netmodel.Endpoint, rttMs float64) {
+	dist := geo.Distance(src.Loc, p.Endpoint.Loc)
+	s.ps.route[p.ID] = route{
+		oneWayMs: rttMs / 2,
+		pathCapKbps: p.Endpoint.DownloadKbps *
+			(1 - s.cfg.WideAreaBWPenalty*math.Min(1, dist/wideAreaFullPenaltyKm)),
+	}
+}
+
+// setCloudRoute memoises the route from the player's own datacenter.
+func (s *System) setCloudRoute(p *Player) {
+	s.setRoute(p, s.cloud.Datacenters()[s.ps.dc[p.ID]].Endpoint, s.ps.dcRTT[p.ID])
+}
+
 // linkForR builds the delivery link of the player's current video source
-// and returns it with the one-way action latency to the renderer. kr is a
-// caller-supplied scratch Rand for the keyed congestion draw (nil falls
-// back to an allocating draw — same value).
-func (s *System) linkForR(p *Player, clock sim.Clock, kr *rng.Rand) (streaming.Link, float64) {
+// from its memoised route, the source's current per-stream share and this
+// subcycle's keyed congestion draw; kr is the caller's scratch Rand for
+// that draw.
+func (s *System) linkForR(p *Player, clock sim.Clock, kr *rng.Rand) streaming.Link {
 	ps := s.ps
-	var srcEp = s.cloud.Datacenters()[ps.dc[p.ID]].Endpoint
 	perStream := s.cfg.ServerStreamKbps
 	switch ps.src[p.ID] {
 	case srcSupernode:
-		sn := s.fogMgr.Get(int(ps.supernode[p.ID]))
-		srcEp = sn.Endpoint
-		perStream = sn.PerStreamKbps()
+		perStream = s.fogMgr.Get(int(ps.supernode[p.ID])).PerStreamKbps()
 	case srcCDN:
 		srv := s.cdn[ps.cdnServer[p.ID]]
-		srcEp = srv.Endpoint
-		perStream = srv.Endpoint.UploadKbps / float64(max(1, len(srv.players)))
+		perStream = srv.Endpoint.UploadKbps / float64(max(1, srv.load))
 		if perStream > s.cfg.ServerStreamKbps {
 			perStream = s.cfg.ServerStreamKbps
 		}
 	}
-	var oneway, cong float64
-	if kr != nil {
-		oneway = s.model.OneWayMsR(kr, srcEp, p.Endpoint)
-		cong = s.model.CongestionFactorR(kr, p.ID, clock.Cycle, clock.Subcycle)
-	} else {
-		oneway = s.model.OneWayMs(srcEp, p.Endpoint)
-		cong = s.model.CongestionFactor(p.ID, clock.Cycle, clock.Subcycle)
-	}
-	dist := geo.Distance(srcEp.Loc, p.Endpoint.Loc)
-	pathCap := p.Endpoint.DownloadKbps *
-		(1 - s.cfg.WideAreaBWPenalty*math.Min(1, dist/wideAreaFullPenaltyKm))
-	eff := math.Min(perStream, pathCap) * cong
+	rt := ps.route[p.ID]
+	cong := s.model.CongestionFactorR(kr, p.ID, clock.Cycle, clock.Subcycle)
+	eff := math.Min(perStream, rt.pathCapKbps) * cong
 	return streaming.Link{
-		OneWayMs:      oneway,
+		OneWayMs:      rt.oneWayMs,
 		EffectiveKbps: eff,
-		BaseJitterMs:  streaming.DefaultBaseJitterMs + s.cfg.JitterPerOnewayMs*oneway,
-	}, oneway
+		BaseJitterMs:  streaming.DefaultBaseJitterMs + s.cfg.JitterPerOnewayMs*rt.oneWayMs,
+	}
 }
 
 // interactionCommMs returns the server-communication component of the
@@ -837,15 +855,10 @@ func (s *System) cdnPairCommMs(p, partner *Player, kr *rng.Rand) float64 {
 	}
 }
 
-// decisionRand returns a deterministic stream for a per-player decision,
-// keyed by purpose, player, and time — independent of how much randomness
-// other subsystems consumed, so compared systems make identical draws.
-func (s *System) decisionRand(purpose string, playerID, cycle, subcycle int) *rng.Rand {
-	return rng.New(s.decisionKey(purpose, playerID, cycle, subcycle))
-}
-
-// decisionKey is the hash behind decisionRand; hot loops reseed a scratch
-// Rand with it (rng.Reseed) instead of allocating a fresh one per decision.
+// decisionKey keys a deterministic stream for a per-player decision by
+// purpose, player, and time — independent of how much randomness other
+// subsystems consumed, so compared systems make identical draws. Callers
+// reseed a scratch Rand with it (rng.Reseed).
 func (s *System) decisionKey(purpose string, playerID, cycle, subcycle int) uint64 {
 	h := s.cfg.Seed
 	for _, c := range []byte(purpose) {

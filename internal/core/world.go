@@ -52,10 +52,11 @@ type cdnServer struct {
 	Index    int
 	Endpoint *netmodel.Endpoint
 	Capacity int
-	players  map[int]struct{}
+	// load is the number of players the server streams to.
+	load int
 }
 
-func (s *cdnServer) available() int { return s.Capacity - len(s.players) }
+func (s *cdnServer) available() int { return s.Capacity - s.load }
 
 // supernodeMeta carries per-supernode simulation state beyond fog.Supernode.
 type supernodeMeta struct {
@@ -119,8 +120,14 @@ type System struct {
 	// and the touched-server list, reused across joins at zero allocations.
 	srvCount   []int32
 	srvTouched []int32
-	// friendGameScratch collects online friends' game IDs during join.
+	// friendGameScratch collects online friends' game IDs during join, and
+	// gameCounts is workload.ChooseGame's per-game-ID scratch.
 	friendGameScratch []int
+	gameCounts        []int
+	// joinRand is the control plane's scratch for keyed draws (the
+	// datacenter RTTs at build; join's game decision and CDN path RTT),
+	// reseeded by each use.
+	joinRand *rng.Rand
 }
 
 // NewSystem builds a deployment from cfg. Construction is deterministic in
@@ -132,12 +139,15 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	master := rng.New(cfg.Seed)
 	s := &System{
-		cfg:    cfg,
-		games:  game.Catalog(),
-		snMeta: make(map[int]*supernodeMeta),
-		rBuild: master.SplitNamed("build"),
-		rRun:   master.SplitNamed("run"),
+		cfg:      cfg,
+		games:    game.Catalog(),
+		snMeta:   make(map[int]*supernodeMeta),
+		rBuild:   master.SplitNamed("build"),
+		rRun:     master.SplitNamed("run"),
+		joinRand: rng.New(0),
 	}
+	// Catalog IDs run from 1 to len(games).
+	s.gameCounts = make([]int, len(s.games)+1)
 	s.model = netmodel.NewModel(cfg.Net, cfg.Seed^0xc10dF09)
 	if err := s.buildWorld(); err != nil {
 		return nil, err
@@ -205,7 +215,9 @@ func (s *System) buildWorld() error {
 	}
 	s.cloud = cloud
 	for _, p := range s.players {
-		s.ps.dc[p.ID] = int32(s.cloud.NearestDatacenter(p.Endpoint.Loc).ID)
+		dc := s.cloud.NearestDatacenter(p.Endpoint.Loc)
+		s.ps.dc[p.ID] = int32(dc.ID)
+		s.ps.dcRTT[p.ID] = s.model.PathRTTMsR(s.joinRand, p.Endpoint, dc.Endpoint)
 	}
 	s.buildShards()
 
@@ -290,7 +302,6 @@ func (s *System) buildCDN(placer *geo.Placer, idAlloc func() int) {
 			Index:    i,
 			Endpoint: ep,
 			Capacity: s.cfg.CDNServerCapacity,
-			players:  make(map[int]struct{}),
 		})
 	}
 }

@@ -7,8 +7,9 @@
 package fog
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cloudfog/internal/geo"
 	"cloudfog/internal/netmodel"
@@ -35,7 +36,10 @@ type Supernode struct {
 	// Active marks whether the supernode is currently deployed.
 	Active bool
 
-	players map[int]struct{}
+	// players holds the connected player IDs in no particular order: a
+	// supernode serves a handful of players, so a scan beats a map and
+	// Disconnect swap-removes.
+	players []int
 }
 
 // NewSupernode creates an active supernode with full willingness.
@@ -49,7 +53,6 @@ func NewSupernode(endpoint *netmodel.Endpoint, capacity int) *Supernode {
 		Capacity: capacity,
 		Throttle: 1,
 		Active:   true,
-		players:  make(map[int]struct{}),
 	}
 }
 
@@ -64,13 +67,11 @@ func (s *Supernode) Available() int {
 	return s.Capacity - len(s.players)
 }
 
-// Players returns the IDs of the connected players.
+// Players returns the IDs of the connected players in ascending order, in
+// a new slice.
 func (s *Supernode) Players() []int {
-	out := make([]int, 0, len(s.players))
-	for id := range s.players {
-		out = append(out, id)
-	}
-	sort.Ints(out)
+	out := slices.Clone(s.players)
+	slices.Sort(out)
 	return out
 }
 
@@ -97,11 +98,14 @@ func (s *Supernode) PerStreamKbps() float64 {
 // information of supernodes in the system in a table including their IP
 // addresses and available capacities".
 type Manager struct {
-	model      *netmodel.Model
-	supernodes map[int]*Supernode
-	// ordered mirrors the registry as a slice sorted by ID: whole-registry
-	// passes (active counts, All, building the grid) iterate it instead of the
-	// map, which is both faster and order-deterministic.
+	model *netmodel.Model
+	// byID is the registry indexed by ID - base, nil where no supernode has
+	// that ID. Supernode IDs are endpoint IDs, which the simulator allocates
+	// contiguously, so the index is dense and Get is one bounds check.
+	byID []*Supernode
+	base int
+	// ordered holds the registered supernodes sorted by ID: whole-registry
+	// passes (active counts, All, building the grid) iterate it.
 	ordered []*Supernode
 	// grid indexes ordered by location for CandidatesFor. Register drops
 	// it and the next query rebuilds it; nothing else touches it, because a
@@ -120,33 +124,42 @@ const DefaultCandidateListSize = 8
 func NewManager(model *netmodel.Model) *Manager {
 	return &Manager{
 		model:             model,
-		supernodes:        make(map[int]*Supernode),
 		CandidateListSize: DefaultCandidateListSize,
 	}
 }
 
 // Register adds a supernode to the registry, replacing any previous entry
-// with the same ID.
+// with the same ID. Registering IDs in ascending order, as the simulator
+// does, appends to both indexes in amortised O(1); the index spans the
+// lowest to the highest registered ID, so IDs should be dense.
 func (m *Manager) Register(s *Supernode) {
-	if _, exists := m.supernodes[s.ID]; exists {
-		for i, o := range m.ordered {
-			if o.ID == s.ID {
-				m.ordered[i] = s
-				break
-			}
-		}
-	} else {
-		i := sort.Search(len(m.ordered), func(k int) bool { return m.ordered[k].ID >= s.ID })
-		m.ordered = append(m.ordered, nil)
-		copy(m.ordered[i+1:], m.ordered[i:])
-		m.ordered[i] = s
+	if len(m.byID) == 0 {
+		m.base = s.ID
 	}
-	m.supernodes[s.ID] = s
+	if s.ID < m.base {
+		m.byID = append(make([]*Supernode, m.base-s.ID, m.base-s.ID+len(m.byID)), m.byID...)
+		m.base = s.ID
+	}
+	if n := s.ID - m.base + 1; n > len(m.byID) {
+		m.byID = append(m.byID, make([]*Supernode, n-len(m.byID))...)
+	}
+	i, exists := slices.BinarySearchFunc(m.ordered, s.ID, func(o *Supernode, id int) int { return cmp.Compare(o.ID, id) })
+	if exists {
+		m.ordered[i] = s
+	} else {
+		m.ordered = slices.Insert(m.ordered, i, s)
+	}
+	m.byID[s.ID-m.base] = s
 	m.grid = nil
 }
 
 // Get returns the supernode with the given ID, or nil.
-func (m *Manager) Get(id int) *Supernode { return m.supernodes[id] }
+func (m *Manager) Get(id int) *Supernode {
+	if i := id - m.base; i >= 0 && i < len(m.byID) {
+		return m.byID[i]
+	}
+	return nil
+}
 
 // All returns all registered supernodes, active or not, sorted by ID.
 func (m *Manager) All() []*Supernode {
@@ -167,38 +180,46 @@ func (m *Manager) NumActive() int {
 // Deactivate takes a supernode out of service (owner leave or failure) and
 // returns the IDs of the players it was serving, who must migrate.
 func (m *Manager) Deactivate(id int) []int {
-	s := m.supernodes[id]
+	s := m.Get(id)
 	if s == nil || !s.Active {
 		return nil
 	}
 	s.Active = false
 	displaced := s.Players()
-	s.players = make(map[int]struct{})
+	s.players = s.players[:0]
 	return displaced
 }
 
 // Activate (re)deploys a supernode.
 func (m *Manager) Activate(id int) {
-	if s := m.supernodes[id]; s != nil {
+	if s := m.Get(id); s != nil {
 		s.Active = true
 	}
 }
 
 // Connect attaches a player to a supernode if it has available capacity,
-// reporting success.
+// reporting success. Connecting an attached player again changes nothing.
 func (m *Manager) Connect(playerID, supernodeID int) bool {
-	s := m.supernodes[supernodeID]
+	s := m.Get(supernodeID)
 	if s == nil || s.Available() <= 0 {
 		return false
 	}
-	s.players[playerID] = struct{}{}
+	if !slices.Contains(s.players, playerID) {
+		s.players = append(s.players, playerID)
+	}
 	return true
 }
 
 // Disconnect detaches a player from a supernode.
 func (m *Manager) Disconnect(playerID, supernodeID int) {
-	if s := m.supernodes[supernodeID]; s != nil {
-		delete(s.players, playerID)
+	s := m.Get(supernodeID)
+	if s == nil {
+		return
+	}
+	if i := slices.Index(s.players, playerID); i >= 0 {
+		last := len(s.players) - 1
+		s.players[i] = s.players[last]
+		s.players = s.players[:last]
 	}
 }
 
@@ -240,6 +261,9 @@ type Selection struct {
 	// Supernode is the chosen supernode, nil when the player must fall
 	// back to the cloud.
 	Supernode *Supernode
+	// RTTMs is the player<->Supernode round trip the delay test measured
+	// (0 without a Supernode).
+	RTTMs float64
 	// RequestMs is the player<->cloud round trip to fetch candidates.
 	RequestMs float64
 	// PingMs is the (parallel) delay-test time: the slowest candidate RTT.
@@ -269,9 +293,10 @@ type Selector struct {
 	// Global is consulted only under PolicyGlobalReputation.
 	Global *reputation.GlobalBook
 
-	top  []candidate
-	list []selection.Candidate
-	rtt  *rng.Rand // reseeded per RTT draw (netmodel.PathRTTMsR)
+	top       []candidate
+	list      []selection.Candidate
+	qualified []selection.Candidate // selection.Pipeline.Scratch
+	rtt       *rng.Rand             // reseeded per RTT draw (netmodel.PathRTTMsR)
 }
 
 // Select runs §3.2's procedure for the player: fetch candidates from the
@@ -301,6 +326,7 @@ func (sel *Selector) Select(player *netmodel.Endpoint, maxDelayMs float64,
 		})
 	}
 	sel.list = list
+	sel.qualified = slices.Grow(sel.qualified[:0], len(list))
 	var scorer selection.Scorer
 	switch sel.Policy {
 	case selection.PolicyGlobalReputation:
@@ -316,6 +342,7 @@ func (sel *Selector) Select(player *netmodel.Endpoint, maxDelayMs float64,
 	pipe := selection.Pipeline{
 		Candidates: list,
 		Ranker:     selection.PolicyRanker{Policy: sel.Policy, Scorer: scorer},
+		Scratch:    sel.qualified,
 	}
 	// Sequential capacity probing: one RTT per asked supernode.
 	res := pipe.Run(maxDelayMs, today, r, func(c selection.Candidate) bool {
@@ -327,6 +354,7 @@ func (sel *Selector) Select(player *netmodel.Endpoint, maxDelayMs float64,
 	out.Probed = res.Probed
 	if res.OK {
 		out.Supernode = sel.Manager.Get(res.Chosen.ID)
+		out.RTTMs = res.Chosen.RTTMs
 	}
 	return out
 }

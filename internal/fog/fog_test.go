@@ -50,8 +50,7 @@ func TestPerStreamIndependentOfLoad(t *testing.T) {
 	ep := netmodel.NewSupernodeEndpoint(5, geo.Point{X: 1, Y: 1}, r)
 	sn := NewSupernode(ep, 10)
 	before := sn.PerStreamKbps()
-	sn.players[1] = struct{}{}
-	sn.players[2] = struct{}{}
+	sn.players = append(sn.players, 1, 2)
 	if sn.PerStreamKbps() != before {
 		t.Error("per-stream share depends on load; slots are provisioned")
 	}
@@ -253,9 +252,9 @@ func TestSelectorNilBookSafe(t *testing.T) {
 	}
 }
 
-// TestSelectAllocs bounds Selector.Select's steady state at 4 allocations:
-// the candidate, top-k and RTT scratch are reused, and what is left belongs
-// to selection.Pipeline.Run (the filtered copy and the ranker).
+// TestSelectAllocs pins Selector.Select's steady state at zero
+// allocations: the candidate, top-k, qualified-list and RTT scratch are
+// reused, and the ranker sorts in place.
 func TestSelectAllocs(t *testing.T) {
 	sel, player, book, r := selectFixture()
 	allocs := testing.AllocsPerRun(100, func() {
@@ -265,8 +264,8 @@ func TestSelectAllocs(t *testing.T) {
 		}
 		sel.Manager.Disconnect(player.ID, out.Supernode.ID)
 	})
-	if allocs > 4 {
-		t.Errorf("Select allocates %v times per call, want <= 4", allocs)
+	if allocs != 0 {
+		t.Errorf("Select allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -304,6 +303,12 @@ func TestSelectScratchReuseMatchesFresh(t *testing.T) {
 			got.ProbeMs != want.ProbeMs || got.Probed != want.Probed || got.Candidates != want.Candidates {
 			t.Fatalf("player %d: reused %+v (sn %d), fresh %+v (sn %d)", i, got, gotID, want, wantID)
 		}
+		if got.RTTMs != want.RTTMs {
+			t.Fatalf("player %d: reused RTTMs %v, fresh %v", i, got.RTTMs, want.RTTMs)
+		}
+		if got.Supernode != nil && got.RTTMs != model.PathRTTMs(player, got.Supernode.Endpoint) {
+			t.Fatalf("player %d: RTTMs %v, PathRTTMs %v", i, got.RTTMs, model.PathRTTMs(player, got.Supernode.Endpoint))
+		}
 		if got.RequestMs != model.PathRTTMs(player, dc) {
 			t.Fatalf("player %d: RequestMs %v, PathRTTMs %v", i, got.RequestMs, model.PathRTTMs(player, dc))
 		}
@@ -327,6 +332,60 @@ func TestAllSortedAndNumActive(t *testing.T) {
 	m.Deactivate(all[0].ID)
 	if m.NumActive() != 4 {
 		t.Errorf("NumActive after deactivate = %d", m.NumActive())
+	}
+}
+
+// TestRegisterAnyOrder registers IDs below, inside and above the dense
+// index's span, with gaps and a replacement, and checks Get, All and the
+// candidate list against what was registered.
+func TestRegisterAnyOrder(t *testing.T) {
+	m := NewManager(netmodel.NewModel(netmodel.Params{}, 1))
+	r := rng.New(3)
+	want := map[int]*Supernode{}
+	for _, id := range []int{50, 52, 40, 51, 60, 40, 45, 0} {
+		want[id] = registerAt(m, id, geo.Point{X: float64(id) * 10, Y: 500}, 2, r)
+	}
+	for id := -5; id <= 70; id++ {
+		if got := m.Get(id); got != want[id] {
+			t.Errorf("Get(%d) = %v, want %v", id, got, want[id])
+		}
+	}
+	all := m.All()
+	if len(all) != len(want) {
+		t.Fatalf("All() has %d supernodes, want %d", len(all), len(want))
+	}
+	for i, sn := range all {
+		if want[sn.ID] != sn || (i > 0 && all[i-1].ID >= sn.ID) {
+			t.Fatalf("All() = %v: not the registered supernodes in ID order", all)
+		}
+	}
+	m.CandidateListSize = len(want)
+	if got := m.CandidatesFor(geo.Point{X: 400, Y: 500}); len(got) != len(want) || got[0] != want[40] {
+		t.Errorf("CandidatesFor after re-registration = %v", got)
+	}
+}
+
+// TestDisconnectSwapRemove connects, disconnects and reconnects players in
+// mixed order and checks Load, Players and a repeated Connect.
+func TestDisconnectSwapRemove(t *testing.T) {
+	m, _, _ := newTestManager(t, 1)
+	sn := m.All()[0]
+	sn.Capacity = 5
+	for _, p := range []int{4, 2, 9, 7} {
+		m.Connect(p, sn.ID)
+	}
+	if !m.Connect(2, sn.ID) || sn.Load() != 4 {
+		t.Fatalf("reconnecting an attached player: load %d, want 4", sn.Load())
+	}
+	m.Disconnect(4, sn.ID)
+	m.Disconnect(5, sn.ID) // not attached
+	m.Disconnect(7, sn.ID)
+	if got := sn.Players(); len(got) != 2 || got[0] != 2 || got[1] != 9 {
+		t.Errorf("Players after disconnects = %v, want [2 9]", got)
+	}
+	m.Connect(1, sn.ID)
+	if got := sn.Players(); len(got) != 3 || got[0] != 1 || sn.Available() != 2 {
+		t.Errorf("Players = %v, Available %d", got, sn.Available())
 	}
 }
 

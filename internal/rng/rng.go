@@ -32,7 +32,7 @@ type Rand struct {
 // It replaced math/rand's default lagged-Fibonacci source when profiling
 // showed the simulator spending ~65% of its CPU inside rngSource.Seed: the
 // hot loops derive a fresh keyed stream per (player, tick) decision (see
-// core.decisionRand and netmodel.CongestionFactor), and the stock source
+// core.decisionKey and netmodel.CongestionFactor), and the stock source
 // pays a 607-entry seed expansion plus a ~5 KB allocation per derivation.
 // SplitMix64 seeds in O(1), carries 8 bytes of state, and advances exactly
 // one step per draw — which also makes checkpoint restore O(1): the state

@@ -14,7 +14,7 @@ package selection
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cloudfog/internal/rng"
 )
@@ -122,15 +122,24 @@ func (pr PolicyRanker) Rank(cands []Candidate, today int, r *rng.Rand) {
 		})
 	}
 	byScore := pr.Policy == PolicyReputation || pr.Policy == PolicyGlobalReputation
-	sort.SliceStable(cands, func(i, j int) bool {
-		ai, aj := cands[i].Available(), cands[j].Available()
-		if ai != aj {
-			return ai
+	slices.SortStableFunc(cands, func(a, b Candidate) int {
+		if aa, ab := a.Available(), b.Available(); aa != ab {
+			if aa {
+				return -1
+			}
+			return 1
 		}
 		if byScore {
-			return cands[i].Score > cands[j].Score
+			// Written as two comparisons, not cmp.Compare, so that a NaN
+			// score ties with everything rather than sorting first.
+			if a.Score > b.Score {
+				return -1
+			}
+			if a.Score < b.Score {
+				return 1
+			}
 		}
-		return false // PolicyRandom: shuffle order decides
+		return 0 // PolicyRandom: shuffle order decides
 	})
 }
 
@@ -139,13 +148,17 @@ func (pr PolicyRanker) Rank(cands []Candidate, today int, r *rng.Rand) {
 // slice; the input is not modified. Unmeasured candidates (negative RTT)
 // pass, and a non-positive bound passes every candidate.
 func FilterByDelay(cands []Candidate, maxOneWayMs float64) []Candidate {
-	out := make([]Candidate, 0, len(cands))
+	return appendQualified(make([]Candidate, 0, len(cands)), cands, maxOneWayMs)
+}
+
+// appendQualified appends FilterByDelay's result to dst.
+func appendQualified(dst, cands []Candidate, maxOneWayMs float64) []Candidate {
 	for _, c := range cands {
 		if maxOneWayMs <= 0 || c.RTTMs < 0 || c.RTTMs/2 <= maxOneWayMs {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // ProbeFunc asks one candidate whether it accepts the player (one RTT of
@@ -174,11 +187,17 @@ type Pipeline struct {
 	// Candidates is the cloud's answer to the player's request (§3.2.1).
 	Candidates []Candidate
 	Ranker     PolicyRanker
+	// Scratch is storage for the delay-qualified list, which Run
+	// overwrites; a caller that runs the pipeline often passes the same
+	// buffer, with capacity for every candidate, to allocate nothing. It
+	// must not share storage with Candidates.
+	Scratch []Candidate
 }
 
 // Run executes the pipeline. Candidates above the one-way delay bound are
-// dropped (FilterByDelay); the rest are ranked and probed in order until
-// probe accepts one. A nil probe accepts the first-ranked candidate.
+// dropped (FilterByDelay, into Scratch); the rest are ranked and probed in
+// order until probe accepts one. A nil probe accepts the first-ranked
+// candidate. Candidates itself is not modified.
 func (p Pipeline) Run(maxOneWayMs float64, today int, r *rng.Rand, probe ProbeFunc) Outcome {
 	out := Outcome{}
 	for _, c := range p.Candidates {
@@ -186,7 +205,7 @@ func (p Pipeline) Run(maxOneWayMs float64, today int, r *rng.Rand, probe ProbeFu
 			out.PingMs = c.RTTMs // pings run in parallel; slowest dominates
 		}
 	}
-	qualified := FilterByDelay(p.Candidates, maxOneWayMs)
+	qualified := appendQualified(p.Scratch[:0], p.Candidates, maxOneWayMs)
 	out.Candidates = len(qualified)
 	if len(qualified) == 0 {
 		return out

@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"cloudfog/internal/reputation"
@@ -138,6 +139,83 @@ func TestPipelineDelayFilterEmpty(t *testing.T) {
 	if out.PingMs == 0 {
 		t.Error("parallel ping cost not accounted for unqualified candidates")
 	}
+}
+
+// rankSliceStable is PolicyRanker.Rank written with sort.SliceStable, as
+// the ranker was before it sorted with slices.SortStableFunc: the oracle
+// FuzzRankMatchesSliceStable holds Rank to.
+func rankSliceStable(pr PolicyRanker, cands []Candidate, today int, r *rng.Rand) {
+	if pr.Scorer != nil {
+		for i := range cands {
+			cands[i].Score = pr.Scorer.Score(cands[i].ID, today)
+		}
+	}
+	if r != nil {
+		r.Shuffle(len(cands), func(i, j int) {
+			cands[i], cands[j] = cands[j], cands[i]
+		})
+	}
+	byScore := pr.Policy == PolicyReputation || pr.Policy == PolicyGlobalReputation
+	sort.SliceStable(cands, func(i, j int) bool {
+		ai, aj := cands[i].Available(), cands[j].Available()
+		if ai != aj {
+			return ai
+		}
+		if byScore {
+			return cands[i].Score > cands[j].Score
+		}
+		return false
+	})
+}
+
+// scoreFunc adapts a function to Scorer.
+type scoreFunc func(id, today int) float64
+
+func (f scoreFunc) Score(id, today int) float64 { return f(id, today) }
+
+// FuzzRankMatchesSliceStable ranks fuzzed candidate lists — few distinct
+// scores so ties abound, NaN and signed zeros among them, full and
+// unknown-capacity candidates, every policy, with and without a Scorer and
+// a shuffle stream — with Rank and with the sort.SliceStable oracle, and
+// requires the same order.
+func FuzzRankMatchesSliceStable(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint64(1), uint8(0))
+	f.Add(make([]byte, 90), uint64(2), uint8(1))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over: the quick brown fox"), uint64(3), uint8(0xff))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, mode uint8) {
+		scores := []float64{0, 0.5, 1, math.Copysign(0, -1), math.NaN(), 0.25}
+		n := min(len(data)/2, 128)
+		cands := make([]Candidate, n)
+		for i := range cands {
+			a, b := data[2*i], data[2*i+1]
+			cands[i] = Candidate{
+				ID:       i,
+				Score:    scores[int(a)%len(scores)],
+				Capacity: int(b % 4), // 0 is unknown: always available
+				Load:     int(b>>2) % 5,
+			}
+		}
+		pr := PolicyRanker{Policy: []Policy{PolicyRandom, PolicyReputation, PolicyGlobalReputation}[mode%3]}
+		if mode&4 != 0 {
+			pr.Scorer = scoreFunc(func(id, today int) float64 {
+				return scores[(id*int(seed%7)+today)%len(scores)]
+			})
+		}
+		got := append([]Candidate(nil), cands...)
+		want := append([]Candidate(nil), cands...)
+		var rGot, rWant *rng.Rand
+		if mode&8 != 0 {
+			rGot, rWant = rng.New(seed), rng.New(seed)
+		}
+		pr.Rank(got, int(mode>>4), rGot)
+		rankSliceStable(pr, want, int(mode>>4), rWant)
+		for i := range got {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("policy %v, scorer %v, shuffle %v: position %d is %+v, oracle %+v",
+					pr.Policy, pr.Scorer != nil, rGot != nil, i, got[i], want[i])
+			}
+		}
+	})
 }
 
 func BenchmarkRank(b *testing.B) {

@@ -147,34 +147,60 @@ func (a ArrivalScript) ArrivalsInSubcycle(subcycle int, r *rng.Rand) int {
 // its friends is playing, it randomly chooses a game to play; otherwise, it
 // chooses the game that has the largest number of its friends playing".
 // friendGames holds the game IDs the player's online friends are currently
-// playing (with repetition); catalog is the available game list.
-func ChooseGame(friendGames []int, catalog []game.Game, r *rng.Rand) game.Game {
+// playing (with repetition); catalog is the available game list. Game IDs
+// are non-negative, as the catalog's are.
+//
+// counts is scratch indexed by game ID, all zeros, and is left that way. A
+// caller that chooses often passes the same slice, one longer than the
+// largest ID, to allocate nothing; a shorter one (or nil) is replaced.
+func ChooseGame(friendGames []int, catalog []game.Game, r *rng.Rand, counts []int) game.Game {
 	if len(catalog) == 0 {
 		return game.Game{}
 	}
 	if len(friendGames) == 0 {
 		return catalog[r.Intn(len(catalog))]
 	}
-	counts := make(map[int]int)
+	maxID := 0
 	for _, id := range friendGames {
-		counts[id]++
+		maxID = max(maxID, id)
+	}
+	if len(counts) <= maxID {
+		counts = make([]int, maxID+1)
 	}
 	bestN := 0
-	for _, n := range counts {
-		if n > bestN {
-			bestN = n
+	for _, id := range friendGames {
+		counts[id]++
+		bestN = max(bestN, counts[id])
+	}
+	tied := func(g game.Game) bool {
+		return g.ID >= 0 && g.ID < len(counts) && counts[g.ID] == bestN
+	}
+	nTied := 0
+	for _, g := range catalog {
+		if tied(g) {
+			nTied++
 		}
 	}
 	// Ties are broken uniformly at random: a deterministic tie-break would
-	// cascade the whole population onto one title.
-	var tied []game.Game
-	for _, g := range catalog {
-		if counts[g.ID] == bestN && bestN > 0 {
-			tied = append(tied, g)
+	// cascade the whole population onto one title. The draw picks the k-th
+	// tied catalog entry.
+	var chosen game.Game
+	if nTied == 0 {
+		chosen = catalog[r.Intn(len(catalog))]
+	} else {
+		k := r.Intn(nTied)
+		for _, g := range catalog {
+			if tied(g) {
+				if k == 0 {
+					chosen = g
+					break
+				}
+				k--
+			}
 		}
 	}
-	if len(tied) == 0 {
-		return catalog[r.Intn(len(catalog))]
+	for _, id := range friendGames {
+		counts[id] = 0
 	}
-	return tied[r.Intn(len(tied))]
+	return chosen
 }

@@ -122,7 +122,7 @@ func TestChooseGameNoFriends(t *testing.T) {
 	r := rng.New(5)
 	counts := map[int]int{}
 	for i := 0; i < 10000; i++ {
-		g := ChooseGame(nil, catalog, r)
+		g := ChooseGame(nil, catalog, r, nil)
 		counts[g.ID]++
 	}
 	for _, g := range catalog {
@@ -138,7 +138,7 @@ func TestChooseGameFollowsMajority(t *testing.T) {
 	r := rng.New(6)
 	friendGames := []int{3, 3, 3, 1, 2}
 	for i := 0; i < 100; i++ {
-		if g := ChooseGame(friendGames, catalog, r); g.ID != 3 {
+		if g := ChooseGame(friendGames, catalog, r, nil); g.ID != 3 {
 			t.Fatalf("majority game not chosen: %d", g.ID)
 		}
 	}
@@ -149,7 +149,7 @@ func TestChooseGameTiesAreRandom(t *testing.T) {
 	r := rng.New(7)
 	counts := map[int]int{}
 	for i := 0; i < 4000; i++ {
-		g := ChooseGame([]int{1, 2}, catalog, r)
+		g := ChooseGame([]int{1, 2}, catalog, r, nil)
 		counts[g.ID]++
 	}
 	if counts[1] == 0 || counts[2] == 0 {
@@ -168,7 +168,7 @@ func TestChooseGameUnknownFriendGames(t *testing.T) {
 	catalog := game.Catalog()
 	r := rng.New(8)
 	// Friend games not in the catalog: falls back to random.
-	g := ChooseGame([]int{999}, catalog, r)
+	g := ChooseGame([]int{999}, catalog, r, nil)
 	if g.ID < 1 || g.ID > 5 {
 		t.Errorf("fallback game %d", g.ID)
 	}
@@ -176,8 +176,97 @@ func TestChooseGameUnknownFriendGames(t *testing.T) {
 
 func TestChooseGameEmptyCatalog(t *testing.T) {
 	r := rng.New(9)
-	g := ChooseGame([]int{1}, nil, r)
+	g := ChooseGame([]int{1}, nil, r, nil)
 	if g.ID != 0 {
 		t.Errorf("empty catalog returned game %d", g.ID)
+	}
+}
+
+// chooseGameMap is ChooseGame as it was written with a count map and a
+// slice of tied games: the oracle TestChooseGameMatchesMapOracle holds the
+// dense count and the walk to the k-th tied game to.
+func chooseGameMap(friendGames []int, catalog []game.Game, r *rng.Rand) game.Game {
+	if len(catalog) == 0 {
+		return game.Game{}
+	}
+	if len(friendGames) == 0 {
+		return catalog[r.Intn(len(catalog))]
+	}
+	counts := make(map[int]int)
+	for _, id := range friendGames {
+		counts[id]++
+	}
+	bestN := 0
+	for _, n := range counts {
+		if n > bestN {
+			bestN = n
+		}
+	}
+	var tied []game.Game
+	for _, g := range catalog {
+		if counts[g.ID] == bestN && bestN > 0 {
+			tied = append(tied, g)
+		}
+	}
+	if len(tied) == 0 {
+		return catalog[r.Intn(len(catalog))]
+	}
+	return tied[r.Intn(len(tied))]
+}
+
+// TestChooseGameMatchesMapOracle draws random friend-game lists — IDs in
+// and out of the catalog, ties of every size — over catalogs with gaps,
+// duplicates and IDs past the scratch's length, and requires ChooseGame to
+// pick what the map oracle picks from the same stream, leaving the scratch
+// zeroed.
+func TestChooseGameMatchesMapOracle(t *testing.T) {
+	full := game.Catalog()
+	catalogs := [][]game.Game{
+		full,
+		{full[2], full[0], full[4]},
+		{full[1], full[1], full[3]},
+		append([]game.Game{{ID: 12}}, full...),
+	}
+	gen := rng.New(11)
+	counts := make([]int, 8)
+	for i := 0; i < 20000; i++ {
+		catalog := catalogs[i%len(catalogs)]
+		friendGames := make([]int, gen.Intn(12))
+		for j := range friendGames {
+			friendGames[j] = gen.Intn(8)
+			if gen.Bool(0.05) {
+				friendGames[j] = 12 + gen.Intn(3)
+			}
+		}
+		seed := uint64(i)
+		scratch := counts
+		if i%3 == 0 {
+			scratch = nil
+		}
+		got := ChooseGame(friendGames, catalog, rng.New(seed), scratch)
+		want := chooseGameMap(friendGames, catalog, rng.New(seed))
+		if got.ID != want.ID {
+			t.Fatalf("friends %v, catalog of %d: ChooseGame %d, oracle %d", friendGames, len(catalog), got.ID, want.ID)
+		}
+		for id, n := range counts {
+			if n != 0 {
+				t.Fatalf("friends %v: scratch count of game %d left at %d", friendGames, id, n)
+			}
+		}
+	}
+}
+
+// TestChooseGameAllocs pins ChooseGame with a long enough scratch at zero
+// allocations.
+func TestChooseGameAllocs(t *testing.T) {
+	catalog := game.Catalog()
+	counts := make([]int, len(catalog)+1)
+	friendGames := []int{3, 1, 3, 2, 1, 5}
+	r := rng.New(4)
+	allocs := testing.AllocsPerRun(100, func() {
+		ChooseGame(friendGames, catalog, r, counts)
+	})
+	if allocs != 0 {
+		t.Errorf("ChooseGame allocates %v times per call, want 0", allocs)
 	}
 }
