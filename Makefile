@@ -37,10 +37,11 @@ race:
 check: build vet lint test race
 
 # Every Benchmark* function under internal/, one iteration each: a smoke
-# check that they still run, not a measurement. The root package is
-# excluded — its benchmarks are the figure-generation harness. What is
-# measured and gated is bench/ (below); what must stay at 0 allocs/op is
-# pinned by the *SteadyStateAllocs tests (DESIGN.md §10).
+# check that they still run, not a measurement. The paper's figures are
+# not benchmarks: cmd/cloudfogsim runs them, and their full-scale output is
+# a golden CI diffs (EXPERIMENTS.md). What is measured and gated is bench/
+# (below); what must stay at 0 allocs/op is pinned by the
+# *SteadyStateAllocs tests (DESIGN.md §10).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/...
 

@@ -1,5 +1,6 @@
-// Command cloudfogsim runs the CloudFog reproduction experiments and
-// prints each paper figure's series as a text table.
+// Command cloudfogsim runs the CloudFog reproduction experiments of
+// experiments.All and prints each paper figure's series as a text table,
+// one JSON object per line (-o json) or CSV.
 //
 // Usage:
 //
@@ -17,88 +18,24 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"sort"
 	"strings"
 
 	"cloudfog/internal/experiments"
 )
 
-type runner func(experiments.Options) ([]*experiments.Figure, error)
-
-func single(f func(experiments.Options) (*experiments.Figure, error)) runner {
-	return func(o experiments.Options) ([]*experiments.Figure, error) {
-		fig, err := f(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Figure{fig}, nil
-	}
-}
-
-func registry() map[string]runner {
-	return map[string]runner{
-		"table2": func(o experiments.Options) ([]*experiments.Figure, error) {
-			return []*experiments.Figure{experiments.Table2()}, nil
-		},
-		"fig4a": single(experiments.Fig4a),
-		"fig4b": single(experiments.Fig4b),
-		"fig5a": single(experiments.Fig5a),
-		"fig5b": single(experiments.Fig5b),
-		"fig6-8": func(o experiments.Options) ([]*experiments.Figure, error) {
-			b, l, c, err := experiments.SystemComparison(o)
-			if err != nil {
-				return nil, err
-			}
-			return []*experiments.Figure{b, l, c}, nil
-		},
-		"fig6":  single(experiments.Fig6),
-		"fig7":  single(experiments.Fig7),
-		"fig8":  single(experiments.Fig8),
-		"fig9a": single(experiments.Fig9a),
-		"fig9b": single(experiments.Fig9b),
-		"fig10": single(experiments.Fig10),
-		"fig11": single(experiments.Fig11),
-		"fig12": single(experiments.Fig12),
-		"fig13-15": func(o experiments.Options) ([]*experiments.Figure, error) {
-			b, l, c, err := experiments.ProvisioningComparison(o)
-			if err != nil {
-				return nil, err
-			}
-			return []*experiments.Figure{b, l, c}, nil
-		},
-		"fig13":                 single(experiments.Fig13),
-		"fig14":                 single(experiments.Fig14),
-		"fig15":                 single(experiments.Fig15),
-		"fig16a":                single(experiments.Fig16a),
-		"fig16b":                single(experiments.Fig16b),
-		"ablation-assignment":   single(experiments.AblationAssignmentRefinement),
-		"ablation-reputation":   single(experiments.AblationReputationScope),
-		"ablation-provisioning": single(experiments.AblationProvisioningSelection),
-		"ablation-debounce":     single(experiments.AblationAdaptationDebounce),
-		"extension-deployment":  single(experiments.ExtensionOptimalDeployment),
-	}
-}
-
-// allOrder is the run order for -exp all, avoiding the duplicate-sweep
-// aliases (fig6/7/8 and fig13/14/15 are covered by the combined runners).
-var allOrder = []string{
-	"table2", "fig4a", "fig4b", "fig5a", "fig5b", "fig6-8",
-	"fig9a", "fig9b", "fig10", "fig11", "fig12", "fig13-15",
-	"fig16a", "fig16b",
-}
-
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cloudfogsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cloudfogsim", flag.ContinueOnError)
 	exp := fs.String("exp", "", "experiment to run (see -list), or 'all'")
 	output := fs.String("o", "table", "output format: table, json, or csv")
@@ -151,14 +88,12 @@ func run(args []string) error {
 		}()
 	}
 
-	reg := registry()
 	if *list {
-		names := make([]string, 0, len(reg))
-		for name := range reg {
-			names = append(names, name)
+		ids := make([]string, len(experiments.All))
+		for i, e := range experiments.All {
+			ids[i] = e.ID
 		}
-		sort.Strings(names)
-		fmt.Println("available experiments:", strings.Join(names, " "))
+		fmt.Fprintln(stdout, "available experiments:", strings.Join(ids, " "))
 		return nil
 	}
 	if *exp == "" {
@@ -182,40 +117,40 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown profile %q", *profile)
 	}
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = allOrder
+	switch *output {
+	case "table", "json", "csv":
+	default:
+		return fmt.Errorf("unknown output format %q", *output)
 	}
-	for _, name := range names {
-		r, ok := reg[name]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (use -list)", name)
+
+	var chosen []experiments.Experiment
+	for _, e := range experiments.All {
+		if *exp == "all" || *exp == e.ID {
+			chosen = append(chosen, e)
 		}
-		figs, err := r(opts)
+	}
+	if len(chosen) == 0 {
+		return fmt.Errorf("unknown experiment %q (use -list)", *exp)
+	}
+	for _, e := range chosen {
+		figs, err := e.Run(opts)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		for _, fig := range figs {
 			switch *output {
 			case "json":
-				enc := json.NewEncoder(os.Stdout)
-				if err := enc.Encode(fig); err != nil {
-					return fmt.Errorf("%s: encode: %w", name, err)
+				if err := json.NewEncoder(stdout).Encode(fig); err != nil {
+					return fmt.Errorf("%s: encode: %w", e.ID, err)
 				}
 			case "csv":
-				fig.RenderCSV(os.Stdout)
-				fmt.Println()
-			case "table":
-				fig.Render(os.Stdout)
-				fmt.Println()
+				fig.RenderCSV(stdout)
+				fmt.Fprintln(stdout)
 			default:
-				return fmt.Errorf("unknown output format %q", *output)
+				fig.Render(stdout)
+				fmt.Fprintln(stdout)
 			}
 		}
-	}
-	if *exp == "all" || *exp == "fig16a" || *exp == "fig16b" {
-		fmt.Println(experiments.AnnualFleetCost())
 	}
 	return nil
 }

@@ -50,10 +50,10 @@ func NewCoverageStudy(cfg Config) (*CoverageStudy, error) {
 // player can get from any of the serving endpoints: action one-way +
 // render + stream one-way + transmission + mean jitter, at the given
 // bitrate.
-func (cs *CoverageStudy) bestResponseMs(p *netmodel.Endpoint, servers []*netmodel.Endpoint, perStreamKbps, bitrate float64) float64 {
+func (cs *CoverageStudy) bestResponseMs(r *rng.Rand, p *netmodel.Endpoint, servers []*netmodel.Endpoint, perStreamKbps, bitrate float64) float64 {
 	best := math.Inf(1)
 	for _, srv := range servers {
-		oneway := cs.model.OneWayMs(srv, p)
+		oneway := cs.model.OneWayMs(r, srv, p)
 		dist := geo.Distance(srv.Loc, p.Loc)
 		pathCap := p.DownloadKbps * (1 - cs.cfg.WideAreaBWPenalty*math.Min(1, dist/wideAreaFullPenaltyKm))
 		link := streaming.Link{
@@ -111,8 +111,9 @@ func (cs *CoverageStudy) coverage(servers []*netmodel.Endpoint, perStreamKbps fl
 	// Use the mid-ladder bitrate as the paper's representative stream.
 	bitrate := game.MustQuality(4).BitrateKbps
 	covered := make([]int, len(thresholdsMs))
+	scratch := rng.New(0) // reseeded by every path draw
 	for _, p := range cs.players {
-		best := cs.bestResponseMs(p, servers, perStreamKbps, bitrate)
+		best := cs.bestResponseMs(scratch, p, servers, perStreamKbps, bitrate)
 		for ti, th := range thresholdsMs {
 			if best <= th {
 				covered[ti]++

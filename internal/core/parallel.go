@@ -19,7 +19,7 @@ import (
 //     independently, possibly concurrently, writing into that player's
 //     private evalResult slot. Compute touches only per-player state and
 //     draws randomness exclusively from hash-keyed decision streams
-//     (decisionKey, netmodel.CongestionFactorR), which depend on
+//     (decisionKey, netmodel.CongestionFactor), which depend on
 //     (seed, player, cycle, subcycle) alone — never on execution order.
 //  2. apply: a single goroutine walks players in ascending index — the
 //     canonical schedule — committing each result's shared-state effects

@@ -260,7 +260,7 @@ func (s *System) join(p *Player, clock sim.Clock, measured bool, r *rng.Rand) {
 		// server due to the shortage of servers").
 		var srvRTT float64
 		if srv != nil {
-			srvRTT = s.model.PathRTTMsR(s.joinRand, p.Endpoint, srv.Endpoint)
+			srvRTT = s.model.PathRTTMs(s.joinRand, p.Endpoint, srv.Endpoint)
 		}
 		if srv != nil && srvRTT/2 <= p.Game.LatencyRequirementMs*lMaxFactor && srvRTT <= dcRTT {
 			ps.src[p.ID] = srcCDN
@@ -606,7 +606,7 @@ func (s *System) provisionStep(clock sim.Clock, measured bool, r *rng.Rand) {
 			if measured {
 				// Registration: connect to the cloud plus processing.
 				s.metrics.SupernodeJoinMs.Add(
-					s.model.PathRTTMs(sn.Endpoint, dcEp)*1.5 + supernodeRegistrationMs)
+					s.model.PathRTTMs(s.joinRand, sn.Endpoint, dcEp)*1.5 + supernodeRegistrationMs)
 			}
 		case !keep[sn.ID] && sn.Active:
 			for _, playerID := range s.fogMgr.Deactivate(sn.ID) {
@@ -648,7 +648,7 @@ func (s *System) applyFixedPool(cycle int, measured bool) {
 // computeEval evaluates player i's delivery quality for one subcycle and
 // fills out. It mutates only player-i state (rate controller, session
 // meter) plus the worker-local scratch, and draws randomness only from
-// hash-keyed decision streams (decisionKey, CongestionFactorR) — never
+// hash-keyed decision streams (decisionKey, CongestionFactor) — never
 // from shared generators — so shards can run concurrently without
 // changing any seeded output. Shared-state effects
 // (metric accumulation, co-play recording, egress sums) are described in
@@ -766,7 +766,7 @@ func (s *System) linkForR(p *Player, clock sim.Clock, kr *rng.Rand) streaming.Li
 		}
 	}
 	rt := ps.route[p.ID]
-	cong := s.model.CongestionFactorR(kr, p.ID, clock.Cycle, clock.Subcycle)
+	cong := s.model.CongestionFactor(kr, p.ID, clock.Cycle, clock.Subcycle)
 	eff := math.Min(perStream, rt.pathCapKbps) * cong
 	return streaming.Link{
 		OneWayMs:      rt.oneWayMs,
@@ -833,7 +833,7 @@ func (s *System) cdnPairCommMs(p, partner *Player, kr *rng.Rand) float64 {
 	case ha != nil && hb != nil && ha == hb:
 		return cloudinfra.IntraServerCommMs
 	case ha != nil && hb != nil:
-		return cdnCoordinationFactor*s.model.OneWayMsR(kr, ha.Endpoint, hb.Endpoint) +
+		return cdnCoordinationFactor*s.model.OneWayMs(kr, ha.Endpoint, hb.Endpoint) +
 			cloudinfra.CrossServerCommMs
 	case ha == nil && hb == nil:
 		// Both players spilled to the cloud: ordinary cloud-server comm.
@@ -850,7 +850,7 @@ func (s *System) cdnPairCommMs(p, partner *Player, kr *rng.Rand) float64 {
 		} else {
 			edge, dc = hb, ps.dc[p.ID]
 		}
-		return cdnCoordinationFactor*s.model.OneWayMsR(kr, edge.Endpoint, s.cloud.Datacenters()[dc].Endpoint) +
+		return cdnCoordinationFactor*s.model.OneWayMs(kr, edge.Endpoint, s.cloud.Datacenters()[dc].Endpoint) +
 			cloudinfra.CrossServerCommMs
 	}
 }

@@ -198,8 +198,8 @@ func freshLink(s *System, p *Player, clock sim.Clock) streaming.Link {
 			perStream = s.cfg.ServerStreamKbps
 		}
 	}
-	oneway := s.model.OneWayMs(srcEp, p.Endpoint)
-	cong := s.model.CongestionFactor(p.ID, clock.Cycle, clock.Subcycle)
+	oneway := s.model.OneWayMs(rng.New(0), srcEp, p.Endpoint)
+	cong := s.model.CongestionFactor(rng.New(0), p.ID, clock.Cycle, clock.Subcycle)
 	dist := geo.Distance(srcEp.Loc, p.Endpoint.Loc)
 	pathCap := p.Endpoint.DownloadKbps *
 		(1 - s.cfg.WideAreaBWPenalty*math.Min(1, dist/wideAreaFullPenaltyKm))

@@ -125,8 +125,8 @@ type System struct {
 	friendGameScratch []int
 	gameCounts        []int
 	// joinRand is the control plane's scratch for keyed draws (the
-	// datacenter RTTs at build; join's game decision and CDN path RTT),
-	// reseeded by each use.
+	// datacenter RTTs at build; join's game decision and CDN path RTT; a
+	// provisioned supernode's registration RTT), reseeded by each use.
 	joinRand *rng.Rand
 }
 
@@ -217,7 +217,7 @@ func (s *System) buildWorld() error {
 	for _, p := range s.players {
 		dc := s.cloud.NearestDatacenter(p.Endpoint.Loc)
 		s.ps.dc[p.ID] = int32(dc.ID)
-		s.ps.dcRTT[p.ID] = s.model.PathRTTMsR(s.joinRand, p.Endpoint, dc.Endpoint)
+		s.ps.dcRTT[p.ID] = s.model.PathRTTMs(s.joinRand, p.Endpoint, dc.Endpoint)
 	}
 	s.buildShards()
 

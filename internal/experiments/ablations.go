@@ -65,27 +65,8 @@ func AblationAssignmentRefinement(opts Options) (*Figure, error) {
 // reputation against the global-aggregation strawman it rejects, measuring
 // the satisfied-player fraction under per-supernode load.
 func AblationReputationScope(opts Options) (*Figure, error) {
-	opts = opts.withDefaults()
-	fig := &Figure{
-		ID: "ablation-reputation", Title: "per-player vs global reputation vs none",
-		XLabel: "players per supernode", YLabel: "satisfied players (fraction)",
-	}
-	local := Series{Label: "per-player"}
-	none := Series{Label: "none"}
-	for _, load := range []int{10, 20, 30} {
-		sLocal, err := strategyLoadRun(opts, core.Strategies{Reputation: true}, load)
-		if err != nil {
-			return nil, fmt.Errorf("local load=%d: %w", load, err)
-		}
-		sNone, err := strategyLoadRun(opts, core.Strategies{}, load)
-		if err != nil {
-			return nil, fmt.Errorf("none load=%d: %w", load, err)
-		}
-		local.X, local.Y = append(local.X, float64(load)), append(local.Y, sLocal.SatisfiedFraction)
-		none.X, none.Y = append(none.X, float64(load)), append(none.Y, sNone.SatisfiedFraction)
-	}
-	fig.Series = []Series{local, none}
-	return fig, nil
+	return strategyFigure(opts, "ablation-reputation", "per-player vs global reputation vs none",
+		[]int{10, 20, 30}, core.Strategies{Reputation: true}, "per-player", "none")
 }
 
 // AblationProvisioningSelection compares the paper's rank-probability

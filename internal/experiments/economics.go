@@ -37,11 +37,12 @@ func Fig16a(opts Options) (*Figure, error) {
 
 // Fig16b reproduces Fig. 16(b): the game service provider's renting fee
 // for an EC2 GPU instance, the reward paid to an equivalent supernode, and
-// the resulting saving, vs rental hours.
+// the resulting saving, vs rental hours. Its table form closes with the
+// §4.4 fleet estimate (AnnualFleetCost).
 func Fig16b(opts Options) (*Figure, error) {
 	fig := &Figure{
 		ID: "fig16b", Title: "renting fees and savings for a game service provider",
-		XLabel: "hours", YLabel: "dollars",
+		XLabel: "hours", YLabel: "dollars", Note: AnnualFleetCost(),
 	}
 	renting := Series{Label: "Renting fees"}
 	rewards := Series{Label: "Rewards to SNs"}
@@ -58,7 +59,7 @@ func Fig16b(opts Options) (*Figure, error) {
 
 // Table2 reproduces Table 2: the video quality ladder (resolution, bitrate,
 // latency requirement, latency tolerance degree per quality level).
-func Table2() *Figure {
+func Table2(Options) (*Figure, error) {
 	fig := &Figure{
 		ID: "table2", Title: "video parameters for different quality levels",
 		XLabel: "quality level", YLabel: "see series",
@@ -73,7 +74,7 @@ func Table2() *Figure {
 		tolerance.X, tolerance.Y = append(tolerance.X, x), append(tolerance.Y, q.ToleranceDegree)
 	}
 	fig.Series = []Series{bitrate, latency, tolerance}
-	return fig
+	return fig, nil
 }
 
 // fleetEffectiveGBPerHour is the long-run average upload per supernode the
@@ -82,7 +83,7 @@ func Table2() *Figure {
 // busy-hour rate.
 const fleetEffectiveGBPerHour = 0.11
 
-// AnnualFleetCost prints the paper's §4.4 fleet estimate: the yearly reward
+// AnnualFleetCost states the paper's §4.4 fleet estimate: the yearly reward
 // bill of a 3,000-supernode fleet running around the clock, against the
 // cost of building one medium datacenter.
 func AnnualFleetCost() string {

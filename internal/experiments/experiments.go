@@ -1,17 +1,15 @@
 // Package experiments reproduces every table and figure of the CloudFog
-// paper's evaluation (§4). Each Fig* function runs the corresponding
-// experiment and returns a Figure: the same series the paper plots, as
-// numbers. The cmd/cloudfogsim CLI and the repository's benchmark harness
-// are thin wrappers over this package.
+// paper's evaluation (§4). Each experiment runs and returns its Figures:
+// the same series the paper plots, as numbers. All lists every experiment
+// once, in order; the cmd/cloudfogsim CLI and the tests read it.
 //
 // Experiments run at two scales: ScaleQuick (a proportionally shrunken
 // deployment that preserves the ratios of the paper's setup and finishes in
-// seconds — the default for tests and benchmarks) and ScaleFull (the
+// seconds — the default, and the scale the tests run) and ScaleFull (the
 // paper's 10,000-player PeerSim / 750-node PlanetLab settings).
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -106,25 +104,70 @@ func (o Options) baseConfig() (cfg core.Config, cycles, warmup int) {
 	return cfg, 6, 3
 }
 
+// Experiment is one entry of All: the id cloudfogsim's -exp accepts and
+// the run that produces the entry's figures.
+type Experiment struct {
+	ID  string
+	Run func(Options) ([]*Figure, error)
+}
+
+// All is the table of experiments, in the order `cloudfogsim -exp all`
+// runs them: the paper's figures, then the ablations of DESIGN §6 and the
+// §5 extension. Each figure is produced by exactly one entry.
+var All = []Experiment{
+	{"table2", one(Table2)},
+	{"fig4a", one(Fig4a)},
+	{"fig4b", one(Fig4b)},
+	{"fig5a", one(Fig5a)},
+	{"fig5b", one(Fig5b)},
+	{"fig6-8", SystemComparison},
+	{"fig9a", one(Fig9a)},
+	{"fig9b", one(Fig9b)},
+	{"fig10", one(Fig10)},
+	{"fig11", one(Fig11)},
+	{"fig12", one(Fig12)},
+	{"fig13-15", ProvisioningComparison},
+	{"fig16a", one(Fig16a)},
+	{"fig16b", one(Fig16b)},
+	{"ablation-assignment", one(AblationAssignmentRefinement)},
+	{"ablation-reputation", one(AblationReputationScope)},
+	{"ablation-provisioning", one(AblationProvisioningSelection)},
+	{"ablation-debounce", one(AblationAdaptationDebounce)},
+	{"extension-deployment", one(ExtensionOptimalDeployment)},
+}
+
+func one(run func(Options) (*Figure, error)) func(Options) ([]*Figure, error) {
+	return func(o Options) ([]*Figure, error) {
+		fig, err := run(o)
+		if err != nil {
+			return nil, err
+		}
+		return []*Figure{fig}, nil
+	}
+}
+
 // Series is one plotted line: a label and parallel X/Y points.
 type Series struct {
-	Label string
-	X     []float64
-	Y     []float64
+	Label string    `json:"label"`
+	X     []float64 `json:"x"`
+	Y     []float64 `json:"y"`
 }
 
 // Figure is the numeric reproduction of one paper figure: the same series
-// the paper plots.
+// the paper plots. Its JSON form (-o json) is one stable object per figure.
 type Figure struct {
 	// ID is the paper figure identifier, e.g. "fig4a".
-	ID string
+	ID string `json:"id"`
 	// Title describes the experiment.
-	Title string
+	Title string `json:"title"`
 	// XLabel / YLabel name the axes.
-	XLabel string
-	YLabel string
+	XLabel string `json:"xLabel"`
+	YLabel string `json:"yLabel"`
 	// Series are the plotted lines.
-	Series []Series
+	Series []Series `json:"series"`
+	// Note is a closing line of prose the text table prints under the
+	// figure; JSON and CSV carry only the series.
+	Note string `json:"-"`
 }
 
 // Render writes the figure as an aligned text table: one row per X value,
@@ -153,6 +196,9 @@ func (f *Figure) Render(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
+	if f.Note != "" {
+		fmt.Fprintln(w, f.Note)
+	}
 }
 
 // String renders the figure to a string.
@@ -160,28 +206,6 @@ func (f *Figure) String() string {
 	var b strings.Builder
 	f.Render(&b)
 	return b.String()
-}
-
-// MarshalJSON emits the figure as a stable JSON object (for -o json and
-// downstream plotting tools).
-func (f *Figure) MarshalJSON() ([]byte, error) {
-	type series struct {
-		Label string    `json:"label"`
-		X     []float64 `json:"x"`
-		Y     []float64 `json:"y"`
-	}
-	type figure struct {
-		ID     string   `json:"id"`
-		Title  string   `json:"title"`
-		XLabel string   `json:"xLabel"`
-		YLabel string   `json:"yLabel"`
-		Series []series `json:"series"`
-	}
-	out := figure{ID: f.ID, Title: f.Title, XLabel: f.XLabel, YLabel: f.YLabel}
-	for _, s := range f.Series {
-		out.Series = append(out.Series, series(s))
-	}
-	return json.Marshal(out)
 }
 
 // RenderCSV writes the figure as CSV: a header row of series labels, then

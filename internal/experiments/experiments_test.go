@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -56,59 +57,6 @@ func TestFigureRender(t *testing.T) {
 	}
 }
 
-func TestTable2(t *testing.T) {
-	fig := Table2()
-	if len(fig.Series) != 3 {
-		t.Fatalf("table2 series = %d", len(fig.Series))
-	}
-	if len(fig.Series[0].X) != 5 {
-		t.Fatalf("table2 rows = %d", len(fig.Series[0].X))
-	}
-	if fig.Series[0].Y[4] != 1800 {
-		t.Errorf("top bitrate = %v", fig.Series[0].Y[4])
-	}
-}
-
-func TestFig16a(t *testing.T) {
-	fig, err := Fig16a(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) != 3 {
-		t.Fatalf("series = %d", len(fig.Series))
-	}
-	rewards, costs, profits := fig.Series[0], fig.Series[1], fig.Series[2]
-	for i := range rewards.X {
-		if profits.Y[i] != rewards.Y[i]-costs.Y[i] {
-			t.Error("profit != reward - cost")
-		}
-		// The paper's point: costs are trivial compared to rewards.
-		if costs.Y[i] > 0.2*rewards.Y[i] {
-			t.Errorf("costs not trivial at %v h: %v vs %v", rewards.X[i], costs.Y[i], rewards.Y[i])
-		}
-	}
-	// Rewards grow with hours.
-	if rewards.Y[len(rewards.Y)-1] <= rewards.Y[0] {
-		t.Error("rewards do not grow with hours")
-	}
-}
-
-func TestFig16b(t *testing.T) {
-	fig, err := Fig16b(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	renting, rewards, savings := fig.Series[0], fig.Series[1], fig.Series[2]
-	for i := range renting.X {
-		if savings.Y[i] != renting.Y[i]-rewards.Y[i] {
-			t.Error("saving != renting - reward")
-		}
-		if savings.Y[i] <= 0 {
-			t.Errorf("provider saving not positive at %v h", renting.X[i])
-		}
-	}
-}
-
 func TestAnnualFleetCost(t *testing.T) {
 	s := AnnualFleetCost()
 	if !strings.Contains(s, "supernodes") || !strings.Contains(s, "datacenter") {
@@ -116,42 +64,12 @@ func TestAnnualFleetCost(t *testing.T) {
 	}
 }
 
-func TestAblationProvisioningSelection(t *testing.T) {
-	fig, err := AblationProvisioningSelection(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq16, topk := fig.Series[0], fig.Series[1]
-	for i := range eq16.X {
-		// Top-k concentrates on the busiest ranks more than Eq. 16.
-		if topk.Y[i] > eq16.Y[i] {
-			t.Errorf("top-k mean rank %v above Eq.16 %v at k=%v", topk.Y[i], eq16.Y[i], eq16.X[i])
-		}
-	}
-}
-
-func TestAblationAssignmentRefinement(t *testing.T) {
-	fig, err := AblationAssignmentRefinement(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, refined, polished := fig.Series[0], fig.Series[1], fig.Series[2]
-	for i := range greedy.X {
-		if refined.Y[i] < greedy.Y[i]-1e-9 {
-			t.Errorf("refinement reduced Γ at z=%v", greedy.X[i])
-		}
-		if polished.Y[i] < refined.Y[i]-1e-9 {
-			t.Errorf("polish reduced Γ at z=%v", greedy.X[i])
-		}
-	}
-}
-
 func TestFigureJSONAndCSV(t *testing.T) {
 	fig := &Figure{
-		ID: "t", Title: "demo", XLabel: "x,axis", YLabel: "y",
+		ID: "t", Title: "demo", XLabel: "x,axis", YLabel: "y", Note: "prose",
 		Series: []Series{{Label: `quo"ted`, X: []float64{1, 2}, Y: []float64{3, 4}}},
 	}
-	data, err := fig.MarshalJSON()
+	data, err := json.Marshal(fig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +89,12 @@ func TestFigureJSONAndCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "1,3") || !strings.Contains(out, "2,4") {
 		t.Errorf("CSV rows missing: %s", out)
+	}
+	// The note is table prose: JSON and CSV stay machine-readable.
+	if strings.Contains(string(data), "prose") || strings.Contains(out, "prose") {
+		t.Errorf("note leaked into JSON or CSV:\n%s\n%s", data, out)
+	}
+	if !strings.Contains(fig.String(), "prose") {
+		t.Errorf("table lost the note:\n%s", fig.String())
 	}
 }

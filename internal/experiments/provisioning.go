@@ -8,24 +8,24 @@ import (
 )
 
 // ProvisioningComparison runs the churn experiment of Figs. 13–15 once and
-// returns the three figures (cloud bandwidth, response latency, continuity)
-// vs the peak-hour player arrival rate, comparing CloudFog with the dynamic
+// returns its three figures, in order: cloud bandwidth, response latency
+// and continuity vs the peak-hour player arrival rate, comparing CloudFog with the dynamic
 // supernode provisioning strategy against the fixed-pool baseline.
-func ProvisioningComparison(opts Options) (bandwidth, latency, continuity *Figure, err error) {
+func ProvisioningComparison(opts Options) ([]*Figure, error) {
 	opts = opts.withDefaults()
 	suffix := "a"
 	if opts.Profile == ProfilePlanetLab {
 		suffix = "b"
 	}
-	bandwidth = &Figure{
+	bandwidth := &Figure{
 		ID: "fig13" + suffix, Title: "cloud bandwidth vs peak arrival rate (provisioning)",
 		XLabel: "arrival rate (players/min)", YLabel: "cloud bandwidth (Mbps)",
 	}
-	latency = &Figure{
+	latency := &Figure{
 		ID: "fig14" + suffix, Title: "response latency vs peak arrival rate (provisioning)",
 		XLabel: "arrival rate (players/min)", YLabel: "response latency (ms)",
 	}
-	continuity = &Figure{
+	continuity := &Figure{
 		ID: "fig15" + suffix, Title: "continuity vs peak arrival rate (provisioning)",
 		XLabel: "arrival rate (players/min)", YLabel: "continuity",
 	}
@@ -80,7 +80,7 @@ func ProvisioningComparison(opts Options) (bandwidth, latency, continuity *Figur
 			}
 			snap, _, rerr := runSystem(cfg, cycles, warmup)
 			if rerr != nil {
-				return nil, nil, nil, fmt.Errorf("%s rate=%g: %w", v.label, rate, rerr)
+				return nil, fmt.Errorf("%s rate=%g: %w", v.label, rate, rerr)
 			}
 			sb.X, sb.Y = append(sb.X, rate), append(sb.Y, snap.MeanCloudEgressMbps)
 			sl.X, sl.Y = append(sl.X, rate), append(sl.Y, snap.MeanResponseLatencyMs)
@@ -90,24 +90,5 @@ func ProvisioningComparison(opts Options) (bandwidth, latency, continuity *Figur
 		latency.Series = append(latency.Series, sl)
 		continuity.Series = append(continuity.Series, sc)
 	}
-	return bandwidth, latency, continuity, nil
-}
-
-// Fig13 reproduces Fig. 13: cloud bandwidth consumption vs peak arrival
-// rate with and without dynamic supernode provisioning.
-func Fig13(opts Options) (*Figure, error) {
-	b, _, _, err := ProvisioningComparison(opts)
-	return b, err
-}
-
-// Fig14 reproduces Fig. 14: response latency vs peak arrival rate.
-func Fig14(opts Options) (*Figure, error) {
-	_, l, _, err := ProvisioningComparison(opts)
-	return l, err
-}
-
-// Fig15 reproduces Fig. 15: playback continuity vs peak arrival rate.
-func Fig15(opts Options) (*Figure, error) {
-	_, _, c, err := ProvisioningComparison(opts)
-	return c, err
+	return []*Figure{bandwidth, latency, continuity}, nil
 }

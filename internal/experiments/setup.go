@@ -35,7 +35,7 @@ func Fig9a(opts Options) (*Figure, error) {
 		cfg.SupernodeCandidates = n / 10
 		cfg.Strategies.SocialAssignment = true
 		cfg.Strategies.Provisioning = true
-		cfg.FailSupernodesPerCycle = maxI(1, cfg.Supernodes/10)
+		cfg.FailSupernodesPerCycle = max(1, cfg.Supernodes/10)
 		snap, _, err := runSystem(cfg, cycles, warmup)
 		if err != nil {
 			return nil, fmt.Errorf("fig9a players=%d: %w", n, err)
@@ -69,7 +69,7 @@ func Fig9b(opts Options) (*Figure, error) {
 		cfg.SupernodeCandidates = ns * 2
 		cfg.Strategies.SocialAssignment = true
 		cfg.Strategies.Provisioning = true
-		cfg.FailSupernodesPerCycle = maxI(1, ns/10)
+		cfg.FailSupernodesPerCycle = max(1, ns/10)
 		snap, _, err := runSystem(cfg, cycles, warmup)
 		if err != nil {
 			return nil, fmt.Errorf("fig9b supernodes=%d: %w", ns, err)
@@ -86,11 +86,4 @@ func appendSetupPoint(fig *Figure, x, assign, snJoin, playerJoin, migration floa
 		fig.Series[i].X = append(fig.Series[i].X, x)
 		fig.Series[i].Y = append(fig.Series[i].Y, ys[i])
 	}
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

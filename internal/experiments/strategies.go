@@ -47,58 +47,42 @@ func strategyLoadRun(opts Options, strategies core.Strategies, load int) (core.S
 // of supporting players per supernode, with and without reputation-based
 // supernode selection.
 func Fig10(opts Options) (*Figure, error) {
-	opts = opts.withDefaults()
-	fig := &Figure{
-		ID: "fig10", Title: "effect of reputation-based supernode selection",
-		XLabel: "players per supernode", YLabel: "satisfied players (fraction)",
-	}
-	with := Series{Label: "CloudFog-reputation"}
-	without := Series{Label: "CloudFog/B"}
-	for _, load := range loadSweepFor(opts) {
-		sOn, err := strategyLoadRun(opts, core.Strategies{Reputation: true}, load)
-		if err != nil {
-			return nil, fmt.Errorf("fig10 load=%d reputation: %w", load, err)
-		}
-		sOff, err := strategyLoadRun(opts, core.Strategies{}, load)
-		if err != nil {
-			return nil, fmt.Errorf("fig10 load=%d base: %w", load, err)
-		}
-		with.X = append(with.X, float64(load))
-		with.Y = append(with.Y, sOn.SatisfiedFraction)
-		without.X = append(without.X, float64(load))
-		without.Y = append(without.Y, sOff.SatisfiedFraction)
-	}
-	fig.Series = []Series{with, without}
-	return fig, nil
+	return strategyFigure(opts, "fig10", "effect of reputation-based supernode selection",
+		loadSweepFor(opts), core.Strategies{Reputation: true}, "CloudFog-reputation", "CloudFog/B")
 }
 
 // Fig11 reproduces Fig. 11: percentage of satisfied players vs per-
 // supernode load, with and without receiver-driven encoding rate
 // adaptation.
 func Fig11(opts Options) (*Figure, error) {
+	return strategyFigure(opts, "fig11", "effect of receiver-driven encoding rate adaptation",
+		loadSweepFor(opts), core.Strategies{Adaptation: true}, "CloudFog-adapt", "CloudFog/B")
+}
+
+// strategyFigure plots the satisfied-player fraction at each per-supernode
+// load with the strategies on (series onLabel) and with none (offLabel).
+func strategyFigure(opts Options, id, title string, loads []int, on core.Strategies, onLabel, offLabel string) (*Figure, error) {
 	opts = opts.withDefaults()
-	fig := &Figure{
-		ID: "fig11", Title: "effect of receiver-driven encoding rate adaptation",
-		XLabel: "players per supernode", YLabel: "satisfied players (fraction)",
-	}
-	with := Series{Label: "CloudFog-adapt"}
-	without := Series{Label: "CloudFog/B"}
-	for _, load := range loadSweepFor(opts) {
-		sOn, err := strategyLoadRun(opts, core.Strategies{Adaptation: true}, load)
+	with := Series{Label: onLabel}
+	without := Series{Label: offLabel}
+	for _, load := range loads {
+		sOn, err := strategyLoadRun(opts, on, load)
 		if err != nil {
-			return nil, fmt.Errorf("fig11 load=%d adapt: %w", load, err)
+			return nil, fmt.Errorf("%s load=%d %s: %w", id, load, onLabel, err)
 		}
 		sOff, err := strategyLoadRun(opts, core.Strategies{}, load)
 		if err != nil {
-			return nil, fmt.Errorf("fig11 load=%d base: %w", load, err)
+			return nil, fmt.Errorf("%s load=%d %s: %w", id, load, offLabel, err)
 		}
-		with.X = append(with.X, float64(load))
-		with.Y = append(with.Y, sOn.SatisfiedFraction)
-		without.X = append(without.X, float64(load))
-		without.Y = append(without.Y, sOff.SatisfiedFraction)
+		x := float64(load)
+		with.X, with.Y = append(with.X, x), append(with.Y, sOn.SatisfiedFraction)
+		without.X, without.Y = append(without.X, x), append(without.Y, sOff.SatisfiedFraction)
 	}
-	fig.Series = []Series{with, without}
-	return fig, nil
+	return &Figure{
+		ID: id, Title: title,
+		XLabel: "players per supernode", YLabel: "satisfied players (fraction)",
+		Series: []Series{with, without},
+	}, nil
 }
 
 // Fig12 reproduces Fig. 12: the response-latency decomposition (server

@@ -52,25 +52,25 @@ func playerSweep(opts Options, cfg core.Config) []int {
 	return []int{400, 800, 1200}
 }
 
-// SystemComparison runs the Figs. 6–8 sweep once and returns the three
-// figures (server bandwidth consumption, average response latency, playback
-// continuity) so callers do not pay for three separate sweeps.
-func SystemComparison(opts Options) (bandwidth, latency, continuity *Figure, err error) {
+// SystemComparison runs the Figs. 6–8 sweep once and returns its three
+// figures, in order: server bandwidth consumption, average response latency
+// and playback continuity vs concurrent players.
+func SystemComparison(opts Options) ([]*Figure, error) {
 	opts = opts.withDefaults()
 	base, cycles, warmup := opts.baseConfig()
 	suffix := "a"
 	if opts.Profile == ProfilePlanetLab {
 		suffix = "b"
 	}
-	bandwidth = &Figure{
+	bandwidth := &Figure{
 		ID: "fig6" + suffix, Title: "server bandwidth consumption vs concurrent players",
 		XLabel: "#players", YLabel: "cloud bandwidth (Mbps)",
 	}
-	latency = &Figure{
+	latency := &Figure{
 		ID: "fig7" + suffix, Title: "average response latency vs concurrent players",
 		XLabel: "#players", YLabel: "response latency (ms)",
 	}
-	continuity = &Figure{
+	continuity := &Figure{
 		ID: "fig8" + suffix, Title: "playback continuity vs concurrent players",
 		XLabel: "#players", YLabel: "continuity",
 	}
@@ -91,7 +91,7 @@ func SystemComparison(opts Options) (bandwidth, latency, continuity *Figure, err
 			}
 			snap, _, rerr := runSystem(cfg, cycles, warmup)
 			if rerr != nil {
-				return nil, nil, nil, fmt.Errorf("%s players=%d: %w", v.label, n, rerr)
+				return nil, fmt.Errorf("%s players=%d: %w", v.label, n, rerr)
 			}
 			x := float64(n)
 			sb.X, sb.Y = append(sb.X, x), append(sb.Y, snap.MeanCloudEgressMbps)
@@ -106,24 +106,5 @@ func SystemComparison(opts Options) (bandwidth, latency, continuity *Figure, err
 		latency.Series = append(latency.Series, sl)
 		continuity.Series = append(continuity.Series, sc)
 	}
-	return bandwidth, latency, continuity, nil
-}
-
-// Fig6 reproduces Fig. 6: cloud bandwidth consumption vs concurrent
-// players. Prefer SystemComparison when also reproducing Figs. 7/8.
-func Fig6(opts Options) (*Figure, error) {
-	b, _, _, err := SystemComparison(opts)
-	return b, err
-}
-
-// Fig7 reproduces Fig. 7: average response latency vs concurrent players.
-func Fig7(opts Options) (*Figure, error) {
-	_, l, _, err := SystemComparison(opts)
-	return l, err
-}
-
-// Fig8 reproduces Fig. 8: playback continuity vs concurrent players.
-func Fig8(opts Options) (*Figure, error) {
-	_, _, c, err := SystemComparison(opts)
-	return c, err
+	return []*Figure{bandwidth, latency, continuity}, nil
 }

@@ -296,7 +296,7 @@ type Selector struct {
 	top       []candidate
 	list      []selection.Candidate
 	qualified []selection.Candidate // selection.Pipeline.Scratch
-	rtt       *rng.Rand             // reseeded per RTT draw (netmodel.PathRTTMsR)
+	rtt       *rng.Rand             // reseeded per RTT draw (netmodel.PathRTTMs)
 }
 
 // Select runs §3.2's procedure for the player: fetch candidates from the
@@ -313,7 +313,7 @@ func (sel *Selector) Select(player *netmodel.Endpoint, maxDelayMs float64,
 		sel.rtt = rng.New(0)
 	}
 	out := Selection{}
-	out.RequestMs = sel.Model.PathRTTMsR(sel.rtt, player, sel.CloudEndpoint)
+	out.RequestMs = sel.Model.PathRTTMs(sel.rtt, player, sel.CloudEndpoint)
 
 	sel.top = sel.Manager.nearest(player.Loc, sel.top)
 	list := sel.list[:0]
@@ -322,7 +322,7 @@ func (sel *Selector) Select(player *netmodel.Endpoint, maxDelayMs float64,
 			ID:       c.s.ID,
 			Load:     c.s.Load(),
 			Capacity: c.s.Capacity,
-			RTTMs:    sel.Model.PathRTTMsR(sel.rtt, player, c.s.Endpoint),
+			RTTMs:    sel.Model.PathRTTMs(sel.rtt, player, c.s.Endpoint),
 		})
 	}
 	sel.list = list

@@ -306,11 +306,11 @@ func TestSelectScratchReuseMatchesFresh(t *testing.T) {
 		if got.RTTMs != want.RTTMs {
 			t.Fatalf("player %d: reused RTTMs %v, fresh %v", i, got.RTTMs, want.RTTMs)
 		}
-		if got.Supernode != nil && got.RTTMs != model.PathRTTMs(player, got.Supernode.Endpoint) {
-			t.Fatalf("player %d: RTTMs %v, PathRTTMs %v", i, got.RTTMs, model.PathRTTMs(player, got.Supernode.Endpoint))
+		if got.Supernode != nil && got.RTTMs != model.PathRTTMs(rng.New(0), player, got.Supernode.Endpoint) {
+			t.Fatalf("player %d: RTTMs %v, PathRTTMs %v", i, got.RTTMs, model.PathRTTMs(rng.New(0), player, got.Supernode.Endpoint))
 		}
-		if got.RequestMs != model.PathRTTMs(player, dc) {
-			t.Fatalf("player %d: RequestMs %v, PathRTTMs %v", i, got.RequestMs, model.PathRTTMs(player, dc))
+		if got.RequestMs != model.PathRTTMs(rng.New(0), player, dc) {
+			t.Fatalf("player %d: RequestMs %v, PathRTTMs %v", i, got.RequestMs, model.PathRTTMs(rng.New(0), player, dc))
 		}
 	}
 	if chosen == 0 || chosen == 200 {

@@ -16,7 +16,7 @@ func BenchmarkPathRTT(b *testing.B) {
 	sn := NewSupernodeEndpoint(2, geo.Point{X: 1100, Y: 1050}, r)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PathRTTMs(p, sn)
+		m.PathRTTMs(r, p, sn)
 	}
 }
 
@@ -24,8 +24,9 @@ func BenchmarkPathRTT(b *testing.B) {
 // draw.
 func BenchmarkCongestionFactor(b *testing.B) {
 	m := NewModel(Params{}, 1)
+	r := rng.New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.CongestionFactor(i, i/24, i%24+1)
+		m.CongestionFactor(r, i, i/24, i%24+1)
 	}
 }

@@ -131,13 +131,7 @@ func NewModel(params Params, seed uint64) *Model {
 // Params returns the effective (defaulted) parameters of the model.
 func (m *Model) Params() Params { return m.params }
 
-// pairRand returns a deterministic RNG for an unordered endpoint pair.
-func (m *Model) pairRand(a, b int) *rng.Rand {
-	return rng.New(m.pairKey(a, b))
-}
-
-// pairKey is the hash behind pairRand; the scratch-Rand variants reseed
-// with it instead of allocating.
+// pairKey is the seed of an unordered endpoint pair's draw.
 func (m *Model) pairKey(a, b int) uint64 {
 	lo, hi := a, b
 	if lo > hi {
@@ -152,14 +146,10 @@ func (m *Model) pairKey(a, b int) uint64 {
 // PathRTTMs returns the round-trip network latency between two endpoints in
 // milliseconds: both access links, distance-proportional propagation, and a
 // trace-sampled jitter term scaled by distance. The value is deterministic
-// for a given pair within one model.
-func (m *Model) PathRTTMs(a, b *Endpoint) float64 {
-	return m.PathRTTMsR(m.pairRand(a.ID, b.ID), a, b)
-}
-
-// PathRTTMsR is PathRTTMs drawing from the caller's scratch Rand (reseeded
-// in place) — identical values, no allocation.
-func (m *Model) PathRTTMsR(r *rng.Rand, a, b *Endpoint) float64 {
+// for a given pair within one model: r is the caller's scratch, reseeded
+// from the pair, so its state before the call does not matter. A scratch
+// must not be shared across goroutines.
+func (m *Model) PathRTTMs(r *rng.Rand, a, b *Endpoint) float64 {
 	r.Reseed(m.pairKey(a.ID, b.ID))
 	dist := geo.Distance(a.Loc, b.Loc)
 	prop := m.params.PropagationMsPerKm * dist
@@ -170,39 +160,19 @@ func (m *Model) PathRTTMsR(r *rng.Rand, a, b *Endpoint) float64 {
 }
 
 // OneWayMs returns the one-way network latency between two endpoints,
-// approximated as half the path RTT.
-func (m *Model) OneWayMs(a, b *Endpoint) float64 {
-	return m.PathRTTMs(a, b) / 2
-}
-
-// OneWayMsR is OneWayMs drawing from the caller's scratch Rand.
-func (m *Model) OneWayMsR(r *rng.Rand, a, b *Endpoint) float64 {
-	return m.PathRTTMsR(r, a, b) / 2
+// approximated as half the path RTT; r is a scratch as for PathRTTMs.
+func (m *Model) OneWayMs(r *rng.Rand, a, b *Endpoint) float64 {
+	return m.PathRTTMs(r, a, b) / 2
 }
 
 // CongestionFactor returns the effective-bandwidth multiplier for the link
 // identified by linkID during the given subcycle: 1.0 normally, mildly
 // degraded at random, and sharply degraded during a congestion dip. The
-// value is deterministic per (link, subcycle).
-func (m *Model) CongestionFactor(linkID, cycle, subcycle int) float64 {
-	return m.congestionDraw(rng.New(m.congestionKey(linkID, cycle, subcycle)))
-}
-
-// CongestionFactorR computes the same value as CongestionFactor but draws
-// from the caller's scratch Rand, reseeded in place — the allocation-free
-// path for hot loops that evaluate one link per player-tick. The scratch
-// must not be shared across goroutines.
-func (m *Model) CongestionFactorR(r *rng.Rand, linkID, cycle, subcycle int) float64 {
-	r.Reseed(m.congestionKey(linkID, cycle, subcycle))
-	return m.congestionDraw(r)
-}
-
-func (m *Model) congestionKey(linkID, cycle, subcycle int) uint64 {
-	return m.seed ^ (uint64(linkID)*0x9e3779b97f4a7c15 +
-		uint64(cycle)*0x85ebca77c2b2ae63 + uint64(subcycle)*0xc2b2ae3d27d4eb4f)
-}
-
-func (m *Model) congestionDraw(r *rng.Rand) float64 {
+// value is deterministic per (link, subcycle); r is a scratch as for
+// PathRTTMs.
+func (m *Model) CongestionFactor(r *rng.Rand, linkID, cycle, subcycle int) float64 {
+	r.Reseed(m.seed ^ (uint64(linkID)*0x9e3779b97f4a7c15 +
+		uint64(cycle)*0x85ebca77c2b2ae63 + uint64(subcycle)*0xc2b2ae3d27d4eb4f))
 	if r.Bool(m.params.CongestionDipProbability) {
 		return m.params.CongestionDipFactor
 	}

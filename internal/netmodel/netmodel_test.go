@@ -45,11 +45,12 @@ func TestClassString(t *testing.T) {
 }
 
 func TestPathRTTDeterministicPerPair(t *testing.T) {
+	s := rng.New(0)
 	m := NewModel(Params{}, 42)
 	p, sn, _ := testEndpoints(t)
-	a := m.PathRTTMs(p, sn)
-	b := m.PathRTTMs(p, sn)
-	c := m.PathRTTMs(sn, p)
+	a := m.PathRTTMs(s, p, sn)
+	b := m.PathRTTMs(s, p, sn)
+	c := m.PathRTTMs(s, sn, p)
 	if a != b {
 		t.Errorf("RTT not stable: %v vs %v", a, b)
 	}
@@ -59,21 +60,23 @@ func TestPathRTTDeterministicPerPair(t *testing.T) {
 }
 
 func TestPathRTTComponents(t *testing.T) {
+	s := rng.New(0)
 	m := NewModel(Params{}, 42)
 	p, sn, dc := testEndpoints(t)
-	rtt := m.PathRTTMs(p, sn)
+	rtt := m.PathRTTMs(s, p, sn)
 	if rtt < p.AccessRTTMs+sn.AccessRTTMs {
 		t.Errorf("RTT %v below sum of access RTTs", rtt)
 	}
 	// A remote datacenter must be slower than the nearby supernode in the
 	// typical case (this pair is ~3000 km vs ~54 km).
-	if m.PathRTTMs(p, dc) <= rtt {
+	if m.PathRTTMs(s, p, dc) <= rtt {
 		t.Errorf("remote DC RTT %v not larger than nearby supernode RTT %v",
-			m.PathRTTMs(p, dc), rtt)
+			m.PathRTTMs(s, p, dc), rtt)
 	}
 }
 
 func TestPathRTTGrowsWithDistanceOnAverage(t *testing.T) {
+	s := rng.New(0)
 	m := NewModel(Params{}, 7)
 	r := rng.New(9)
 	var nearSum, farSum float64
@@ -83,26 +86,51 @@ func TestPathRTTGrowsWithDistanceOnAverage(t *testing.T) {
 		p := NewPlayerEndpoint(10+2*i, base, r)
 		near := NewSupernodeEndpoint(11+2*i, geo.Point{X: 1030, Y: 1010}, r)
 		far := NewSupernodeEndpoint(100000+i, geo.Point{X: 4200, Y: 2500}, r)
-		nearSum += m.PathRTTMs(p, near)
-		farSum += m.PathRTTMs(p, far)
+		nearSum += m.PathRTTMs(s, p, near)
+		farSum += m.PathRTTMs(s, p, far)
 	}
 	if farSum <= nearSum*1.5 {
 		t.Errorf("distance barely affects RTT: near %v far %v", nearSum/n, farSum/n)
 	}
 }
 
+// TestScratchReuseMatchesFresh: a draw reseeds the caller's scratch, so a
+// scratch reused across pairs, links and unrelated draws returns what a
+// fresh one does.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	m := NewModel(Params{}, 42)
+	reused := rng.New(0)
+	r := rng.New(3)
+	for i := 0; i < 500; i++ {
+		a := NewPlayerEndpoint(i, geo.Point{X: r.Uniform(0, 5000), Y: r.Uniform(0, 3000)}, r)
+		b := NewSupernodeEndpoint(10000+i%37, geo.Point{X: r.Uniform(0, 5000), Y: r.Uniform(0, 3000)}, r)
+		reused.Float64() // the scratch's state before a draw must not matter
+		if got, want := m.PathRTTMs(reused, a, b), m.PathRTTMs(rng.New(uint64(i)), a, b); got != want {
+			t.Fatalf("pair %d: reused scratch RTT %v, fresh %v", i, got, want)
+		}
+		if got, want := m.OneWayMs(reused, b, a), m.OneWayMs(rng.New(0), b, a); got != want {
+			t.Fatalf("pair %d: reused scratch one-way %v, fresh %v", i, got, want)
+		}
+		if got, want := m.CongestionFactor(reused, i, i/24, i%24+1), m.CongestionFactor(rng.New(0), i, i/24, i%24+1); got != want {
+			t.Fatalf("link %d: reused scratch congestion %v, fresh %v", i, got, want)
+		}
+	}
+}
+
 func TestOneWayIsHalfRTT(t *testing.T) {
+	s := rng.New(0)
 	m := NewModel(Params{}, 42)
 	p, sn, _ := testEndpoints(t)
-	if got, want := m.OneWayMs(p, sn), m.PathRTTMs(p, sn)/2; got != want {
+	if got, want := m.OneWayMs(s, p, sn), m.PathRTTMs(s, p, sn)/2; got != want {
 		t.Errorf("OneWayMs = %v, want %v", got, want)
 	}
 }
 
 func TestCongestionFactorRangeProperty(t *testing.T) {
+	s := rng.New(0)
 	m := NewModel(Params{}, 3)
 	f := func(link uint16, cycle, sub uint8) bool {
-		c := m.CongestionFactor(int(link), int(cycle), int(sub)%24+1)
+		c := m.CongestionFactor(s, int(link), int(cycle), int(sub)%24+1)
 		return c == m.Params().CongestionDipFactor || (c >= 0.75 && c <= 1.0)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -111,15 +139,16 @@ func TestCongestionFactorRangeProperty(t *testing.T) {
 }
 
 func TestCongestionDeterministic(t *testing.T) {
+	s := rng.New(0)
 	m := NewModel(Params{}, 3)
-	if m.CongestionFactor(5, 2, 7) != m.CongestionFactor(5, 2, 7) {
+	if m.CongestionFactor(s, 5, 2, 7) != m.CongestionFactor(s, 5, 2, 7) {
 		t.Error("congestion factor not deterministic")
 	}
 	// Different subcycles should vary over time.
 	same := true
-	base := m.CongestionFactor(5, 2, 1)
+	base := m.CongestionFactor(s, 5, 2, 1)
 	for sub := 2; sub <= 24; sub++ {
-		if m.CongestionFactor(5, 2, sub) != base {
+		if m.CongestionFactor(s, 5, 2, sub) != base {
 			same = false
 			break
 		}
@@ -130,11 +159,12 @@ func TestCongestionDeterministic(t *testing.T) {
 }
 
 func TestCongestionDipFrequency(t *testing.T) {
+	s := rng.New(0)
 	m := NewModel(Params{}, 4)
 	dips := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if m.CongestionFactor(i, i/24, i%24+1) == m.Params().CongestionDipFactor {
+		if m.CongestionFactor(s, i, i/24, i%24+1) == m.Params().CongestionDipFactor {
 			dips++
 		}
 	}
@@ -193,9 +223,10 @@ func TestSupernodeCapacityParetoShape(t *testing.T) {
 }
 
 func TestModelSeedChangesJitter(t *testing.T) {
+	s := rng.New(0)
 	p, sn, _ := testEndpoints(t)
-	a := NewModel(Params{}, 1).PathRTTMs(p, sn)
-	b := NewModel(Params{}, 2).PathRTTMs(p, sn)
+	a := NewModel(Params{}, 1).PathRTTMs(s, p, sn)
+	b := NewModel(Params{}, 2).PathRTTMs(s, p, sn)
 	if a == b {
 		t.Error("different model seeds produced identical jitter")
 	}

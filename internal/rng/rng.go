@@ -184,29 +184,6 @@ func (r *Rand) Poisson(lambda float64) int {
 	}
 }
 
-// Zipf returns a sample in [1, n] following a Zipf (power-law) distribution
-// with skew s > 0. Used for friend counts (skew 1.5 per the paper).
-func (r *Rand) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 1
-	}
-	// Inverse-CDF over the discrete normalized weights. n is small in our
-	// usage (max friends per player), so a linear scan is fine.
-	var total float64
-	for k := 1; k <= n; k++ {
-		total += 1 / math.Pow(float64(k), s)
-	}
-	u := r.src.Float64() * total
-	var acc float64
-	for k := 1; k <= n; k++ {
-		acc += 1 / math.Pow(float64(k), s)
-		if u < acc {
-			return k
-		}
-	}
-	return n
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
 
@@ -262,3 +239,32 @@ func (w *Weighted) Sample(r *Rand) float64 {
 
 // Len returns the number of support points.
 func (w *Weighted) Len() int { return len(w.values) }
+
+// Zipf is a Zipf (power-law) distribution over [1, n]: rank k has weight
+// 1/k^s. Used for friend counts (skew 1.5 per the paper). Its cumulative
+// weights are summed once, so build one per (n, s) and draw from it.
+type Zipf struct {
+	w *Weighted // nil when n <= 1
+}
+
+// NewZipf builds the distribution over [1, n] with skew s > 0.
+func NewZipf(n int, s float64) *Zipf {
+	if n <= 1 {
+		return &Zipf{}
+	}
+	ranks := make([]float64, n)
+	weights := make([]float64, n)
+	for k := 1; k <= n; k++ {
+		ranks[k-1] = float64(k)
+		weights[k-1] = 1 / math.Pow(float64(k), s)
+	}
+	return &Zipf{w: NewWeighted(ranks, weights)}
+}
+
+// Sample draws one rank. With n <= 1 it returns 1 and draws nothing.
+func (z *Zipf) Sample(r *Rand) int {
+	if z.w == nil {
+		return 1
+	}
+	return int(z.w.Sample(r))
+}

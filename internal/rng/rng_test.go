@@ -281,8 +281,9 @@ func TestZipfRangeProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%100) + 1
 		r := New(seed)
+		z := NewZipf(n, 1.5)
 		for i := 0; i < 30; i++ {
-			v := r.Zipf(n, 1.5)
+			v := z.Sample(r)
 			if v < 1 || v > n {
 				return false
 			}
@@ -297,13 +298,56 @@ func TestZipfRangeProperty(t *testing.T) {
 func TestZipfSkew(t *testing.T) {
 	// Rank 1 must be the most frequent outcome.
 	r := New(10)
+	z := NewZipf(10, 1.5)
 	counts := make([]int, 11)
 	for i := 0; i < 50000; i++ {
-		counts[r.Zipf(10, 1.5)]++
+		counts[z.Sample(r)]++
 	}
 	for k := 2; k <= 10; k++ {
 		if counts[k] > counts[1] {
 			t.Fatalf("Zipf rank %d (%d) more frequent than rank 1 (%d)", k, counts[k], counts[1])
+		}
+	}
+}
+
+// zipfOracle is the per-draw Zipf sampler the table replaced: it sums the
+// n weights again on every call and scans them linearly.
+func zipfOracle(r *Rand, n int, s float64) int {
+	if n <= 1 {
+		return 1
+	}
+	var total float64
+	for k := 1; k <= n; k++ {
+		total += 1 / math.Pow(float64(k), s)
+	}
+	u := r.src.Float64() * total
+	var acc float64
+	for k := 1; k <= n; k++ {
+		acc += 1 / math.Pow(float64(k), s)
+		if u < acc {
+			return k
+		}
+	}
+	return n
+}
+
+// TestZipfMatchesOracle: the table draws the same rank as the per-draw
+// sampler on every draw and leaves the stream where it left it, so every
+// seeded friendship graph keeps its edges.
+func TestZipfMatchesOracle(t *testing.T) {
+	for _, c := range []struct {
+		n int
+		s float64
+	}{{1, 1.5}, {2, 1.5}, {3, 0.5}, {10, 1.5}, {50, 1.5}, {100, 2.5}} {
+		z := NewZipf(c.n, c.s)
+		table, oracle := New(uint64(c.n)), New(uint64(c.n))
+		for i := 0; i < 100_000; i++ {
+			if got, want := z.Sample(table), zipfOracle(oracle, c.n, c.s); got != want {
+				t.Fatalf("n=%d s=%v draw %d: table %d, oracle %d", c.n, c.s, i, got, want)
+			}
+		}
+		if table.Int63() != oracle.Int63() {
+			t.Errorf("n=%d s=%v: streams diverged after 100k draws", c.n, c.s)
 		}
 	}
 }

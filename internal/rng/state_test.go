@@ -48,6 +48,7 @@ func TestStateRestoreResumesStream(t *testing.T) {
 	r := New(7)
 	_ = r.Split()
 	_ = r.SplitNamed("ladder")
+	zipf := NewZipf(9, 1.5)
 	for i := 0; i < 137; i++ {
 		switch i % 6 {
 		case 0:
@@ -57,7 +58,7 @@ func TestStateRestoreResumesStream(t *testing.T) {
 		case 2:
 			r.Poisson(12)
 		case 3:
-			r.Zipf(9, 1.5)
+			zipf.Sample(r)
 		case 4:
 			r.Normal(5, 2)
 		case 5:

@@ -137,9 +137,10 @@ func Generate(cfg GenerateConfig, r *rng.Rand) *Graph {
 		start = end
 	}
 
+	friends := rng.NewZipf(cfg.MaxFriends, cfg.Skew)
 	targets := make([]int, cfg.N)
 	for i := range targets {
-		targets[i] = r.Zipf(cfg.MaxFriends, cfg.Skew)
+		targets[i] = friends.Sample(r)
 	}
 	for i := 0; i < cfg.N; i++ {
 		attempts := 0
